@@ -239,7 +239,7 @@ class ModeTransform:
         if matrix.shape != (n, n):
             raise ValueError(f"matrix shape {matrix.shape} != ({n}, {n})")
         dev = np.abs(matrix.conj().T @ matrix - np.eye(n)).max()
-        if dev > UNITARITY_TOL:
+        if not dev <= UNITARITY_TOL:  # a NaN entry fails too
             raise ValueError(f"matrix is not unitary (deviation {dev:.3g})")
         diff = np.abs(matrix - np.eye(n))
         touched = tuple(i for i in range(n)

@@ -18,17 +18,26 @@ branch equality of the optical parity-check filter with the parity-filter
 telegate, the equality of the rotated entangled pair with the controlled-Z
 auxiliary resource, and the end-to-end match of the optical CNOT with the
 teleportation CNOT.
+
+A post-selected gate with feed-forward is one linear map K_b per accepted
+outcome b. compile_branches builds those maps once by running the gate on
+each basis input, so the randomized checks apply K_b to every seeded trial
+input in one matrix product, and the optical-versus-teleported claim is
+also checked exactly as an operator equality, K_b(optical) =
+e^{i phi_b} K_b(teleported), with the outcomes paired by label.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .fock_core import (
     DEFAULT_CUTOFF,
     FockKet,
+    GateResult,
     H,
     ModeId,
     Register,
@@ -51,6 +60,12 @@ from .qubit_teleport import (
 )
 
 ROTATION_DEG = 22.5
+MATRIX_IDENTITY_TOL = 1e-14
+
+# Detector outcome of each optical stage -> Bell outcome of the matching
+# teleportation stage: D0 <-> Psi+ and D1 <-> Psi-; primes mark stage two.
+DETECTOR_TO_BELL = {"D0": str(PSI_PLUS), "D1": str(PSI_MINUS),
+                    "D0'": str(PSI_PLUS), "D1'": str(PSI_MINUS)}
 
 
 class EncodingDomainError(ValueError):
@@ -181,16 +196,115 @@ def check_record(check_id: str, ref: str, got: float, want: float, tol: float) -
             "got": got, "want": want, "tol": tol}
 
 
-def _polarization_pair_state(register: Register, port1: str, amps1, port2: str,
-                             amps2) -> FockKet:
-    """(x|H> + y|V>)_port1 tensor (u|H> + v|V>)_port2 on a shared register."""
+def linear_map(fn: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:
+    """Matrix of a linear map given as a function of dim input amplitudes."""
+    return np.column_stack([fn(basis) for basis in np.eye(dim, dtype=complex)])
+
+
+def compile_branches(gate: Callable[[np.ndarray], GateResult], dim: int,
+                     enc: MBEncoding | None = None) -> dict[str, np.ndarray]:
+    """Branch operators {outcome label: K_b} of a post-selected linear gate.
+
+    gate runs the gate on the input with the given dim amplitudes. Column i
+    of K_b is branch b's conditional state for the i-th basis input,
+    encoded with enc (optical gates) or read as qubit amplitudes (enc None).
+    By linearity K_b @ v is branch b for any input v, unnormalized, so its
+    squared column norms are the branch probabilities.
+    """
+    columns: dict[str, list[np.ndarray]] = {}
+    for basis in np.eye(dim, dtype=complex):
+        for branch in gate(basis).accepted_branches:
+            state = branch.conditional_state
+            columns.setdefault(branch.outcome_label, []).append(
+                state.amplitudes if enc is None else mb_encode(state, enc).amplitudes)
+    for label, cols in columns.items():
+        if len(cols) != dim:
+            raise ValueError(f"outcome {label!r} occurs {len(cols)} times over "
+                             f"{dim} basis inputs")
+    return {label: np.column_stack(cols) for label, cols in columns.items()}
+
+
+def branch_probabilities(outputs: np.ndarray) -> np.ndarray:
+    """Squared norm of each column: one branch probability per trial."""
+    return np.sum(np.abs(outputs) ** 2, axis=0)
+
+
+def batched_fidelity(states: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Column-wise |<t|s>| / (|s| |t|): qubit_fidelity for every trial at once.
+
+    A zero column gives NaN where qubit_fidelity raises; np.min and np.max
+    propagate it, so any check reduced from it fails.
+    """
+    overlaps = np.abs(np.sum(targets.conj() * states, axis=0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return overlaps / (np.linalg.norm(states, axis=0) * np.linalg.norm(targets, axis=0))
+
+
+def pair_branches(left: Mapping[str, np.ndarray], right: Mapping[str, np.ndarray],
+                  rename: Mapping[str, str] | None = None
+                  ) -> list[tuple[np.ndarray, np.ndarray]] | None:
+    """Match branches by outcome label, in left's order.
+
+    Each comma-separated stage of a left label is mapped through rename
+    (labels are compared as they are when rename is None). Returns None when
+    a side is empty or a label is missing or unmatched, so that the checks
+    built on the pairing fail.
+    """
+    renamed = {}
+    for label, value in left.items():
+        if rename is not None:
+            stages = label.split(",")
+            if not all(stage in rename for stage in stages):
+                return None
+            label = ",".join(rename[stage] for stage in stages)
+        renamed[label] = value
+    if not renamed or len(renamed) != len(left) or renamed.keys() != right.keys():
+        return None
+    return [(value, right[label]) for label, value in renamed.items()]
+
+
+def _paired_outputs(groups: list, inputs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(optical, teleported) branch outputs of every matched pair on the
+    input columns; a single all-NaN pair when any group failed to pair."""
+    if any(group is None for group in groups):
+        nan = np.full((1, inputs.shape[1]), np.nan)
+        return [(nan, nan)]
+    return [(k_opt @ inputs, k_tel @ inputs) for group in groups for k_opt, k_tel in group]
+
+
+def kraus_deviations(groups: list, p_success: float) -> tuple[float, float]:
+    """Exact operator checks on groups of label-matched (optical,
+    teleported) branch operators, one group per gate configuration.
+
+    Returns the largest entry of |K_opt - e^{i phi} K_tel|, with the phase
+    taken from the two operators' trace overlap, and the largest entry of
+    sum_b K_b^dagger K_b - p_success I on either side of any group. Both
+    are NaN when a group failed to pair.
+    """
+    if any(group is None for group in groups):
+        return float("nan"), float("nan")
+    phase_devs, complete_devs = [], []
+    for group in groups:
+        for k_opt, k_tel in group:
+            overlap = np.vdot(k_tel, k_opt)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                phase = overlap / abs(overlap)
+            phase_devs.append(np.max(np.abs(k_opt - phase * k_tel)))
+        for side in zip(*group):
+            gram = sum(k.conj().T @ k for k in side)
+            complete_devs.append(np.max(np.abs(gram - p_success * np.eye(len(gram)))))
+    return float(np.max(phase_devs)), float(np.max(complete_devs))
+
+
+def _polarization_pair_ket(register: Register, port1: str, port2: str, amps) -> FockKet:
+    """One photon in each of two ports with the four polarization amplitudes
+    given in (HH, HV, VH, VV) order."""
     terms = {}
-    for pol1, c1 in zip((H, V), amps1):
-        for pol2, c2 in zip((H, V), amps2):
-            occ = [0] * register.n_modes
-            occ[register.index_of(ModeId(port1, pol1))] = 1
-            occ[register.index_of(ModeId(port2, pol2))] = 1
-            terms[tuple(occ)] = complex(c1) * complex(c2)
+    for index, (pol1, pol2) in enumerate(((H, H), (H, V), (V, H), (V, V))):
+        occ = [0] * register.n_modes
+        occ[register.index_of(ModeId(port1, pol1))] = 1
+        occ[register.index_of(ModeId(port2, pol2))] = 1
+        terms[tuple(occ)] = complex(amps[index])
     return FockKet(register, terms)
 
 
@@ -208,36 +322,32 @@ def verify_pbs_mb(rng: np.random.Generator, trials: int = 100,
     """Check that the beam splitter's coincidence action encodes to the
     even-parity filter structure a A |001> + b B |110> on (IN, AV, AH)."""
     enc = MBEncoding(("IN",), ("A",))
+    register = Register(("IN", "A"), cutoff)
+    splitter = pbs(register, "IN", "A")
+    # Columns: the coincidence inputs |HH>, |HV>, |VH>, |VV> on (IN, A).
+    after_pbs = linear_map(lambda amps: mb_encode(project_encodable(apply_mode_transform(
+        _polarization_pair_ket(register, "IN", "A", amps), splitter), enc), enc).amplitudes, 4)
 
-    def encoded_after_pbs(a, b, big_a, big_b) -> QubitState:
-        register = Register(("IN", "A"), cutoff)
-        joint = _polarization_pair_state(register, "IN", (a, b), "A", (big_a, big_b))
-        out = apply_mode_transform(joint, pbs(register, "IN", "A"))
-        return mb_encode(project_encodable(out, enc), enc)
-
-    def expected(a, b, big_a, big_b) -> np.ndarray:
-        amps = np.zeros(8, dtype=complex)
-        amps[0b001] = a * big_a
-        amps[0b110] = b * big_b
+    def expected(inp: np.ndarray, aux: np.ndarray) -> np.ndarray:
+        amps = np.zeros((8,) + inp.shape[1:], dtype=complex)
+        amps[0b001] = inp[0] * aux[0]
+        amps[0b110] = inp[1] * aux[1]
         return amps
 
     checks = []
-    got = np.abs(encoded_after_pbs(1, 0, 1, 0).amplitudes - expected(1, 0, 1, 0)).max()
+    got = np.abs(after_pbs[:, 0] - expected(np.array([1, 0]), np.array([1, 0]))).max()
     checks.append(check_record(
         "pbs-mb-even-term", "matched H input and H auxiliary pass the beam splitter "
         "into the surviving even-parity ket", got, 0.0, 1e-12))
-    got = encoded_after_pbs(0, 1, 1, 0).norm()
+    got = np.linalg.norm(after_pbs[:, 0b10])
     checks.append(check_record(
         "pbs-mb-odd-filtered", "odd-parity input and auxiliary combination is "
         "post-selected away by the beam splitter", got, 0.0, 1e-12))
-    worst = 0.0
-    for _ in range(trials):
-        a, b = _random_pair(rng)
-        big_a, big_b = _random_pair(rng)
-        dev = np.abs(encoded_after_pbs(a, b, big_a, big_b).amplitudes
-                     - expected(a, b, big_a, big_b)).max()
-        worst = max(worst, dev)
     if trials > 0:
+        draws = np.array([_random_pair(rng) + _random_pair(rng) for _ in range(trials)]).T
+        inp, aux = draws[:2], draws[2:]
+        joint = (inp[:, None, :] * aux[None, :, :]).reshape(4, trials)
+        worst = np.max(np.abs(after_pbs @ joint - expected(inp, aux)))
         checks.append(check_record(
             "pbs-mb-random", "beam splitter action on random coincidence inputs "
             "equals the even-parity filter structure", worst, 0.0, 1e-12))
@@ -258,26 +368,25 @@ def verify_hwp_mb(rng: np.random.Generator, trials: int = 100,
     register = Register(("A",), cutoff)
     rotation = hwp(register, "A", ROTATION_DEG)
     root_half = 2.0 ** -0.5
+    after_hwp = linear_map(lambda amps: mb_encode(apply_mode_transform(
+        _single_port_state(register, "A", amps), rotation), enc).amplitudes, 2)
 
-    def encoded_after_hwp(x, y) -> QubitState:
-        return mb_encode(apply_mode_transform(
-            _single_port_state(register, "A", (x, y)), rotation), enc)
+    def expected(amps: np.ndarray) -> np.ndarray:
+        """Bell rotation images of the columns (x, y) of amps."""
+        x, y = amps
+        out = np.zeros((4,) + x.shape, dtype=complex)
+        out[0b01] = (x + y) * root_half
+        out[0b10] = (x - y) * root_half
+        return out
 
-    def expected(x, y) -> QubitState:
-        amps = np.zeros(4, dtype=complex)
-        amps[0b01] = (x + y) * root_half
-        amps[0b10] = (x - y) * root_half
-        return QubitState(("AV", "AH"), amps)
-
+    h_line, v_line = batched_fidelity(after_hwp, expected(np.eye(2)))
     checks = []
     checks.append(check_record(
         "hwp-mb-h-line", "plate maps the H occupation pattern to the plus Bell "
-        "state up to a global phase",
-        qubit_fidelity(encoded_after_hwp(1, 0), expected(1, 0)), 1.0, 1e-12))
+        "state up to a global phase", h_line, 1.0, 1e-12))
     checks.append(check_record(
         "hwp-mb-v-line", "plate maps the V occupation pattern to the minus Bell "
-        "state up to a global phase",
-        qubit_fidelity(encoded_after_hwp(0, 1), expected(0, 1)), 1.0, 1e-12))
+        "state up to a global phase", v_line, 1.0, 1e-12))
 
     analyzer = []
     for sign, mode_pol in ((1, H), (-1, V)):
@@ -293,46 +402,46 @@ def verify_hwp_mb(rng: np.random.Generator, trials: int = 100,
         "bell-analyzer-psi-minus", "minus Bell state fires the V-side detector "
         "deterministically", analyzer[1], 1.0, 1e-12))
 
-    worst = 1.0
-    for _ in range(trials):
-        x, y = _random_pair(rng)
-        worst = min(worst, qubit_fidelity(encoded_after_hwp(x, y), expected(x, y)))
     if trials > 0:
+        amps = np.array([_random_pair(rng) for _ in range(trials)]).T
+        worst = np.min(batched_fidelity(after_hwp @ amps, expected(amps)))
         checks.append(check_record(
             "hwp-mb-random", "plate action on random single-photon auxiliary states "
             "matches the Bell rotation up to a global phase", worst, 1.0, 1e-12))
     return checks
 
 
-def _optical_filter_result(alpha, beta, aux_sign, cutoff):
+def _optical_filter_result(amps, aux_sign, cutoff):
     register = Register(("IN", "A", "D0", "D1"), cutoff)
     root_half = 2.0 ** -0.5
-    joint = _polarization_pair_state(
-        register, "IN", (alpha, beta), "A", (root_half, aux_sign * root_half))
+    joint = _polarization_pair_ket(register, "IN", "A",
+                                   np.kron(amps, (root_half, aux_sign * root_half)))
     return f_gate(joint, FGateLayout("IN", "A", ("D0", "D1")))
 
 
 def verify_f_equals_tprime(rng: np.random.Generator, trials: int = 200,
                            cutoff: int = DEFAULT_CUTOFF) -> list[dict]:
     """Branch-by-branch equality of the optical parity-check filter with the
-    parity-filter telegate on the encodable auxiliary domain."""
+    parity-filter telegate on the encodable auxiliary domain, with outcomes
+    paired by DETECTOR_TO_BELL: exactly as branch operators, and on one
+    fixed and trials - 1 random inputs."""
     enc = MBEncoding(("IN",), ())
-    worst_prob = 0.0
-    worst_fid = 1.0
-    for trial in range(max(trials, 1)):
-        if trial == 0:
-            alpha, beta = 0.6 + 0.0j, 0.8j
-        else:
-            alpha, beta = _random_pair(rng)
-        for aux_sign, label in ((1, PSI_PLUS), (-1, PSI_MINUS)):
-            optical = _optical_filter_result(alpha, beta, aux_sign, cutoff)
-            teleported = telegate_t(
-                QubitState(("IN",), (alpha, beta)), "IN",
-                bell_state(label, ("AV", "AH")), variant="parity_filter")
-            for ob, tb in zip(optical.accepted_branches, teleported.accepted_branches):
-                worst_prob = max(worst_prob, abs(ob.probability - tb.probability))
-                worst_fid = min(worst_fid, qubit_fidelity(
-                    mb_encode(ob.conditional_state, enc), tb.conditional_state))
+    groups = []
+    for aux_sign, label in ((1, PSI_PLUS), (-1, PSI_MINUS)):
+        optical = compile_branches(
+            lambda amps: _optical_filter_result(amps, aux_sign, cutoff), 2, enc)
+        teleported = compile_branches(
+            lambda amps: telegate_t(QubitState(("IN",), amps), "IN",
+                                    bell_state(label, ("AV", "AH")), variant="parity_filter"),
+            2)
+        groups.append(pair_branches(optical, teleported, DETECTOR_TO_BELL))
+    inputs = np.array([(0.6 + 0.0j, 0.8j)]
+                      + [_random_pair(rng) for _ in range(trials - 1)]).T
+    outputs = _paired_outputs(groups, inputs)
+    worst_prob = np.max([np.abs(branch_probabilities(o) - branch_probabilities(t))
+                         for o, t in outputs])
+    worst_fid = np.min([batched_fidelity(o, t) for o, t in outputs])
+    phase_dev, complete_dev = kraus_deviations(groups, 0.5)
     return [
         check_record(
             "filter-telegate-branch-prob", "optical filter branches and parity-filter "
@@ -340,6 +449,14 @@ def verify_f_equals_tprime(rng: np.random.Generator, trials: int = 200,
         check_record(
             "filter-telegate-branch-state", "encoded optical filter branches equal the "
             "matching telegate branches up to a global phase", worst_fid, 1.0, 1e-11),
+        check_record(
+            "filter-telegate-kraus-phase", "each encoded optical filter branch operator "
+            "equals its label-matched parity-filter telegate operator times a phase",
+            phase_dev, 0.0, MATRIX_IDENTITY_TOL),
+        check_record(
+            "filter-telegate-kraus-complete", "on both sides the branch operators satisfy "
+            "sum K^dagger K = I/2, success 1/2 on every input",
+            complete_dev, 0.0, MATRIX_IDENTITY_TOL),
     ]
 
 
@@ -353,13 +470,8 @@ def verify_aux_state_equivalence(cutoff: int = DEFAULT_CUTOFF) -> list[dict]:
     root_half = 2.0 ** -0.5
 
     def pair_state(sign) -> FockKet:
-        terms = {}
-        for pol in (H, V):
-            occ = [0] * register.n_modes
-            occ[register.index_of(ModeId("A", pol))] = 1
-            occ[register.index_of(ModeId("A'", pol))] = 1
-            terms[tuple(occ)] = root_half * (sign if pol is V else 1.0)
-        return FockKet(register, terms)
+        return _polarization_pair_ket(register, "A", "A'",
+                                      (root_half, 0.0, 0.0, sign * root_half))
 
     rotated = apply_mode_transform(pair_state(1), hwp(register, "A'", ROTATION_DEG))
     fid = qubit_fidelity(mb_encode(rotated, enc), target)
@@ -383,24 +495,23 @@ def verify_ecnot_equals_tcnot(rng: np.random.Generator, trials: int = 100,
                               cutoff: int = DEFAULT_CUTOFF) -> list[dict]:
     """End to end: encoded branches of the optical CNOT equal the branches
     of the teleportation CNOT, pairing detector outcomes with Bell outcomes
-    stage by stage."""
+    stage by stage through DETECTOR_TO_BELL: exactly as branch operators,
+    and on one fixed and trials - 1 random inputs."""
     enc = MBEncoding(("IN", "IN'"), ())
     register = Register(("IN", "IN'"), cutoff)
-    worst_prob = 0.0
-    worst_fid = 1.0
-    for trial in range(max(trials, 1)):
-        if trial == 0:
-            amps = np.array([0.5, 0.5j, -0.5, 0.5])
-        else:
-            amps = random_qubit_state(rng, ("IN", "IN'")).amplitudes
-        optical_input = _polarization_product_from_amplitudes(register, amps)
-        optical = e_cnot(optical_input)
-        teleported = cnot_via_cz(QubitState(("IN", "IN'"), amps))
-        for ob, tb in zip(optical.accepted_branches, teleported.accepted_branches):
-            worst_prob = max(worst_prob, abs(ob.probability - 1.0 / 16.0),
-                             abs(tb.probability - 1.0 / 16.0))
-            worst_fid = min(worst_fid, qubit_fidelity(
-                mb_encode(ob.conditional_state, enc), tb.conditional_state))
+    optical = compile_branches(
+        lambda amps: e_cnot(_polarization_pair_ket(register, "IN", "IN'", amps)), 4, enc)
+    teleported = compile_branches(
+        lambda amps: cnot_via_cz(QubitState(("IN", "IN'"), amps)), 4)
+    groups = [pair_branches(optical, teleported, DETECTOR_TO_BELL)]
+    inputs = np.array([np.array([0.5, 0.5j, -0.5, 0.5])]
+                      + [random_qubit_state(rng, ("IN", "IN'")).amplitudes
+                         for _ in range(trials - 1)]).T
+    outputs = _paired_outputs(groups, inputs)
+    worst_prob = np.max([np.abs(branch_probabilities(side) - 1.0 / 16.0)
+                         for pair in outputs for side in pair])
+    worst_fid = np.min([batched_fidelity(o, t) for o, t in outputs])
+    phase_dev, complete_dev = kraus_deviations(groups, 0.25)
     return [
         check_record(
             "ecnot-tcnot-branch-prob", "optical CNOT and teleportation CNOT branches "
@@ -408,17 +519,12 @@ def verify_ecnot_equals_tcnot(rng: np.random.Generator, trials: int = 100,
         check_record(
             "ecnot-tcnot-branch-state", "encoded optical CNOT branches equal the "
             "teleportation CNOT branches up to a global phase", worst_fid, 1.0, 1e-10),
+        check_record(
+            "ecnot-tcnot-kraus-phase", "each encoded optical CNOT branch operator equals "
+            "its label-matched teleportation CNOT operator times a phase",
+            phase_dev, 0.0, MATRIX_IDENTITY_TOL),
+        check_record(
+            "ecnot-tcnot-kraus-complete", "on both sides the branch operators satisfy "
+            "sum K^dagger K = I/4, success 1/4 on every input",
+            complete_dev, 0.0, MATRIX_IDENTITY_TOL),
     ]
-
-
-def _polarization_product_from_amplitudes(register: Register, amps) -> FockKet:
-    """Two-port two-photon state with the four polarization amplitudes given
-    in (HH, HV, VH, VV) order on the register's two ports."""
-    port1, port2 = register.spatial_labels
-    terms = {}
-    for index, (pol1, pol2) in enumerate(((H, H), (H, V), (V, H), (V, V))):
-        occ = [0] * register.n_modes
-        occ[register.index_of(ModeId(port1, pol1))] = 1
-        occ[register.index_of(ModeId(port2, pol2))] = 1
-        terms[tuple(occ)] = complex(amps[index])
-    return FockKet(register, terms)

@@ -77,6 +77,8 @@ def pbs(register: Register, port_a: str, port_b: str) -> ModeTransform:
 
 def hwp(register: Register, port: str, theta_degrees: float) -> ModeTransform:
     """Half-wave plate at theta_degrees on the (H, V) pair of one port."""
+    if not math.isfinite(theta_degrees):
+        raise ValueError(f"wave plate angle must be finite, got {theta_degrees!r}")
     ih = register.index_of(ModeId(port, H))
     iv = register.index_of(ModeId(port, V))
     two_theta = math.radians(2.0 * theta_degrees)

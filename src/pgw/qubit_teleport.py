@@ -103,11 +103,12 @@ class QubitOperator:
         dim = 2 ** len(self.targets)
         if m.shape != (dim, dim):
             raise ValueError(f"matrix shape {m.shape} != ({dim}, {dim})")
+        # Written as not (dev <= tol) so that a NaN entry fails the claim.
         if self.claim == "unitary":
-            if np.abs(m.conj().T @ m - np.eye(dim)).max() > 1e-12:
+            if not np.abs(m.conj().T @ m - np.eye(dim)).max() <= 1e-12:
                 raise ValueError("operator claims unitarity but is not unitary")
         elif self.claim == "projector":
-            if np.abs(m @ m - m).max() > 1e-12 or np.abs(m.conj().T - m).max() > 1e-12:
+            if not (np.abs(m @ m - m).max() <= 1e-12 and np.abs(m.conj().T - m).max() <= 1e-12):
                 raise ValueError("operator claims to be a projector but is not")
         elif self.claim is not None:
             raise ValueError(f"unknown claim {self.claim!r}")

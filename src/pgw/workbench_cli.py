@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -56,14 +57,18 @@ from .fock_core import (
     apply_mode_transform,
     fidelity_up_to_global_phase,
     measure_and_postselect,
-    overlap,
     single_photon,
 )
 from .mb_bridge import (
     MBEncoding,
+    batched_fidelity,
+    branch_probabilities,
     check_record,
+    compile_branches,
+    linear_map,
     mb_decode,
     mb_encode,
+    pair_branches,
     verify_aux_state_equivalence,
     verify_ecnot_equals_tcnot,
     verify_f_equals_tprime,
@@ -72,6 +77,7 @@ from .mb_bridge import (
 )
 from .optical_elements import ElementKind, ElementSpec, hwp, mode_swap, pbs, pockels_z
 from .optical_gates import (
+    BRANCH_EQUALITY_TOL,
     FGateLayout,
     ROTATION_DEG,
     destructive_cnot,
@@ -83,13 +89,13 @@ from .optical_gates import (
 from .qubit_teleport import (
     CNOT_MATRIX,
     CZ_MATRIX,
+    IDENTITY_2,
     PAULI_Z,
     PHI_MINUS,
     PHI_PLUS,
     PSI_MINUS,
     PSI_PLUS,
     QubitState,
-    apply_matrix,
     bell_state,
     cnot_via_cz,
     cz_aux_state,
@@ -98,12 +104,12 @@ from .qubit_teleport import (
     parity_filter,
     pbm,
     qubit_fidelity,
-    random_qubit_state,
     telegate_t,
     tensor_qubits,
 )
 
 DEFAULT_SEED = 12345
+CONSERVATION_TOL = 1e-11
 HEADER = "pgw-circuit v1"
 
 _TOKEN_RE = re.compile(r"\S+")
@@ -147,9 +153,12 @@ def _line_tokens(raw: str) -> list[tuple[str, int]]:
 
 def _parse_float(text: str, what: str, line: int, col: int) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise CircuitParseError(f"expected {what}, got {text!r}", line, col) from None
+    if not math.isfinite(value):
+        raise CircuitParseError(f"expected {what}, got non-finite {text!r}", line, col)
+    return value
 
 
 def _parse_int(text: str, what: str, line: int, col: int) -> int:
@@ -381,7 +390,10 @@ def parse_circuit(text: str, source: str = "<circuit>") -> CircuitFile:
             if len(rest) < 3:
                 raise CircuitParseError("detect needs a label, an index, and counts",
                                         line_no, col)
-            label = rest[0][0]
+            label, label_col = rest[0]
+            if any(d.label == label for d in detections):
+                raise CircuitParseError(f"detection label {label!r} used twice",
+                                        line_no, label_col)
             j = _parse_int(rest[1][0], "a feed-forward index", line_no, rest[1][1])
             if j not in (0, 1):
                 raise CircuitParseError("feed-forward index must be 0 or 1",
@@ -446,7 +458,11 @@ def run_circuit(cf: CircuitFile) -> SimulationResult:
             out = apply_mode_transform(out, fix.build(out.register))
         branches.append(Branch(raw.outcome_label, raw.j, out, raw.probability))
         total += raw.probability
-    return SimulationResult(register, initial, None, tuple(branches), initial - total)
+    rejected = initial - total
+    if rejected < -CONSERVATION_TOL:
+        raise ValueError(f"detected branches carry {total!r} of the initial norm^2 "
+                         f"{initial!r}; the detection patterns overlap")
+    return SimulationResult(register, initial, None, tuple(branches), rejected)
 
 
 def _fmt_c(z: complex) -> str:
@@ -523,15 +539,6 @@ def _two_qubit_state(register: Register, port1: str, port2: str, amps) -> FockKe
 def _product_state(register: Register, port1: str, amps1, port2: str, amps2) -> FockKet:
     return _two_qubit_state(register, port1, port2,
                             np.outer(np.asarray(amps1), np.asarray(amps2)).ravel())
-
-
-def _single_qubit_ket(register: Register, port: str, amps) -> FockKet:
-    terms = {}
-    for pol, amp in zip((H, V), amps):
-        occ = [0] * register.n_modes
-        occ[register.index_of(ModeId(port, pol))] = 1
-        terms[tuple(occ)] = complex(amp)
-    return FockKet(register, terms)
 
 
 def _suite_optical(rng: np.random.Generator, trials: int, cutoff: int) -> list[dict]:
@@ -630,73 +637,60 @@ def _suite_optical(rng: np.random.Generator, trials: int, cutoff: int) -> list[d
     if trials <= 0:
         return checks
 
+    # Draw every trial input in the per-trial order, then check each gate on
+    # all of them at once through its compiled branch operators.
+    draws = [(_random_vector(rng, 2), _random_vector(rng, 2), _random_vector(rng, 4),
+              _random_vector(rng, 4), rng.uniform(0.0, 180.0, size=2))
+             for _ in range(trials)]
+    ab, gd, v, w, thetas = (np.array(column).T for column in zip(*draws))
+
     reg_filter = Register(("IN", "A", "D0", "D1"), cutoff)
     layout = FGateLayout("IN", "A", ("D0", "D1"))
-    neutral_success = 0.0
-    branch_prob = 0.0
-    neutral_fid = 1.0
-    minus_fid = 1.0
-    branches_agree = True
-    dc_success = 0.0
-    dc_fid = 1.0
-    ec_success = 0.0
-    ec_branch = 0.0
-    ec_fid = 1.0
-    norm_dev = 0.0
-    completeness_dev = 0.0
-    for _ in range(trials):
-        alpha, beta = _random_vector(rng, 2)
-        result = f_gate(_product_state(reg_filter, "IN", (alpha, beta),
-                                       "A", (half, half)), layout)
-        expected = _single_qubit_ket(reg_in, "IN", (alpha, beta))
-        neutral_success = max(neutral_success, abs(result.success_probability - 0.5))
-        branches_agree = branches_agree and result.corrected_outputs_equal
-        for branch in result.accepted_branches:
-            branch_prob = max(branch_prob, abs(branch.probability - 0.25))
-            neutral_fid = min(neutral_fid, fidelity_up_to_global_phase(
-                branch.conditional_state, expected))
-        result = f_gate(_product_state(reg_filter, "IN", (alpha, beta),
-                                       "A", (half, -half)), layout)
-        expected = _single_qubit_ket(reg_in, "IN", (alpha, -beta))
-        branches_agree = branches_agree and result.corrected_outputs_equal
-        for branch in result.accepted_branches:
-            branch_prob = max(branch_prob, abs(branch.probability - 0.25))
-            minus_fid = min(minus_fid, fidelity_up_to_global_phase(
-                branch.conditional_state, expected))
+    enc_in = MBEncoding(("IN",), ())
 
-        gamma, delta = _random_vector(rng, 2)
-        for control, out_amps in (((1.0, 0.0), (gamma, delta)),
-                                  ((0.0, 1.0), (delta, gamma))):
-            result = destructive_cnot(_product_state(reg_filter, "IN", (gamma, delta),
-                                                     "A", control), layout)
-            expected = _single_qubit_ket(reg_in, "IN", out_amps)
-            dc_success = max(dc_success, abs(result.success_probability - 0.5))
-            for branch in result.accepted_branches:
-                dc_fid = min(dc_fid, fidelity_up_to_global_phase(
-                    branch.conditional_state, expected))
+    def filter_outputs(gate, aux, inputs) -> list[np.ndarray]:
+        ops = compile_branches(lambda amps: gate(
+            _product_state(reg_filter, "IN", amps, "A", aux), layout), 2, enc_in)
+        return [k @ inputs for k in ops.values()]
 
-        v = _random_vector(rng, 4)
-        result = e_cnot(_two_qubit_state(reg_2q, "IN", "IN'", v))
-        expected = _two_qubit_state(reg_2q, "IN", "IN'", CNOT_MATRIX @ v)
-        ec_success = max(ec_success, abs(result.success_probability - 0.25))
-        for branch in result.accepted_branches:
-            ec_branch = max(ec_branch, abs(branch.probability - 1.0 / 16.0))
-            ec_fid = min(ec_fid, fidelity_up_to_global_phase(
-                branch.conditional_state, expected))
+    neutral = filter_outputs(f_gate, (half, half), ab)
+    minus = filter_outputs(f_gate, (half, -half), ab)
+    neutral_success = np.max(np.abs(sum(map(branch_probabilities, neutral)) - 0.5))
+    branch_prob = np.max([np.abs(branch_probabilities(out) - 0.25) for out in neutral + minus])
+    neutral_fid = np.min([batched_fidelity(out, ab) for out in neutral])
+    minus_fid = np.min([batched_fidelity(out, PAULI_Z @ ab) for out in minus])
+    branches_agree = all(np.all(batched_fidelity(outs[0], out) >= 1.0 - BRANCH_EQUALITY_TOL)
+                         for outs in (neutral, minus) for out in outs[1:])
 
-        w = _random_vector(rng, 4)
-        theta1, theta2 = rng.uniform(0.0, 180.0, size=2)
-        state = _two_qubit_state(reg_ab, "A", "B", w)
+    dc_success, dc_fid = [], []
+    for control, expected in (((1.0, 0.0), gd), ((0.0, 1.0), gd[::-1])):
+        outs = filter_outputs(destructive_cnot, control, gd)
+        dc_success.append(np.abs(sum(map(branch_probabilities, outs)) - 0.5))
+        dc_fid.extend(batched_fidelity(out, expected) for out in outs)
+    dc_success, dc_fid = np.max(dc_success), np.min(dc_fid)
+
+    ec_ops = compile_branches(lambda amps: e_cnot(_two_qubit_state(reg_2q, "IN", "IN'", amps)),
+                              4, MBEncoding(("IN", "IN'"), ()))
+    ec = [k @ v for k in ec_ops.values()]
+    ec_success = np.max(np.abs(sum(map(branch_probabilities, ec)) - 0.25))
+    ec_branch = np.max([np.abs(branch_probabilities(out) - 1.0 / 16.0) for out in ec])
+    ec_fid = np.min([batched_fidelity(out, CNOT_MATRIX @ v) for out in ec])
+
+    # Random plate angles change the map on every trial, so these run one by one.
+    norm_dev, completeness_dev = [], []
+    for amps, (theta1, theta2) in zip(w.T, thetas.T):
+        state = _two_qubit_state(reg_ab, "A", "B", amps)
         state = apply_mode_transform(state, hwp(reg_ab, "A", theta1))
         state = apply_mode_transform(state, pbs(reg_ab, "A", "B"))
         state = apply_mode_transform(state, hwp(reg_ab, "B", theta2))
-        norm_dev = max(norm_dev, abs(state.norm_squared() - 1.0))
+        norm_dev.append(abs(state.norm_squared() - 1.0))
         total = 0.0
         for counts in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)):
             pattern = DetectionPattern({ModeId("A", H): counts[0],
                                         ModeId("A", V): counts[1]})
             total += measure_and_postselect(state, pattern).probability
-        completeness_dev = max(completeness_dev, abs(total - 1.0))
+        completeness_dev.append(abs(total - 1.0))
+    norm_dev, completeness_dev = np.max(norm_dev), np.max(completeness_dev)
 
     checks.append(check_record(
         "filter-neutral-success",
@@ -841,65 +835,48 @@ def _suite_teleport(rng: np.random.Generator, trials: int, cutoff: int) -> list[
     if trials <= 0:
         return checks
 
-    t_success = 0.0
-    t_branch = 0.0
-    t_plus = 1.0
-    t_minus = 1.0
-    t_variants = 0.0
-    pauli_fid = 1.0
-    cz_success = 0.0
-    cz_branch = 0.0
-    cz_fid = 1.0
-    cn_fid = 1.0
-    for _ in range(trials):
-        phi = random_qubit_state(rng, ("Q",))
-        for label, flip in ((PSI_PLUS, 0), (PSI_MINUS, 1)):
-            expect = apply_matrix(phi, PAULI_Z, ("Q",)) if flip else phi
-            results = []
-            for variant in ("swap", "parity_filter"):
-                result = telegate_t(phi, "Q", bell_state(label, ("A1", "A2")),
-                                    variant=variant)
-                results.append(result)
-                t_success = max(t_success, abs(result.success_probability - 0.5))
-                for branch in result.accepted_branches:
-                    t_branch = max(t_branch, abs(branch.probability - 0.25))
-                    fid = qubit_fidelity(branch.conditional_state, expect)
-                    if flip:
-                        t_minus = min(t_minus, fid)
-                    else:
-                        t_plus = min(t_plus, fid)
-            for b1, b2 in zip(results[0].accepted_branches,
-                              results[1].accepted_branches):
-                t_variants = max(t_variants, np.abs(
-                    b1.conditional_state.amplitudes
-                    - b2.conditional_state.amplitudes).max())
+    draws = [(_random_vector(rng, 2), _random_vector(rng, 4)) for _ in range(trials)]
+    phis, psis = (np.array(column).T for column in zip(*draws))
 
-        psi = random_qubit_state(rng, ("Q1", "Q2"))
-        for flip1, label1 in ((0, PSI_PLUS), (1, PSI_MINUS)):
-            for flip2, label2 in ((0, PSI_PLUS), (1, PSI_MINUS)):
-                aux = tensor_qubits(bell_state(label1, ("A1", "A2")),
-                                    bell_state(label2, ("A1'", "A2'")))
-                result = cz_via_two_telegates(psi, aux)
-                want = psi
-                if flip1:
-                    want = apply_matrix(want, PAULI_Z, ("Q1",))
-                if flip2:
-                    want = apply_matrix(want, PAULI_Z, ("Q2",))
-                for branch in result.accepted_branches:
-                    pauli_fid = min(pauli_fid, qubit_fidelity(
-                        branch.conditional_state, want))
+    def two_qubit_ops(gate, *args) -> dict[str, np.ndarray]:
+        return compile_branches(lambda amps: gate(QubitState(("Q1", "Q2"), amps), *args), 4)
 
-        result = cz_via_two_telegates(psi)
-        want = QubitState(("Q1", "Q2"), CZ_MATRIX @ psi.amplitudes)
-        cz_success = max(cz_success, abs(result.success_probability - 0.25))
-        for branch in result.accepted_branches:
-            cz_branch = max(cz_branch, abs(branch.probability - 1.0 / 16.0))
-            cz_fid = min(cz_fid, qubit_fidelity(branch.conditional_state, want))
+    t_success, t_branch, t_plus, t_minus, t_variants = [], [], [], [], []
+    for label, flip in ((PSI_PLUS, 0), (PSI_MINUS, 1)):
+        expect = PAULI_Z @ phis if flip else phis
+        outputs = {}
+        for variant in ("swap", "parity_filter"):
+            ops = compile_branches(lambda amps: telegate_t(
+                QubitState(("Q",), amps), "Q", bell_state(label, ("A1", "A2")),
+                variant=variant), 2)
+            outputs[variant] = {b: k @ phis for b, k in ops.items()}
+            probs = [branch_probabilities(out) for out in outputs[variant].values()]
+            t_success.append(np.abs(sum(probs) - 0.5))
+            t_branch.extend(np.abs(p - 0.25) for p in probs)
+            (t_minus if flip else t_plus).extend(
+                batched_fidelity(out, expect) for out in outputs[variant].values())
+        pairs = pair_branches(outputs["swap"], outputs["parity_filter"])
+        t_variants.append(np.nan if pairs is None
+                          else np.max([np.abs(a - b) for a, b in pairs]))
+    t_success, t_branch, t_variants = np.max(t_success), np.max(t_branch), np.max(t_variants)
+    t_plus, t_minus = np.min(t_plus), np.min(t_minus)
 
-        result = cnot_via_cz(psi)
-        want = QubitState(("Q1", "Q2"), CNOT_MATRIX @ psi.amplitudes)
-        for branch in result.accepted_branches:
-            cn_fid = min(cn_fid, qubit_fidelity(branch.conditional_state, want))
+    pauli_fid = []
+    for flip1, label1 in ((0, PSI_PLUS), (1, PSI_MINUS)):
+        for flip2, label2 in ((0, PSI_PLUS), (1, PSI_MINUS)):
+            aux = tensor_qubits(bell_state(label1, ("A1", "A2")),
+                                bell_state(label2, ("A1'", "A2'")))
+            frame = np.kron(PAULI_Z if flip1 else IDENTITY_2, PAULI_Z if flip2 else IDENTITY_2)
+            pauli_fid.extend(batched_fidelity(k @ psis, frame @ psis)
+                             for k in two_qubit_ops(cz_via_two_telegates, aux).values())
+    pauli_fid = np.min(pauli_fid)
+
+    cz = [k @ psis for k in two_qubit_ops(cz_via_two_telegates).values()]
+    cz_success = np.max(np.abs(sum(map(branch_probabilities, cz)) - 0.25))
+    cz_branch = np.max([np.abs(branch_probabilities(out) - 1.0 / 16.0) for out in cz])
+    cz_fid = np.min([batched_fidelity(out, CZ_MATRIX @ psis) for out in cz])
+    cn_fid = np.min([batched_fidelity(k @ psis, CNOT_MATRIX @ psis)
+                     for k in two_qubit_ops(cnot_via_cz).values()])
 
     checks.append(check_record(
         "telegate-success", "the telegate succeeds with probability 1/2 regardless "
@@ -984,12 +961,14 @@ def _suite_mb(rng: np.random.Generator, trials: int, cutoff: int) -> list[dict]:
     checks.extend(verify_ecnot_equals_tcnot(rng, trials, cutoff))
 
     if trials > 0:
-        worst = 0.0
-        for _ in range(trials):
-            x = _two_qubit_state(reg, "IN", "A", _random_vector(rng, 4))
-            y = _two_qubit_state(reg, "IN", "A", _random_vector(rng, 4))
-            worst = max(worst, abs(overlap(x, y)
-                                   - overlap_q(mb_encode(x, enc), mb_encode(y, enc))))
+        draws = np.array([(_random_vector(rng, 4), _random_vector(rng, 4))
+                          for _ in range(trials)])
+        xs, ys = draws[:, 0].T, draws[:, 1].T
+        encode = linear_map(
+            lambda amps: mb_encode(_two_qubit_state(reg, "IN", "A", amps), enc).amplitudes, 4)
+        fock = np.sum(xs.conj() * ys, axis=0)
+        encoded = np.sum((encode @ xs).conj() * (encode @ ys), axis=0)
+        worst = np.max(np.abs(fock - encoded))
         checks.append(check_record(
             "mb-isometry", "encoding preserves inner products on the single-photon "
             "subspace", worst, 0.0, 1e-12))

@@ -1,0 +1,228 @@
+"""Compiled branch operators against direct gate calls.
+
+compile_branches runs a gate once per basis input and stacks each
+accepted branch as a column of K_b. The randomized verify checks rely on
+K_b @ v being exactly what a direct call of the gate on v gives, branch by
+branch and label by label; these tests pin that on a fixed seed for every
+gate the checks compile, and pin the label pairing of optical detector
+outcomes with teleportation Bell outcomes.
+"""
+
+import numpy as np
+import pytest
+
+from pgw import mb_bridge
+from pgw.fock_core import FockKet, H, ModeId, Register, V, apply_mode_transform
+from pgw.mb_bridge import (
+    DETECTOR_TO_BELL,
+    MBEncoding,
+    batched_fidelity,
+    check_record,
+    compile_branches,
+    kraus_deviations,
+    linear_map,
+    mb_encode,
+    pair_branches,
+    project_encodable,
+    verify_ecnot_equals_tcnot,
+    verify_f_equals_tprime,
+)
+from pgw.optical_elements import hwp, pbs
+from pgw.optical_gates import FGateLayout, destructive_cnot, e_cnot, f_gate
+from pgw.qubit_teleport import (
+    PSI_MINUS,
+    PSI_PLUS,
+    QubitState,
+    bell_state,
+    cnot_via_cz,
+    cz_via_two_telegates,
+    telegate_t,
+    tensor_qubits,
+)
+
+HALF = 2.0 ** -0.5
+TOL = 1e-12
+LAYOUT = FGateLayout("IN", "A", ("D0", "D1"))
+FILTER_REGISTER = Register(("IN", "A", "D0", "D1"))
+CNOT_REGISTER = Register(("IN", "IN'"))
+
+
+def _ports_state(register, ports, amps):
+    """One photon per listed port; amps indexed by the polarization bits
+    (H = 0, V = 1), first port most significant."""
+    terms = {}
+    for index, amp in enumerate(amps):
+        occ = [0] * register.n_modes
+        for k, port in enumerate(ports):
+            bit = (index >> (len(ports) - 1 - k)) & 1
+            occ[register.index_of(ModeId(port, V if bit else H))] = 1
+        terms[tuple(occ)] = complex(amp)
+    return FockKet(register, terms)
+
+
+def _random_inputs(dim, count=5, seed=2024):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _filter_gate(gate, aux):
+    return lambda amps: gate(_ports_state(FILTER_REGISTER, ("IN", "A"), np.kron(amps, aux)),
+                             LAYOUT)
+
+
+def _qubit_gate(gate, labels, *args, **kwargs):
+    return lambda amps: gate(QubitState(labels, amps), *args, **kwargs)
+
+
+def _telegate(label, variant):
+    return _qubit_gate(telegate_t, ("Q",), "Q", bell_state(label, ("A1", "A2")),
+                       variant=variant)
+
+
+def _cz_aux(label1, label2):
+    return tensor_qubits(bell_state(label1, ("A1", "A2")), bell_state(label2, ("A1'", "A2'")))
+
+
+ENC_IN = MBEncoding(("IN",), ())
+ENC_CNOT = MBEncoding(("IN", "IN'"), ())
+GATES = {
+    "f_gate plus aux": (_filter_gate(f_gate, (HALF, HALF)), 2, ENC_IN),
+    "f_gate minus aux": (_filter_gate(f_gate, (HALF, -HALF)), 2, ENC_IN),
+    "destructive_cnot H control": (_filter_gate(destructive_cnot, (1.0, 0.0)), 2, ENC_IN),
+    "destructive_cnot V control": (_filter_gate(destructive_cnot, (0.0, 1.0)), 2, ENC_IN),
+    "e_cnot": (lambda amps: e_cnot(_ports_state(CNOT_REGISTER, ("IN", "IN'"), amps)),
+               4, ENC_CNOT),
+    "telegate swap plus": (_telegate(PSI_PLUS, "swap"), 2, None),
+    "telegate swap minus": (_telegate(PSI_MINUS, "swap"), 2, None),
+    "telegate filter plus": (_telegate(PSI_PLUS, "parity_filter"), 2, None),
+    "telegate filter minus": (_telegate(PSI_MINUS, "parity_filter"), 2, None),
+    "cz default aux": (_qubit_gate(cz_via_two_telegates, ("Q1", "Q2")), 4, None),
+    "cnot_via_cz": (_qubit_gate(cnot_via_cz, ("Q1", "Q2")), 4, None),
+}
+for _l1 in (PSI_PLUS, PSI_MINUS):
+    for _l2 in (PSI_PLUS, PSI_MINUS):
+        GATES[f"cz aux {_l1} {_l2}"] = (
+            _qubit_gate(cz_via_two_telegates, ("Q1", "Q2"), _cz_aux(_l1, _l2)), 4, None)
+
+
+@pytest.mark.parametrize("name", sorted(GATES))
+def test_compiled_operators_equal_direct_gate_calls(name):
+    gate, dim, enc = GATES[name]
+    ops = compile_branches(gate, dim, enc)
+    for v in _random_inputs(dim):
+        direct = {}
+        for branch in gate(v).accepted_branches:
+            state = branch.conditional_state
+            direct[branch.outcome_label] = (
+                state.amplitudes if enc is None else mb_encode(state, enc).amplitudes)
+            assert branch.probability == pytest.approx(
+                np.linalg.norm(ops[branch.outcome_label] @ v) ** 2, abs=TOL)
+        assert list(direct) == list(ops)
+        for label, amps in direct.items():
+            assert np.abs(ops[label] @ v - amps).max() <= TOL
+
+
+def test_compiled_encodings_equal_direct_encodings():
+    enc = MBEncoding(("IN",), ("A",))
+    register = Register(("IN", "A"))
+    splitter = pbs(register, "IN", "A")
+
+    def after_pbs(amps):
+        out = apply_mode_transform(_ports_state(register, ("IN", "A"), amps), splitter)
+        return mb_encode(project_encodable(out, enc), enc).amplitudes
+
+    def encoded(amps):
+        return mb_encode(_ports_state(register, ("IN", "A"), amps), enc).amplitudes
+
+    aux_register = Register(("A",))
+    rotation = hwp(aux_register, "A", 22.5)
+
+    def after_hwp(amps):
+        photon = FockKet(aux_register, {(1, 0): amps[0], (0, 1): amps[1]})
+        return mb_encode(apply_mode_transform(photon, rotation),
+                         MBEncoding((), ("A",))).amplitudes
+
+    for fn, dim in ((after_pbs, 4), (encoded, 4), (after_hwp, 2)):
+        matrix = linear_map(fn, dim)
+        for v in _random_inputs(dim):
+            assert np.abs(matrix @ v - fn(v)).max() <= TOL
+    isometry = linear_map(encoded, 4)
+    assert np.abs(isometry.conj().T @ isometry - np.eye(4)).max() <= 1e-15
+
+
+def test_compile_rejects_an_outcome_missing_for_some_inputs():
+    def flaky(amps):
+        result = cnot_via_cz(QubitState(("Q1", "Q2"), amps))
+        if amps[0] == 1.0:
+            return type(result)(result.accepted_branches[1:], 0.0, False)
+        return result
+
+    with pytest.raises(ValueError):
+        compile_branches(flaky, 4)
+
+
+def test_pairing_is_by_label_not_position():
+    k0, k1 = np.eye(2), np.diag([1.0, -1.0])
+    optical = {"D0": k0, "D1": k1}
+    teleported = {str(PSI_PLUS): k0, str(PSI_MINUS): k1}
+    swapped = dict(reversed(list(teleported.items())))
+    assert pair_branches(optical, teleported, DETECTOR_TO_BELL) == [(k0, k0), (k1, k1)]
+    assert pair_branches(optical, swapped, DETECTOR_TO_BELL) == [(k0, k0), (k1, k1)]
+    two_stage = {"D1,D0'": k1, "D0,D1'": k0}
+    assert pair_branches(two_stage, {"Psi+,Psi-": k0, "Psi-,Psi+": k1},
+                         DETECTOR_TO_BELL) == [(k1, k1), (k0, k0)]
+
+
+@pytest.mark.parametrize("optical, teleported", [
+    ({"D0": 1, "D2": 2}, {"Psi+": 1, "Psi-": 2}),     # unknown detector
+    ({"D0": 1}, {"Psi+": 1, "Psi-": 2}),              # outcome missing optically
+    ({"D0": 1, "D1": 2}, {"Psi+": 1}),                # outcome missing on the qubits
+    ({"D0": 1, "D0'": 2}, {"Psi+": 1}),               # two outcomes on one label
+    ({}, {}),                                         # nothing to compare
+])
+def test_unmatched_labels_do_not_pair(optical, teleported):
+    assert pair_branches(optical, teleported, DETECTOR_TO_BELL) is None
+
+
+def _patched_compile(monkeypatch, change):
+    """Apply change to every teleported (unencoded) operator dict."""
+    original = mb_bridge.compile_branches
+
+    def patched(gate, dim, enc=None):
+        ops = original(gate, dim, enc)
+        return ops if enc is not None else change(ops)
+
+    monkeypatch.setattr(mb_bridge, "compile_branches", patched)
+
+
+@pytest.mark.parametrize("verify", [verify_f_equals_tprime, verify_ecnot_equals_tcnot])
+def test_reversed_branch_order_still_passes(monkeypatch, verify):
+    baseline = verify(np.random.default_rng(11), trials=10)
+    _patched_compile(monkeypatch, lambda ops: dict(reversed(list(ops.items()))))
+    records = verify(np.random.default_rng(11), trials=10)
+    assert records == baseline
+    assert all(r["status"] == "pass" for r in records)
+
+
+@pytest.mark.parametrize("verify", [verify_f_equals_tprime, verify_ecnot_equals_tcnot])
+def test_unmatched_label_fails_every_pairing_check(monkeypatch, verify):
+    _patched_compile(monkeypatch, lambda ops: {
+        label.replace(str(PSI_MINUS), "Psi?"): k for label, k in ops.items()})
+    records = verify(np.random.default_rng(11), trials=10)
+    assert records
+    assert all(r["status"] == "fail" for r in records)
+
+
+def test_kraus_deviations_detect_a_wrong_operator():
+    k = np.eye(2) / 2.0
+    assert kraus_deviations([[(k, 1j * k), (k, k)]], 0.5) == (0.0, 0.0)
+    assert kraus_deviations([[(k, 2.0 * k), (k, k)]], 0.5) == (0.5, 0.75)
+    assert all(np.isnan(kraus_deviations([None], 0.5)))
+
+
+def test_zero_column_fidelity_fails_the_check():
+    fid = batched_fidelity(np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones((2, 2)))
+    assert fid[0] == pytest.approx(HALF)
+    assert np.isnan(fid[1])
+    assert check_record("x", "claim", np.min(fid), 1.0, 1.0)["status"] == "fail"

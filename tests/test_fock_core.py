@@ -161,6 +161,12 @@ def test_mode_transform_rejects_non_unitary():
         ModeTransform(reg, np.array([[1.0, 0.0], [0.0, 0.5]]))
 
 
+def test_mode_transform_rejects_nan_entries():
+    reg = Register(("A",))
+    with pytest.raises(ValueError):
+        ModeTransform(reg, np.array([[1.0, 0.0], [0.0, np.nan]]))
+
+
 def test_mode_transform_rejects_wrong_shape():
     reg = Register(("A", "B"))
     with pytest.raises(ValueError):

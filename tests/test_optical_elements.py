@@ -124,3 +124,9 @@ def test_balanced_plate_bunches_photon_pairs():
     assert abs(out.amplitude((1, 1))) < 1e-14
     assert out.amplitude((2, 0)) == pytest.approx(-HALF, abs=1e-13)
     assert out.amplitude((0, 2)) == pytest.approx(HALF, abs=1e-13)
+
+
+@pytest.mark.parametrize("angle", [float("nan"), float("inf")])
+def test_hwp_rejects_non_finite_angles(angle):
+    with pytest.raises(ValueError):
+        hwp(Register(("A",)), "A", angle)

@@ -64,6 +64,13 @@ def test_qubit_operator_claim_checked():
     assert out.amplitudes[1] == 1.0
 
 
+def test_qubit_operator_claims_fail_on_nan():
+    nan_matrix = np.array([[1.0, 0.0], [0.0, np.nan]])
+    for claim in ("unitary", "projector"):
+        with pytest.raises(ValueError):
+            QubitOperator(nan_matrix, ("Q",), claim=claim)
+
+
 def test_apply_matrix_targets_the_named_qubits():
     state = QubitState(("Q1", "Q2"), (0.0, 0.0, 1.0, 0.0))
     out = apply_matrix(state, CNOT_MATRIX, ("Q1", "Q2"))

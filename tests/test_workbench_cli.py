@@ -90,6 +90,51 @@ def test_detect_index_must_be_binary():
     assert err.line == 4
 
 
+@pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+def test_non_finite_angle_is_a_parse_error(angle):
+    err = _parse_error(f"pgw-circuit v1\nregister IN\nterm 1,0 IN.H=1\n"
+                       f"element hwp IN {angle}\n")
+    assert (err.line, err.column) == (4, 16)
+    assert angle in err.reason
+
+
+def test_non_finite_amplitude_is_a_parse_error():
+    err = _parse_error("pgw-circuit v1\nregister IN\nterm nan,0 IN.H=1\n")
+    assert (err.line, err.column) == (3, 6)
+
+
+def test_simulate_nan_angle_exits_2(tmp_path, capsys):
+    path = tmp_path / "nan.circuit"
+    path.write_text("pgw-circuit v1\nregister IN\nterm 1,0 IN.H=1\nelement hwp IN nan\n")
+    assert main(["simulate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"{path}:4:16: error:")
+
+
+def test_duplicate_detect_label_is_a_parse_error():
+    err = _parse_error("pgw-circuit v1\nregister IN D\nterm 1,0 IN.H=1 D.H=1\n"
+                       "detect x 0 D.H=1\n  detect x 0 D.H=1\n")
+    assert (err.line, err.column) == (5, 10)
+    assert "'x'" in err.reason
+
+
+def test_detect_label_may_not_repeat_a_gate_outcome():
+    err = _parse_error(MINIMAL + "detect D1 0 D0.H=0\n")
+    assert (err.line, err.column) == (5, 8)
+
+
+def test_overlapping_detections_are_rejected(tmp_path, capsys):
+    text = ("pgw-circuit v1\nregister IN D\nterm 1,0 IN.H=1 D.H=1\n"
+            "detect x 0 D.H=1\ndetect y 0 D.H=1 D.V=0\n")
+    with pytest.raises(ValueError):
+        run_circuit(parse_circuit(text))
+    path = tmp_path / "overlap.circuit"
+    path.write_text(text)
+    assert main(["simulate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"{path}: error:")
+    assert "rejected" not in captured.out
+
+
 def test_gate_expansion_shape():
     cf = parse_circuit(MINIMAL)
     assert len(cf.elements) == 4
@@ -245,6 +290,14 @@ def test_zero_trials_keeps_only_deterministic_checks(capsys):
     assert "hwp-rotation-matrix" in out
     assert "filter-neutral-success" not in out
     assert out.rstrip().splitlines()[-1].startswith("result: PASS")
+
+
+def test_exact_operator_checks_run_without_trials(capsys):
+    assert main(["verify", "--suite", "mb", "--trials", "0"]) == 0
+    out = capsys.readouterr().out
+    for check_id in ("filter-telegate-kraus-phase", "filter-telegate-kraus-complete",
+                     "ecnot-tcnot-kraus-phase", "ecnot-tcnot-kraus-complete"):
+        assert f"[PASS] {check_id} |" in out
 
 
 def test_report_build_flags_failures():
