@@ -2,9 +2,11 @@
 
 Layers: sparse Fock states and mode maps (fock_core), passive optical
 elements (optical_elements), the post-selected filter and CNOT gates
-(optical_gates), their teleportation counterparts on qubits
-(qubit_teleport), the mixed-basis dictionary tying the two together
-(mb_bridge), and the command line front end (workbench_cli).
+(optical_gates, which writes each gate once as an element expansion and
+holds the one runner that both the library gates and circuit files use),
+their teleportation counterparts on qubits (qubit_teleport), the
+mixed-basis dictionary tying the two together (mb_bridge), and the command
+line front end with the circuit parser and the check suites (workbench_cli).
 """
 
 from .fock_core import (

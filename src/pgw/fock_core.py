@@ -22,16 +22,18 @@ function, so everything in this module is safe to share across threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 PRUNE_THRESHOLD = 1e-14
 NORM_SLACK = 1e-12
 UNITARITY_TOL = 1e-12
+BRANCH_EQUALITY_TOL = 1e-10
 DEFAULT_CUTOFF = 4
 
 
@@ -303,6 +305,16 @@ class GateResult:
     success_probability: float
     corrected_outputs_equal: bool
 
+    @classmethod
+    def from_branches(cls, branches: Iterable[Branch],
+                      fidelity: Callable[[Any, Any], float]) -> "GateResult":
+        """Sum the branch probabilities and compare the nonzero branch states
+        with fidelity, the global-phase-blind fidelity of their state type."""
+        branches = tuple(branches)
+        live = [b.conditional_state for b in branches if b.probability > 0.0]
+        agree = all(fidelity(live[0], s) >= 1.0 - BRANCH_EQUALITY_TOL for s in live[1:])
+        return cls(branches, sum(b.probability for b in branches), agree)
+
 
 def single_photon(mode: ModeId, register: Register) -> FockKet:
     """Normalized ket with one photon in `mode` and vacuum elsewhere."""
@@ -313,6 +325,19 @@ def single_photon(mode: ModeId, register: Register) -> FockKet:
 
 def vacuum(register: Register) -> FockKet:
     return FockKet(register, {(0,) * register.n_modes: 1.0 + 0.0j})
+
+
+def polarization_ket(register: Register, ports: Sequence[str], amps) -> FockKet:
+    """One photon in each port, vacuum elsewhere, with one amplitude per
+    polarization string in lexicographic order: (H, V) for one port and
+    (HH, HV, VH, VV) for two, the first port being the leftmost letter."""
+    terms = {}
+    for amp, pols in zip(amps, itertools.product((H, V), repeat=len(ports)), strict=True):
+        occ = [0] * register.n_modes
+        for port, pol in zip(ports, pols):
+            occ[register.index_of(ModeId(port, pol))] = 1
+        terms[tuple(occ)] = complex(amp)
+    return FockKet(register, terms)
 
 
 def superpose(terms: Sequence[tuple[complex, FockKet]]) -> FockKet:

@@ -43,9 +43,10 @@ from .fock_core import (
     Register,
     V,
     apply_mode_transform,
+    polarization_ket,
 )
 from .optical_elements import hwp, pbs
-from .optical_gates import FGateLayout, e_cnot, f_gate
+from .optical_gates import ROTATION_DEG, FGateLayout, e_cnot, f_gate
 from .qubit_teleport import (
     PSI_MINUS,
     PSI_PLUS,
@@ -55,11 +56,10 @@ from .qubit_teleport import (
     cz_aux_state,
     overlap_q,
     qubit_fidelity,
-    random_qubit_state,
+    random_amplitudes,
     telegate_t,
 )
 
-ROTATION_DEG = 22.5
 MATRIX_IDENTITY_TOL = 1e-14
 
 # Detector outcome of each optical stage -> Bell outcome of the matching
@@ -296,37 +296,15 @@ def kraus_deviations(groups: list, p_success: float) -> tuple[float, float]:
     return float(np.max(phase_devs)), float(np.max(complete_devs))
 
 
-def _polarization_pair_ket(register: Register, port1: str, port2: str, amps) -> FockKet:
-    """One photon in each of two ports with the four polarization amplitudes
-    given in (HH, HV, VH, VV) order."""
-    terms = {}
-    for index, (pol1, pol2) in enumerate(((H, H), (H, V), (V, H), (V, V))):
-        occ = [0] * register.n_modes
-        occ[register.index_of(ModeId(port1, pol1))] = 1
-        occ[register.index_of(ModeId(port2, pol2))] = 1
-        terms[tuple(occ)] = complex(amps[index])
-    return FockKet(register, terms)
-
-
-def _single_port_state(register: Register, port: str, amps) -> FockKet:
-    terms = {}
-    for pol, c in zip((H, V), amps):
-        occ = [0] * register.n_modes
-        occ[register.index_of(ModeId(port, pol))] = 1
-        terms[tuple(occ)] = complex(c)
-    return FockKet(register, terms)
-
-
-def verify_pbs_mb(rng: np.random.Generator, trials: int = 100,
-                  cutoff: int = DEFAULT_CUTOFF) -> list[dict]:
+def verify_pbs_mb(rng: np.random.Generator, trials: int = 100) -> list[dict]:
     """Check that the beam splitter's coincidence action encodes to the
     even-parity filter structure a A |001> + b B |110> on (IN, AV, AH)."""
     enc = MBEncoding(("IN",), ("A",))
-    register = Register(("IN", "A"), cutoff)
+    register = Register(("IN", "A"))
     splitter = pbs(register, "IN", "A")
     # Columns: the coincidence inputs |HH>, |HV>, |VH>, |VV> on (IN, A).
     after_pbs = linear_map(lambda amps: mb_encode(project_encodable(apply_mode_transform(
-        _polarization_pair_ket(register, "IN", "A", amps), splitter), enc), enc).amplitudes, 4)
+        polarization_ket(register, ("IN", "A"), amps), splitter), enc), enc).amplitudes, 4)
 
     def expected(inp: np.ndarray, aux: np.ndarray) -> np.ndarray:
         amps = np.zeros((8,) + inp.shape[1:], dtype=complex)
@@ -344,7 +322,8 @@ def verify_pbs_mb(rng: np.random.Generator, trials: int = 100,
         "pbs-mb-odd-filtered", "odd-parity input and auxiliary combination is "
         "post-selected away by the beam splitter", got, 0.0, 1e-12))
     if trials > 0:
-        draws = np.array([_random_pair(rng) + _random_pair(rng) for _ in range(trials)]).T
+        draws = np.array([np.concatenate((random_amplitudes(rng, 2), random_amplitudes(rng, 2)))
+                          for _ in range(trials)]).T
         inp, aux = draws[:2], draws[2:]
         joint = (inp[:, None, :] * aux[None, :, :]).reshape(4, trials)
         worst = np.max(np.abs(after_pbs @ joint - expected(inp, aux)))
@@ -354,22 +333,15 @@ def verify_pbs_mb(rng: np.random.Generator, trials: int = 100,
     return checks
 
 
-def _random_pair(rng: np.random.Generator) -> tuple[complex, complex]:
-    v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    v = v / np.linalg.norm(v)
-    return complex(v[0]), complex(v[1])
-
-
-def verify_hwp_mb(rng: np.random.Generator, trials: int = 100,
-                  cutoff: int = DEFAULT_CUTOFF) -> list[dict]:
+def verify_hwp_mb(rng: np.random.Generator, trials: int = 100) -> list[dict]:
     """Check the half-wave plate's mixed-basis image: the Bell rotation on
     the occupation qubit pair, and Bell discrimination after detection."""
     enc = MBEncoding((), ("A",))
-    register = Register(("A",), cutoff)
+    register = Register(("A",))
     rotation = hwp(register, "A", ROTATION_DEG)
     root_half = 2.0 ** -0.5
     after_hwp = linear_map(lambda amps: mb_encode(apply_mode_transform(
-        _single_port_state(register, "A", amps), rotation), enc).amplitudes, 2)
+        polarization_ket(register, ("A",), amps), rotation), enc).amplitudes, 2)
 
     def expected(amps: np.ndarray) -> np.ndarray:
         """Bell rotation images of the columns (x, y) of amps."""
@@ -390,7 +362,7 @@ def verify_hwp_mb(rng: np.random.Generator, trials: int = 100,
 
     analyzer = []
     for sign, mode_pol in ((1, H), (-1, V)):
-        plus = _single_port_state(register, "A", (root_half, sign * root_half))
+        plus = polarization_ket(register, ("A",), (root_half, sign * root_half))
         after = apply_mode_transform(plus, rotation)
         fired = sum(abs(amp) ** 2 for occ, amp in after.terms.items()
                     if occ[register.index_of(ModeId("A", mode_pol))] == 1)
@@ -403,7 +375,7 @@ def verify_hwp_mb(rng: np.random.Generator, trials: int = 100,
         "deterministically", analyzer[1], 1.0, 1e-12))
 
     if trials > 0:
-        amps = np.array([_random_pair(rng) for _ in range(trials)]).T
+        amps = np.array([random_amplitudes(rng, 2) for _ in range(trials)]).T
         worst = np.min(batched_fidelity(after_hwp @ amps, expected(amps)))
         checks.append(check_record(
             "hwp-mb-random", "plate action on random single-photon auxiliary states "
@@ -411,16 +383,15 @@ def verify_hwp_mb(rng: np.random.Generator, trials: int = 100,
     return checks
 
 
-def _optical_filter_result(amps, aux_sign, cutoff):
-    register = Register(("IN", "A", "D0", "D1"), cutoff)
+def _optical_filter_result(amps, aux_sign):
+    register = Register(("IN", "A", "D0", "D1"))
     root_half = 2.0 ** -0.5
-    joint = _polarization_pair_ket(register, "IN", "A",
-                                   np.kron(amps, (root_half, aux_sign * root_half)))
+    joint = polarization_ket(register, ("IN", "A"),
+                             np.kron(amps, (root_half, aux_sign * root_half)))
     return f_gate(joint, FGateLayout("IN", "A", ("D0", "D1")))
 
 
-def verify_f_equals_tprime(rng: np.random.Generator, trials: int = 200,
-                           cutoff: int = DEFAULT_CUTOFF) -> list[dict]:
+def verify_f_equals_tprime(rng: np.random.Generator, trials: int = 200) -> list[dict]:
     """Branch-by-branch equality of the optical parity-check filter with the
     parity-filter telegate on the encodable auxiliary domain, with outcomes
     paired by DETECTOR_TO_BELL: exactly as branch operators, and on one
@@ -429,14 +400,14 @@ def verify_f_equals_tprime(rng: np.random.Generator, trials: int = 200,
     groups = []
     for aux_sign, label in ((1, PSI_PLUS), (-1, PSI_MINUS)):
         optical = compile_branches(
-            lambda amps: _optical_filter_result(amps, aux_sign, cutoff), 2, enc)
+            lambda amps: _optical_filter_result(amps, aux_sign), 2, enc)
         teleported = compile_branches(
             lambda amps: telegate_t(QubitState(("IN",), amps), "IN",
                                     bell_state(label, ("AV", "AH")), variant="parity_filter"),
             2)
         groups.append(pair_branches(optical, teleported, DETECTOR_TO_BELL))
     inputs = np.array([(0.6 + 0.0j, 0.8j)]
-                      + [_random_pair(rng) for _ in range(trials - 1)]).T
+                      + [random_amplitudes(rng, 2) for _ in range(trials - 1)]).T
     outputs = _paired_outputs(groups, inputs)
     worst_prob = np.max([np.abs(branch_probabilities(o) - branch_probabilities(t))
                          for o, t in outputs])
@@ -460,18 +431,17 @@ def verify_f_equals_tprime(rng: np.random.Generator, trials: int = 200,
     ]
 
 
-def verify_aux_state_equivalence(cutoff: int = DEFAULT_CUTOFF) -> list[dict]:
+def verify_aux_state_equivalence() -> list[dict]:
     """The rotated entangled pair encodes exactly to the controlled-Z
     auxiliary resource; dropping the rotation or flipping the pair sign
     kills the overlap entirely."""
     enc = MBEncoding((), ("A", "A'"))
-    register = Register(("A", "A'"), cutoff)
+    register = Register(("A", "A'"))
     target = cz_aux_state(("AV", "AH", "A'V", "A'H"))
     root_half = 2.0 ** -0.5
 
     def pair_state(sign) -> FockKet:
-        return _polarization_pair_ket(register, "A", "A'",
-                                      (root_half, 0.0, 0.0, sign * root_half))
+        return polarization_ket(register, ("A", "A'"), (root_half, 0.0, 0.0, sign * root_half))
 
     rotated = apply_mode_transform(pair_state(1), hwp(register, "A'", ROTATION_DEG))
     fid = qubit_fidelity(mb_encode(rotated, enc), target)
@@ -491,22 +461,20 @@ def verify_aux_state_equivalence(cutoff: int = DEFAULT_CUTOFF) -> list[dict]:
     ]
 
 
-def verify_ecnot_equals_tcnot(rng: np.random.Generator, trials: int = 100,
-                              cutoff: int = DEFAULT_CUTOFF) -> list[dict]:
+def verify_ecnot_equals_tcnot(rng: np.random.Generator, trials: int = 100) -> list[dict]:
     """End to end: encoded branches of the optical CNOT equal the branches
     of the teleportation CNOT, pairing detector outcomes with Bell outcomes
     stage by stage through DETECTOR_TO_BELL: exactly as branch operators,
     and on one fixed and trials - 1 random inputs."""
     enc = MBEncoding(("IN", "IN'"), ())
-    register = Register(("IN", "IN'"), cutoff)
+    register = Register(("IN", "IN'"))
     optical = compile_branches(
-        lambda amps: e_cnot(_polarization_pair_ket(register, "IN", "IN'", amps)), 4, enc)
+        lambda amps: e_cnot(polarization_ket(register, ("IN", "IN'"), amps)), 4, enc)
     teleported = compile_branches(
         lambda amps: cnot_via_cz(QubitState(("IN", "IN'"), amps)), 4)
     groups = [pair_branches(optical, teleported, DETECTOR_TO_BELL)]
     inputs = np.array([np.array([0.5, 0.5j, -0.5, 0.5])]
-                      + [random_qubit_state(rng, ("IN", "IN'")).amplitudes
-                         for _ in range(trials - 1)]).T
+                      + [random_amplitudes(rng, 4) for _ in range(trials - 1)]).T
     outputs = _paired_outputs(groups, inputs)
     worst_prob = np.max([np.abs(branch_probabilities(side) - 1.0 / 16.0)
                          for pair in outputs for side in pair])

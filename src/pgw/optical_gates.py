@@ -15,12 +15,19 @@ destructive CNOT (control photon consumed, success 1/2), and adding a
 parity check fed by one half of an entangled pair gives the full
 post-selected CNOT on two polarization qubits (success 1/4, four accepted
 detector combinations carrying 1/16 each).
+
+Each gate is written once, as an expander that lists its elements, its
+heralded detector patterns and the corrections of each outcome. One runner,
+run_pipeline, applies such a list to a state. The library gates call it on
+their expansion and drop the emptied auxiliary ports; the circuit-file
+`gate` directive (workbench_cli) splices the same expansion into a circuit,
+which run_circuit hands to the same runner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .fock_core import (
     Branch,
@@ -35,14 +42,12 @@ from .fock_core import (
     drop_vacuum_ports,
     fidelity_up_to_global_phase,
     measure_and_postselect,
+    polarization_ket,
     single_photon,
-    superpose,
     tensor,
-    vacuum,
 )
-from .optical_elements import hwp, mode_swap, pbs, pockels_z
+from .optical_elements import ElementKind, ElementSpec
 
-BRANCH_EQUALITY_TOL = 1e-10
 ROTATION_DEG = 22.5
 
 
@@ -58,6 +63,112 @@ class FGateLayout:
         ports = (self.input_port, self.aux_port) + tuple(self.detector_ports)
         if len(set(ports)) != 4:
             raise ValueError(f"layout ports must be distinct, got {ports}")
+
+
+@dataclass(frozen=True)
+class DetectionSpec:
+    """One labeled detector pattern with its feed-forward index."""
+
+    label: str
+    j: int
+    required: tuple[tuple[ModeId, int], ...]
+
+
+def _expand_f_gate(inp: str, aux: str, d0: str, d1: str):
+    """Filter stage: combine, rotate, route to detectors, flip on outcome 1."""
+    elements = [
+        ElementSpec(ElementKind.PBS, (inp, aux)),
+        ElementSpec(ElementKind.HWP, (aux,), (), ROTATION_DEG),
+        ElementSpec(ElementKind.SWAP, (), (ModeId(aux, H), ModeId(d0, H))),
+        ElementSpec(ElementKind.SWAP, (), (ModeId(aux, V), ModeId(d1, V))),
+    ]
+    detections = [
+        DetectionSpec(d0, 0, ((ModeId(d0, H), 1), (ModeId(d0, V), 0),
+                              (ModeId(d1, H), 0), (ModeId(d1, V), 0))),
+        DetectionSpec(d1, 1, ((ModeId(d0, H), 0), (ModeId(d0, V), 0),
+                              (ModeId(d1, H), 0), (ModeId(d1, V), 1))),
+    ]
+    corrections = {d1: [ElementSpec(ElementKind.PC, (inp,))]}
+    return elements, detections, corrections
+
+
+def _expand_d_cnot(target: str, control: str, d0: str, d1: str):
+    """Plate-sandwiched filter. The closing plate sits before detection here,
+    so the outcome-1 phase flip conjugates to a polarization exchange."""
+    f_elements, detections, _ = _expand_f_gate(target, control, d0, d1)
+    plate = ElementSpec(ElementKind.HWP, (target,), (), ROTATION_DEG)
+    control_plate = ElementSpec(ElementKind.HWP, (control,), (), ROTATION_DEG)
+    elements = [plate, control_plate] + f_elements + [plate]
+    corrections = {d1: [ElementSpec(ElementKind.SWAP, (),
+                                    (ModeId(target, H), ModeId(target, V)))]}
+    return elements, detections, corrections
+
+
+def _expand_e_cnot(control: str, target: str, aux: str, aux2: str,
+                   d0: str, d1: str, d0b: str, d1b: str):
+    """Parity stage on (control, aux), then the plate-sandwiched stage on
+    (target, aux2); detector patterns are the products of the two stages."""
+    s1_elements, s1_detections, _ = _expand_f_gate(control, aux, d0, d1)
+    s2_elements, s2_detections, _ = _expand_d_cnot(target, aux2, d0b, d1b)
+    elements = s1_elements + s2_elements
+    detections = []
+    corrections: dict[str, list[ElementSpec]] = {}
+    for b1 in s1_detections:
+        for b2 in s2_detections:
+            label = f"{b1.label},{b2.label}"
+            detections.append(DetectionSpec(label, b2.j, b1.required + b2.required))
+            fixes = []
+            if b1.j:
+                fixes.append(ElementSpec(ElementKind.PC, (control,)))
+            if b2.j:
+                fixes.append(ElementSpec(ElementKind.SWAP, (),
+                                         (ModeId(target, H), ModeId(target, V))))
+            if fixes:
+                corrections[label] = fixes
+    return elements, detections, corrections
+
+
+# Gate name -> (expander, number of port arguments), for circuit files.
+GATE_EXPANDERS = {
+    "f_gate": (_expand_f_gate, 4),
+    "parity_check": (_expand_f_gate, 4),
+    "d_cnot": (_expand_d_cnot, 4),
+    "e_cnot": (_expand_e_cnot, 8),
+}
+
+
+def run_pipeline(state: FockKet, elements: Sequence[ElementSpec],
+                 detections: Sequence[DetectionSpec],
+                 corrections: Mapping[str, Sequence[ElementSpec]]
+                 ) -> tuple[FockKet, tuple[Branch, ...]]:
+    """Apply the elements, then run every detection on the resulting state
+    and apply that outcome's corrections to its survivors.
+
+    Returns the state after the elements and one branch per detection, in
+    order. Detected modes are traced out of each branch; every other port,
+    emptied or not, stays in its register.
+    """
+    register = state.register
+    for element in elements:
+        state = apply_mode_transform(state, element.build(register))
+    branches = []
+    for det in detections:
+        raw = measure_and_postselect(state, DetectionPattern(dict(det.required)),
+                                     outcome_label=det.label, j=det.j)
+        out = raw.conditional_state
+        for fix in corrections.get(det.label, ()):
+            out = apply_mode_transform(out, fix.build(out.register))
+        branches.append(Branch(raw.outcome_label, raw.j, out, raw.probability))
+    return state, tuple(branches)
+
+
+def _run_gate(state: FockKet, expansion, aux_ports: Sequence[str]) -> GateResult:
+    """Run an expanded gate and drop its emptied auxiliary ports."""
+    _, branches = run_pipeline(state, *expansion)
+    return GateResult.from_branches(
+        (Branch(b.outcome_label, b.j, drop_vacuum_ports(b.conditional_state, aux_ports),
+                b.probability) for b in branches),
+        fidelity_up_to_global_phase)
 
 
 def _require_one_photon_per_port(state: FockKet, ports: Sequence[str]) -> None:
@@ -76,39 +187,6 @@ def _require_vacuum_ports(state: FockKet, ports: Sequence[str]) -> None:
                 raise ValueError(f"expected vacuum in port {port!r}")
 
 
-def _branches_all_equal(branches: Sequence[Branch], tol: float = BRANCH_EQUALITY_TOL) -> bool:
-    live = [b.conditional_state for b in branches if b.probability > 0.0]
-    return all(fidelity_up_to_global_phase(live[0], s) >= 1.0 - tol for s in live[1:])
-
-
-def _f_pipeline(state: FockKet, layout: FGateLayout) -> tuple[Branch, Branch]:
-    """Run one filter instance on a joint state; other ports ride along.
-
-    Returns the two accepted branches, correction already applied, with the
-    detector modes traced out. The auxiliary port stays in the register
-    (vacuum after detection); callers drop it when they are done.
-    """
-    reg = state.register
-    inp, aux = layout.input_port, layout.aux_port
-    d0, d1 = layout.detector_ports
-    state = apply_mode_transform(state, pbs(reg, inp, aux))
-    state = apply_mode_transform(state, hwp(reg, aux, ROTATION_DEG))
-    state = apply_mode_transform(state, mode_swap(reg, ModeId(aux, H), ModeId(d0, H)))
-    state = apply_mode_transform(state, mode_swap(reg, ModeId(aux, V), ModeId(d1, V)))
-
-    detector_modes = reg.port_modes(d0) + reg.port_modes(d1)
-    counts_j0 = {ModeId(d0, H): 1, ModeId(d0, V): 0, ModeId(d1, H): 0, ModeId(d1, V): 0}
-    counts_j1 = {ModeId(d0, H): 0, ModeId(d0, V): 0, ModeId(d1, H): 0, ModeId(d1, V): 1}
-    b0 = measure_and_postselect(
-        state, DetectionPattern(counts_j0, detector_modes), outcome_label=d0, j=0)
-    b1 = measure_and_postselect(
-        state, DetectionPattern(counts_j1, detector_modes), outcome_label=d1, j=1)
-    corrected = apply_mode_transform(
-        b1.conditional_state, pockels_z(b1.conditional_state.register, inp))
-    b1 = Branch(b1.outcome_label, 1, corrected, b1.probability)
-    return b0, b1
-
-
 def f_gate(joint: FockKet, layout: FGateLayout) -> GateResult:
     """Post-selected parity-check filter on (input, aux); see module docstring.
 
@@ -118,12 +196,8 @@ def f_gate(joint: FockKet, layout: FGateLayout) -> GateResult:
     """
     _require_one_photon_per_port(joint, (layout.input_port, layout.aux_port))
     _require_vacuum_ports(joint, layout.detector_ports)
-    branches = tuple(
-        Branch(b.outcome_label, b.j,
-               drop_vacuum_ports(b.conditional_state, (layout.aux_port,)), b.probability)
-        for b in _f_pipeline(joint, layout))
-    success = sum(b.probability for b in branches)
-    return GateResult(branches, success, _branches_all_equal(branches))
+    return _run_gate(joint, _expand_f_gate(layout.input_port, layout.aux_port,
+                                           *layout.detector_ports), (layout.aux_port,))
 
 
 def quantum_parity_check(input_state: FockKet, aux_polarization) -> GateResult:
@@ -154,18 +228,8 @@ def destructive_cnot(joint: FockKet, layout: FGateLayout) -> GateResult:
     """
     _require_one_photon_per_port(joint, (layout.input_port, layout.aux_port))
     _require_vacuum_ports(joint, layout.detector_ports)
-    reg = joint.register
-    state = apply_mode_transform(joint, hwp(reg, layout.input_port, ROTATION_DEG))
-    state = apply_mode_transform(state, hwp(reg, layout.aux_port, ROTATION_DEG))
-    branches = []
-    for b in _f_pipeline(state, layout):
-        out = apply_mode_transform(
-            b.conditional_state, hwp(b.conditional_state.register, layout.input_port, ROTATION_DEG))
-        out = drop_vacuum_ports(out, (layout.aux_port,))
-        branches.append(Branch(b.outcome_label, b.j, out, b.probability))
-    branches = tuple(branches)
-    success = sum(b.probability for b in branches)
-    return GateResult(branches, success, _branches_all_equal(branches))
+    return _run_gate(joint, _expand_d_cnot(layout.input_port, layout.aux_port,
+                                           *layout.detector_ports), (layout.aux_port,))
 
 
 def e_cnot(two_qubit_input: FockKet, control_port: str = "IN",
@@ -186,34 +250,13 @@ def e_cnot(two_qubit_input: FockKet, control_port: str = "IN",
         raise ValueError("e_cnot needs a register cutoff of at least 4 photons")
 
     half = 2.0 ** -0.5
-    a_reg = Register(("A",), cutoff=reg.cutoff)
-    ap_reg = Register(("A'",), cutoff=reg.cutoff)
-    pair = superpose([
-        (half, tensor(single_photon(ModeId("A", H), a_reg),
-                      single_photon(ModeId("A'", H), ap_reg))),
-        (half, tensor(single_photon(ModeId("A", V), a_reg),
-                      single_photon(ModeId("A'", V), ap_reg))),
-    ])
-    detectors = Register(("D0", "D1", "D0'", "D1'"), cutoff=reg.cutoff)
-    state = tensor(tensor(two_qubit_input, pair), vacuum(detectors))
-
-    parity_layout = FGateLayout(control_port, "A", ("D0", "D1"))
-    cnot_layout = FGateLayout(target_port, "A'", ("D0'", "D1'"))
-    branches = []
-    for b1 in _f_pipeline(state, parity_layout):
-        mid = apply_mode_transform(
-            b1.conditional_state, hwp(b1.conditional_state.register, target_port, ROTATION_DEG))
-        mid = apply_mode_transform(mid, hwp(mid.register, "A'", ROTATION_DEG))
-        for b2 in _f_pipeline(mid, cnot_layout):
-            out = apply_mode_transform(
-                b2.conditional_state,
-                hwp(b2.conditional_state.register, target_port, ROTATION_DEG))
-            out = drop_vacuum_ports(out, ("A", "A'"))
-            branches.append(Branch(f"{b1.outcome_label},{b2.outcome_label}", b2.j,
-                                   out, b2.probability))
-    branches = tuple(branches)
-    success = sum(b.probability for b in branches)
-    return GateResult(branches, success, _branches_all_equal(branches))
+    aux_ports = ("A", "A'")
+    detectors = ("D0", "D1", "D0'", "D1'")
+    pair = polarization_ket(Register(aux_ports + detectors, cutoff=reg.cutoff),
+                            aux_ports, (half, 0.0, 0.0, half))
+    return _run_gate(tensor(two_qubit_input, pair),
+                     _expand_e_cnot(control_port, target_port, *aux_ports, *detectors),
+                     aux_ports)
 
 
 @dataclass(frozen=True)

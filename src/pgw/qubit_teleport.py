@@ -25,11 +25,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock_core import Branch, GateResult
+from .fock_core import NORM_SLACK, Branch, GateResult
 
-NORM_SLACK = 1e-12
 MAX_QUBITS = 6
-BRANCH_EQUALITY_TOL = 1e-10
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -187,11 +185,16 @@ def reorder(state: QubitState, new_labels: Sequence[str]) -> QubitState:
     return QubitState(new_labels, np.transpose(tensor_form, perm).reshape(-1))
 
 
+def random_amplitudes(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Normalized complex vector drawn from a rotation-invariant law: dim
+    real parts, then dim imaginary parts, from standard normals."""
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return v / np.linalg.norm(v)
+
+
 def random_qubit_state(rng: np.random.Generator, labels: Sequence[str]) -> QubitState:
     """Normalized state with rotation-invariant random amplitudes."""
-    dim = 2 ** len(labels)
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return QubitState(tuple(labels), v / np.linalg.norm(v))
+    return QubitState(tuple(labels), random_amplitudes(rng, 2 ** len(labels)))
 
 
 def overlap_q(a: QubitState, b: QubitState) -> complex:
@@ -303,14 +306,8 @@ def telegate_t(input_state: QubitState, qubit: str, aux: QubitState,
         raise ValueError("auxiliary must be a two-qubit state")
     a1, a2 = aux.labels
     joint = tensor_qubits(input_state, aux)
-    branches = _teleport_one(joint, qubit, a1, a2, variant, input_state.labels)
-    success = sum(b.probability for b in branches)
-    return GateResult(branches, success, _branches_all_equal_q(branches))
-
-
-def _branches_all_equal_q(branches: Sequence[Branch], tol: float = BRANCH_EQUALITY_TOL) -> bool:
-    live = [b.conditional_state for b in branches if b.probability > 0.0]
-    return all(qubit_fidelity(live[0], s) >= 1.0 - tol for s in live[1:])
+    return GateResult.from_branches(
+        _teleport_one(joint, qubit, a1, a2, variant, input_state.labels), qubit_fidelity)
 
 
 def cz_aux_state(labels: Sequence[str] = ("A1", "A2", "A1'", "A2'")) -> QubitState:
@@ -348,9 +345,7 @@ def cz_via_two_telegates(input_state: QubitState, aux: QubitState | None = None,
         for s2 in _teleport_one(s1.conditional_state, q2, b1, b2, variant, (q1, q2)):
             branches.append(Branch(f"{s1.outcome_label},{s2.outcome_label}", s2.j,
                                    s2.conditional_state, s2.probability))
-    branches = tuple(branches)
-    success = sum(b.probability for b in branches)
-    return GateResult(branches, success, _branches_all_equal_q(branches))
+    return GateResult.from_branches(branches, qubit_fidelity)
 
 
 def cnot_via_cz(input_state: QubitState, aux: QubitState | None = None,
@@ -362,8 +357,7 @@ def cnot_via_cz(input_state: QubitState, aux: QubitState | None = None,
     target = input_state.labels[1]
     state = apply_matrix(input_state, HADAMARD, (target,))
     cz = cz_via_two_telegates(state, aux, variant)
-    branches = tuple(
-        Branch(b.outcome_label, b.j,
-               apply_matrix(b.conditional_state, HADAMARD, (target,)), b.probability)
-        for b in cz.accepted_branches)
-    return GateResult(branches, cz.success_probability, _branches_all_equal_q(branches))
+    return GateResult.from_branches(
+        (Branch(b.outcome_label, b.j,
+                apply_matrix(b.conditional_state, HADAMARD, (target,)), b.probability)
+         for b in cz.accepted_branches), qubit_fidelity)

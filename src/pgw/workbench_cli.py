@@ -3,7 +3,7 @@
 Subcommands
     simulate <file>          run a circuit file, print its measurement branches
     truth-table <gate>       print a gate's basis-input table
-    verify [--suite S] [--seed N] [--trials M] [--json PATH] [--cutoff K]
+    verify [--suite S] [--seed N] [--trials M] [--json PATH]
                              run check suites (optical, teleport, mb, or all)
                              and exit 1 if any check fails
 
@@ -13,7 +13,7 @@ byte-identical between runs. --trials 0 keeps only deterministic checks.
 
 Circuit file format (header line `pgw-circuit v1`, then directives):
     register IN A D0 D1        spatial ports, each an H and a V mode
-    cutoff 4                   optional per-mode photon cap (default 4)
+    cutoff 4                   optional photon cap (default 4, at most 170)
     term RE,IM IN.H=1 A.V=1    one initial-state term (omitted modes are 0)
     element pbs IN A           beam splitter between two ports
     element hwp A 22.5         wave plate on one port at an angle in degrees
@@ -29,6 +29,10 @@ d_cnot (ports: target control d0 d1), e_cnot (ports: control target aux
 aux' d0 d1 d0' d1'). All detections are evaluated on the state after the
 full element pipeline, so expanded corrections are conjugated through any
 elements that follow their detector in the original staged circuit.
+The gate expanders and the runner that applies elements, detections and
+corrections live in optical_gates; the library gates run through the same
+runner. Detection patterns must be pairwise exclusive: two patterns that
+agree on every mode they both constrain are an error.
 """
 
 from __future__ import annotations
@@ -45,7 +49,9 @@ from pathlib import Path
 import numpy as np
 
 from .fock_core import (
+    BRANCH_EQUALITY_TOL,
     DEFAULT_CUTOFF,
+    NORM_SLACK,
     Branch,
     DetectionPattern,
     FockKet,
@@ -57,14 +63,17 @@ from .fock_core import (
     apply_mode_transform,
     fidelity_up_to_global_phase,
     measure_and_postselect,
+    polarization_ket,
     single_photon,
 )
 from .mb_bridge import (
+    MATRIX_IDENTITY_TOL,
     MBEncoding,
     batched_fidelity,
     branch_probabilities,
     check_record,
     compile_branches,
+    kraus_deviations,
     linear_map,
     mb_decode,
     mb_encode,
@@ -77,19 +86,22 @@ from .mb_bridge import (
 )
 from .optical_elements import ElementKind, ElementSpec, hwp, mode_swap, pbs, pockels_z
 from .optical_gates import (
-    BRANCH_EQUALITY_TOL,
-    FGateLayout,
+    GATE_EXPANDERS,
     ROTATION_DEG,
+    DetectionSpec,
+    FGateLayout,
     destructive_cnot,
     e_cnot,
     f_gate,
     gate_truth_table,
     quantum_parity_check,
+    run_pipeline,
 )
 from .qubit_teleport import (
     CNOT_MATRIX,
     CZ_MATRIX,
     IDENTITY_2,
+    PAULI_X,
     PAULI_Z,
     PHI_MINUS,
     PHI_PLUS,
@@ -104,12 +116,16 @@ from .qubit_teleport import (
     parity_filter,
     pbm,
     qubit_fidelity,
+    random_amplitudes,
     telegate_t,
     tensor_qubits,
 )
 
 DEFAULT_SEED = 12345
 CONSERVATION_TOL = 1e-11
+# 170! is the largest factorial a float holds; mode transforms divide by
+# the factorials of the photon counts.
+MAX_CUTOFF = 170
 HEADER = "pgw-circuit v1"
 
 _TOKEN_RE = re.compile(r"\S+")
@@ -123,15 +139,6 @@ class CircuitParseError(ValueError):
         self.reason = reason
         self.line = line
         self.column = column
-
-
-@dataclass(frozen=True)
-class DetectionSpec:
-    """One labeled detector pattern with its feed-forward index."""
-
-    label: str
-    j: int
-    required: tuple[tuple[ModeId, int], ...]
 
 
 @dataclass
@@ -172,8 +179,14 @@ def _parse_amplitude(text: str, line: int, col: int) -> complex:
     left, sep, right = text.partition(",")
     if not sep:
         raise CircuitParseError(f"expected amplitude RE,IM, got {text!r}", line, col)
-    return complex(_parse_float(left, "a real part", line, col),
-                   _parse_float(right, "an imaginary part", line, col))
+    amp = complex(_parse_float(left, "a real part", line, col),
+                  _parse_float(right, "an imaginary part", line, col))
+    # No term of a ket with norm at most 1 has a larger part; the bound also
+    # keeps squared magnitudes far from float overflow.
+    if max(abs(amp.real), abs(amp.imag)) > 1.0 + NORM_SLACK:
+        raise CircuitParseError(f"amplitude parts must lie in [-1, 1], got {text!r}",
+                                line, col)
+    return amp
 
 
 def _parse_mode(text: str, labels: tuple[str, ...], line: int, col: int) -> ModeId:
@@ -240,68 +253,6 @@ def _parse_counts(tokens: list[tuple[str, int]], labels: tuple[str, ...],
     return counts
 
 
-def _expand_f_gate(inp: str, aux: str, d0: str, d1: str):
-    """Filter stage: combine, rotate, route to detectors, flip on outcome 1."""
-    elements = [
-        ElementSpec(ElementKind.PBS, (inp, aux)),
-        ElementSpec(ElementKind.HWP, (aux,), (), ROTATION_DEG),
-        ElementSpec(ElementKind.SWAP, (), (ModeId(aux, H), ModeId(d0, H))),
-        ElementSpec(ElementKind.SWAP, (), (ModeId(aux, V), ModeId(d1, V))),
-    ]
-    detections = [
-        DetectionSpec(d0, 0, ((ModeId(d0, H), 1), (ModeId(d0, V), 0),
-                              (ModeId(d1, H), 0), (ModeId(d1, V), 0))),
-        DetectionSpec(d1, 1, ((ModeId(d0, H), 0), (ModeId(d0, V), 0),
-                              (ModeId(d1, H), 0), (ModeId(d1, V), 1))),
-    ]
-    corrections = {d1: [ElementSpec(ElementKind.PC, (inp,))]}
-    return elements, detections, corrections
-
-
-def _expand_d_cnot(target: str, control: str, d0: str, d1: str):
-    """Plate-sandwiched filter. The closing plate sits before detection here,
-    so the outcome-1 phase flip conjugates to a polarization exchange."""
-    f_elements, detections, _ = _expand_f_gate(target, control, d0, d1)
-    plate = ElementSpec(ElementKind.HWP, (target,), (), ROTATION_DEG)
-    control_plate = ElementSpec(ElementKind.HWP, (control,), (), ROTATION_DEG)
-    elements = [plate, control_plate] + f_elements + [plate]
-    corrections = {d1: [ElementSpec(ElementKind.SWAP, (),
-                                    (ModeId(target, H), ModeId(target, V)))]}
-    return elements, detections, corrections
-
-
-def _expand_e_cnot(control: str, target: str, aux: str, aux2: str,
-                   d0: str, d1: str, d0b: str, d1b: str):
-    """Parity stage on (control, aux), then the plate-sandwiched stage on
-    (target, aux2); detector patterns are the products of the two stages."""
-    s1_elements, s1_detections, _ = _expand_f_gate(control, aux, d0, d1)
-    s2_elements, s2_detections, _ = _expand_d_cnot(target, aux2, d0b, d1b)
-    elements = s1_elements + s2_elements
-    detections = []
-    corrections: dict[str, list[ElementSpec]] = {}
-    for b1 in s1_detections:
-        for b2 in s2_detections:
-            label = f"{b1.label},{b2.label}"
-            detections.append(DetectionSpec(label, b2.j, b1.required + b2.required))
-            fixes = []
-            if b1.j:
-                fixes.append(ElementSpec(ElementKind.PC, (control,)))
-            if b2.j:
-                fixes.append(ElementSpec(ElementKind.SWAP, (),
-                                         (ModeId(target, H), ModeId(target, V))))
-            if fixes:
-                corrections[label] = fixes
-    return elements, detections, corrections
-
-
-_GATE_EXPANDERS = {
-    "f_gate": (_expand_f_gate, 4),
-    "parity_check": (_expand_f_gate, 4),
-    "d_cnot": (_expand_d_cnot, 4),
-    "e_cnot": (_expand_e_cnot, 8),
-}
-
-
 def parse_circuit(text: str, source: str = "<circuit>") -> CircuitFile:
     labels: tuple[str, ...] | None = None
     cutoff = DEFAULT_CUTOFF
@@ -354,6 +305,9 @@ def parse_circuit(text: str, source: str = "<circuit>") -> CircuitFile:
             cutoff = _parse_int(rest[0][0], "a photon cap", line_no, rest[0][1])
             if cutoff < 1:
                 raise CircuitParseError("cutoff must be at least 1", line_no, rest[0][1])
+            if cutoff > MAX_CUTOFF:
+                raise CircuitParseError(f"cutoff may not exceed {MAX_CUTOFF}",
+                                        line_no, rest[0][1])
             cutoff_line = line_no
         elif word == "term":
             decl = need_register(line_no, col)
@@ -369,9 +323,9 @@ def parse_circuit(text: str, source: str = "<circuit>") -> CircuitFile:
             if not rest:
                 raise CircuitParseError("gate needs a name", line_no, col)
             name, ncol = rest[0]
-            if name not in _GATE_EXPANDERS:
+            if name not in GATE_EXPANDERS:
                 raise CircuitParseError(f"unknown gate {name!r}", line_no, ncol)
-            expander, arity = _GATE_EXPANDERS[name]
+            expander, arity = GATE_EXPANDERS[name]
             ports = rest[1:]
             if len(ports) != arity:
                 raise CircuitParseError(f"gate {name} takes {arity} ports", line_no, ncol)
@@ -444,25 +398,30 @@ def run_circuit(cf: CircuitFile) -> SimulationResult:
         terms[key] = terms.get(key, 0.0 + 0.0j) + amp
     state = FockKet(register, terms)
     initial = state.norm_squared()
-    for element in cf.elements:
-        state = apply_mode_transform(state, element.build(register))
+    _require_exclusive(cf.detections)
+    state, branches = run_pipeline(state, cf.elements, cf.detections, cf.corrections)
     if not cf.detections:
         return SimulationResult(register, initial, state, (), 0.0)
-    branches = []
-    total = 0.0
-    for det in cf.detections:
-        raw = measure_and_postselect(state, DetectionPattern(dict(det.required)),
-                                     outcome_label=det.label, j=det.j)
-        out = raw.conditional_state
-        for fix in cf.corrections.get(det.label, ()):
-            out = apply_mode_transform(out, fix.build(out.register))
-        branches.append(Branch(raw.outcome_label, raw.j, out, raw.probability))
-        total += raw.probability
+    total = sum(b.probability for b in branches)
     rejected = initial - total
     if rejected < -CONSERVATION_TOL:
         raise ValueError(f"detected branches carry {total!r} of the initial norm^2 "
                          f"{initial!r}; the detection patterns overlap")
-    return SimulationResult(register, initial, None, tuple(branches), rejected)
+    return SimulationResult(register, initial, None, branches, rejected)
+
+
+def _require_exclusive(detections: list[DetectionSpec]) -> None:
+    """Two patterns can both fire unless some mode they both constrain has
+    different counts in them; such a pair would count one outcome twice."""
+    for i, det in enumerate(detections):
+        counts = dict(det.required)
+        for other in detections[i + 1:]:
+            for mode, n in other.required:
+                if counts.get(mode, n) != n:
+                    break
+            else:
+                raise ValueError(f"detections {det.label!r} and {other.label!r} are not "
+                                 "exclusive: they agree on every mode they both constrain")
 
 
 def _fmt_c(z: complex) -> str:
@@ -520,31 +479,10 @@ def cmd_simulate(path: str) -> int:
     return 0
 
 
-def _random_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
-
-
-def _two_qubit_state(register: Register, port1: str, port2: str, amps) -> FockKet:
-    """One photon in each port with the four (HH, HV, VH, VV) amplitudes."""
-    terms = {}
-    for index, (pol1, pol2) in enumerate(((H, H), (H, V), (V, H), (V, V))):
-        occ = [0] * register.n_modes
-        occ[register.index_of(ModeId(port1, pol1))] = 1
-        occ[register.index_of(ModeId(port2, pol2))] = 1
-        terms[tuple(occ)] = complex(amps[index])
-    return FockKet(register, terms)
-
-
-def _product_state(register: Register, port1: str, amps1, port2: str, amps2) -> FockKet:
-    return _two_qubit_state(register, port1, port2,
-                            np.outer(np.asarray(amps1), np.asarray(amps2)).ravel())
-
-
-def _suite_optical(rng: np.random.Generator, trials: int, cutoff: int) -> list[dict]:
+def _suite_optical(rng: np.random.Generator, trials: int) -> list[dict]:
     checks: list[dict] = []
     half = 2.0 ** -0.5
-    reg_a = Register(("A",), cutoff)
+    reg_a = Register(("A",))
 
     u = hwp(reg_a, "A", ROTATION_DEG).matrix
     want = -1j * half * np.array([[1.0, 1.0], [1.0, -1.0]])
@@ -562,7 +500,7 @@ def _suite_optical(rng: np.random.Generator, trials: int, cutoff: int) -> list[d
         "two passes through one plate give the identity up to a global sign",
         worst, 0.0, 1e-13))
 
-    reg_abc = Register(("A", "B", "C"), cutoff)
+    reg_abc = Register(("A", "B", "C"))
     constructed = (pbs(reg_abc, "A", "B"), hwp(reg_abc, "B", 33.0),
                    pockels_z(reg_abc, "C"),
                    mode_swap(reg_abc, ModeId("A", H), ModeId("B", H)))
@@ -588,7 +526,7 @@ def _suite_optical(rng: np.random.Generator, trials: int, cutoff: int) -> list[d
         "two photons meeting in a balanced plate leave bunched in one mode",
         dev, 0.0, 1e-12))
 
-    reg_ab = Register(("A", "B"), cutoff)
+    reg_ab = Register(("A", "B"))
     through = apply_mode_transform(single_photon(ModeId("A", H), reg_ab),
                                    pbs(reg_ab, "A", "B"))
     crossed = apply_mode_transform(single_photon(ModeId("A", V), reg_ab),
@@ -605,7 +543,7 @@ def _suite_optical(rng: np.random.Generator, trials: int, cutoff: int) -> list[d
         "hwp-zero-angle", "plate at zero angle is the phase flip times the fixed -i",
         abs(flipped.amplitude((0, 1)) - 1.0j), 0.0, 1e-14))
 
-    reg_in = Register(("IN",), cutoff)
+    reg_in = Register(("IN",))
     match = quantum_parity_check(single_photon(ModeId("IN", H), reg_in), H)
     block = quantum_parity_check(single_photon(ModeId("IN", V), reg_in), H)
     checks.append(check_record(
@@ -615,14 +553,14 @@ def _suite_optical(rng: np.random.Generator, trials: int, cutoff: int) -> list[d
         "parity-check-blocks-mismatch", "mismatched auxiliary removes the input",
         block.success_probability, 0.0, 1e-12))
 
-    reg_2q = Register(("IN", "IN'"), cutoff)
-    basis = [_two_qubit_state(reg_2q, "IN", "IN'", np.eye(4)[i]) for i in range(4)]
+    reg_2q = Register(("IN", "IN'"))
+    basis = [polarization_ket(reg_2q, ("IN", "IN'"), np.eye(4)[i]) for i in range(4)]
     rows = gate_truth_table(e_cnot, basis)
     flip_map = (0, 1, 3, 2)
     worst_fid = 1.0
     worst_prob = 0.0
     for i, row in enumerate(rows):
-        expected = _two_qubit_state(reg_2q, "IN", "IN'", np.eye(4)[flip_map[i]])
+        expected = polarization_ket(reg_2q, ("IN", "IN'"), np.eye(4)[flip_map[i]])
         worst_fid = min(worst_fid, fidelity_up_to_global_phase(row.output_state,
                                                                expected))
         worst_prob = max(worst_prob, abs(row.probability - 0.25))
@@ -634,24 +572,40 @@ def _suite_optical(rng: np.random.Generator, trials: int, cutoff: int) -> list[d
         "ecnot-truth-table-success", "every basis input succeeds with probability 1/4",
         worst_prob, 0.0, 1e-10))
 
+    reg_filter = Register(("IN", "A", "D0", "D1"))
+    layout = FGateLayout("IN", "A", ("D0", "D1"))
+    enc_in = MBEncoding(("IN",), ())
+
+    def filter_ops(gate, aux) -> dict[str, np.ndarray]:
+        return compile_branches(lambda amps: gate(
+            polarization_ket(reg_filter, ("IN", "A"), np.kron(amps, aux)), layout), 2, enc_in)
+
+    # The destructive CNOT's branch operators are 1/2 times I (control H) or
+    # X (control V), up to a phase, so it is checked exactly on the whole
+    # input space.
+    dc_ops = [(filter_ops(destructive_cnot, control), line)
+              for control, line in (((1.0, 0.0), IDENTITY_2), ((0.0, 1.0), PAULI_X))]
+    phase_dev, complete_dev = kraus_deviations(
+        [[(k, 0.5 * line) for k in ops.values()] for ops, line in dc_ops], 0.5)
+    checks.append(check_record(
+        "dcnot-kraus-phase", "each destructive CNOT branch operator is a phase times "
+        "I/2 for control H and X/2 for control V", phase_dev, 0.0, MATRIX_IDENTITY_TOL))
+    checks.append(check_record(
+        "dcnot-kraus-complete", "for either control the destructive CNOT branch operators "
+        "satisfy sum K^dagger K = I/2", complete_dev, 0.0, MATRIX_IDENTITY_TOL))
+
     if trials <= 0:
         return checks
 
     # Draw every trial input in the per-trial order, then check each gate on
     # all of them at once through its compiled branch operators.
-    draws = [(_random_vector(rng, 2), _random_vector(rng, 2), _random_vector(rng, 4),
-              _random_vector(rng, 4), rng.uniform(0.0, 180.0, size=2))
+    draws = [(random_amplitudes(rng, 2), random_amplitudes(rng, 2), random_amplitudes(rng, 4),
+              random_amplitudes(rng, 4), rng.uniform(0.0, 180.0, size=2))
              for _ in range(trials)]
     ab, gd, v, w, thetas = (np.array(column).T for column in zip(*draws))
 
-    reg_filter = Register(("IN", "A", "D0", "D1"), cutoff)
-    layout = FGateLayout("IN", "A", ("D0", "D1"))
-    enc_in = MBEncoding(("IN",), ())
-
     def filter_outputs(gate, aux, inputs) -> list[np.ndarray]:
-        ops = compile_branches(lambda amps: gate(
-            _product_state(reg_filter, "IN", amps, "A", aux), layout), 2, enc_in)
-        return [k @ inputs for k in ops.values()]
+        return [k @ inputs for k in filter_ops(gate, aux).values()]
 
     neutral = filter_outputs(f_gate, (half, half), ab)
     minus = filter_outputs(f_gate, (half, -half), ab)
@@ -663,13 +617,13 @@ def _suite_optical(rng: np.random.Generator, trials: int, cutoff: int) -> list[d
                          for outs in (neutral, minus) for out in outs[1:])
 
     dc_success, dc_fid = [], []
-    for control, expected in (((1.0, 0.0), gd), ((0.0, 1.0), gd[::-1])):
-        outs = filter_outputs(destructive_cnot, control, gd)
+    for (ops, _), expected in zip(dc_ops, (gd, gd[::-1])):
+        outs = [k @ gd for k in ops.values()]
         dc_success.append(np.abs(sum(map(branch_probabilities, outs)) - 0.5))
         dc_fid.extend(batched_fidelity(out, expected) for out in outs)
     dc_success, dc_fid = np.max(dc_success), np.min(dc_fid)
 
-    ec_ops = compile_branches(lambda amps: e_cnot(_two_qubit_state(reg_2q, "IN", "IN'", amps)),
+    ec_ops = compile_branches(lambda amps: e_cnot(polarization_ket(reg_2q, ("IN", "IN'"), amps)),
                               4, MBEncoding(("IN", "IN'"), ()))
     ec = [k @ v for k in ec_ops.values()]
     ec_success = np.max(np.abs(sum(map(branch_probabilities, ec)) - 0.25))
@@ -679,7 +633,7 @@ def _suite_optical(rng: np.random.Generator, trials: int, cutoff: int) -> list[d
     # Random plate angles change the map on every trial, so these run one by one.
     norm_dev, completeness_dev = [], []
     for amps, (theta1, theta2) in zip(w.T, thetas.T):
-        state = _two_qubit_state(reg_ab, "A", "B", amps)
+        state = polarization_ket(reg_ab, ("A", "B"), amps)
         state = apply_mode_transform(state, hwp(reg_ab, "A", theta1))
         state = apply_mode_transform(state, pbs(reg_ab, "A", "B"))
         state = apply_mode_transform(state, hwp(reg_ab, "B", theta2))
@@ -736,7 +690,7 @@ def _suite_optical(rng: np.random.Generator, trials: int, cutoff: int) -> list[d
     return checks
 
 
-def _suite_teleport(rng: np.random.Generator, trials: int, cutoff: int) -> list[dict]:
+def _suite_teleport(rng: np.random.Generator, trials: int) -> list[dict]:
     checks: list[dict] = []
     bells = [bell_state(label) for label in (PSI_PLUS, PSI_MINUS, PHI_PLUS, PHI_MINUS)]
     gram = np.array([[overlap_q(x, y) for y in bells] for x in bells])
@@ -835,7 +789,7 @@ def _suite_teleport(rng: np.random.Generator, trials: int, cutoff: int) -> list[
     if trials <= 0:
         return checks
 
-    draws = [(_random_vector(rng, 2), _random_vector(rng, 4)) for _ in range(trials)]
+    draws = [(random_amplitudes(rng, 2), random_amplitudes(rng, 4)) for _ in range(trials)]
     phis, psis = (np.array(column).T for column in zip(*draws))
 
     def two_qubit_ops(gate, *args) -> dict[str, np.ndarray]:
@@ -916,10 +870,10 @@ def _fock_dev(a: FockKet, b: FockKet) -> float:
     return max((abs(a.amplitude(k) - b.amplitude(k)) for k in keys), default=0.0)
 
 
-def _suite_mb(rng: np.random.Generator, trials: int, cutoff: int) -> list[dict]:
+def _suite_mb(rng: np.random.Generator, trials: int) -> list[dict]:
     checks: list[dict] = []
     half = 2.0 ** -0.5
-    reg = Register(("IN", "A"), cutoff)
+    reg = Register(("IN", "A"))
     enc = MBEncoding(("IN",), ("A",))
 
     dev = 0.0
@@ -936,7 +890,7 @@ def _suite_mb(rng: np.random.Generator, trials: int, cutoff: int) -> list[dict]:
         "mb-dictionary", "each single-photon port pattern maps to exactly its "
         "occupation qubit string", dev, 0.0, 1e-15))
 
-    reg_a = Register(("A",), cutoff)
+    reg_a = Register(("A",))
     enc_a = MBEncoding((), ("A",))
     dev = 0.0
     for sign, label in ((1.0, PSI_PLUS), (-1.0, PSI_MINUS)):
@@ -948,24 +902,24 @@ def _suite_mb(rng: np.random.Generator, trials: int, cutoff: int) -> list[dict]:
         "mb-bell-identification", "balanced one-photon splits encode exactly to the "
         "odd-parity Bell states", dev, 0.0, 1e-15))
 
-    fixed = _two_qubit_state(reg, "IN", "A", np.array([0.5, 0.5j, -0.5, 0.5]))
-    decoded = mb_decode(mb_encode(fixed, enc), enc, cutoff)
+    fixed = polarization_ket(reg, ("IN", "A"), np.array([0.5, 0.5j, -0.5, 0.5]))
+    decoded = mb_decode(mb_encode(fixed, enc), enc)
     checks.append(check_record(
         "mb-roundtrip", "decoding after encoding returns the original optical state",
         _fock_dev(fixed, decoded), 0.0, 1e-13))
 
-    checks.extend(verify_pbs_mb(rng, trials, cutoff))
-    checks.extend(verify_hwp_mb(rng, trials, cutoff))
-    checks.extend(verify_f_equals_tprime(rng, trials, cutoff))
-    checks.extend(verify_aux_state_equivalence(cutoff))
-    checks.extend(verify_ecnot_equals_tcnot(rng, trials, cutoff))
+    checks.extend(verify_pbs_mb(rng, trials))
+    checks.extend(verify_hwp_mb(rng, trials))
+    checks.extend(verify_f_equals_tprime(rng, trials))
+    checks.extend(verify_aux_state_equivalence())
+    checks.extend(verify_ecnot_equals_tcnot(rng, trials))
 
     if trials > 0:
-        draws = np.array([(_random_vector(rng, 4), _random_vector(rng, 4))
+        draws = np.array([(random_amplitudes(rng, 4), random_amplitudes(rng, 4))
                           for _ in range(trials)])
         xs, ys = draws[:, 0].T, draws[:, 1].T
         encode = linear_map(
-            lambda amps: mb_encode(_two_qubit_state(reg, "IN", "A", amps), enc).amplitudes, 4)
+            lambda amps: mb_encode(polarization_ket(reg, ("IN", "A"), amps), enc).amplitudes, 4)
         fock = np.sum(xs.conj() * ys, axis=0)
         encoded = np.sum((encode @ xs).conj() * (encode @ ys), axis=0)
         worst = np.max(np.abs(fock - encoded))
@@ -1012,19 +966,17 @@ class Report:
         return "\n".join(lines)
 
 
-def run_suite(suite: str, seed: int, trials: int = 100,
-              cutoff: int = DEFAULT_CUTOFF) -> Report:
+def run_suite(suite: str, seed: int, trials: int = 100) -> Report:
     """Run one named suite (or all of them) with a fresh generator per suite."""
     names = SUITE_ORDER if suite == "all" else (suite,)
     checks: list[dict] = []
     for name in names:
-        checks.extend(_SUITES[name](np.random.default_rng(seed), trials, cutoff))
+        checks.extend(_SUITES[name](np.random.default_rng(seed), trials))
     return Report.build(suite, seed, checks)
 
 
-def cmd_verify(suite: str, seed: int, trials: int, cutoff: int,
-               json_path: str | None = None) -> int:
-    report = run_suite(suite, seed, trials, cutoff)
+def cmd_verify(suite: str, seed: int, trials: int, json_path: str | None = None) -> int:
+    report = run_suite(suite, seed, trials)
     print(report.to_text())
     if json_path is not None:
         try:
@@ -1036,84 +988,81 @@ def cmd_verify(suite: str, seed: int, trials: int, cutoff: int,
     return 0 if report.passed else 1
 
 
-def _truth_rows_optical_filter(cutoff: int):
-    reg_full = Register(("IN", "A", "D0", "D1"), cutoff)
+def _truth_rows(gate, inputs, note: str):
+    """The note and one (input, success probability, output) row per
+    (input text, basis state) pair, from gate_truth_table."""
+    texts, basis = zip(*inputs)
+    rows = []
+    for text, row in zip(texts, gate_truth_table(gate, basis)):
+        out = row.output_state
+        if out is None:
+            shown = "(blocked)"
+        else:
+            shown = _fmt_qubit(out) if isinstance(out, QubitState) else _fmt_fock(out)
+        rows.append((text, row.probability, shown))
+    return [note], rows
+
+
+_POLARIZATION_BASIS = tuple(zip((H, V), np.eye(2)))
+
+
+def _truth_rows_optical_filter():
+    reg = Register(("IN", "A", "D0", "D1"))
     layout = FGateLayout("IN", "A", ("D0", "D1"))
     half = 2.0 ** -0.5
-    rows = []
-    for pol in (H, V):
-        amps = (1.0, 0.0) if pol is H else (0.0, 1.0)
-        result = f_gate(_product_state(reg_full, "IN", amps, "A", (half, half)), layout)
-        out = result.accepted_branches[0].conditional_state.normalized()
-        rows.append((f"|IN.{pol}=1>", result.success_probability, _fmt_fock(out)))
-    return ["balanced auxiliary photon on A"], rows
+    return _truth_rows(
+        lambda ket: f_gate(ket, layout),
+        [(f"|IN.{pol}=1>", polarization_ket(reg, ("IN", "A"), np.kron(amps, (half, half))))
+         for pol, amps in _POLARIZATION_BASIS],
+        "balanced auxiliary photon on A")
 
 
-def _truth_rows_parity_check(cutoff: int):
-    reg_in = Register(("IN",), cutoff)
-    rows = []
-    for pol in (H, V):
-        result = quantum_parity_check(single_photon(ModeId("IN", pol), reg_in), H)
-        if result.success_probability > 0.0:
-            out = _fmt_fock(result.accepted_branches[0].conditional_state.normalized())
-        else:
-            out = "(blocked)"
-        rows.append((f"|IN.{pol}=1>", result.success_probability, out))
-    return ["auxiliary photon fixed to H"], rows
+def _truth_rows_parity_check():
+    reg = Register(("IN",))
+    return _truth_rows(
+        lambda ket: quantum_parity_check(ket, H),
+        [(f"|IN.{pol}=1>", single_photon(ModeId("IN", pol), reg)) for pol in (H, V)],
+        "auxiliary photon fixed to H")
 
 
-def _truth_rows_d_cnot(cutoff: int):
-    reg_full = Register(("IN", "A", "D0", "D1"), cutoff)
+def _truth_rows_d_cnot():
+    reg = Register(("IN", "A", "D0", "D1"))
     layout = FGateLayout("IN", "A", ("D0", "D1"))
-    rows = []
-    for c_pol in (H, V):
-        for t_pol in (H, V):
-            c_amps = (1.0, 0.0) if c_pol is H else (0.0, 1.0)
-            t_amps = (1.0, 0.0) if t_pol is H else (0.0, 1.0)
-            result = destructive_cnot(
-                _product_state(reg_full, "IN", t_amps, "A", c_amps), layout)
-            out = result.accepted_branches[0].conditional_state.normalized()
-            rows.append((f"|A.{c_pol}=1 IN.{t_pol}=1>", result.success_probability,
-                         _fmt_fock(out)))
-    return ["control photon on A (consumed), target on IN"], rows
+    return _truth_rows(
+        lambda ket: destructive_cnot(ket, layout),
+        [(f"|A.{c_pol}=1 IN.{t_pol}=1>",
+          polarization_ket(reg, ("IN", "A"), np.kron(t_amps, c_amps)))
+         for c_pol, c_amps in _POLARIZATION_BASIS for t_pol, t_amps in _POLARIZATION_BASIS],
+        "control photon on A (consumed), target on IN")
 
 
-def _truth_rows_e_cnot(cutoff: int):
-    reg = Register(("IN", "IN'"), cutoff)
-    rows = []
-    for index in range(4):
-        ket = _two_qubit_state(reg, "IN", "IN'", np.eye(4)[index])
-        result = e_cnot(ket)
-        out = result.accepted_branches[0].conditional_state.normalized()
-        polarizations = ((H, H), (H, V), (V, H), (V, V))[index]
-        rows.append((f"|IN.{polarizations[0]}=1 IN'.{polarizations[1]}=1>",
-                     result.success_probability, _fmt_fock(out)))
-    return ["control on IN, target on IN'"], rows
+def _truth_rows_e_cnot():
+    reg = Register(("IN", "IN'"))
+    return _truth_rows(
+        e_cnot,
+        [(f"|IN.{c_pol}=1 IN'.{t_pol}=1>",
+          polarization_ket(reg, ("IN", "IN'"), np.kron(c_amps, t_amps)))
+         for c_pol, c_amps in _POLARIZATION_BASIS for t_pol, t_amps in _POLARIZATION_BASIS],
+        "control on IN, target on IN'")
 
 
 def _truth_rows_telegate(variant: str):
-    def build(cutoff: int):
-        rows = []
-        for bit in (0, 1):
-            phi = QubitState(("Q",), (1.0 - bit, 1.0 * bit))
-            result = telegate_t(phi, "Q", bell_state(PSI_PLUS, ("A1", "A2")),
-                                variant=variant)
-            out = result.accepted_branches[0].conditional_state.normalized()
-            rows.append((f"|{bit}>", result.success_probability, _fmt_qubit(out)))
-        return [f"variant {variant}, auxiliary pair in the plus Bell state"], rows
+    def build():
+        aux = bell_state(PSI_PLUS, ("A1", "A2"))
+        return _truth_rows(
+            lambda phi: telegate_t(phi, "Q", aux, variant=variant),
+            [(f"|{bit}>", QubitState(("Q",), amps)) for bit, amps in enumerate(np.eye(2))],
+            f"variant {variant}, auxiliary pair in the plus Bell state")
     return build
 
 
 def _truth_rows_two_qubit(gate, note: str):
-    def build(cutoff: int):
-        rows = []
-        for index in range(4):
-            amps = np.zeros(4)
-            amps[index] = 1.0
-            result = gate(QubitState(("Q1", "Q2"), amps))
-            out = result.accepted_branches[0].conditional_state.normalized()
-            rows.append((f"|{index:02b}>", result.success_probability, _fmt_qubit(out)))
-        return [note], rows
+    def build():
+        return _truth_rows(
+            gate,
+            [(f"|{index:02b}>", QubitState(("Q1", "Q2"), amps))
+             for index, amps in enumerate(np.eye(4))],
+            note)
     return build
 
 
@@ -1131,8 +1080,8 @@ TRUTH_TABLES = {
 }
 
 
-def cmd_truth_table(gate: str, cutoff: int = DEFAULT_CUTOFF) -> int:
-    notes, rows = TRUTH_TABLES[gate](cutoff)
+def cmd_truth_table(gate: str) -> int:
+    notes, rows = TRUTH_TABLES[gate]()
     print(f"truth-table: {gate}")
     for note in notes:
         print(f"# {note}")
@@ -1166,7 +1115,6 @@ def main(argv: list[str] | None = None) -> int:
 
     p_tt = sub.add_parser("truth-table", help="print a gate's basis-input table")
     p_tt.add_argument("gate", choices=sorted(TRUTH_TABLES))
-    p_tt.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF)
 
     p_ver = sub.add_parser("verify", help="run verification suites")
     p_ver.add_argument("--suite", choices=("all",) + SUITE_ORDER, default="all")
@@ -1177,15 +1125,13 @@ def main(argv: list[str] | None = None) -> int:
                             "deterministic checks")
     p_ver.add_argument("--json", dest="json_path", default=None,
                        help="also write the report as JSON to this path")
-    p_ver.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF)
 
     args = parser.parse_args(argv)
     if args.command == "simulate":
         return cmd_simulate(args.path)
     if args.command == "truth-table":
-        return cmd_truth_table(args.gate, args.cutoff)
-    return cmd_verify(args.suite, _resolve_seed(args.seed), args.trials,
-                      args.cutoff, args.json_path)
+        return cmd_truth_table(args.gate)
+    return cmd_verify(args.suite, _resolve_seed(args.seed), args.trials, args.json_path)
 
 
 if __name__ == "__main__":

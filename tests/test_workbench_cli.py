@@ -10,14 +10,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pgw
-from pgw.fock_core import FockKet, Register, fidelity_up_to_global_phase
+from pgw.fock_core import FockKet, Register, fidelity_up_to_global_phase, polarization_ket
 from pgw.mb_bridge import check_record
 from pgw.optical_elements import ElementKind
-from pgw.optical_gates import e_cnot
+from pgw.optical_gates import destructive_cnot, e_cnot, f_gate
 from pgw.workbench_cli import (
     DEFAULT_SEED,
+    HEADER,
     CircuitParseError,
     Report,
     main,
@@ -177,8 +180,7 @@ def test_packaged_cnot_fixture_matches_library(capsys):
 
     amps = np.zeros(4)
     amps[2] = 1.0  # photon pair |V>_IN |H>_IN'
-    library = e_cnot(workbench_cli._two_qubit_state(
-        Register(("IN", "IN'"), 4), "IN", "IN'", amps))
+    library = e_cnot(polarization_ket(Register(("IN", "IN'"), 4), ("IN", "IN'"), amps))
 
     assert len(result.branches) == len(library.accepted_branches) == 4
     for cli_branch, lib_branch in zip(result.branches, library.accepted_branches):
@@ -230,7 +232,7 @@ def test_verify_all_suites_pass(capsys):
 def test_verify_exit_code_on_failure(monkeypatch, capsys):
     monkeypatch.setitem(
         workbench_cli._SUITES, "optical",
-        lambda rng, trials, cutoff: [
+        lambda rng, trials: [
             check_record("forced", "deliberately failing check", 1.0, 0.0, 0.1)])
     assert main(["verify", "--suite", "optical"]) == 1
     out = capsys.readouterr().out
@@ -311,3 +313,199 @@ def test_report_build_flags_failures():
 def test_cli_requires_a_subcommand():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_overlapping_detections_with_different_labels_are_rejected(tmp_path, capsys):
+    # D0's pattern fixes D0.H=1 and three empty modes; X fixes only D0.H=1,
+    # so every D0 outcome would be counted again under X.
+    text = (CIRCUIT_DIR / "f_gate.circuit").read_text() + "detect X 0 D0.H=1\n"
+    with pytest.raises(ValueError, match="'D0' and 'X'"):
+        run_circuit(parse_circuit(text))
+    path = tmp_path / "overlap.circuit"
+    path.write_text(text)
+    assert main(["simulate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"{path}: error:")
+    assert captured.out == ""
+
+
+def test_patterns_that_differ_on_a_shared_mode_are_exclusive():
+    text = ("pgw-circuit v1\nregister IN D\nterm 1,0 IN.H=1 D.V=1\n"
+            "detect a 0 D.H=1\ndetect b 0 D.H=0 D.V=1\n")
+    result = run_circuit(parse_circuit(text))
+    assert [b.probability for b in result.branches] == pytest.approx([0.0, 1.0])
+
+
+def test_cutoff_above_170_is_a_parse_error(tmp_path, capsys):
+    text = ("pgw-circuit v1\nregister IN\ncutoff 200\nterm 1,0 IN.H=180\n"
+            "element hwp IN 10\n")
+    err = _parse_error(text)
+    assert (err.line, err.column) == (3, 8)
+    path = tmp_path / "big.circuit"
+    path.write_text(text)
+    assert main(["simulate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"{path}:3:8: error:")
+
+
+def test_cutoff_170_runs_at_the_factorial_limit():
+    text = ("pgw-circuit v1\nregister IN\ncutoff 170\nterm 1,0 IN.H=170\n"
+            "element hwp IN 10\n")
+    result = run_circuit(parse_circuit(text))
+    assert result.final_state.norm_squared() == pytest.approx(1.0, abs=1e-11)
+
+
+def test_amplitude_beyond_one_is_a_parse_error():
+    err = _parse_error("pgw-circuit v1\nregister IN\nterm 1e300,0 IN.H=1\n")
+    assert (err.line, err.column) == (3, 6)
+
+
+def _pick(good, bad=()):
+    """One token: a well-formed one four times in five, else a malformed one."""
+    return st.sampled_from(tuple(good) * 4 + tuple(bad))
+
+
+def _line(*parts):
+    """Join fixed words, single drawn tokens and drawn token lists into a line."""
+    def join(drawn):
+        return " ".join(t for p in drawn for t in ([p] if isinstance(p, str) else p))
+    return st.tuples(*(st.just(p) if isinstance(p, str) else p for p in parts)).map(join)
+
+
+_PORT = _pick(("IN", "A", "D0", "D1", "IN'", "A'"), ("X.Y", "B", "a=b"))
+_MODE = _pick(("IN.H", "IN.V", "A.H", "A.V", "D0.H", "D1.V"), ("IN.X", ".H", "B.H"))
+_COUNT = _pick(("IN.H=1", "IN.V=1", "A.H=1", "A.V=1", "D0.H=1", "D0.H=0", "D1.V=0",
+                "D1.V=1", "IN.H=2"),
+               ("IN.H=-1", "IN.H=x", "D0.H", "IN.V=5", "IN.H=180"))
+_AMP = _pick(("1,0", "0.6,0.8", "0,1", "-0.6,0.8", "0.5,-0.5"),
+             ("nan,0", "1e300,0", "1e200,1e200", "1,", "x,y"))
+_NUMBER = _pick(("0", "1", "4", "22.5", "45", "170"), ("200", "-1", "nan", "inf", "1e308", "x"))
+_LABEL = _pick(("D0", "D1", "x", "y"))
+_ELEMENT = st.one_of(_line("pbs", _PORT, _PORT), _line("hwp", _PORT, _NUMBER),
+                     _line("pc", _PORT), _line("swap", _MODE, _MODE))
+_ANY = st.sampled_from(("register", "cutoff", "term", "element", "gate", "detect", "correct",
+                        "bogus", "#", "pgw-circuit", "v1", "IN", "A.V", "IN.H=1", "1,0",
+                        "4", "22.5", "pbs", "hwp", "f_gate", "e_cnot"))
+_REGISTERS = ("", "register IN A D0 D1", "register IN IN' A A' D0 D1 D0' D1'")
+
+# Each directive with arguments of the right kinds most of the time, some
+# malformed, plus lines of arbitrary tokens.
+_fuzz_line = st.one_of(
+    _line("register", st.lists(_PORT, max_size=6)),
+    _line("cutoff", _NUMBER),
+    _line("term", _AMP, st.lists(_COUNT, max_size=3)),
+    _line("element", _ELEMENT),
+    _line("gate", st.sampled_from(("f_gate", "parity_check", "d_cnot", "cnot")),
+          st.permutations(("IN", "A", "D0", "D1"))),
+    _line("gate e_cnot", st.permutations(("IN", "IN'", "A", "A'", "D0", "D1", "D0'", "D1'"))),
+    _line("detect", _LABEL, _pick(("0", "1"), ("2", "x")), st.lists(_COUNT, max_size=4)),
+    _line("correct", _LABEL, _ELEMENT),
+    st.lists(_ANY, max_size=6).map(" ".join),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(header=st.sampled_from((True, True, True, False)),
+       register=st.sampled_from(_REGISTERS), lines=st.lists(_fuzz_line, max_size=6))
+def test_fuzzed_circuits_parse_or_fail_at_a_position(tmp_path_factory, header, register,
+                                                     lines):
+    """Any token lines either parse or raise CircuitParseError at a position,
+    and simulate exits 0 or 2, never with a traceback."""
+    text = "\n".join(([HEADER] if header else []) + [register] + lines) + "\n"
+    try:
+        parse_circuit(text)
+    except CircuitParseError as e:
+        assert e.line >= 1 and e.column >= 1
+    path = tmp_path_factory.getbasetemp() / "fuzzed.circuit"
+    path.write_text(text)
+    assert main(["simulate", str(path)]) in (0, 2)
+
+
+@pytest.mark.parametrize("argv", [["verify", "--cutoff", "3"],
+                                  ["truth-table", "e_cnot", "--cutoff", "2"]])
+def test_cutoff_flags_are_gone(argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+
+
+def test_destructive_cnot_exact_checks_run_without_trials(capsys):
+    assert main(["verify", "--suite", "optical", "--trials", "0"]) == 0
+    out = capsys.readouterr().out
+    for check_id in ("dcnot-kraus-phase", "dcnot-kraus-complete"):
+        assert f"[PASS] {check_id} |" in out
+
+
+def test_destructive_cnot_exact_checks_catch_a_wrong_gate(monkeypatch):
+    assert workbench_cli.destructive_cnot is destructive_cnot
+    monkeypatch.setattr(workbench_cli, "destructive_cnot", f_gate)
+    records = {c["id"]: c for c in run_suite("optical", seed=1, trials=0).checks}
+    assert records["dcnot-kraus-phase"]["status"] == "fail"
+    assert records["dcnot-kraus-complete"]["status"] == "fail"
+
+
+# Standard output of `pgw truth-table` for every gate, pinned byte for byte:
+# the library gates must keep their phases, branch order and formatting.
+TRUTH_TABLE_STDOUT = {
+    'f_gate': [
+        'truth-table: f_gate',
+        '# balanced auxiliary photon on A',
+        '  |IN.H=1>  p=0.5  ->  (0-1j) |IN.H=1>',
+        '  |IN.V=1>  p=0.5  ->  (0-1j) |IN.V=1>',
+    ],
+    'parity_check': [
+        'truth-table: parity_check',
+        '# auxiliary photon fixed to H',
+        '  |IN.H=1>  p=1  ->  (0-1j) |IN.H=1>',
+        '  |IN.V=1>  p=0  ->  (blocked)',
+    ],
+    'd_cnot': [
+        'truth-table: d_cnot',
+        '# control photon on A (consumed), target on IN',
+        '  |A.H=1 IN.H=1>  p=0.5  ->  (1+0j) |IN.H=1>',
+        '  |A.H=1 IN.V=1>  p=0.5  ->  (1+0j) |IN.V=1>',
+        '  |A.V=1 IN.H=1>  p=0.5  ->  (1+0j) |IN.V=1>',
+        '  |A.V=1 IN.V=1>  p=0.5  ->  (1+0j) |IN.H=1>',
+    ],
+    'e_cnot': [
+        'truth-table: e_cnot',
+        "# control on IN, target on IN'",
+        "  |IN.H=1 IN'.H=1>  p=0.25  ->  (0-1j) |IN.H=1 IN'.H=1>",
+        "  |IN.H=1 IN'.V=1>  p=0.25  ->  (0-1j) |IN.H=1 IN'.V=1>",
+        "  |IN.V=1 IN'.H=1>  p=0.25  ->  (0-1j) |IN.V=1 IN'.V=1>",
+        "  |IN.V=1 IN'.V=1>  p=0.25  ->  (0-1j) |IN.V=1 IN'.H=1>",
+    ],
+    'telegate_t': [
+        'truth-table: telegate_t',
+        '# variant swap, auxiliary pair in the plus Bell state',
+        '  |0>  p=0.5  ->  (1+0j) |0>',
+        '  |1>  p=0.5  ->  (1+0j) |1>',
+    ],
+    'telegate_tp': [
+        'truth-table: telegate_tp',
+        '# variant parity_filter, auxiliary pair in the plus Bell state',
+        '  |0>  p=0.5  ->  (1+0j) |0>',
+        '  |1>  p=0.5  ->  (1+0j) |1>',
+    ],
+    'cz2t': [
+        'truth-table: cz2t',
+        '# controlled phase from two telegates',
+        '  |00>  p=0.25  ->  (1+0j) |00>',
+        '  |01>  p=0.25  ->  (1+0j) |01>',
+        '  |10>  p=0.25  ->  (1+0j) |10>',
+        '  |11>  p=0.25  ->  (-1+0j) |11>',
+    ],
+    'cnot_cz': [
+        'truth-table: cnot_cz',
+        '# CNOT from the telegate controlled phase',
+        '  |00>  p=0.25  ->  (1+0j) |00>',
+        '  |01>  p=0.25  ->  (1+0j) |01>',
+        '  |10>  p=0.25  ->  (1+0j) |11>',
+        '  |11>  p=0.25  ->  (1+0j) |10>',
+    ],
+}
+
+
+@pytest.mark.parametrize("gate", sorted(TRUTH_TABLE_STDOUT))
+def test_truth_table_stdout_is_pinned(gate, capsys):
+    assert main(["truth-table", gate]) == 0
+    assert capsys.readouterr().out == "\n".join(TRUTH_TABLE_STDOUT[gate]) + "\n"
