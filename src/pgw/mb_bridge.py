@@ -20,17 +20,20 @@ auxiliary resource, and the end-to-end match of the optical CNOT with the
 teleportation CNOT.
 
 A post-selected gate with feed-forward is one linear map K_b per accepted
-outcome b. compile_branches builds those maps once by running the gate on
-each basis input, so the randomized checks apply K_b to every seeded trial
-input in one matrix product, and the optical-versus-teleported claim is
-also checked exactly as an operator equality, K_b(optical) =
-e^{i phi_b} K_b(teleported), with the outcomes paired by label.
+outcome b. compile_branches builds those maps once by running an
+amplitude-in gate builder (optical_gates.filter_gate and ecnot_gate,
+qubit_teleport.qubit_gate) on each basis input, so the randomized checks
+apply K_b to every seeded trial input in one matrix product, and the
+optical-versus-teleported claim is also checked exactly as an operator
+equality, K_b(optical) = e^{i phi_b} K_b(teleported), with the outcomes
+paired by label. gate_deviations reads every claim of the form "each
+branch is M v with weight q, and the weights sum to p" off the K_b.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -46,7 +49,7 @@ from .fock_core import (
     polarization_ket,
 )
 from .optical_elements import hwp, pbs
-from .optical_gates import ROTATION_DEG, FGateLayout, e_cnot, f_gate
+from .optical_gates import ROTATION_DEG, ecnot_gate, f_gate, filter_gate
 from .qubit_teleport import (
     PSI_MINUS,
     PSI_PLUS,
@@ -56,6 +59,7 @@ from .qubit_teleport import (
     cz_aux_state,
     overlap_q,
     qubit_fidelity,
+    qubit_gate,
     random_amplitudes,
     telegate_t,
 )
@@ -263,13 +267,42 @@ def pair_branches(left: Mapping[str, np.ndarray], right: Mapping[str, np.ndarray
     return [(value, right[label]) for label, value in renamed.items()]
 
 
-def _paired_outputs(groups: list, inputs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(optical, teleported) branch outputs of every matched pair on the
-    input columns; a single all-NaN pair when any group failed to pair."""
+def gate_deviations(ops: Mapping[str, np.ndarray] | Iterable[np.ndarray], inputs: np.ndarray,
+                    target: np.ndarray, success, weight) -> tuple[float, float, float]:
+    """How far branch operators K_b are from the claim that, on every input
+    column v, each branch is target @ v up to a phase with probability
+    weight, and the branch probabilities sum to success.
+
+    Returns the largest |sum_b p_b - success| and |p_b - weight| over the
+    columns and the smallest fidelity of K_b @ v with target @ v. success
+    and weight may be per-column arrays. A zero column gives a NaN
+    fidelity, which fails any check built on it.
+    """
+    outputs = [k @ inputs for k in (ops.values() if isinstance(ops, Mapping) else ops)]
+    probs = [branch_probabilities(out) for out in outputs]
+    wanted = target @ inputs
+    return (float(np.max(np.abs(sum(probs) - success))),
+            float(np.max([np.abs(p - weight) for p in probs])),
+            float(np.min([batched_fidelity(out, wanted) for out in outputs])))
+
+
+def _paired_deviations(groups: list, inputs: np.ndarray, weight=None) -> tuple[float, float]:
+    """Largest branch-probability deviation and smallest fidelity over the
+    label-matched (optical, teleported) pairs. Each optical operator goes
+    through gate_deviations with its teleported partner as the target and
+    the partner's branch probabilities as the weight; a given weight holds
+    both sides to it instead. Both are NaN when a group failed to pair."""
     if any(group is None for group in groups):
-        nan = np.full((1, inputs.shape[1]), np.nan)
-        return [(nan, nan)]
-    return [(k_opt @ inputs, k_tel @ inputs) for group in groups for k_opt, k_tel in group]
+        return float("nan"), float("nan")
+    prob_devs, fids = [], []
+    for group in groups:
+        for k_opt, k_tel in group:
+            p_tel = branch_probabilities(k_tel @ inputs)
+            want = p_tel if weight is None else weight
+            _, prob_dev, fid = gate_deviations([k_opt], inputs, k_tel, want, want)
+            prob_devs += [prob_dev, np.max(np.abs(p_tel - want))]
+            fids.append(fid)
+    return float(np.max(prob_devs)), float(np.min(fids))
 
 
 def kraus_deviations(groups: list, p_success: float) -> tuple[float, float]:
@@ -383,35 +416,23 @@ def verify_hwp_mb(rng: np.random.Generator, trials: int = 100) -> list[dict]:
     return checks
 
 
-def _optical_filter_result(amps, aux_sign):
-    register = Register(("IN", "A", "D0", "D1"))
-    root_half = 2.0 ** -0.5
-    joint = polarization_ket(register, ("IN", "A"),
-                             np.kron(amps, (root_half, aux_sign * root_half)))
-    return f_gate(joint, FGateLayout("IN", "A", ("D0", "D1")))
-
-
 def verify_f_equals_tprime(rng: np.random.Generator, trials: int = 200) -> list[dict]:
     """Branch-by-branch equality of the optical parity-check filter with the
     parity-filter telegate on the encodable auxiliary domain, with outcomes
     paired by DETECTOR_TO_BELL: exactly as branch operators, and on one
     fixed and trials - 1 random inputs."""
     enc = MBEncoding(("IN",), ())
+    root_half = 2.0 ** -0.5
     groups = []
     for aux_sign, label in ((1, PSI_PLUS), (-1, PSI_MINUS)):
-        optical = compile_branches(
-            lambda amps: _optical_filter_result(amps, aux_sign), 2, enc)
-        teleported = compile_branches(
-            lambda amps: telegate_t(QubitState(("IN",), amps), "IN",
-                                    bell_state(label, ("AV", "AH")), variant="parity_filter"),
+        optical = compile_branches(filter_gate(f_gate, (root_half, aux_sign * root_half)), 2, enc)
+        teleported = compile_branches(qubit_gate(
+            telegate_t, ("IN",), "IN", bell_state(label, ("AV", "AH")), variant="parity_filter"),
             2)
         groups.append(pair_branches(optical, teleported, DETECTOR_TO_BELL))
     inputs = np.array([(0.6 + 0.0j, 0.8j)]
                       + [random_amplitudes(rng, 2) for _ in range(trials - 1)]).T
-    outputs = _paired_outputs(groups, inputs)
-    worst_prob = np.max([np.abs(branch_probabilities(o) - branch_probabilities(t))
-                         for o, t in outputs])
-    worst_fid = np.min([batched_fidelity(o, t) for o, t in outputs])
+    worst_prob, worst_fid = _paired_deviations(groups, inputs)
     phase_dev, complete_dev = kraus_deviations(groups, 0.5)
     return [
         check_record(
@@ -466,19 +487,12 @@ def verify_ecnot_equals_tcnot(rng: np.random.Generator, trials: int = 100) -> li
     of the teleportation CNOT, pairing detector outcomes with Bell outcomes
     stage by stage through DETECTOR_TO_BELL: exactly as branch operators,
     and on one fixed and trials - 1 random inputs."""
-    enc = MBEncoding(("IN", "IN'"), ())
-    register = Register(("IN", "IN'"))
-    optical = compile_branches(
-        lambda amps: e_cnot(polarization_ket(register, ("IN", "IN'"), amps)), 4, enc)
-    teleported = compile_branches(
-        lambda amps: cnot_via_cz(QubitState(("IN", "IN'"), amps)), 4)
+    optical = compile_branches(ecnot_gate, 4, MBEncoding(("IN", "IN'"), ()))
+    teleported = compile_branches(qubit_gate(cnot_via_cz, ("IN", "IN'")), 4)
     groups = [pair_branches(optical, teleported, DETECTOR_TO_BELL)]
     inputs = np.array([np.array([0.5, 0.5j, -0.5, 0.5])]
                       + [random_amplitudes(rng, 4) for _ in range(trials - 1)]).T
-    outputs = _paired_outputs(groups, inputs)
-    worst_prob = np.max([np.abs(branch_probabilities(side) - 1.0 / 16.0)
-                         for pair in outputs for side in pair])
-    worst_fid = np.min([batched_fidelity(o, t) for o, t in outputs])
+    worst_prob, worst_fid = _paired_deviations(groups, inputs, 1.0 / 16.0)
     phase_dev, complete_dev = kraus_deviations(groups, 0.25)
     return [
         check_record(

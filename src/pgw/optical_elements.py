@@ -81,7 +81,8 @@ def hwp(register: Register, port: str, theta_degrees: float) -> ModeTransform:
         raise ValueError(f"wave plate angle must be finite, got {theta_degrees!r}")
     ih = register.index_of(ModeId(port, H))
     iv = register.index_of(ModeId(port, V))
-    two_theta = math.radians(2.0 * theta_degrees)
+    # The plate has period 180 degrees; reducing first keeps 2 theta finite.
+    two_theta = math.radians(2.0 * math.fmod(theta_degrees, 180.0))
     c, s = math.cos(two_theta), math.sin(two_theta)
     m = _identity(register)
     m[ih, ih] = -1j * c

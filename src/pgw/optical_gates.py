@@ -21,13 +21,17 @@ heralded detector patterns and the corrections of each outcome. One runner,
 run_pipeline, applies such a list to a state. The library gates call it on
 their expansion and drop the emptied auxiliary ports; the circuit-file
 `gate` directive (workbench_cli) splices the same expansion into a circuit,
-which run_circuit hands to the same runner.
+which run_circuit hands to the same runner. filter_gate and ecnot_gate run
+the library gates as functions of their input qubits' amplitudes, the form
+the truth tables and the compiled branch operators use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
+
+import numpy as np
 
 from .fock_core import (
     Branch,
@@ -259,16 +263,33 @@ def e_cnot(two_qubit_input: FockKet, control_port: str = "IN",
                      aux_ports)
 
 
+def filter_gate(gate: Callable[[FockKet, FGateLayout], GateResult], aux
+                ) -> Callable[[np.ndarray], GateResult]:
+    """gate (f_gate or destructive_cnot) on ports IN, A, D0, D1, as a function
+    of IN's (H, V) amplitudes, with the A photon in the polarization aux."""
+    register = Register(("IN", "A", "D0", "D1"))
+    layout = FGateLayout("IN", "A", ("D0", "D1"))
+    return lambda amps: gate(polarization_ket(register, ("IN", "A"), np.kron(amps, aux)),
+                             layout)
+
+
+def ecnot_gate(amps) -> GateResult:
+    """e_cnot with control IN and target IN', as a function of their
+    (HH, HV, VH, VV) amplitudes."""
+    return e_cnot(polarization_ket(Register(("IN", "IN'")), ("IN", "IN'"), amps))
+
+
 @dataclass(frozen=True)
 class TruthTableRow:
-    input_state: FockKet
+    input_state: Any
     output_state: FockKet | None
     probability: float
 
 
-def gate_truth_table(gate: Callable[[FockKet], GateResult],
-                     basis: Sequence[FockKet]) -> tuple[TruthTableRow, ...]:
-    """Run a gate over basis inputs and tabulate corrected outputs.
+def gate_truth_table(gate: Callable[[Any], GateResult],
+                     basis: Sequence) -> tuple[TruthTableRow, ...]:
+    """Run a gate over basis inputs (states, or amplitudes for an
+    amplitude-in builder) and tabulate corrected outputs.
 
     The output column holds the first nonzero accepted branch, normalized
     (branches agree up to global phase whenever the gate succeeds), or

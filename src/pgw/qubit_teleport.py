@@ -21,7 +21,7 @@ branches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -293,6 +293,13 @@ def _teleport_one(joint: QubitState, qubit: str, a1: str, a2: str,
     return tuple(out)
 
 
+def qubit_gate(gate: Callable[..., GateResult], labels: Sequence[str], *args, **kwargs
+               ) -> Callable[[np.ndarray], GateResult]:
+    """gate on QubitState(labels, amps) and the further arguments, as a
+    function of the amplitudes amps."""
+    return lambda amps: gate(QubitState(labels, amps), *args, **kwargs)
+
+
 def telegate_t(input_state: QubitState, qubit: str, aux: QubitState,
                variant: str = "swap") -> GateResult:
     """Teleport one qubit of input_state through a two-qubit auxiliary.
@@ -321,8 +328,8 @@ def cz_aux_state(labels: Sequence[str] = ("A1", "A2", "A1'", "A2'")) -> QubitSta
     return QubitState(tuple(labels), amps)
 
 
-def cz_via_two_telegates(input_state: QubitState, aux: QubitState | None = None,
-                         variant: str = "swap") -> GateResult:
+def cz_via_two_telegates(input_state: QubitState, aux: QubitState | None = None
+                         ) -> GateResult:
     """Controlled-Z on a two-qubit input via one telegate per qubit.
 
     aux defaults to cz_aux_state(); its four qubits are consumed pairwise,
@@ -341,22 +348,21 @@ def cz_via_two_telegates(input_state: QubitState, aux: QubitState | None = None,
     joint = tensor_qubits(input_state, aux)
     order_mid = (q1, q2, b1, b2)
     branches = []
-    for s1 in _teleport_one(joint, q1, a1, a2, variant, order_mid):
-        for s2 in _teleport_one(s1.conditional_state, q2, b1, b2, variant, (q1, q2)):
+    for s1 in _teleport_one(joint, q1, a1, a2, "swap", order_mid):
+        for s2 in _teleport_one(s1.conditional_state, q2, b1, b2, "swap", (q1, q2)):
             branches.append(Branch(f"{s1.outcome_label},{s2.outcome_label}", s2.j,
                                    s2.conditional_state, s2.probability))
     return GateResult.from_branches(branches, qubit_fidelity)
 
 
-def cnot_via_cz(input_state: QubitState, aux: QubitState | None = None,
-                variant: str = "swap") -> GateResult:
+def cnot_via_cz(input_state: QubitState) -> GateResult:
     """CNOT (first qubit controls the second) as H on the target, the
     two-telegate controlled-Z, then H on the target again. Success 1/4."""
     if input_state.n_qubits != 2:
         raise ValueError("input must be a two-qubit state")
     target = input_state.labels[1]
     state = apply_matrix(input_state, HADAMARD, (target,))
-    cz = cz_via_two_telegates(state, aux, variant)
+    cz = cz_via_two_telegates(state)
     return GateResult.from_branches(
         (Branch(b.outcome_label, b.j,
                 apply_matrix(b.conditional_state, HADAMARD, (target,)), b.probability)

@@ -38,6 +38,7 @@ agree on every mode they both constrain are an error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -61,7 +62,6 @@ from .fock_core import (
     RegisterError,
     V,
     apply_mode_transform,
-    fidelity_up_to_global_phase,
     measure_and_postselect,
     polarization_ket,
     single_photon,
@@ -69,10 +69,9 @@ from .fock_core import (
 from .mb_bridge import (
     MATRIX_IDENTITY_TOL,
     MBEncoding,
-    batched_fidelity,
-    branch_probabilities,
     check_record,
     compile_branches,
+    gate_deviations,
     kraus_deviations,
     linear_map,
     mb_decode,
@@ -89,10 +88,10 @@ from .optical_gates import (
     GATE_EXPANDERS,
     ROTATION_DEG,
     DetectionSpec,
-    FGateLayout,
     destructive_cnot,
-    e_cnot,
+    ecnot_gate,
     f_gate,
+    filter_gate,
     gate_truth_table,
     quantum_parity_check,
     run_pipeline,
@@ -115,7 +114,7 @@ from .qubit_teleport import (
     overlap_q,
     parity_filter,
     pbm,
-    qubit_fidelity,
+    qubit_gate,
     random_amplitudes,
     telegate_t,
     tensor_qubits,
@@ -553,32 +552,21 @@ def _suite_optical(rng: np.random.Generator, trials: int) -> list[dict]:
         "parity-check-blocks-mismatch", "mismatched auxiliary removes the input",
         block.success_probability, 0.0, 1e-12))
 
-    reg_2q = Register(("IN", "IN'"))
-    basis = [polarization_ket(reg_2q, ("IN", "IN'"), np.eye(4)[i]) for i in range(4)]
-    rows = gate_truth_table(e_cnot, basis)
-    flip_map = (0, 1, 3, 2)
-    worst_fid = 1.0
-    worst_prob = 0.0
-    for i, row in enumerate(rows):
-        expected = polarization_ket(reg_2q, ("IN", "IN'"), np.eye(4)[flip_map[i]])
-        worst_fid = min(worst_fid, fidelity_up_to_global_phase(row.output_state,
-                                                               expected))
-        worst_prob = max(worst_prob, abs(row.probability - 0.25))
+    # Each gate is compiled once to its branch operators; the table checks
+    # apply them to the basis inputs, the randomized checks to the trials.
+    ec_ops = compile_branches(ecnot_gate, 4, MBEncoding(("IN", "IN'"), ()))
+    table_success, _, table_fid = gate_deviations(ec_ops, np.eye(4), CNOT_MATRIX, 0.25,
+                                                  1.0 / 16.0)
     checks.append(check_record(
         "ecnot-truth-table-outputs",
         "control V flips the target and control H leaves it alone",
-        worst_fid, 1.0, 1e-10))
+        table_fid, 1.0, 1e-10))
     checks.append(check_record(
         "ecnot-truth-table-success", "every basis input succeeds with probability 1/4",
-        worst_prob, 0.0, 1e-10))
-
-    reg_filter = Register(("IN", "A", "D0", "D1"))
-    layout = FGateLayout("IN", "A", ("D0", "D1"))
-    enc_in = MBEncoding(("IN",), ())
+        table_success, 0.0, 1e-10))
 
     def filter_ops(gate, aux) -> dict[str, np.ndarray]:
-        return compile_branches(lambda amps: gate(
-            polarization_ket(reg_filter, ("IN", "A"), np.kron(amps, aux)), layout), 2, enc_in)
+        return compile_branches(filter_gate(gate, aux), 2, MBEncoding(("IN",), ()))
 
     # The destructive CNOT's branch operators are 1/2 times I (control H) or
     # X (control V), up to a phase, so it is checked exactly on the whole
@@ -604,31 +592,17 @@ def _suite_optical(rng: np.random.Generator, trials: int) -> list[dict]:
              for _ in range(trials)]
     ab, gd, v, w, thetas = (np.array(column).T for column in zip(*draws))
 
-    def filter_outputs(gate, aux, inputs) -> list[np.ndarray]:
-        return [k @ inputs for k in filter_ops(gate, aux).values()]
-
-    neutral = filter_outputs(f_gate, (half, half), ab)
-    minus = filter_outputs(f_gate, (half, -half), ab)
-    neutral_success = np.max(np.abs(sum(map(branch_probabilities, neutral)) - 0.5))
-    branch_prob = np.max([np.abs(branch_probabilities(out) - 0.25) for out in neutral + minus])
-    neutral_fid = np.min([batched_fidelity(out, ab) for out in neutral])
-    minus_fid = np.min([batched_fidelity(out, PAULI_Z @ ab) for out in minus])
-    branches_agree = all(np.all(batched_fidelity(outs[0], out) >= 1.0 - BRANCH_EQUALITY_TOL)
-                         for outs in (neutral, minus) for out in outs[1:])
-
-    dc_success, dc_fid = [], []
-    for (ops, _), expected in zip(dc_ops, (gd, gd[::-1])):
-        outs = [k @ gd for k in ops.values()]
-        dc_success.append(np.abs(sum(map(branch_probabilities, outs)) - 0.5))
-        dc_fid.extend(batched_fidelity(out, expected) for out in outs)
-    dc_success, dc_fid = np.max(dc_success), np.min(dc_fid)
-
-    ec_ops = compile_branches(lambda amps: e_cnot(polarization_ket(reg_2q, ("IN", "IN'"), amps)),
-                              4, MBEncoding(("IN", "IN'"), ()))
-    ec = [k @ v for k in ec_ops.values()]
-    ec_success = np.max(np.abs(sum(map(branch_probabilities, ec)) - 0.25))
-    ec_branch = np.max([np.abs(branch_probabilities(out) - 1.0 / 16.0) for out in ec])
-    ec_fid = np.min([batched_fidelity(out, CNOT_MATRIX @ v) for out in ec])
+    neutral_ops = filter_ops(f_gate, (half, half))
+    minus_ops = filter_ops(f_gate, (half, -half))
+    neutral_success, neutral_branch, neutral_fid = gate_deviations(
+        neutral_ops, ab, IDENTITY_2, 0.5, 0.25)
+    _, minus_branch, minus_fid = gate_deviations(minus_ops, ab, PAULI_Z, 0.5, 0.25)
+    # Every branch against the first one as the target map.
+    branches_agree = all(gate_deviations(ops, ab, next(iter(ops.values())), 0.5, 0.25)[2]
+                         >= 1.0 - BRANCH_EQUALITY_TOL for ops in (neutral_ops, minus_ops))
+    dc = [gate_deviations(ops, gd, line, 0.5, 0.25) for ops, line in dc_ops]
+    dc_success, dc_fid = np.max([d[0] for d in dc]), np.min([d[2] for d in dc])
+    ec_success, ec_branch, ec_fid = gate_deviations(ec_ops, v, CNOT_MATRIX, 0.25, 1.0 / 16.0)
 
     # Random plate angles change the map on every trial, so these run one by one.
     norm_dev, completeness_dev = [], []
@@ -652,7 +626,7 @@ def _suite_optical(rng: np.random.Generator, trials: int) -> list[dict]:
         neutral_success, 0.0, 1e-10))
     checks.append(check_record(
         "filter-branch-probability", "each accepted filter branch carries 1/4",
-        branch_prob, 0.0, 1e-10))
+        max(neutral_branch, minus_branch), 0.0, 1e-10))
     checks.append(check_record(
         "filter-neutral-output",
         "with a balanced auxiliary the corrected output equals the input",
@@ -760,31 +734,19 @@ def _suite_teleport(rng: np.random.Generator, trials: int) -> list[dict]:
         "the parity-filter telegate accepts nothing from an even-parity auxiliary",
         rejected.success_probability, 0.0, 1e-12))
 
-    worst_fid = 1.0
-    worst_branch = 0.0
-    worst_success = 0.0
-    flip_map = (0, 1, 3, 2)
-    for index in range(4):
-        amps = np.zeros(4)
-        amps[index] = 1.0
-        result = cnot_via_cz(QubitState(("Q1", "Q2"), amps))
-        want_amps = np.zeros(4)
-        want_amps[flip_map[index]] = 1.0
-        want = QubitState(("Q1", "Q2"), want_amps)
-        worst_success = max(worst_success, abs(result.success_probability - 0.25))
-        for branch in result.accepted_branches:
-            worst_branch = max(worst_branch, abs(branch.probability - 1.0 / 16.0))
-            worst_fid = min(worst_fid, qubit_fidelity(branch.conditional_state, want))
+    cn_ops = compile_branches(qubit_gate(cnot_via_cz, ("Q1", "Q2")), 4)
+    table_success, table_branch, table_fid = gate_deviations(
+        cn_ops, np.eye(4), CNOT_MATRIX, 0.25, 1.0 / 16.0)
     checks.append(check_record(
         "cnot-via-cz-table-outputs",
         "the teleportation CNOT maps every basis input to its flipped image",
-        worst_fid, 1.0, 1e-10))
+        table_fid, 1.0, 1e-10))
     checks.append(check_record(
         "cnot-via-cz-branch-probability", "each Bell outcome pair carries 1/16",
-        worst_branch, 0.0, 1e-10))
+        table_branch, 0.0, 1e-10))
     checks.append(check_record(
         "cnot-via-cz-success", "the teleportation CNOT succeeds with probability 1/4",
-        worst_success, 0.0, 1e-10))
+        table_success, 0.0, 1e-10))
 
     if trials <= 0:
         return checks
@@ -792,45 +754,33 @@ def _suite_teleport(rng: np.random.Generator, trials: int) -> list[dict]:
     draws = [(random_amplitudes(rng, 2), random_amplitudes(rng, 4)) for _ in range(trials)]
     phis, psis = (np.array(column).T for column in zip(*draws))
 
-    def two_qubit_ops(gate, *args) -> dict[str, np.ndarray]:
-        return compile_branches(lambda amps: gate(QubitState(("Q1", "Q2"), amps), *args), 4)
-
-    t_success, t_branch, t_plus, t_minus, t_variants = [], [], [], [], []
-    for label, flip in ((PSI_PLUS, 0), (PSI_MINUS, 1)):
-        expect = PAULI_Z @ phis if flip else phis
-        outputs = {}
-        for variant in ("swap", "parity_filter"):
-            ops = compile_branches(lambda amps: telegate_t(
-                QubitState(("Q",), amps), "Q", bell_state(label, ("A1", "A2")),
-                variant=variant), 2)
-            outputs[variant] = {b: k @ phis for b, k in ops.items()}
-            probs = [branch_probabilities(out) for out in outputs[variant].values()]
-            t_success.append(np.abs(sum(probs) - 0.5))
-            t_branch.extend(np.abs(p - 0.25) for p in probs)
-            (t_minus if flip else t_plus).extend(
-                batched_fidelity(out, expect) for out in outputs[variant].values())
-        pairs = pair_branches(outputs["swap"], outputs["parity_filter"])
+    plus, minus, t_variants = [], [], []
+    for label, frame, devs in ((PSI_PLUS, IDENTITY_2, plus), (PSI_MINUS, PAULI_Z, minus)):
+        ops = {variant: compile_branches(qubit_gate(
+            telegate_t, ("Q",), "Q", bell_state(label, ("A1", "A2")), variant=variant), 2)
+            for variant in ("swap", "parity_filter")}
+        devs.extend(gate_deviations(k, phis, frame, 0.5, 0.25) for k in ops.values())
+        pairs = pair_branches(ops["swap"], ops["parity_filter"])
         t_variants.append(np.nan if pairs is None
-                          else np.max([np.abs(a - b) for a, b in pairs]))
-    t_success, t_branch, t_variants = np.max(t_success), np.max(t_branch), np.max(t_variants)
-    t_plus, t_minus = np.min(t_plus), np.min(t_minus)
+                          else np.max([np.abs(a @ phis - b @ phis) for a, b in pairs]))
+    t_success, t_branch = (np.max([d[i] for d in plus + minus]) for i in (0, 1))
+    t_plus, t_minus = (np.min([d[2] for d in devs]) for devs in (plus, minus))
+    t_variants = np.max(t_variants)
 
     pauli_fid = []
-    for flip1, label1 in ((0, PSI_PLUS), (1, PSI_MINUS)):
-        for flip2, label2 in ((0, PSI_PLUS), (1, PSI_MINUS)):
+    for frame1, label1 in ((IDENTITY_2, PSI_PLUS), (PAULI_Z, PSI_MINUS)):
+        for frame2, label2 in ((IDENTITY_2, PSI_PLUS), (PAULI_Z, PSI_MINUS)):
             aux = tensor_qubits(bell_state(label1, ("A1", "A2")),
                                 bell_state(label2, ("A1'", "A2'")))
-            frame = np.kron(PAULI_Z if flip1 else IDENTITY_2, PAULI_Z if flip2 else IDENTITY_2)
-            pauli_fid.extend(batched_fidelity(k @ psis, frame @ psis)
-                             for k in two_qubit_ops(cz_via_two_telegates, aux).values())
+            ops = compile_branches(qubit_gate(cz_via_two_telegates, ("Q1", "Q2"), aux), 4)
+            pauli_fid.append(gate_deviations(ops, psis, np.kron(frame1, frame2), 0.25,
+                                             1.0 / 16.0)[2])
     pauli_fid = np.min(pauli_fid)
 
-    cz = [k @ psis for k in two_qubit_ops(cz_via_two_telegates).values()]
-    cz_success = np.max(np.abs(sum(map(branch_probabilities, cz)) - 0.25))
-    cz_branch = np.max([np.abs(branch_probabilities(out) - 1.0 / 16.0) for out in cz])
-    cz_fid = np.min([batched_fidelity(out, CZ_MATRIX @ psis) for out in cz])
-    cn_fid = np.min([batched_fidelity(k @ psis, CNOT_MATRIX @ psis)
-                     for k in two_qubit_ops(cnot_via_cz).values()])
+    cz_success, cz_branch, cz_fid = gate_deviations(
+        compile_branches(qubit_gate(cz_via_two_telegates, ("Q1", "Q2")), 4), psis, CZ_MATRIX,
+        0.25, 1.0 / 16.0)
+    cn_fid = gate_deviations(cn_ops, psis, CNOT_MATRIX, 0.25, 1.0 / 16.0)[2]
 
     checks.append(check_record(
         "telegate-success", "the telegate succeeds with probability 1/2 regardless "
@@ -988,106 +938,55 @@ def cmd_verify(suite: str, seed: int, trials: int, json_path: str | None = None)
     return 0 if report.passed else 1
 
 
-def _truth_rows(gate, inputs, note: str):
-    """The note and one (input, success probability, output) row per
-    (input text, basis state) pair, from gate_truth_table."""
-    texts, basis = zip(*inputs)
-    rows = []
-    for text, row in zip(texts, gate_truth_table(gate, basis)):
+def _port_inputs(*ports: str) -> list[str]:
+    """Row texts of the polarization basis on ports, first port leftmost."""
+    return ["|" + " ".join(f"{port}.{pol}=1" for port, pol in zip(ports, pols)) + ">"
+            for pols in itertools.product((H, V), repeat=len(ports))]
+
+
+def _qubit_inputs(n: int) -> list[str]:
+    return [f"|{index:0{n}b}>" for index in range(2 ** n)]
+
+
+_HALF = 2.0 ** -0.5
+_PLUS_PAIR = bell_state(PSI_PLUS, ("A1", "A2"))
+
+# Gate name -> (note, row texts, amplitude-in builders). Each builder runs on
+# the basis of its own consecutive block of rows.
+TRUTH_TABLES = {
+    "f_gate": ("balanced auxiliary photon on A", _port_inputs("IN"),
+               [filter_gate(f_gate, (_HALF, _HALF))]),
+    "parity_check": ("auxiliary photon fixed to H", _port_inputs("IN"),
+                     [filter_gate(f_gate, (1.0, 0.0))]),
+    "d_cnot": ("control photon on A (consumed), target on IN", _port_inputs("A", "IN"),
+               [filter_gate(destructive_cnot, control) for control in np.eye(2)]),
+    "e_cnot": ("control on IN, target on IN'", _port_inputs("IN", "IN'"), [ecnot_gate]),
+    "telegate_t": ("variant swap, auxiliary pair in the plus Bell state", _qubit_inputs(1),
+                   [qubit_gate(telegate_t, ("Q",), "Q", _PLUS_PAIR, variant="swap")]),
+    "telegate_tp": ("variant parity_filter, auxiliary pair in the plus Bell state",
+                    _qubit_inputs(1),
+                    [qubit_gate(telegate_t, ("Q",), "Q", _PLUS_PAIR, variant="parity_filter")]),
+    "cz2t": ("controlled phase from two telegates", _qubit_inputs(2),
+             [qubit_gate(cz_via_two_telegates, ("Q1", "Q2"))]),
+    "cnot_cz": ("CNOT from the telegate controlled phase", _qubit_inputs(2),
+                [qubit_gate(cnot_via_cz, ("Q1", "Q2"))]),
+}
+
+
+def cmd_truth_table(gate: str) -> int:
+    note, texts, builders = TRUTH_TABLES[gate]
+    block = np.eye(len(texts) // len(builders))
+    rows = [row for builder in builders for row in gate_truth_table(builder, block)]
+    print(f"truth-table: {gate}")
+    print(f"# {note}")
+    width = max(map(len, texts))
+    for text, row in zip(texts, rows, strict=True):
         out = row.output_state
         if out is None:
             shown = "(blocked)"
         else:
             shown = _fmt_qubit(out) if isinstance(out, QubitState) else _fmt_fock(out)
-        rows.append((text, row.probability, shown))
-    return [note], rows
-
-
-_POLARIZATION_BASIS = tuple(zip((H, V), np.eye(2)))
-
-
-def _truth_rows_optical_filter():
-    reg = Register(("IN", "A", "D0", "D1"))
-    layout = FGateLayout("IN", "A", ("D0", "D1"))
-    half = 2.0 ** -0.5
-    return _truth_rows(
-        lambda ket: f_gate(ket, layout),
-        [(f"|IN.{pol}=1>", polarization_ket(reg, ("IN", "A"), np.kron(amps, (half, half))))
-         for pol, amps in _POLARIZATION_BASIS],
-        "balanced auxiliary photon on A")
-
-
-def _truth_rows_parity_check():
-    reg = Register(("IN",))
-    return _truth_rows(
-        lambda ket: quantum_parity_check(ket, H),
-        [(f"|IN.{pol}=1>", single_photon(ModeId("IN", pol), reg)) for pol in (H, V)],
-        "auxiliary photon fixed to H")
-
-
-def _truth_rows_d_cnot():
-    reg = Register(("IN", "A", "D0", "D1"))
-    layout = FGateLayout("IN", "A", ("D0", "D1"))
-    return _truth_rows(
-        lambda ket: destructive_cnot(ket, layout),
-        [(f"|A.{c_pol}=1 IN.{t_pol}=1>",
-          polarization_ket(reg, ("IN", "A"), np.kron(t_amps, c_amps)))
-         for c_pol, c_amps in _POLARIZATION_BASIS for t_pol, t_amps in _POLARIZATION_BASIS],
-        "control photon on A (consumed), target on IN")
-
-
-def _truth_rows_e_cnot():
-    reg = Register(("IN", "IN'"))
-    return _truth_rows(
-        e_cnot,
-        [(f"|IN.{c_pol}=1 IN'.{t_pol}=1>",
-          polarization_ket(reg, ("IN", "IN'"), np.kron(c_amps, t_amps)))
-         for c_pol, c_amps in _POLARIZATION_BASIS for t_pol, t_amps in _POLARIZATION_BASIS],
-        "control on IN, target on IN'")
-
-
-def _truth_rows_telegate(variant: str):
-    def build():
-        aux = bell_state(PSI_PLUS, ("A1", "A2"))
-        return _truth_rows(
-            lambda phi: telegate_t(phi, "Q", aux, variant=variant),
-            [(f"|{bit}>", QubitState(("Q",), amps)) for bit, amps in enumerate(np.eye(2))],
-            f"variant {variant}, auxiliary pair in the plus Bell state")
-    return build
-
-
-def _truth_rows_two_qubit(gate, note: str):
-    def build():
-        return _truth_rows(
-            gate,
-            [(f"|{index:02b}>", QubitState(("Q1", "Q2"), amps))
-             for index, amps in enumerate(np.eye(4))],
-            note)
-    return build
-
-
-TRUTH_TABLES = {
-    "f_gate": _truth_rows_optical_filter,
-    "parity_check": _truth_rows_parity_check,
-    "d_cnot": _truth_rows_d_cnot,
-    "e_cnot": _truth_rows_e_cnot,
-    "telegate_t": _truth_rows_telegate("swap"),
-    "telegate_tp": _truth_rows_telegate("parity_filter"),
-    "cz2t": _truth_rows_two_qubit(cz_via_two_telegates,
-                                  "controlled phase from two telegates"),
-    "cnot_cz": _truth_rows_two_qubit(cnot_via_cz,
-                                     "CNOT from the telegate controlled phase"),
-}
-
-
-def cmd_truth_table(gate: str) -> int:
-    notes, rows = TRUTH_TABLES[gate]()
-    print(f"truth-table: {gate}")
-    for note in notes:
-        print(f"# {note}")
-    width = max(len(r[0]) for r in rows)
-    for input_text, probability, output_text in rows:
-        print(f"  {input_text:<{width}}  p={probability:.12g}  ->  {output_text}")
+        print(f"  {text:<{width}}  p={row.probability:.12g}  ->  {shown}")
     return 0
 
 

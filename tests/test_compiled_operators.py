@@ -19,6 +19,7 @@ from pgw.mb_bridge import (
     batched_fidelity,
     check_record,
     compile_branches,
+    gate_deviations,
     kraus_deviations,
     linear_map,
     mb_encode,
@@ -226,3 +227,32 @@ def test_zero_column_fidelity_fails_the_check():
     assert fid[0] == pytest.approx(HALF)
     assert np.isnan(fid[1])
     assert check_record("x", "claim", np.min(fid), 1.0, 1.0)["status"] == "fail"
+
+
+# gate_deviations on two branches K_0 = I/2 and K_1 = iI/2: each carries 1/4
+# of any input, together 1/2, and each equals the identity up to a phase.
+EXACT_OPS = {"D0": np.eye(2) / 2.0, "D1": 0.5j * np.eye(2)}
+
+
+def test_gate_deviations_of_an_exact_claim():
+    assert gate_deviations(EXACT_OPS, np.eye(2), np.eye(2), 0.5, 0.25) == (0.0, 0.0, 1.0)
+
+
+def test_gate_deviations_wrong_target_lowers_the_fidelity():
+    inputs = np.array([[1.0, HALF], [0.0, HALF]])
+    success, weight, fid = gate_deviations(EXACT_OPS, inputs, np.array([[0, 1], [1, 0]]),
+                                           0.5, 0.25)
+    assert (success, weight) == pytest.approx((0.0, 0.0), abs=1e-15)
+    assert fid == pytest.approx(0.0, abs=1e-15)
+
+
+def test_gate_deviations_dropped_branch_moves_the_success():
+    ops = {"D0": EXACT_OPS["D0"]}
+    assert gate_deviations(ops, np.eye(2), np.eye(2), 0.5, 0.25) == (0.25, 0.0, 1.0)
+
+
+def test_gate_deviations_zero_column_fails_the_check():
+    ops = {"D0": np.diag([0.5, 0.0]), "D1": 0.5j * np.eye(2)}
+    fid = gate_deviations(ops, np.eye(2), np.eye(2), 0.5, 0.25)[2]
+    assert np.isnan(fid)
+    assert check_record("x", "claim", fid, 1.0, 1e-10)["status"] == "fail"

@@ -1,5 +1,7 @@
 """Unit tests for the passive element constructors."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,13 @@ def test_hwp_matrix_at_22_5_degrees():
     reg = Register(("A",))
     want = -1j * HALF * np.array([[1.0, 1.0], [1.0, -1.0]])
     assert np.abs(hwp(reg, "A", 22.5).matrix - want).max() < 1e-14
+
+
+def test_hwp_reduces_a_huge_angle_by_its_180_degree_period():
+    # 2 * 1e308 overflows a float, so the angle is reduced before doubling.
+    reg = Register(("A",))
+    want = hwp(reg, "A", math.fmod(1e308, 180.0)).matrix
+    assert np.array_equal(hwp(reg, "A", 1e308).matrix, want)
 
 
 def test_hwp_zero_angle_phases():

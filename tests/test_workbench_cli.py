@@ -113,6 +113,13 @@ def test_simulate_nan_angle_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"{path}:4:16: error:")
 
 
+def test_simulate_huge_hwp_angle_runs(tmp_path, capsys):
+    path = tmp_path / "huge.circuit"
+    path.write_text("pgw-circuit v1\nregister IN\nterm 1,0 IN.H=1\nelement hwp IN 1e308\n")
+    assert main(["simulate", str(path)]) == 0
+    assert "final state:" in capsys.readouterr().out
+
+
 def test_duplicate_detect_label_is_a_parse_error():
     err = _parse_error("pgw-circuit v1\nregister IN D\nterm 1,0 IN.H=1 D.H=1\n"
                        "detect x 0 D.H=1\n  detect x 0 D.H=1\n")
@@ -245,6 +252,19 @@ def test_verify_reports_are_reproducible():
     second = run_suite("mb", seed=7, trials=20)
     assert first.to_text() == second.to_text()
     assert json.dumps(first.to_json_dict()) == json.dumps(second.to_json_dict())
+
+
+# Ordered (id, ref, want, tol) of every check in `pgw verify --suite all`, by
+# --trials: a check that is dropped, renamed, reordered or given a new
+# tolerance fails this test.
+PINNED_CHECKS = json.loads((Path(__file__).parent / "verify_checks.json").read_text())
+
+
+@pytest.mark.parametrize("trials", [100, 0])
+def test_verify_checks_are_pinned(trials):
+    checks = run_suite("all", DEFAULT_SEED, trials).checks
+    got = [[c["id"], c["ref"], c["want"], c["tol"]] for c in checks]
+    assert got == PINNED_CHECKS[str(trials)]
 
 
 def test_report_json_schema(tmp_path, capsys):
