@@ -3,7 +3,8 @@
 A Register fixes an ordered set of optical modes, each identified by a
 spatial label and a polarization. States are sparse maps from occupation
 vectors to complex amplitudes (FockKet). Passive elements act through
-ModeTransform, which rewrites each creation operator a†_k into
+ModeTransform, which stores only the modes a unitary touches and the
+small block U on them, rewrites each touched creation operator a†_k into
 sum_j U_jk a†_j and expands the product multinomially. Number-resolving
 detection with post-selection produces Branch values whose squared norm
 is the branch probability; branch states stay unnormalized so
@@ -14,6 +15,8 @@ Conventions pinned here and relied on everywhere else:
   * mode order is lexicographic by (spatial label, H before V);
   * amplitudes with magnitude below 1e-14 are pruned;
   * total photon number is capped by the register cutoff (default 4);
+  * a mode transform is the identity off its touched modes, so building
+    and checking one costs as much as its block, whatever the register size;
   * detectors are ideal and number resolving.
 
 All values are immutable after construction and every operation is a pure
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -225,31 +229,53 @@ class FockKet:
 
 @dataclass(frozen=True)
 class ModeTransform:
-    """Unitary over mode creation operators, stored as a full register matrix.
+    """Unitary over mode creation operators, stored as the block it acts on.
 
-    touched holds the flat indices on which the matrix differs from the
-    identity; the multinomial expansion only ever walks those.
+    touched holds the flat mode indices, ascending, on which the transform
+    differs from the identity, and block is the k x k matrix on those
+    indices. Off the block the transform is the identity, so checking the
+    block's unitarity checks the whole map, and the multinomial expansion
+    only ever walks the touched modes.
+
+    With modes (flat indices, strictly ascending) the matrix is the block
+    on those modes; without, it is the full register matrix. Either is
+    trimmed to its touched block. matrix rebuilds the full register matrix.
     """
 
     register: Register
-    matrix: np.ndarray
     touched: tuple[int, ...]
+    block: np.ndarray
 
-    def __init__(self, register: Register, matrix):
+    def __init__(self, register: Register, matrix, modes: Iterable[int] | None = None):
         matrix = np.asarray(matrix, dtype=complex)
         n = register.n_modes
-        if matrix.shape != (n, n):
-            raise ValueError(f"matrix shape {matrix.shape} != ({n}, {n})")
-        dev = np.abs(matrix.conj().T @ matrix - np.eye(n)).max()
+        modes = tuple(range(n)) if modes is None else tuple(operator.index(i) for i in modes)
+        k = len(modes)
+        if matrix.shape != (k, k):
+            raise ValueError(f"matrix shape {matrix.shape} != ({k}, {k})")
+        if any(not 0 <= i < n for i in modes):
+            raise ValueError(f"modes {modes} out of range for a {n}-mode register")
+        if any(a >= b for a, b in zip(modes, modes[1:])):
+            raise ValueError(f"modes {modes} are not strictly ascending")
+        close = np.abs(matrix - np.eye(k)) <= 1e-15  # a NaN entry is never close
+        keep = np.flatnonzero(~(close.all(axis=0) & close.all(axis=1)))
+        block = matrix[np.ix_(keep, keep)]
+        dev = np.abs(block.conj().T @ block - np.eye(len(keep))).max(initial=0.0)
         if not dev <= UNITARITY_TOL:  # a NaN entry fails too
             raise ValueError(f"matrix is not unitary (deviation {dev:.3g})")
-        diff = np.abs(matrix - np.eye(n))
-        touched = tuple(i for i in range(n)
-                        if diff[i, :].max() > 1e-15 or diff[:, i].max() > 1e-15)
-        matrix.setflags(write=False)
+        block.setflags(write=False)
         object.__setattr__(self, "register", register)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "touched", touched)
+        object.__setattr__(self, "touched", tuple(modes[p] for p in keep))
+        object.__setattr__(self, "block", block)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The full register matrix: the identity with block on touched."""
+        m = np.eye(self.register.n_modes, dtype=complex)
+        if self.touched:
+            m[np.ix_(self.touched, self.touched)] = self.block
+        m.setflags(write=False)
+        return m
 
 
 @dataclass(frozen=True)
@@ -381,9 +407,9 @@ def apply_mode_transform(state: FockKet, u: ModeTransform) -> FockKet:
     touched = u.touched
     if not touched:
         return state
-    tpos = {k: p for p, k in enumerate(touched)}
-    columns = {k: [(tpos[j], u.matrix[j, k]) for j in touched if abs(u.matrix[j, k]) > 0.0]
-               for k in touched}
+    block = u.block
+    columns = {k: [(p, block[p, q]) for p in range(len(touched)) if abs(block[p, q]) > 0.0]
+               for q, k in enumerate(touched)}
     zeros = (0,) * len(touched)
     out: dict[tuple[int, ...], complex] = {}
     for occ, amp in state.terms.items():
@@ -432,7 +458,8 @@ def measure_and_postselect(state: FockKet, pattern: DetectionPattern, *,
     measured_idx = sorted(register.index_of(m) for m in pattern.measured)
     constrained = {i for i, _ in required}
     free_idx = [i for i in measured_idx if i not in constrained]
-    surviving_idx = [i for i in range(register.n_modes) if i not in set(measured_idx)]
+    measured = set(measured_idx)
+    surviving_idx = [i for i in range(register.n_modes) if i not in measured]
     sub_register = register.drop_modes(pattern.measured)
 
     out: dict[tuple[int, ...], complex] = {}
@@ -488,7 +515,8 @@ def drop_vacuum_ports(state: FockKet, labels: Iterable[str]) -> FockKet:
         for i in removed_idx:
             if occ[i] != 0:
                 raise ValueError(f"port {state.register.modes[i].spatial_label!r} is not vacuum")
-    keep = [i for i in range(state.register.n_modes) if i not in set(removed_idx)]
+    removed_set = set(removed_idx)
+    keep = [i for i in range(state.register.n_modes) if i not in removed_set]
     sub = state.register.drop_modes(removed)
     return FockKet(sub, {tuple(occ[i] for i in keep): amp for occ, amp in state.terms.items()},
                    validate=False)

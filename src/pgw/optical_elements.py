@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .fock_core import H, V, ModeId, ModeTransform, Register
 
 
@@ -57,8 +55,7 @@ class ElementSpec:
         return mode_swap(register, *self.modes)
 
 
-def _identity(register: Register) -> np.ndarray:
-    return np.eye(register.n_modes, dtype=complex)
+_EXCHANGE = ((0.0, 1.0), (1.0, 0.0))
 
 
 def pbs(register: Register, port_a: str, port_b: str) -> ModeTransform:
@@ -69,10 +66,7 @@ def pbs(register: Register, port_a: str, port_b: str) -> ModeTransform:
     bv = register.index_of(ModeId(port_b, V))
     register.index_of(ModeId(port_a, H))
     register.index_of(ModeId(port_b, H))
-    m = _identity(register)
-    m[av, av] = m[bv, bv] = 0.0
-    m[av, bv] = m[bv, av] = 1.0
-    return ModeTransform(register, m)
+    return ModeTransform(register, _EXCHANGE, sorted((av, bv)))
 
 
 def hwp(register: Register, port: str, theta_degrees: float) -> ModeTransform:
@@ -84,21 +78,15 @@ def hwp(register: Register, port: str, theta_degrees: float) -> ModeTransform:
     # The plate has period 180 degrees; reducing first keeps 2 theta finite.
     two_theta = math.radians(2.0 * math.fmod(theta_degrees, 180.0))
     c, s = math.cos(two_theta), math.sin(two_theta)
-    m = _identity(register)
-    m[ih, ih] = -1j * c
-    m[ih, iv] = -1j * s
-    m[iv, ih] = -1j * s
-    m[iv, iv] = 1j * c
-    return ModeTransform(register, m)
+    # H sorts before V, so (ih, iv) is ascending.
+    return ModeTransform(register, ((-1j * c, -1j * s), (-1j * s, 1j * c)), (ih, iv))
 
 
 def pockels_z(register: Register, port: str) -> ModeTransform:
     """Conditional phase flip element: |H> -> |H>, |V> -> -|V> on the port."""
     register.index_of(ModeId(port, H))
     iv = register.index_of(ModeId(port, V))
-    m = _identity(register)
-    m[iv, iv] = -1.0
-    return ModeTransform(register, m)
+    return ModeTransform(register, ((-1.0,),), (iv,))
 
 
 def mode_swap(register: Register, m1: ModeId, m2: ModeId) -> ModeTransform:
@@ -106,7 +94,4 @@ def mode_swap(register: Register, m1: ModeId, m2: ModeId) -> ModeTransform:
     if m1 == m2:
         raise ValueError("mode_swap needs two distinct modes")
     i1, i2 = register.index_of(m1), register.index_of(m2)
-    m = _identity(register)
-    m[i1, i1] = m[i2, i2] = 0.0
-    m[i1, i2] = m[i2, i1] = 1.0
-    return ModeTransform(register, m)
+    return ModeTransform(register, _EXCHANGE, sorted((i1, i2)))

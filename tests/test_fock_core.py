@@ -173,6 +173,55 @@ def test_mode_transform_rejects_wrong_shape():
         ModeTransform(reg, np.eye(2))
 
 
+_EXCHANGE = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("block, modes", [
+    (np.array([[1.0, 0.0], [0.0, 0.5]]), (0, 3)),
+    (np.array([[1.0, 0.0], [0.0, np.nan]]), (0, 3)),
+    (np.array([[np.nan, 1.0], [1.0, 0.0]]), (0, 3)),
+    (np.eye(2), (0, 1, 2)),
+    (np.eye(3), (0, 1)),
+    (np.array([-1.0]), (1,)),
+    (np.array([[-1.0]]), (4,)),
+    (np.array([[-1.0]]), (-1,)),
+    (_EXCHANGE, (2, 2)),
+    (_EXCHANGE, (3, 1)),
+], ids=["not-unitary", "nan-on-identity-diagonal", "nan-off-diagonal", "too-few-modes",
+        "too-many-modes", "not-square", "past-the-end", "negative", "repeated",
+        "descending"])
+def test_mode_transform_rejects_a_bad_block(block, modes):
+    with pytest.raises(ValueError):
+        ModeTransform(Register(("A", "B")), block, modes)
+
+
+def test_block_and_full_matrix_forms_store_the_same_transform():
+    reg = Register(("A", "B"))
+    u = reference.haar_unitary(np.random.default_rng(5), 2)
+    full = np.eye(4, dtype=complex)
+    full[np.ix_((1, 3), (1, 3))] = u
+    from_block = ModeTransform(reg, u, (1, 3))
+    from_full = ModeTransform(reg, full)
+    for t in (from_block, from_full):
+        assert t.touched == (1, 3)
+        assert np.array_equal(t.block, u)
+        assert np.array_equal(t.matrix, full)
+        assert not t.block.flags.writeable and not t.matrix.flags.writeable
+
+
+def test_mode_transform_trims_identity_modes_from_its_block():
+    reg = Register(("A", "B"))
+    u = np.diag([1.0, -1.0, 1.0])
+    t = ModeTransform(reg, u, (0, 1, 3))
+    assert t.touched == (1,)
+    assert np.array_equal(t.block, [[-1.0]])
+    identity = ModeTransform(reg, np.eye(4))
+    assert identity.touched == () and identity.block.shape == (0, 0)
+    assert np.array_equal(identity.matrix, np.eye(4))
+    ket = FockKet(reg, {(1, 0, 1, 0): 1.0})
+    assert apply_mode_transform(ket, identity) is ket
+
+
 def test_measure_and_postselect_probability_and_survivors():
     reg = Register(("A", "IN"))
     state = FockKet(reg, {(1, 0, 1, 0): 0.6, (0, 1, 0, 1): 0.8})

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgw.fock_core import (
     FockKet,
     H,
     ModeId,
+    ModeTransform,
     Register,
     RegisterError,
     V,
@@ -139,3 +142,91 @@ def test_balanced_plate_bunches_photon_pairs():
 def test_hwp_rejects_non_finite_angles(angle):
     with pytest.raises(ValueError):
         hwp(Register(("A",)), "A", angle)
+
+
+def test_elements_on_a_wide_register_store_only_their_small_block():
+    reg = Register([f"p{k:03d}" for k in range(256)])
+
+    def idx(port, pol):
+        return reg.index_of(ModeId(port, pol))
+
+    cases = [
+        (pbs(reg, "p200", "p007"), (idx("p007", V), idx("p200", V))),
+        (hwp(reg, "p100", 33.0), (idx("p100", H), idx("p100", V))),
+        (pockels_z(reg, "p255"), (idx("p255", V),)),
+        (mode_swap(reg, ModeId("p250", H), ModeId("p003", V)),
+         (idx("p003", V), idx("p250", H))),
+    ]
+    for transform, touched in cases:
+        assert transform.touched == touched
+        assert transform.block.shape == (len(touched), len(touched))
+
+
+def _full_register_matrix(reg, spec):
+    """Each element as it was built before blocks: the register identity
+    with the element's entries written in."""
+    m = np.eye(reg.n_modes, dtype=complex)
+    if spec.kind is ElementKind.PBS:
+        av, bv = (reg.index_of(ModeId(p, V)) for p in spec.spatial_ports)
+        m[av, av] = m[bv, bv] = 0.0
+        m[av, bv] = m[bv, av] = 1.0
+    elif spec.kind is ElementKind.HWP:
+        ih = reg.index_of(ModeId(spec.spatial_ports[0], H))
+        iv = reg.index_of(ModeId(spec.spatial_ports[0], V))
+        two_theta = math.radians(2.0 * math.fmod(spec.angle_degrees, 180.0))
+        c, s = math.cos(two_theta), math.sin(two_theta)
+        m[ih, ih] = -1j * c
+        m[ih, iv] = -1j * s
+        m[iv, ih] = -1j * s
+        m[iv, iv] = 1j * c
+    elif spec.kind is ElementKind.PC:
+        iv = reg.index_of(ModeId(spec.spatial_ports[0], V))
+        m[iv, iv] = -1.0
+    else:
+        i1, i2 = (reg.index_of(mode) for mode in spec.modes)
+        m[i1, i1] = m[i2, i2] = 0.0
+        m[i1, i2] = m[i2, i1] = 1.0
+    return m
+
+
+@st.composite
+def _element_on_a_state(draw):
+    labels = [f"P{k}" for k in range(draw(st.integers(2, 6)))]
+    reg = Register(labels)
+    kind = draw(st.sampled_from(list(ElementKind)))
+    if kind is ElementKind.SWAP:
+        modes = draw(st.lists(st.sampled_from(reg.modes), min_size=2, max_size=2, unique=True))
+        spec = ElementSpec(kind, (), tuple(modes))
+    else:
+        arity = 2 if kind is ElementKind.PBS else 1
+        ports = draw(st.lists(st.sampled_from(labels), min_size=arity, max_size=arity,
+                              unique=True))
+        angle = draw(st.floats(-720.0, 720.0)) if kind is ElementKind.HWP else 0.0
+        spec = ElementSpec(kind, tuple(ports), (), angle)
+    # up to four terms of up to three photons each, placed mode by mode
+    placements = draw(st.lists(
+        st.lists(st.integers(0, reg.n_modes - 1), min_size=1, max_size=3),
+        min_size=1, max_size=4))
+    terms = {}
+    for photons in placements:
+        occ = [0] * reg.n_modes
+        for i in photons:
+            occ[i] += 1
+        terms[tuple(occ)] = complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+    norm = math.sqrt(sum(abs(a) ** 2 for a in terms.values())) or 1.0
+    ket = FockKet(reg, {occ: a / (2.0 * norm) for occ, a in terms.items()})
+    return reg, spec, ket
+
+
+@given(_element_on_a_state())
+@settings(max_examples=150, deadline=None)
+def test_element_blocks_equal_the_full_register_construction(case):
+    reg, spec, ket = case
+    t = spec.build(reg)
+    full = _full_register_matrix(reg, spec)
+    assert np.array_equal(t.matrix, full)
+    differs = np.abs(full - np.eye(reg.n_modes)) > 1e-15
+    assert t.touched == tuple(i for i in range(reg.n_modes)
+                              if differs[i, :].any() or differs[:, i].any())
+    from_full = ModeTransform(reg, t.matrix)
+    assert apply_mode_transform(ket, t).terms == apply_mode_transform(ket, from_full).terms

@@ -6,6 +6,9 @@ because the circuit format is meant to be written by hand.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -529,3 +532,16 @@ TRUTH_TABLE_STDOUT = {
 def test_truth_table_stdout_is_pinned(gate, capsys):
     assert main(["truth-table", gate]) == 0
     assert capsys.readouterr().out == "\n".join(TRUTH_TABLE_STDOUT[gate]) + "\n"
+
+
+def test_python_dash_m_pgw_runs_cleanly():
+    # `python -m pgw` goes through pgw/__main__.py; running the CLI module
+    # itself would execute it twice and warn on stderr.
+    src = str(Path(pgw.__file__).parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "pgw", "truth-table", "f_gate"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout == "\n".join(TRUTH_TABLE_STDOUT["f_gate"]) + "\n"
