@@ -45,7 +45,7 @@ from .fock_core import (
     apply_mode_transform,
     drop_vacuum_ports,
     fidelity_up_to_global_phase,
-    measure_and_postselect,
+    measure_outcomes,
     polarization_ket,
     single_photon,
     tensor,
@@ -156,9 +156,9 @@ def run_pipeline(state: FockKet, elements: Sequence[ElementSpec],
     for element in elements:
         state = apply_mode_transform(state, element.build(register))
     branches = []
-    for det in detections:
-        raw = measure_and_postselect(state, DetectionPattern(dict(det.required)),
-                                     outcome_label=det.label, j=det.j)
+    raws = measure_outcomes(state, [(DetectionPattern(dict(det.required)), det.label, det.j)
+                                    for det in detections])
+    for det, raw in zip(detections, raws):
         out = raw.conditional_state
         for fix in corrections.get(det.label, ()):
             out = apply_mode_transform(out, fix.build(out.register))
@@ -175,20 +175,14 @@ def _run_gate(state: FockKet, expansion, aux_ports: Sequence[str]) -> GateResult
         fidelity_up_to_global_phase)
 
 
-def _require_one_photon_per_port(state: FockKet, ports: Sequence[str]) -> None:
+def _require_port_photons(state: FockKet, ports: Sequence[str], count: int) -> None:
+    """Every term holds exactly count photons (0 or 1) in each of ports."""
     for port in ports:
         idx = [state.register.index_of(m) for m in state.register.port_modes(port)]
         for occ in state.terms:
-            if sum(occ[i] for i in idx) != 1:
-                raise ValueError(f"expected exactly one photon in port {port!r}")
-
-
-def _require_vacuum_ports(state: FockKet, ports: Sequence[str]) -> None:
-    for port in ports:
-        idx = [state.register.index_of(m) for m in state.register.port_modes(port)]
-        for occ in state.terms:
-            if any(occ[i] for i in idx):
-                raise ValueError(f"expected vacuum in port {port!r}")
+            if sum(occ[i] for i in idx) != count:
+                raise ValueError(f"expected exactly one photon in port {port!r}" if count
+                                 else f"expected vacuum in port {port!r}")
 
 
 def f_gate(joint: FockKet, layout: FGateLayout) -> GateResult:
@@ -198,8 +192,8 @@ def f_gate(joint: FockKet, layout: FGateLayout) -> GateResult:
     in the auxiliary port; detector ports must be vacuum. Accepted branch
     states live on the input port (plus any bystander ports).
     """
-    _require_one_photon_per_port(joint, (layout.input_port, layout.aux_port))
-    _require_vacuum_ports(joint, layout.detector_ports)
+    _require_port_photons(joint, (layout.input_port, layout.aux_port), 1)
+    _require_port_photons(joint, layout.detector_ports, 0)
     return _run_gate(joint, _expand_f_gate(layout.input_port, layout.aux_port,
                                            *layout.detector_ports), (layout.aux_port,))
 
@@ -230,8 +224,8 @@ def destructive_cnot(joint: FockKet, layout: FGateLayout) -> GateResult:
     on the target after. An H control leaves the target alone, a V control
     flips it; success probability 1/2.
     """
-    _require_one_photon_per_port(joint, (layout.input_port, layout.aux_port))
-    _require_vacuum_ports(joint, layout.detector_ports)
+    _require_port_photons(joint, (layout.input_port, layout.aux_port), 1)
+    _require_port_photons(joint, layout.detector_ports, 0)
     return _run_gate(joint, _expand_d_cnot(layout.input_port, layout.aux_port,
                                            *layout.detector_ports), (layout.aux_port,))
 
@@ -246,7 +240,7 @@ def e_cnot(two_qubit_input: FockKet, control_port: str = "IN",
     Four accepted detector combinations, 1/16 probability each, all equal
     to the CNOT output up to a global phase after feed-forward.
     """
-    _require_one_photon_per_port(two_qubit_input, (control_port, target_port))
+    _require_port_photons(two_qubit_input, (control_port, target_port), 1)
     reg = two_qubit_input.register
     if set(reg.spatial_labels) != {control_port, target_port}:
         raise ValueError("input register must hold exactly the control and target ports")

@@ -32,7 +32,8 @@ elements that follow their detector in the original staged circuit.
 The gate expanders and the runner that applies elements, detections and
 corrections live in optical_gates; the library gates run through the same
 runner. Detection patterns must be pairwise exclusive: two patterns that
-agree on every mode they both constrain are an error.
+agree on every mode they both constrain are an error. A `correct` step may
+not act on a mode that its branch's detection consumes.
 """
 
 from __future__ import annotations
@@ -252,6 +253,13 @@ def _parse_counts(tokens: list[tuple[str, int]], labels: tuple[str, ...],
     return counts
 
 
+def _argument_modes(element: ElementSpec) -> list[tuple[ModeId, ...]]:
+    """The modes that each port or mode argument of an element acts on."""
+    if element.modes:
+        return [(m,) for m in element.modes]
+    return [(ModeId(p, H), ModeId(p, V)) for p in element.spatial_ports]
+
+
 def parse_circuit(text: str, source: str = "<circuit>") -> CircuitFile:
     labels: tuple[str, ...] | None = None
     cutoff = DEFAULT_CUTOFF
@@ -261,7 +269,8 @@ def parse_circuit(text: str, source: str = "<circuit>") -> CircuitFile:
     elements: list[ElementSpec] = []
     detections: list[DetectionSpec] = []
     corrections: dict[str, list[ElementSpec]] = {}
-    correction_lines: dict[str, int] = {}
+    # Each `correct` step: (branch label, element, argument columns, line).
+    correct_steps: list[tuple[str, ElementSpec, list[int], int]] = []
 
     def need_register(line: int, col: int) -> tuple[str, ...]:
         if labels is None:
@@ -337,7 +346,6 @@ def parse_circuit(text: str, source: str = "<circuit>") -> CircuitFile:
             detections.extend(g_detections)
             for label, fixes in g_corrections.items():
                 corrections.setdefault(label, []).extend(fixes)
-                correction_lines.setdefault(label, line_no)
         elif word == "detect":
             decl = need_register(line_no, col)
             if len(rest) < 3:
@@ -358,9 +366,9 @@ def parse_circuit(text: str, source: str = "<circuit>") -> CircuitFile:
             if not rest:
                 raise CircuitParseError("correct needs a branch label", line_no, col)
             label = rest[0][0]
-            corrections.setdefault(label, []).append(
-                _parse_element_tokens(rest[1:], decl, line_no))
-            correction_lines.setdefault(label, line_no)
+            element = _parse_element_tokens(rest[1:], decl, line_no)
+            corrections.setdefault(label, []).append(element)
+            correct_steps.append((label, element, [c for _, c in rest[2:]], line_no))
         else:
             raise CircuitParseError(f"unknown directive {word!r}", line_no, col)
 
@@ -369,11 +377,17 @@ def parse_circuit(text: str, source: str = "<circuit>") -> CircuitFile:
     if labels is None:
         raise CircuitParseError("missing register directive",
                                 max(text.count("\n") + 1, 1), 1)
-    branch_labels = {d.label for d in detections}
-    for label, line_no in correction_lines.items():
-        if label not in branch_labels:
+    consumed = {d.label: {m for m, _ in d.required} for d in detections}
+    for label, element, columns, line_no in correct_steps:
+        if label not in consumed:
             raise CircuitParseError(f"correction for unknown branch {label!r}",
                                     line_no, 1)
+        for modes, col in zip(_argument_modes(element), columns):
+            for mode in modes:
+                if mode in consumed[label]:
+                    raise CircuitParseError(
+                        f"correction for branch {label!r} acts on mode {mode}, "
+                        "which its detection consumes", line_no, col)
     return CircuitFile(source, labels, cutoff, terms, elements, detections, corrections)
 
 

@@ -26,6 +26,7 @@ from pgw.fock_core import (
     tensor,
     vacuum,
 )
+from pgw.optical_elements import pockels_z
 
 HALF = 2.0 ** -0.5
 
@@ -153,6 +154,55 @@ def test_two_photon_bunching_at_balanced_splitter():
     assert abs(out.amplitude((1, 1))) < 1e-14
     assert out.amplitude((2, 0)) == pytest.approx(HALF, abs=1e-14)
     assert out.amplitude((0, 2)) == pytest.approx(-HALF, abs=1e-14)
+
+
+def _spectators(k):
+    return st.lists(st.integers(0, 2), min_size=k, max_size=k)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       split=st.integers(0, 4).flatmap(lambda n: st.integers(0, n).map(lambda a: (a, n - a))),
+       pair=st.sampled_from([(0, 2), (0, 5), (1, 3), (1, 4), (2, 5), (3, 5)]),
+       spectators=_spectators(4))
+@settings(max_examples=150, deadline=None)
+def test_two_mode_block_matches_the_permanent_oracle(seed, split, pair, spectators):
+    """A 2 x 2 block on two non-adjacent modes of a 6-mode register, with
+    spectator photons on the other four, maps |a, b> on its modes to the
+    permanent oracle's column and leaves the spectators alone."""
+    a, b = split
+    i, j = pair
+    u = reference.haar_unitary(np.random.default_rng(seed), 2)
+    reg = Register(("A", "B", "C"), cutoff=12)
+    rest = iter(spectators)
+    occ = tuple(a if k == i else b if k == j else next(rest) for k in range(6))
+    out = apply_mode_transform(FockKet(reg, {occ: 1.0}), ModeTransform(reg, u, (i, j)))
+
+    n = a + b
+    expected = {}
+    for a2 in range(n + 1):
+        key = list(occ)
+        key[i], key[j] = a2, n - a2
+        expected[tuple(key)] = reference.fock_matrix_element(u, (a2, n - a2), (a, b))
+    assert set(out.terms) <= set(expected)
+    for key, want in expected.items():
+        assert abs(out.amplitude(key) - want) <= 1e-14
+    for key in out.terms:
+        assert isinstance(key, OccupationVector)
+        assert key.total_photons == sum(occ)
+
+
+@given(n=st.integers(0, 4), spectators=_spectators(5),
+       amp=st.complex_numbers(min_magnitude=1e-3, max_magnitude=1.0))
+@settings(max_examples=100, deadline=None)
+def test_phase_block_multiplies_by_exactly_minus_one_to_the_n(n, spectators, amp):
+    """pc's 1 x 1 block on A.V (mode 1) scales a term by (-1)**n exactly."""
+    reg = Register(("A", "B", "C"), cutoff=14)
+    occ = (spectators[0], n, *spectators[1:])
+    out = apply_mode_transform(FockKet(reg, {occ: amp}), pockels_z(reg, "A"))
+    assert out.terms == {occ: (-1) ** n * amp}
+    key = next(iter(out.terms))
+    assert isinstance(key, OccupationVector)
+    assert key.total_photons == sum(occ)
 
 
 def test_mode_transform_rejects_non_unitary():

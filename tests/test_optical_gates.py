@@ -9,22 +9,31 @@ target, and the full CNOT branch is (-i/4) times the CNOT image.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from pgw.fock_core import (
+    DetectionPattern,
     FockKet,
     H,
     ModeId,
     Register,
     V,
+    apply_mode_transform,
+    measure_and_postselect,
     single_photon,
 )
+from pgw.optical_elements import ElementKind, ElementSpec
 from pgw.optical_gates import (
+    DetectionSpec,
     FGateLayout,
     destructive_cnot,
     e_cnot,
     f_gate,
     gate_truth_table,
     quantum_parity_check,
+    run_pipeline,
 )
 from pgw.qubit_teleport import CNOT_MATRIX
 
@@ -203,3 +212,58 @@ def test_gate_truth_table_blocked_row_has_no_output():
     assert rows[0].probability == pytest.approx(1.0, abs=1e-12)
     assert rows[1].probability == pytest.approx(0.0, abs=1e-12)
     assert rows[1].output_state is None
+
+
+# Detection groups for the grouped-detection test: each is a set of measured
+# modes on ports B and C, so corrections on port A always find their modes.
+_GROUPS = ((ModeId("B", H), ModeId("B", V)), (ModeId("C", H),),
+           (ModeId("B", V), ModeId("C", V)))
+_BASIS = [occ for occ in reference.fock_basis(6, 3) if sum(occ)]
+
+
+@given(picked=st.lists(st.tuples(st.sampled_from(range(len(_BASIS))),
+                                 st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0)),
+                       min_size=1, max_size=8, unique_by=lambda t: t[0]),
+       patterns=st.lists(st.tuples(st.sampled_from(range(len(_GROUPS))),
+                                   st.lists(st.integers(0, 4), min_size=2, max_size=2),
+                                   st.sampled_from((0, 1)), st.booleans()),
+                         min_size=2, max_size=10)
+       .filter(lambda ps: len({g for g, *_ in ps}) >= 2),
+       angle=st.floats(0.0, 180.0))
+@settings(max_examples=100, deadline=None)
+def test_grouped_detection_equals_one_projection_per_pattern(picked, patterns, angle):
+    """run_pipeline's one pass per detection group gives the same branches as
+    measure_and_postselect once per pattern followed by the corrections."""
+    reg = Register(("A", "B", "C"))
+    norm = sum(abs(amp) ** 2 for _, amp in picked) ** 0.5
+    state = FockKet(reg, {_BASIS[k]: amp / norm for k, amp in picked})
+    elements = [ElementSpec(ElementKind.PBS, ("A", "B")),
+                ElementSpec(ElementKind.HWP, ("C",), (), angle)]
+    # One pattern per group that no state with at most 3 photons can fire.
+    patterns = patterns + [(g, [4, 0], 0, False) for g in range(len(_GROUPS))]
+    detections, corrections = [], {}
+    for k, (g, counts, j, fix) in enumerate(patterns):
+        label = f"x{k}"
+        detections.append(DetectionSpec(label, j, tuple(zip(_GROUPS[g], counts))))
+        if fix:
+            corrections[label] = [ElementSpec(ElementKind.HWP, ("A",), (), angle),
+                                  ElementSpec(ElementKind.PC, ("A",))]
+
+    after, branches = run_pipeline(state, elements, detections, corrections)
+
+    expected_after = state
+    for element in elements:
+        expected_after = apply_mode_transform(expected_after, element.build(reg))
+    assert after.terms == expected_after.terms
+    assert len(branches) == len(detections)
+    for det, got in zip(detections, branches):
+        want = measure_and_postselect(expected_after, DetectionPattern(dict(det.required)),
+                                      outcome_label=det.label, j=det.j)
+        out = want.conditional_state
+        for fix in corrections.get(det.label, ()):
+            out = apply_mode_transform(out, fix.build(out.register))
+        assert (got.outcome_label, got.j) == (want.outcome_label, want.j)
+        assert got.probability == want.probability
+        assert got.conditional_state.register == out.register
+        assert got.conditional_state.terms == out.terms
+    assert any(b.probability == 0 for b in branches)

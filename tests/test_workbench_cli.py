@@ -90,6 +90,29 @@ def test_correction_needs_a_known_branch():
     assert "D9" in err.reason
 
 
+@pytest.mark.parametrize("detect", ["detect x 0 D.H=1 D.V=0", "detect x 0 D.H=1"])
+def test_correction_on_a_consumed_mode_is_a_parse_error(detect, tmp_path, capsys):
+    text = ("pgw-circuit v1\nregister IN D\nterm 1,0 IN.H=1 D.H=1\n"
+            f"{detect}\ncorrect x pc D\n")
+    err = _parse_error(text)
+    assert (err.line, err.column) == (5, 14)
+    assert "D.H" in err.reason
+    path = tmp_path / "consumed.circuit"
+    path.write_text(text)
+    assert main(["simulate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"{path}:5:14: error:")
+
+
+def test_correction_points_at_its_consumed_mode_token():
+    err = _parse_error("pgw-circuit v1\nregister IN D\nterm 1,0 IN.H=1 D.H=1\n"
+                       "detect x 0 D.V=0\ncorrect x   swap IN.H  D.V\n")
+    assert (err.line, err.column) == (5, 24)
+    assert "D.V" in err.reason
+    # D.H survives a detection that only measures D.V.
+    parse_circuit("pgw-circuit v1\nregister IN D\nterm 1,0 IN.H=1 D.H=1\n"
+                  "detect x 0 D.V=0\ncorrect x swap IN.H D.H\n")
+
+
 def test_detect_index_must_be_binary():
     err = _parse_error(
         "pgw-circuit v1\nregister IN D\nterm 1,0 IN.H=1\ndetect D0 2 D.H=1\n")
@@ -207,6 +230,44 @@ def test_packaged_cnot_fixture_matches_library(capsys):
         want = FockKet(got.register, {tuple(lib_occ): 1.0})
         assert fidelity_up_to_global_phase(got, want) == pytest.approx(
             1.0, abs=1e-12)
+
+
+# Standard output of `pgw simulate` on the packaged fixtures after the
+# `circuit:` line, pinned byte for byte like the truth tables below.
+SIMULATE_STDOUT = {
+    "f_gate": [
+        "register: IN A D0 D1 (cutoff 4)",
+        "initial norm^2: 1.0000000000000002",
+        "branches:",
+        "outcome D0  j=0  p=0.2500000000000001",
+        "  (0-1j) |IN.H=1>",
+        "outcome D1  j=1  p=0.25",
+        "  (0-1j) |IN.H=1>",
+        "rejected: p=0.5000000000000001",
+    ],
+    "e_cnot": [
+        "register: IN IN' A A' D0 D1 D0' D1' (cutoff 4)",
+        "initial norm^2: 1.0000000000000002",
+        "branches:",
+        "outcome D0,D0'  j=0  p=0.0625",
+        "  (0-1j) |IN.V=1 IN'.V=1>",
+        "outcome D0,D1'  j=1  p=0.0625",
+        "  (0-1j) |IN.V=1 IN'.V=1>",
+        "outcome D1,D0'  j=0  p=0.06250000000000003",
+        "  (0-1j) |IN.V=1 IN'.V=1>",
+        "outcome D1,D1'  j=1  p=0.06250000000000003",
+        "  (0-1j) |IN.V=1 IN'.V=1>",
+        "rejected: p=0.7500000000000002",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_STDOUT))
+def test_simulate_stdout_is_pinned(name, capsys):
+    path = CIRCUIT_DIR / f"{name}.circuit"
+    assert main(["simulate", str(path)]) == 0
+    want = [f"circuit: {path}"] + SIMULATE_STDOUT[name]
+    assert capsys.readouterr().out == "\n".join(want) + "\n"
 
 
 def test_simulate_missing_file_exits_2(capsys):
