@@ -4,17 +4,16 @@ A Register fixes an ordered set of optical modes, each identified by a
 spatial label and a polarization. States are sparse maps from occupation
 vectors to complex amplitudes (FockKet). Passive elements act through
 ModeTransform, which stores only the modes a unitary touches and the
-small block U on them. apply_mode_transform applies a 1 x 1 block as a
-phase per photon and a 2 x 2 block through phi_n(U), its n-photon
-representation (Aaronson & Arkhipov, arXiv:1011.3245; entries are
-permanents over square roots of factorials, Scheel, quant-ph/0406127);
-a larger block rewrites each touched creation operator a†_k into
-sum_j U_jk a†_j and expands the product multinomially. Number-resolving
-detection with post-selection produces Branch values whose squared norm
-is the branch probability; branch states stay unnormalized so
-probabilities can be read off directly, matching the 1/sqrt(2) prefactor
-style of the gate algebra. measure_outcomes runs many detection patterns
-with one pass over the state per set of measured modes.
+small block U on them. apply_mode_transform maps the photons of each
+term on those modes through phi(U), the block's n-photon representation
+(Aaronson & Arkhipov, arXiv:1011.3245; entries are permanents over square
+roots of factorials, Scheel, quant-ph/0406127), with one kernel for every
+block size. Number-resolving detection with post-selection produces
+Branch values whose squared norm is the branch probability; branch
+states stay unnormalized so probabilities can be read off directly,
+matching the 1/sqrt(2) prefactor style of the gate algebra.
+measure_outcomes runs many detection patterns with one pass over the
+state per set of measured modes.
 
 Conventions pinned here and relied on everywhere else:
   * mode order is lexicographic by (spatial label, H before V);
@@ -30,6 +29,7 @@ function, so everything in this module is safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -250,8 +250,8 @@ class ModeTransform:
     touched holds the flat mode indices, ascending, on which the transform
     differs from the identity, and block is the k x k matrix on those
     indices. Off the block the transform is the identity, so checking the
-    block's unitarity checks the whole map, and the multinomial expansion
-    only ever walks the touched modes.
+    block's unitarity checks the whole map, and apply_mode_transform only
+    ever reads and writes the touched modes.
 
     With modes (flat indices, strictly ascending) the matrix is the block
     on those modes; without, it is the full register matrix. Either is
@@ -414,129 +414,82 @@ def tensor(a: FockKet, b: FockKet) -> FockKet:
 
 
 def apply_mode_transform(state: FockKet, u: ModeTransform) -> FockKet:
-    """Apply a mode unitary to every term of a state.
-
-    A 1 x 1 block multiplies each term by its phase to the power of the
-    photons on that mode. A 2 x 2 block on modes (i, j) maps the n photons
-    of a term on those modes through phi_n(U), the (n + 1) x (n + 1)
-    n-photon representation of the block, built once per split (a, n - a)
-    within the call; each term then yields at most n + 1 output terms.
-    Larger blocks expand the touched creation operators multinomially.
-    Norm is preserved to floating precision; the result is pruned.
+    """Apply a mode unitary to every term of a state through phi(U), the
+    block's n-photon representation, building each row of phi(U) once per
+    call. Norm is preserved to floating precision; the result is pruned.
     """
     if u.register != state.register:
         raise RegisterError("transform register differs from state register")
     touched = u.touched
     if not touched:
         return state
-    if len(touched) == 1:
-        out = _phase_terms(state.terms, touched[0], complex(u.block[0, 0]))
-    elif len(touched) == 2:
-        out = _pair_terms(state.terms, *touched, u.block)
-    else:
-        out = _expanded_terms(state.terms, touched, u.block)
+    k, radix = len(touched), state.register.cutoff + 1
+    # A count vector on the block is indexed by all but its last count, read
+    # as digits in base cutoff + 1 (no count exceeds the cutoff); the last
+    # count follows from the photon number.
+    strides = tuple(radix ** (k - 2 - p) for p in range(k - 1)) + (0,)
+    steps = [[(s, x) for s, x in zip(strides, column) if x] for column in u.block.T.tolist()]
+    pick = _picker(touched)
+    # phi_0(U) = 1: a term with no photons on the block keeps its key.
+    rows: dict[tuple[int, ...], list] = {(0,) * k: [(None, 1.0 + 0.0j)]}
+    out: dict[tuple[int, ...], complex] = {}
+    get = out.get
+    for occ, amp in state.terms.items():
+        counts = pick(occ)
+        row = rows.get(counts)
+        if row is None:
+            row = rows[counts] = _transfer_row(steps, counts, strides, touched)
+        written = None
+        for writes, coeff in row:
+            key = occ
+            if writes is not None:
+                written = written or list(occ)
+                for mode, count in writes:
+                    written[mode] = count
+                key = tuple(written)
+            out[key] = get(key, 0.0 + 0.0j) + amp * coeff
     return FockKet(state.register, out, validate=False)
 
 
-def _phase_terms(terms: Mapping[OccupationVector, complex], k: int,
-                 phase: complex) -> dict[OccupationVector, complex]:
-    """1 x 1 block on mode k: a term with n photons there gains phase**n."""
-    powers = [1.0 + 0.0j]
-    out = {}
-    for occ, amp in terms.items():
-        n = occ[k]
-        if n:
-            # Repeated products keep a phase of -1 exact at any n; complex
-            # ** switches to exp/log above n = 100.
-            while len(powers) <= n:
-                powers.append(powers[-1] * phase)
-            amp = amp * powers[n]
-        out[occ] = amp
-    return out
+def _transfer_row(steps: list[list[tuple[int, complex]]], counts: tuple[int, ...],
+                  strides: tuple[int, ...], touched: tuple[int, ...]
+                  ) -> list[tuple[tuple | None, complex]]:
+    """Row counts of phi(U): (writes, coefficient) per nonzero coefficient,
+    images ascending. writes holds the image's (mode, count) pairs, or None
+    when the image is counts itself.
 
-
-def _pair_row(u00: complex, u01: complex, u10: complex, u11: complex,
-              a: int, b: int) -> list[tuple[tuple, tuple, complex]]:
-    """Row a of phi_n(U), n = a + b: the image of |a, b> on the block's two
-    modes as ((a2,), (n - a2,), coefficient) for each nonzero coefficient.
-
-    a_i^dag -> U00 a_i^dag + U10 a_j^dag and a_j^dag -> U01 a_i^dag + U11 a_j^dag,
-    so <a2, n - a2| phi_n |a, b> is the x^a2 y^(n - a2) coefficient of
-    (U00 x + U10 y)^a (U01 x + U11 y)^b, times sqrt(a2! (n - a2)! / (a! b!)).
-    The product is built one factor at a time: summing its closed-form
-    binomial terms instead loses far more to cancellation at large n
-    (norm error 2e-5 against 8e-10 for |60, 60> through a plate).
+    a_q^dag -> sum_p U_pq a_p^dag, so <c'| phi(U) |c> is the x^c' coefficient
+    of prod_q (sum_p U_pq x_p)^c_q, times sqrt(prod c'! / prod c!). The
+    product is multiplied out one factor at a time: summing its closed-form
+    multinomial terms loses far more to cancellation at large n (norm error
+    2e-5 against 8e-10 for |60, 60> through a plate). steps[q] holds
+    (strides[p], U_pq) for each nonzero U_pq.
     """
-    poly = [1.0 + 0.0j]  # poly[k]: coefficient of x^k y^(len(poly) - 1 - k)
-    for x, y in [(u00, u10)] * a + [(u01, u11)] * b:
-        poly = [poly[0] * y] + [p * x + q * y for p, q in zip(poly, poly[1:])] + [poly[-1] * x]
-    norm = math.factorial(a) * math.factorial(b)
-    n = a + b
-    return [((a2,), (n - a2,), c * math.sqrt(math.factorial(a2) * math.factorial(n - a2) / norm))
-            for a2, c in enumerate(poly) if c != 0.0]
+    poly = {0: 1.0 + 0.0j}  # coefficient by image index
+    for column, c in zip(steps, counts):
+        for _ in range(c):
+            grown: dict[int, complex] = {}
+            get = grown.get
+            for index, v in poly.items():
+                for s, x in column:
+                    grown[index + s] = get(index + s, 0.0 + 0.0j) + v * x
+            poly = grown
+    return [(None if image is None else tuple(zip(touched, image)), v * scale)
+            for index, image, scale in _row_layout(counts, strides) if (v := poly.get(index))]
 
 
-def _pair_terms(terms: Mapping[OccupationVector, complex], i: int, j: int,
-                block: np.ndarray) -> dict[tuple[int, ...], complex]:
-    """2 x 2 block on modes i < j, applied through phi_n row by row."""
-    entries = [complex(x) for x in block.flat]
-    rows: dict[tuple[int, int], list] = {}
-    out: dict[tuple[int, ...], complex] = {}
-    get = out.get
-    for occ, amp in terms.items():
-        a, b = occ[i], occ[j]
-        if not (a or b):
-            out[occ] = get(occ, 0.0 + 0.0j) + amp
-            continue
-        row = rows.get((a, b))
-        if row is None:
-            row = rows[(a, b)] = _pair_row(*entries, a, b)
-        head, mid, tail = occ[:i], occ[i + 1:j], occ[j + 1:]
-        for at_i, at_j, coeff in row:
-            key = head + at_i + mid + at_j + tail
-            out[key] = get(key, 0.0 + 0.0j) + amp * coeff
-    return out
-
-
-def _expanded_terms(terms: Mapping[OccupationVector, complex], touched: tuple[int, ...],
-                    block: np.ndarray) -> dict[tuple[int, ...], complex]:
-    """Any block: rewrite each touched a_k^dag as sum_j U_jk a_j^dag and
-    expand the product multinomially."""
-    columns = {k: [(p, block[p, q]) for p in range(len(touched)) if abs(block[p, q]) > 0.0]
-               for q, k in enumerate(touched)}
-    zeros = (0,) * len(touched)
-    out: dict[tuple[int, ...], complex] = {}
-    for occ, amp in terms.items():
-        occupied = [k for k in touched if occ[k] > 0]
-        if not occupied:
-            out[occ] = out.get(occ, 0.0 + 0.0j) + amp
-            continue
-        denom = 1.0
-        for k in occupied:
-            denom *= math.factorial(occ[k])
-        partial: dict[tuple[int, ...], complex] = {zeros: amp / math.sqrt(denom)}
-        for k in occupied:
-            col = columns[k]
-            for _ in range(occ[k]):
-                grown: dict[tuple[int, ...], complex] = {}
-                for added, coeff in partial.items():
-                    for p, entry in col:
-                        key = added[:p] + (added[p] + 1,) + added[p + 1:]
-                        grown[key] = grown.get(key, 0.0 + 0.0j) + coeff * entry
-                partial = grown
-        base = list(occ)
-        for k in touched:
-            base[k] = 0
-        for added, coeff in partial.items():
-            numer = 1.0
-            for c in added:
-                numer *= math.factorial(c)
-            final = list(base)
-            for p, k in enumerate(touched):
-                final[k] = added[p]
-            key = tuple(final)
-            out[key] = out.get(key, 0.0 + 0.0j) + coeff * math.sqrt(numer)
-    return out
+@functools.lru_cache(maxsize=256)
+def _row_layout(counts: tuple[int, ...], strides: tuple[int, ...]) -> tuple:
+    """(index, c', sqrt(prod c'! / prod c!)) for each c' with the photon
+    number of counts, ascending; c' is None where it equals counts."""
+    n = sum(counts)
+    heads = [()]
+    for _ in range(len(counts) - 1):
+        heads = [h + (c,) for h in heads for c in range(n + 1 - sum(h))]
+    norm = math.prod(map(math.factorial, counts))
+    return tuple((sum(map(operator.mul, c, strides)), None if c == counts else c,
+                  math.sqrt(math.prod(map(math.factorial, c)) / norm))
+                 for c in (h + (n - sum(h),) for h in heads))
 
 
 def measure_and_postselect(state: FockKet, pattern: DetectionPattern, *,

@@ -123,8 +123,7 @@ from .qubit_teleport import (
 
 DEFAULT_SEED = 12345
 CONSERVATION_TOL = 1e-11
-# 170! is the largest factorial a float holds; mode transforms divide by
-# the factorials of the photon counts.
+# 170! is the largest factorial a float holds; rows of phi(U) scale by ratios up to n!.
 MAX_CUTOFF = 170
 HEADER = "pgw-circuit v1"
 
@@ -413,6 +412,9 @@ def run_circuit(cf: CircuitFile) -> SimulationResult:
     initial = state.norm_squared()
     _require_exclusive(cf.detections)
     state, branches = run_pipeline(state, cf.elements, cf.detections, cf.corrections)
+    if abs(state.norm_squared() - initial) > CONSERVATION_TOL:
+        raise ValueError(f"the elements took norm^2 from {initial!r} to {state.norm_squared()!r}:"
+                         " precision loss in the n-photon amplitudes (too many photons)")
     if not cf.detections:
         return SimulationResult(register, initial, state, (), 0.0)
     total = sum(b.probability for b in branches)

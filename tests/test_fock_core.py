@@ -191,6 +191,41 @@ def test_two_mode_block_matches_the_permanent_oracle(seed, split, pair, spectato
         assert key.total_photons == sum(occ)
 
 
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       modes=st.sampled_from([(0,), (3,), (5,), (0, 2), (1, 4), (3, 5),
+                              (0, 2, 4), (1, 3, 5), (0, 2, 5), (0, 3, 5)]),
+       data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_block_of_any_size_matches_the_permanent_oracle(seed, modes, data):
+    """A k x k block, k = 1..3, on sorted non-adjacent modes of a 6-mode
+    register, with up to 4 photons on its modes and spectator photons on the
+    others, maps its counts to the permanent oracle's column and leaves the
+    spectators alone."""
+    k = len(modes)
+    counts = []
+    for _ in range(k):
+        counts.append(data.draw(st.integers(0, 4 - sum(counts))))
+    rest = iter(data.draw(_spectators(6 - k)))
+    block = dict(zip(modes, counts))
+    occ = tuple(block[m] if m in block else next(rest) for m in range(6))
+    u = reference.haar_unitary(np.random.default_rng(seed), k)
+    reg = Register(("A", "B", "C"), cutoff=14)
+    out = apply_mode_transform(FockKet(reg, {occ: 1.0}), ModeTransform(reg, u, modes))
+
+    expected = {}
+    for image in reference.occupations(k, sum(counts)):
+        key = list(occ)
+        for m, c in zip(modes, image):
+            key[m] = c
+        expected[tuple(key)] = reference.fock_matrix_element(u, image, counts)
+    assert set(out.terms) <= set(expected)
+    for key, want in expected.items():
+        assert abs(out.amplitude(key) - want) <= 1e-14
+    for key in out.terms:
+        assert isinstance(key, OccupationVector)
+        assert key.total_photons == sum(occ)
+
+
 @given(n=st.integers(0, 4), spectators=_spectators(5),
        amp=st.complex_numbers(min_magnitude=1e-3, max_magnitude=1.0))
 @settings(max_examples=100, deadline=None)

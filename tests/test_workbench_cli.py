@@ -438,6 +438,22 @@ def test_cutoff_170_runs_at_the_factorial_limit():
     assert result.final_state.norm_squared() == pytest.approx(1.0, abs=1e-11)
 
 
+def test_norm_lost_to_precision_is_an_error(tmp_path, capsys):
+    """|85, 85> through a plate loses its norm to cancellation; the run
+    fails instead of printing a state with norm^2 near 52."""
+    text = ("pgw-circuit v1\nregister IN\ncutoff 170\nterm 1,0 IN.H=85 IN.V=85\n"
+            "element hwp IN 10\n")
+    with pytest.raises(ValueError, match="precision loss"):
+        run_circuit(parse_circuit(text))
+    path = tmp_path / "lossy.circuit"
+    path.write_text(text)
+    assert main(["simulate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{path}: error:")
+    assert "precision loss" in captured.err
+
+
 def test_amplitude_beyond_one_is_a_parse_error():
     err = _parse_error("pgw-circuit v1\nregister IN\nterm 1e300,0 IN.H=1\n")
     assert (err.line, err.column) == (3, 6)
