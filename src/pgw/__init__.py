@@ -5,8 +5,8 @@ elements (optical_elements), the post-selected filter and CNOT gates
 (optical_gates, which writes each gate once as an element expansion and
 holds the one runner that both the library gates and circuit files use),
 their teleportation counterparts on qubits (qubit_teleport), the
-mixed-basis dictionary tying the two together (mb_bridge), and the command
-line front end with the circuit parser and the check suites (workbench_cli).
+mixed-basis dictionary tying the two together (mb_bridge), the check suites
+and truth tables (verify), and the command line and circuit parser (workbench_cli).
 """
 
 from .fock_core import (
@@ -56,6 +56,7 @@ from .mb_bridge import (
     verify_hwp_mb,
     verify_pbs_mb,
 )
-from .workbench_cli import CircuitFile, Report, main, parse_circuit, run_circuit
+from .verify import Report
+from .workbench_cli import CircuitFile, main, parse_circuit, run_circuit
 
 __version__ = "0.1.0"

@@ -220,9 +220,6 @@ class FockKet:
     def norm(self) -> float:
         return math.sqrt(self.norm_squared())
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def normalized(self) -> "FockKet":
         n = self.norm()
         if n == 0.0:
@@ -563,16 +560,8 @@ def overlap(a: FockKet, b: FockKet) -> complex:
     """Inner product <a|b> over the shared register."""
     if a.register != b.register:
         raise RegisterError("overlap requires the same register")
-    small, big = (a, b) if len(a.terms) <= len(b.terms) else (b, a)
-    total = 0.0 + 0.0j
-    for occ, amp in small.terms.items():
-        other = big.terms.get(occ)
-        if other is not None:
-            if small is a:
-                total += amp.conjugate() * other
-            else:
-                total += other.conjugate() * amp
-    return total
+    return sum((amp.conjugate() * b.terms.get(occ, 0.0) for occ, amp in a.terms.items()),
+               0.0 + 0.0j)
 
 
 def fidelity_up_to_global_phase(a: FockKet, b: FockKet) -> float:

@@ -153,10 +153,6 @@ def bell_state(label: BellLabel, labels: tuple[str, str] = ("Q1", "Q2")) -> Qubi
     return QubitState(labels, amps / np.sqrt(2.0))
 
 
-def _bell_vector(label: BellLabel) -> np.ndarray:
-    return bell_state(label).amplitudes
-
-
 def tensor_qubits(a: QubitState, b: QubitState) -> QubitState:
     if set(a.labels) & set(b.labels):
         raise ValueError("qubit registers overlap")
@@ -246,7 +242,7 @@ def pbm(state: QubitState, pair: tuple[str, str]) -> PBMResult:
     """
     branches = []
     for j, label in ((0, PSI_PLUS), (1, PSI_MINUS)):
-        conditional = _contract_pair(state, pair, _bell_vector(label))
+        conditional = _contract_pair(state, pair, bell_state(label).amplitudes)
         branches.append(Branch(str(label), j, conditional, conditional.norm_squared()))
     rejected = state.norm_squared() - sum(b.probability for b in branches)
     return PBMResult(tuple(branches), max(rejected, 0.0))

@@ -7,9 +7,11 @@ Subcommands
                              run check suites (optical, teleport, mb, or all)
                              and exit 1 if any check fails
 
-The seed defaults to the PGW_SEED environment variable, then 12345; the
---seed flag overrides both. Reports for the same (suite, seed, trials) are
-byte-identical between runs. --trials 0 keeps only deterministic checks.
+The suites and gate tables live in pgw.verify. The seed defaults to the
+PGW_SEED environment variable, then 12345; the --seed flag overrides both.
+A seed or trial count that is not a non-negative integer exits 2. Reports
+for the same (suite, seed, trials) are byte-identical between runs.
+--trials 0 keeps only deterministic checks.
 
 Circuit file format (header line `pgw-circuit v1`, then directives):
     register IN A D0 D1        spatial ports, each an H and a V mode
@@ -39,7 +41,6 @@ not act on a mode that its branch's detection consumes.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -51,75 +52,20 @@ from pathlib import Path
 import numpy as np
 
 from .fock_core import (
-    BRANCH_EQUALITY_TOL,
     DEFAULT_CUTOFF,
     NORM_SLACK,
     Branch,
-    DetectionPattern,
     FockKet,
     H,
     ModeId,
     Register,
     RegisterError,
     V,
-    apply_mode_transform,
-    measure_and_postselect,
-    polarization_ket,
-    single_photon,
 )
-from .mb_bridge import (
-    MATRIX_IDENTITY_TOL,
-    MBEncoding,
-    check_record,
-    compile_branches,
-    gate_deviations,
-    kraus_deviations,
-    linear_map,
-    mb_decode,
-    mb_encode,
-    pair_branches,
-    verify_aux_state_equivalence,
-    verify_ecnot_equals_tcnot,
-    verify_f_equals_tprime,
-    verify_hwp_mb,
-    verify_pbs_mb,
-)
-from .optical_elements import ElementKind, ElementSpec, hwp, mode_swap, pbs, pockels_z
-from .optical_gates import (
-    GATE_EXPANDERS,
-    ROTATION_DEG,
-    DetectionSpec,
-    destructive_cnot,
-    ecnot_gate,
-    f_gate,
-    filter_gate,
-    gate_truth_table,
-    quantum_parity_check,
-    run_pipeline,
-)
-from .qubit_teleport import (
-    CNOT_MATRIX,
-    CZ_MATRIX,
-    IDENTITY_2,
-    PAULI_X,
-    PAULI_Z,
-    PHI_MINUS,
-    PHI_PLUS,
-    PSI_MINUS,
-    PSI_PLUS,
-    QubitState,
-    bell_state,
-    cnot_via_cz,
-    cz_aux_state,
-    cz_via_two_telegates,
-    overlap_q,
-    parity_filter,
-    pbm,
-    qubit_gate,
-    random_amplitudes,
-    telegate_t,
-    tensor_qubits,
-)
+from .optical_elements import ElementKind, ElementSpec
+from .optical_gates import GATE_EXPANDERS, DetectionSpec, gate_truth_table, run_pipeline
+from .qubit_teleport import QubitState
+from .verify import SUITES, TRUTH_TABLES, run_suite
 
 DEFAULT_SEED = 12345
 CONSERVATION_TOL = 1e-11
@@ -494,453 +440,6 @@ def cmd_simulate(path: str) -> int:
     return 0
 
 
-def _suite_optical(rng: np.random.Generator, trials: int) -> list[dict]:
-    checks: list[dict] = []
-    half = 2.0 ** -0.5
-    reg_a = Register(("A",))
-
-    u = hwp(reg_a, "A", ROTATION_DEG).matrix
-    want = -1j * half * np.array([[1.0, 1.0], [1.0, -1.0]])
-    checks.append(check_record(
-        "hwp-rotation-matrix",
-        "plate at 22.5 degrees equals -i times the balanced rotation block",
-        np.abs(u - want).max(), 0.0, 1e-14))
-
-    worst = 0.0
-    for theta in (0.0, 10.0, ROTATION_DEG, 45.0, 67.5, 90.0):
-        m = hwp(reg_a, "A", theta).matrix
-        worst = max(worst, np.abs(m @ m + np.eye(2)).max())
-    checks.append(check_record(
-        "hwp-double-pass",
-        "two passes through one plate give the identity up to a global sign",
-        worst, 0.0, 1e-13))
-
-    reg_abc = Register(("A", "B", "C"))
-    constructed = (pbs(reg_abc, "A", "B"), hwp(reg_abc, "B", 33.0),
-                   pockels_z(reg_abc, "C"),
-                   mode_swap(reg_abc, ModeId("A", H), ModeId("B", H)))
-    worst = max(np.abs(t.matrix.conj().T @ t.matrix - np.eye(6)).max()
-                for t in constructed)
-    checks.append(check_record(
-        "elements-unitary", "every element constructor returns a unitary mode map",
-        worst, 0.0, 1e-13))
-
-    p = pbs(reg_abc, "A", "B").matrix
-    q = hwp(reg_abc, "C", 17.0).matrix
-    checks.append(check_record(
-        "disjoint-elements-commute", "elements acting on disjoint ports commute",
-        np.abs(p @ q - q @ p).max(), 0.0, 1e-13))
-
-    two = FockKet(reg_a, {(1, 1): 1.0})
-    after = apply_mode_transform(two, hwp(reg_a, "A", ROTATION_DEG))
-    dev = max(abs(after.amplitude((2, 0)) + half),
-              abs(after.amplitude((0, 2)) - half),
-              abs(after.amplitude((1, 1))))
-    checks.append(check_record(
-        "hom-bunching",
-        "two photons meeting in a balanced plate leave bunched in one mode",
-        dev, 0.0, 1e-12))
-
-    reg_ab = Register(("A", "B"))
-    through = apply_mode_transform(single_photon(ModeId("A", H), reg_ab),
-                                   pbs(reg_ab, "A", "B"))
-    crossed = apply_mode_transform(single_photon(ModeId("A", V), reg_ab),
-                                   pbs(reg_ab, "A", "B"))
-    dev = max(abs(through.amplitude((1, 0, 0, 0)) - 1.0),
-              abs(crossed.amplitude((0, 0, 0, 1)) - 1.0))
-    checks.append(check_record(
-        "pbs-routing", "H transmits in place and V crosses ports with amplitude one",
-        dev, 0.0, 1e-13))
-
-    flipped = apply_mode_transform(single_photon(ModeId("A", V), reg_a),
-                                   hwp(reg_a, "A", 0.0))
-    checks.append(check_record(
-        "hwp-zero-angle", "plate at zero angle is the phase flip times the fixed -i",
-        abs(flipped.amplitude((0, 1)) - 1.0j), 0.0, 1e-14))
-
-    reg_in = Register(("IN",))
-    match = quantum_parity_check(single_photon(ModeId("IN", H), reg_in), H)
-    block = quantum_parity_check(single_photon(ModeId("IN", V), reg_in), H)
-    checks.append(check_record(
-        "parity-check-passes-match", "matched auxiliary passes the input outright",
-        match.success_probability, 1.0, 1e-12))
-    checks.append(check_record(
-        "parity-check-blocks-mismatch", "mismatched auxiliary removes the input",
-        block.success_probability, 0.0, 1e-12))
-
-    # Each gate is compiled once to its branch operators; the table checks
-    # apply them to the basis inputs, the randomized checks to the trials.
-    ec_ops = compile_branches(ecnot_gate, 4, MBEncoding(("IN", "IN'"), ()))
-    table_success, _, table_fid = gate_deviations(ec_ops, np.eye(4), CNOT_MATRIX, 0.25,
-                                                  1.0 / 16.0)
-    checks.append(check_record(
-        "ecnot-truth-table-outputs",
-        "control V flips the target and control H leaves it alone",
-        table_fid, 1.0, 1e-10))
-    checks.append(check_record(
-        "ecnot-truth-table-success", "every basis input succeeds with probability 1/4",
-        table_success, 0.0, 1e-10))
-
-    def filter_ops(gate, aux) -> dict[str, np.ndarray]:
-        return compile_branches(filter_gate(gate, aux), 2, MBEncoding(("IN",), ()))
-
-    # The destructive CNOT's branch operators are 1/2 times I (control H) or
-    # X (control V), up to a phase, so it is checked exactly on the whole
-    # input space.
-    dc_ops = [(filter_ops(destructive_cnot, control), line)
-              for control, line in (((1.0, 0.0), IDENTITY_2), ((0.0, 1.0), PAULI_X))]
-    phase_dev, complete_dev = kraus_deviations(
-        [[(k, 0.5 * line) for k in ops.values()] for ops, line in dc_ops], 0.5)
-    checks.append(check_record(
-        "dcnot-kraus-phase", "each destructive CNOT branch operator is a phase times "
-        "I/2 for control H and X/2 for control V", phase_dev, 0.0, MATRIX_IDENTITY_TOL))
-    checks.append(check_record(
-        "dcnot-kraus-complete", "for either control the destructive CNOT branch operators "
-        "satisfy sum K^dagger K = I/2", complete_dev, 0.0, MATRIX_IDENTITY_TOL))
-
-    if trials <= 0:
-        return checks
-
-    # Draw every trial input in the per-trial order, then check each gate on
-    # all of them at once through its compiled branch operators.
-    draws = [(random_amplitudes(rng, 2), random_amplitudes(rng, 2), random_amplitudes(rng, 4),
-              random_amplitudes(rng, 4), rng.uniform(0.0, 180.0, size=2))
-             for _ in range(trials)]
-    ab, gd, v, w, thetas = (np.array(column).T for column in zip(*draws))
-
-    neutral_ops = filter_ops(f_gate, (half, half))
-    minus_ops = filter_ops(f_gate, (half, -half))
-    neutral_success, neutral_branch, neutral_fid = gate_deviations(
-        neutral_ops, ab, IDENTITY_2, 0.5, 0.25)
-    _, minus_branch, minus_fid = gate_deviations(minus_ops, ab, PAULI_Z, 0.5, 0.25)
-    # Every branch against the first one as the target map.
-    branches_agree = all(gate_deviations(ops, ab, next(iter(ops.values())), 0.5, 0.25)[2]
-                         >= 1.0 - BRANCH_EQUALITY_TOL for ops in (neutral_ops, minus_ops))
-    dc = [gate_deviations(ops, gd, line, 0.5, 0.25) for ops, line in dc_ops]
-    dc_success, dc_fid = np.max([d[0] for d in dc]), np.min([d[2] for d in dc])
-    ec_success, ec_branch, ec_fid = gate_deviations(ec_ops, v, CNOT_MATRIX, 0.25, 1.0 / 16.0)
-
-    # Random plate angles change the map on every trial, so these run one by one.
-    norm_dev, completeness_dev = [], []
-    for amps, (theta1, theta2) in zip(w.T, thetas.T):
-        state = polarization_ket(reg_ab, ("A", "B"), amps)
-        state = apply_mode_transform(state, hwp(reg_ab, "A", theta1))
-        state = apply_mode_transform(state, pbs(reg_ab, "A", "B"))
-        state = apply_mode_transform(state, hwp(reg_ab, "B", theta2))
-        norm_dev.append(abs(state.norm_squared() - 1.0))
-        total = 0.0
-        for counts in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)):
-            pattern = DetectionPattern({ModeId("A", H): counts[0],
-                                        ModeId("A", V): counts[1]})
-            total += measure_and_postselect(state, pattern).probability
-        completeness_dev.append(abs(total - 1.0))
-    norm_dev, completeness_dev = np.max(norm_dev), np.max(completeness_dev)
-
-    checks.append(check_record(
-        "filter-neutral-success",
-        "the balanced-auxiliary filter succeeds with probability 1/2",
-        neutral_success, 0.0, 1e-10))
-    checks.append(check_record(
-        "filter-branch-probability", "each accepted filter branch carries 1/4",
-        max(neutral_branch, minus_branch), 0.0, 1e-10))
-    checks.append(check_record(
-        "filter-neutral-output",
-        "with a balanced auxiliary the corrected output equals the input",
-        neutral_fid, 1.0, 1e-10))
-    checks.append(check_record(
-        "filter-minus-aux-flips-phase",
-        "with the anti-balanced auxiliary the output picks up a phase flip",
-        minus_fid, 1.0, 1e-10))
-    checks.append(check_record(
-        "filter-branches-agree",
-        "both corrected detector branches agree up to a global phase",
-        1.0 if branches_agree else 0.0, 1.0, 0.0))
-    checks.append(check_record(
-        "dcnot-success", "the destructive CNOT succeeds with probability 1/2",
-        dc_success, 0.0, 1e-10))
-    checks.append(check_record(
-        "dcnot-line-outputs",
-        "control H leaves the target and control V exchanges its amplitudes",
-        dc_fid, 1.0, 1e-10))
-    checks.append(check_record(
-        "ecnot-random-success", "the full CNOT succeeds with probability 1/4",
-        ec_success, 0.0, 1e-10))
-    checks.append(check_record(
-        "ecnot-random-branch-probability", "all sixteen amplitudes land in each "
-        "detector pattern with weight 1/16", ec_branch, 0.0, 1e-10))
-    checks.append(check_record(
-        "ecnot-random-outputs", "every corrected branch equals the CNOT image of "
-        "the input", ec_fid, 1.0, 1e-10))
-    checks.append(check_record(
-        "pipeline-norm-preserved", "element pipelines preserve the state norm",
-        norm_dev, 0.0, 1e-11))
-    checks.append(check_record(
-        "detection-completeness", "per-port detector outcomes sum to the state norm",
-        completeness_dev, 0.0, 1e-11))
-    return checks
-
-
-def _suite_teleport(rng: np.random.Generator, trials: int) -> list[dict]:
-    checks: list[dict] = []
-    bells = [bell_state(label) for label in (PSI_PLUS, PSI_MINUS, PHI_PLUS, PHI_MINUS)]
-    gram = np.array([[overlap_q(x, y) for y in bells] for x in bells])
-    checks.append(check_record(
-        "bell-orthonormality", "the four Bell states form an orthonormal set",
-        np.abs(gram - np.eye(4)).max(), 0.0, 1e-14))
-
-    dev = 0.0
-    for label, j_want in ((PSI_PLUS, 0), (PSI_MINUS, 1)):
-        state = tensor_qubits(bell_state(label, ("B1", "B2")),
-                              QubitState(("Q",), (1.0, 0.0)))
-        result = pbm(state, ("B1", "B2"))
-        dev = max(dev, abs(result.branches[j_want].probability - 1.0),
-                  result.branches[1 - j_want].probability,
-                  abs(result.rejected_probability))
-    checks.append(check_record(
-        "pbm-resolves-odd-bells",
-        "each odd-parity Bell state fires its own outcome deterministically",
-        dev, 0.0, 1e-12))
-
-    dev = 0.0
-    for label in (PHI_PLUS, PHI_MINUS):
-        state = tensor_qubits(bell_state(label, ("B1", "B2")),
-                              QubitState(("Q",), (1.0, 0.0)))
-        result = pbm(state, ("B1", "B2"))
-        dev = max(dev, result.branches[0].probability, result.branches[1].probability,
-                  abs(result.rejected_probability - 1.0))
-    checks.append(check_record(
-        "pbm-rejects-even-bells", "even-parity Bell components are rejected outright",
-        dev, 0.0, 1e-12))
-
-    eye2 = np.eye(2)
-    decomposed = 0.5 * (np.eye(4) + np.kron(PAULI_Z, eye2) + np.kron(eye2, PAULI_Z)
-                        - np.kron(PAULI_Z, PAULI_Z))
-    checks.append(check_record(
-        "cz-pauli-decomposition",
-        "the controlled phase is half the signed sum of identity and Z terms",
-        np.abs(decomposed - CZ_MATRIX).max(), 0.0, 1e-14))
-
-    combo = np.zeros(16, dtype=complex)
-    for sign1, label1 in ((1, PSI_PLUS), (-1, PSI_MINUS)):
-        for sign2, label2 in ((1, PSI_PLUS), (-1, PSI_MINUS)):
-            coeff = 0.5 * (-1.0 if sign1 == sign2 == -1 else 1.0)
-            product = tensor_qubits(bell_state(label1, ("A1", "A2")),
-                                    bell_state(label2, ("A1'", "A2'")))
-            combo = combo + coeff * product.amplitudes
-    checks.append(check_record(
-        "cz-aux-bell-combination", "the controlled-phase resource is the signed half "
-        "sum of odd Bell pair products",
-        np.abs(combo - cz_aux_state().amplitudes).max(), 0.0, 1e-14))
-
-    dev = 0.0
-    for index, kept in ((0b00, 1.0), (0b01, 0.0), (0b10, 0.0), (0b11, 1.0)):
-        amps = np.zeros(4)
-        amps[index] = 1.0
-        out = parity_filter(QubitState(("Q1", "Q2"), amps), ("Q1", "Q2"))
-        dev = max(dev, abs(out.norm_squared() - kept))
-    checks.append(check_record(
-        "parity-filter-projector",
-        "the pair filter keeps matched bits untouched and removes the rest",
-        dev, 0.0, 1e-14))
-
-    rejected = telegate_t(QubitState(("Q",), (0.8, 0.6)), "Q",
-                          bell_state(PHI_PLUS, ("A1", "A2")), variant="parity_filter")
-    checks.append(check_record(
-        "telegate-filter-rejects-even-aux",
-        "the parity-filter telegate accepts nothing from an even-parity auxiliary",
-        rejected.success_probability, 0.0, 1e-12))
-
-    cn_ops = compile_branches(qubit_gate(cnot_via_cz, ("Q1", "Q2")), 4)
-    table_success, table_branch, table_fid = gate_deviations(
-        cn_ops, np.eye(4), CNOT_MATRIX, 0.25, 1.0 / 16.0)
-    checks.append(check_record(
-        "cnot-via-cz-table-outputs",
-        "the teleportation CNOT maps every basis input to its flipped image",
-        table_fid, 1.0, 1e-10))
-    checks.append(check_record(
-        "cnot-via-cz-branch-probability", "each Bell outcome pair carries 1/16",
-        table_branch, 0.0, 1e-10))
-    checks.append(check_record(
-        "cnot-via-cz-success", "the teleportation CNOT succeeds with probability 1/4",
-        table_success, 0.0, 1e-10))
-
-    if trials <= 0:
-        return checks
-
-    draws = [(random_amplitudes(rng, 2), random_amplitudes(rng, 4)) for _ in range(trials)]
-    phis, psis = (np.array(column).T for column in zip(*draws))
-
-    plus, minus, t_variants = [], [], []
-    for label, frame, devs in ((PSI_PLUS, IDENTITY_2, plus), (PSI_MINUS, PAULI_Z, minus)):
-        ops = {variant: compile_branches(qubit_gate(
-            telegate_t, ("Q",), "Q", bell_state(label, ("A1", "A2")), variant=variant), 2)
-            for variant in ("swap", "parity_filter")}
-        devs.extend(gate_deviations(k, phis, frame, 0.5, 0.25) for k in ops.values())
-        pairs = pair_branches(ops["swap"], ops["parity_filter"])
-        t_variants.append(np.nan if pairs is None
-                          else np.max([np.abs(a @ phis - b @ phis) for a, b in pairs]))
-    t_success, t_branch = (np.max([d[i] for d in plus + minus]) for i in (0, 1))
-    t_plus, t_minus = (np.min([d[2] for d in devs]) for devs in (plus, minus))
-    t_variants = np.max(t_variants)
-
-    pauli_fid = []
-    for frame1, label1 in ((IDENTITY_2, PSI_PLUS), (PAULI_Z, PSI_MINUS)):
-        for frame2, label2 in ((IDENTITY_2, PSI_PLUS), (PAULI_Z, PSI_MINUS)):
-            aux = tensor_qubits(bell_state(label1, ("A1", "A2")),
-                                bell_state(label2, ("A1'", "A2'")))
-            ops = compile_branches(qubit_gate(cz_via_two_telegates, ("Q1", "Q2"), aux), 4)
-            pauli_fid.append(gate_deviations(ops, psis, np.kron(frame1, frame2), 0.25,
-                                             1.0 / 16.0)[2])
-    pauli_fid = np.min(pauli_fid)
-
-    cz_success, cz_branch, cz_fid = gate_deviations(
-        compile_branches(qubit_gate(cz_via_two_telegates, ("Q1", "Q2")), 4), psis, CZ_MATRIX,
-        0.25, 1.0 / 16.0)
-    cn_fid = gate_deviations(cn_ops, psis, CNOT_MATRIX, 0.25, 1.0 / 16.0)[2]
-
-    checks.append(check_record(
-        "telegate-success", "the telegate succeeds with probability 1/2 regardless "
-        "of the input", t_success, 0.0, 1e-11))
-    checks.append(check_record(
-        "telegate-branch-probability", "each accepted telegate branch carries 1/4",
-        t_branch, 0.0, 1e-11))
-    checks.append(check_record(
-        "telegate-plus-aux-output", "with the plus auxiliary the corrected output "
-        "is the input", t_plus, 1.0, 1e-11))
-    checks.append(check_record(
-        "telegate-minus-aux-output", "with the minus auxiliary the corrected output "
-        "picks up a phase flip", t_minus, 1.0, 1e-11))
-    checks.append(check_record(
-        "telegate-variants-identical", "the swap and parity-filter routes produce "
-        "identical branch amplitudes", t_variants, 0.0, 1e-12))
-    checks.append(check_record(
-        "two-telegate-pauli-frame", "with product Bell auxiliaries the two-telegate "
-        "device applies the matching Z frame", pauli_fid, 1.0, 1e-11))
-    checks.append(check_record(
-        "cz-via-telegates-success", "the two-telegate controlled phase succeeds with "
-        "probability 1/4", cz_success, 0.0, 1e-10))
-    checks.append(check_record(
-        "cz-via-telegates-branch-probability", "each Bell outcome pair carries 1/16",
-        cz_branch, 0.0, 1e-10))
-    checks.append(check_record(
-        "cz-via-telegates-output", "every corrected branch equals the controlled-phase "
-        "image of the input", cz_fid, 1.0, 1e-10))
-    checks.append(check_record(
-        "cnot-via-telegates-output", "conjugating the controlled phase with target "
-        "rotations gives the CNOT on every branch", cn_fid, 1.0, 1e-10))
-    return checks
-
-
-def _fock_dev(a: FockKet, b: FockKet) -> float:
-    keys = set(a.terms) | set(b.terms)
-    return max((abs(a.amplitude(k) - b.amplitude(k)) for k in keys), default=0.0)
-
-
-def _suite_mb(rng: np.random.Generator, trials: int) -> list[dict]:
-    checks: list[dict] = []
-    half = 2.0 ** -0.5
-    reg = Register(("IN", "A"))
-    enc = MBEncoding(("IN",), ("A",))
-
-    dev = 0.0
-    for in_pol, in_bit in ((H, 0), (V, 1)):
-        for aux_pol, aux_bits in ((H, (0, 1)), (V, (1, 0))):
-            occ = [0] * reg.n_modes
-            occ[reg.index_of(ModeId("IN", in_pol))] = 1
-            occ[reg.index_of(ModeId("A", aux_pol))] = 1
-            encoded = mb_encode(FockKet(reg, {tuple(occ): 1.0}), enc)
-            want = np.zeros(8, dtype=complex)
-            want[(in_bit << 2) | (aux_bits[0] << 1) | aux_bits[1]] = 1.0
-            dev = max(dev, np.abs(encoded.amplitudes - want).max())
-    checks.append(check_record(
-        "mb-dictionary", "each single-photon port pattern maps to exactly its "
-        "occupation qubit string", dev, 0.0, 1e-15))
-
-    reg_a = Register(("A",))
-    enc_a = MBEncoding((), ("A",))
-    dev = 0.0
-    for sign, label in ((1.0, PSI_PLUS), (-1.0, PSI_MINUS)):
-        ket = FockKet(reg_a, {(1, 0): half, (0, 1): sign * half})
-        encoded = mb_encode(ket, enc_a)
-        dev = max(dev, np.abs(encoded.amplitudes
-                              - bell_state(label, ("AV", "AH")).amplitudes).max())
-    checks.append(check_record(
-        "mb-bell-identification", "balanced one-photon splits encode exactly to the "
-        "odd-parity Bell states", dev, 0.0, 1e-15))
-
-    fixed = polarization_ket(reg, ("IN", "A"), np.array([0.5, 0.5j, -0.5, 0.5]))
-    decoded = mb_decode(mb_encode(fixed, enc), enc)
-    checks.append(check_record(
-        "mb-roundtrip", "decoding after encoding returns the original optical state",
-        _fock_dev(fixed, decoded), 0.0, 1e-13))
-
-    checks.extend(verify_pbs_mb(rng, trials))
-    checks.extend(verify_hwp_mb(rng, trials))
-    checks.extend(verify_f_equals_tprime(rng, trials))
-    checks.extend(verify_aux_state_equivalence())
-    checks.extend(verify_ecnot_equals_tcnot(rng, trials))
-
-    if trials > 0:
-        draws = np.array([(random_amplitudes(rng, 4), random_amplitudes(rng, 4))
-                          for _ in range(trials)])
-        xs, ys = draws[:, 0].T, draws[:, 1].T
-        encode = linear_map(
-            lambda amps: mb_encode(polarization_ket(reg, ("IN", "A"), amps), enc).amplitudes, 4)
-        fock = np.sum(xs.conj() * ys, axis=0)
-        encoded = np.sum((encode @ xs).conj() * (encode @ ys), axis=0)
-        worst = np.max(np.abs(fock - encoded))
-        checks.append(check_record(
-            "mb-isometry", "encoding preserves inner products on the single-photon "
-            "subspace", worst, 0.0, 1e-12))
-    return checks
-
-
-_SUITES = {
-    "optical": _suite_optical,
-    "teleport": _suite_teleport,
-    "mb": _suite_mb,
-}
-SUITE_ORDER = ("optical", "teleport", "mb")
-
-
-@dataclass
-class Report:
-    """Outcome of one verify run; serializes to the fixed JSON schema."""
-
-    suite: str
-    seed: int
-    checks: list[dict]
-    passed: bool
-
-    @classmethod
-    def build(cls, suite: str, seed: int, checks: list[dict]) -> "Report":
-        return cls(suite, seed, checks,
-                   all(c["status"] == "pass" for c in checks))
-
-    def to_json_dict(self) -> dict:
-        return {"suite": self.suite, "seed": self.seed, "checks": self.checks,
-                "pass": self.passed}
-
-    def to_text(self) -> str:
-        lines = [f"suite: {self.suite}", f"seed: {self.seed}"]
-        for c in self.checks:
-            lines.append(f"[{c['status'].upper()}] {c['id']} | {c['ref']} | "
-                         f"got={c['got']!r} want={c['want']!r} tol={c['tol']!r}")
-        n_pass = sum(1 for c in self.checks if c["status"] == "pass")
-        lines.append(f"result: {'PASS' if self.passed else 'FAIL'} "
-                     f"({n_pass}/{len(self.checks)} checks)")
-        return "\n".join(lines)
-
-
-def run_suite(suite: str, seed: int, trials: int = 100) -> Report:
-    """Run one named suite (or all of them) with a fresh generator per suite."""
-    names = SUITE_ORDER if suite == "all" else (suite,)
-    checks: list[dict] = []
-    for name in names:
-        checks.extend(_SUITES[name](np.random.default_rng(seed), trials))
-    return Report.build(suite, seed, checks)
-
-
 def cmd_verify(suite: str, seed: int, trials: int, json_path: str | None = None) -> int:
     report = run_suite(suite, seed, trials)
     print(report.to_text())
@@ -952,41 +451,6 @@ def cmd_verify(suite: str, seed: int, trials: int, json_path: str | None = None)
             print(f"error: {e}", file=sys.stderr)
             return 2
     return 0 if report.passed else 1
-
-
-def _port_inputs(*ports: str) -> list[str]:
-    """Row texts of the polarization basis on ports, first port leftmost."""
-    return ["|" + " ".join(f"{port}.{pol}=1" for port, pol in zip(ports, pols)) + ">"
-            for pols in itertools.product((H, V), repeat=len(ports))]
-
-
-def _qubit_inputs(n: int) -> list[str]:
-    return [f"|{index:0{n}b}>" for index in range(2 ** n)]
-
-
-_HALF = 2.0 ** -0.5
-_PLUS_PAIR = bell_state(PSI_PLUS, ("A1", "A2"))
-
-# Gate name -> (note, row texts, amplitude-in builders). Each builder runs on
-# the basis of its own consecutive block of rows.
-TRUTH_TABLES = {
-    "f_gate": ("balanced auxiliary photon on A", _port_inputs("IN"),
-               [filter_gate(f_gate, (_HALF, _HALF))]),
-    "parity_check": ("auxiliary photon fixed to H", _port_inputs("IN"),
-                     [filter_gate(f_gate, (1.0, 0.0))]),
-    "d_cnot": ("control photon on A (consumed), target on IN", _port_inputs("A", "IN"),
-               [filter_gate(destructive_cnot, control) for control in np.eye(2)]),
-    "e_cnot": ("control on IN, target on IN'", _port_inputs("IN", "IN'"), [ecnot_gate]),
-    "telegate_t": ("variant swap, auxiliary pair in the plus Bell state", _qubit_inputs(1),
-                   [qubit_gate(telegate_t, ("Q",), "Q", _PLUS_PAIR, variant="swap")]),
-    "telegate_tp": ("variant parity_filter, auxiliary pair in the plus Bell state",
-                    _qubit_inputs(1),
-                    [qubit_gate(telegate_t, ("Q",), "Q", _PLUS_PAIR, variant="parity_filter")]),
-    "cz2t": ("controlled phase from two telegates", _qubit_inputs(2),
-             [qubit_gate(cz_via_two_telegates, ("Q1", "Q2"))]),
-    "cnot_cz": ("CNOT from the telegate controlled phase", _qubit_inputs(2),
-                [qubit_gate(cnot_via_cz, ("Q1", "Q2"))]),
-}
 
 
 def cmd_truth_table(gate: str) -> int:
@@ -1006,16 +470,23 @@ def cmd_truth_table(gate: str) -> int:
     return 0
 
 
-def _resolve_seed(flag_value: int | None) -> int:
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
+def _resolve_seed(flag_value: int | None, parser: argparse.ArgumentParser) -> int:
     if flag_value is not None:
         return flag_value
-    env = os.environ.get("PGW_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise SystemExit(f"error: PGW_SEED must be an integer, got {env!r}")
-    return DEFAULT_SEED
+    try:
+        return _non_negative_int(os.environ.get("PGW_SEED", str(DEFAULT_SEED)))
+    except argparse.ArgumentTypeError as e:
+        parser.error(f"PGW_SEED: {e}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -1032,10 +503,10 @@ def main(argv: list[str] | None = None) -> int:
     p_tt.add_argument("gate", choices=sorted(TRUTH_TABLES))
 
     p_ver = sub.add_parser("verify", help="run verification suites")
-    p_ver.add_argument("--suite", choices=("all",) + SUITE_ORDER, default="all")
-    p_ver.add_argument("--seed", type=int, default=None,
+    p_ver.add_argument("--suite", choices=("all", *SUITES), default="all")
+    p_ver.add_argument("--seed", type=_non_negative_int, default=None,
                        help="RNG seed (default: PGW_SEED, then 12345)")
-    p_ver.add_argument("--trials", type=int, default=100,
+    p_ver.add_argument("--trials", type=_non_negative_int, default=100,
                        help="randomized trials per check; 0 keeps only "
                             "deterministic checks")
     p_ver.add_argument("--json", dest="json_path", default=None,
@@ -1046,7 +517,7 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_simulate(args.path)
     if args.command == "truth-table":
         return cmd_truth_table(args.gate)
-    return cmd_verify(args.suite, _resolve_seed(args.seed), args.trials, args.json_path)
+    return cmd_verify(args.suite, _resolve_seed(args.seed, p_ver), args.trials, args.json_path)
 
 
 if __name__ == "__main__":

@@ -25,13 +25,13 @@ from pgw.workbench_cli import (
     DEFAULT_SEED,
     HEADER,
     CircuitParseError,
-    Report,
     main,
     parse_circuit,
     run_circuit,
     run_suite,
 )
-from pgw import workbench_cli
+from pgw import optical_gates, verify
+from pgw.verify import Report
 
 CIRCUIT_DIR = Path(pgw.__file__).parent / "circuits"
 
@@ -302,7 +302,7 @@ def test_verify_all_suites_pass(capsys):
 
 def test_verify_exit_code_on_failure(monkeypatch, capsys):
     monkeypatch.setitem(
-        workbench_cli._SUITES, "optical",
+        verify.SUITES, "optical",
         lambda rng, trials: [
             check_record("forced", "deliberately failing check", 1.0, 0.0, 0.1)])
     assert main(["verify", "--suite", "optical"]) == 1
@@ -362,6 +362,36 @@ def test_bad_seed_env_variable_rejected(monkeypatch):
     monkeypatch.setenv("PGW_SEED", "not-a-number")
     with pytest.raises(SystemExit):
         main(["verify", "--suite", "mb", "--trials", "0"])
+
+
+def _usage_error(argv, capsys, wanted):
+    """Run argv and expect argparse's exit 2, with wanted on stderr, before any check."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"pgw verify: error: {wanted}" in captured.err
+
+
+def test_negative_seed_flag_exits_2(capsys):
+    _usage_error(["verify", "--seed", "-1"], capsys,
+                 "argument --seed: expected a non-negative integer, got '-1'")
+
+
+def test_negative_seed_env_variable_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("PGW_SEED", "-4")
+    _usage_error(["verify"], capsys, "PGW_SEED: expected a non-negative integer, got '-4'")
+
+
+def test_non_integer_seed_env_variable_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("PGW_SEED", "abc")
+    _usage_error(["verify"], capsys, "PGW_SEED: expected a non-negative integer, got 'abc'")
+
+
+def test_negative_trials_exits_2(capsys):
+    _usage_error(["verify", "--trials", "-3"], capsys,
+                 "argument --trials: expected a non-negative integer, got '-3'")
 
 
 def test_default_seed_constant(monkeypatch, capsys):
@@ -536,8 +566,8 @@ def test_destructive_cnot_exact_checks_run_without_trials(capsys):
 
 
 def test_destructive_cnot_exact_checks_catch_a_wrong_gate(monkeypatch):
-    assert workbench_cli.destructive_cnot is destructive_cnot
-    monkeypatch.setattr(workbench_cli, "destructive_cnot", f_gate)
+    assert optical_gates.destructive_cnot is destructive_cnot
+    monkeypatch.setattr(optical_gates, "destructive_cnot", f_gate)
     records = {c["id"]: c for c in run_suite("optical", seed=1, trials=0).checks}
     assert records["dcnot-kraus-phase"]["status"] == "fail"
     assert records["dcnot-kraus-complete"]["status"] == "fail"
