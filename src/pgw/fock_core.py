@@ -7,8 +7,9 @@ ModeTransform, which stores only the modes a unitary touches and the
 small block U on them. apply_mode_transform maps the photons of each
 term on those modes through phi(U), the block's n-photon representation
 (Aaronson & Arkhipov, arXiv:1011.3245; entries are permanents over square
-roots of factorials, Scheel, quant-ph/0406127), with one kernel for every
-block size. Number-resolving detection with post-selection produces
+roots of factorials, Scheel, quant-ph/0406127): each row, for one
+occupation of the block, maps image occupations to coefficients, and is
+built once per call for every block size. Number-resolving detection with post-selection produces
 Branch values whose squared norm is the branch probability; branch
 states stay unnormalized so probabilities can be read off directly,
 matching the 1/sqrt(2) prefactor style of the gate algebra.
@@ -29,7 +30,6 @@ function, so everything in this module is safe to share across threads.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -44,6 +44,7 @@ NORM_SLACK = 1e-12
 UNITARITY_TOL = 1e-12
 BRANCH_EQUALITY_TOL = 1e-10
 DEFAULT_CUTOFF = 4
+HALF = 2.0 ** -0.5  # 1/sqrt(2), the balanced beam-splitter amplitude
 
 
 class RegisterError(ValueError):
@@ -420,22 +421,17 @@ def apply_mode_transform(state: FockKet, u: ModeTransform) -> FockKet:
     touched = u.touched
     if not touched:
         return state
-    k, radix = len(touched), state.register.cutoff + 1
-    # A count vector on the block is indexed by all but its last count, read
-    # as digits in base cutoff + 1 (no count exceeds the cutoff); the last
-    # count follows from the photon number.
-    strides = tuple(radix ** (k - 2 - p) for p in range(k - 1)) + (0,)
-    steps = [[(s, x) for s, x in zip(strides, column) if x] for column in u.block.T.tolist()]
+    steps = [[(p, x) for p, x in enumerate(column) if x] for column in u.block.T.tolist()]
     pick = _picker(touched)
     # phi_0(U) = 1: a term with no photons on the block keeps its key.
-    rows: dict[tuple[int, ...], list] = {(0,) * k: [(None, 1.0 + 0.0j)]}
+    rows: dict[tuple[int, ...], list] = {(0,) * len(touched): [(None, 1.0 + 0.0j)]}
     out: dict[tuple[int, ...], complex] = {}
     get = out.get
     for occ, amp in state.terms.items():
         counts = pick(occ)
         row = rows.get(counts)
         if row is None:
-            row = rows[counts] = _transfer_row(steps, counts, strides, touched)
+            row = rows[counts] = _transfer_row(steps, counts, touched)
         written = None
         for writes, coeff in row:
             key = occ
@@ -449,44 +445,33 @@ def apply_mode_transform(state: FockKet, u: ModeTransform) -> FockKet:
 
 
 def _transfer_row(steps: list[list[tuple[int, complex]]], counts: tuple[int, ...],
-                  strides: tuple[int, ...], touched: tuple[int, ...]
-                  ) -> list[tuple[tuple | None, complex]]:
+                  touched: tuple[int, ...]) -> list[tuple[tuple | None, complex]]:
     """Row counts of phi(U): (writes, coefficient) per nonzero coefficient,
     images ascending. writes holds the image's (mode, count) pairs, or None
     when the image is counts itself.
 
     a_q^dag -> sum_p U_pq a_p^dag, so <c'| phi(U) |c> is the x^c' coefficient
     of prod_q (sum_p U_pq x_p)^c_q, times sqrt(prod c'! / prod c!). The
-    product is multiplied out one factor at a time: summing its closed-form
-    multinomial terms loses far more to cancellation at large n (norm error
-    2e-5 against 8e-10 for |60, 60> through a plate). steps[q] holds
-    (strides[p], U_pq) for each nonzero U_pq.
+    product is multiplied out one factor at a time, keyed by c'; summing its
+    closed-form multinomial terms loses far more to cancellation. Through a
+    plate at 10 degrees |60, 60> keeps its norm^2 to 8.4e-10 (2e-5 in closed
+    form); at 22.5 degrees the error is 1.1e-10 at |40, 40>, 5.7e-6 at
+    |50, 50> and 70.6 at |60, 60>. steps[q] holds (p, U_pq) per nonzero U_pq.
     """
-    poly = {0: 1.0 + 0.0j}  # coefficient by image index
+    poly = {(0,) * len(counts): 1.0 + 0.0j}
     for column, c in zip(steps, counts):
         for _ in range(c):
-            grown: dict[int, complex] = {}
+            grown: dict[tuple[int, ...], complex] = {}
             get = grown.get
-            for index, v in poly.items():
-                for s, x in column:
-                    grown[index + s] = get(index + s, 0.0 + 0.0j) + v * x
+            for image, v in poly.items():
+                for p, x in column:
+                    key = image[:p] + (image[p] + 1,) + image[p + 1:]
+                    grown[key] = get(key, 0.0 + 0.0j) + v * x
             poly = grown
-    return [(None if image is None else tuple(zip(touched, image)), v * scale)
-            for index, image, scale in _row_layout(counts, strides) if (v := poly.get(index))]
-
-
-@functools.lru_cache(maxsize=256)
-def _row_layout(counts: tuple[int, ...], strides: tuple[int, ...]) -> tuple:
-    """(index, c', sqrt(prod c'! / prod c!)) for each c' with the photon
-    number of counts, ascending; c' is None where it equals counts."""
-    n = sum(counts)
-    heads = [()]
-    for _ in range(len(counts) - 1):
-        heads = [h + (c,) for h in heads for c in range(n + 1 - sum(h))]
     norm = math.prod(map(math.factorial, counts))
-    return tuple((sum(map(operator.mul, c, strides)), None if c == counts else c,
-                  math.sqrt(math.prod(map(math.factorial, c)) / norm))
-                 for c in (h + (n - sum(h),) for h in heads))
+    return [(None if image == counts else tuple(zip(touched, image)),
+             v * math.sqrt(math.prod(map(math.factorial, image)) / norm))
+            for image, v in sorted(poly.items()) if v]
 
 
 def measure_and_postselect(state: FockKet, pattern: DetectionPattern, *,

@@ -6,9 +6,11 @@ qubits, one per mode, ordered (V mode, H mode):
 
     |H>_A  ->  |0>_AV |1>_AH        |V>_A  ->  |1>_AV |0>_AH
 
-A single photon split across the two modes of one auxiliary port is then
-exactly a Bell state of the two occupation qubits: (|H> + |V>)/sqrt(2)
-encodes to Psi+ and (|H> - |V>)/sqrt(2) to Psi-. Under this dictionary
+mb_encode, project_encodable and mb_decode all read one table of every
+encodable occupation vector and its qubit index. A single photon split
+across the two modes of one auxiliary port is then exactly a Bell state of
+the two occupation qubits: (|H> + |V>)/sqrt(2) encodes to Psi+ and
+(|H> - |V>)/sqrt(2) to Psi-. Under this dictionary
 the polarizing beam splitter acts as the even-parity filter on (input,
 V-qubit), the half-wave plate at 22.5 degrees acts as the Bell rotation
 |01> -> (|01> + |10>)/sqrt(2), |10> -> (|01> - |10>)/sqrt(2) (up to a
@@ -32,6 +34,7 @@ branch is M v with weight q, and the weights sum to p" off the K_b.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -39,6 +42,7 @@ import numpy as np
 
 from .fock_core import (
     DEFAULT_CUTOFF,
+    HALF,
     FockKet,
     GateResult,
     H,
@@ -108,44 +112,33 @@ class MBEncoding:
         return tuple(labels)
 
 
-def _term_bits(occ, register: Register, enc: MBEncoding) -> tuple[int, ...]:
-    """Qubit bit values of one occupation term, or EncodingDomainError."""
-    declared = set(enc.input_ports) | set(enc.aux_ports)
-    for mode, count in zip(register.modes, occ):
-        if count and mode.spatial_label not in declared:
-            raise EncodingDomainError(f"photon in undeclared port {mode.spatial_label!r}")
-    bits = []
-    for port in enc.input_ports:
-        ch = occ[register.index_of(ModeId(port, H))]
-        cv = occ[register.index_of(ModeId(port, V))]
-        if (ch, cv) == (1, 0):
-            bits.append(0)
-        elif (ch, cv) == (0, 1):
-            bits.append(1)
-        else:
-            raise EncodingDomainError(
-                f"input port {port!r} holds counts (H={ch}, V={cv}), not one photon")
-    for port in enc.aux_ports:
-        ch = occ[register.index_of(ModeId(port, H))]
-        cv = occ[register.index_of(ModeId(port, V))]
-        if ch + cv != 1 or ch > 1 or cv > 1:
-            raise EncodingDomainError(
-                f"aux port {port!r} holds counts (H={ch}, V={cv}), not one photon")
-        bits.extend((cv, ch))
-    return tuple(bits)
+def _codebook(register: Register, enc: MBEncoding) -> dict[tuple[int, ...], int]:
+    """Every encodable occupation vector of register, one photon in each
+    declared port and none elsewhere, with its qubit index. An input port
+    reads H as 0 and V as 1; an aux port reads as its (V count, H count) pair."""
+    codes = ([((H, 1, 0), (V, 1, 1))] * len(enc.input_ports)
+             + [((H, 2, 0b01), (V, 2, 0b10))] * len(enc.aux_ports))
+    book = {}
+    for picks in itertools.product(*codes):
+        occ, index = [0] * register.n_modes, 0
+        for port, (pol, width, code) in zip(enc.input_ports + enc.aux_ports, picks):
+            occ[register.index_of(ModeId(port, pol))] = 1
+            index = index << width | code
+        book[tuple(occ)] = index
+    return book
 
 
 def mb_encode(state: FockKet, enc: MBEncoding) -> QubitState:
     """Isometric map from the one-photon-per-port subspace to qubits."""
-    labels = enc.qubit_labels
-    amps = np.zeros(2 ** len(labels), dtype=complex)
+    book = _codebook(state.register, enc)
+    amps = np.zeros(2 ** len(enc.qubit_labels), dtype=complex)
     for occ, amp in state.terms.items():
-        bits = _term_bits(occ, state.register, enc)
-        index = 0
-        for b in bits:
-            index = (index << 1) | b
+        index = book.get(occ)
+        if index is None:
+            raise EncodingDomainError(
+                f"term {occ} is not one photon in each declared port and none elsewhere")
         amps[index] += amp
-    return QubitState(labels, amps)
+    return QubitState(enc.qubit_labels, amps)
 
 
 def mb_decode(state: QubitState, enc: MBEncoding,
@@ -155,41 +148,20 @@ def mb_decode(state: QubitState, enc: MBEncoding,
         raise ValueError(f"state labels {state.labels} do not match encoding "
                          f"{enc.qubit_labels}")
     register = Register(enc.input_ports + enc.aux_ports, cutoff)
-    terms: dict[tuple[int, ...], complex] = {}
-    n = len(state.labels)
-    for index, amp in enumerate(state.amplitudes):
-        if abs(amp) == 0.0:
-            continue
-        bits = [(index >> (n - 1 - i)) & 1 for i in range(n)]
-        occ = [0] * register.n_modes
-        pos = 0
-        for port in enc.input_ports:
-            pol = V if bits[pos] else H
-            occ[register.index_of(ModeId(port, pol))] = 1
-            pos += 1
-        for port in enc.aux_ports:
-            bv, bh = bits[pos], bits[pos + 1]
-            pos += 2
-            if (bv, bh) not in ((0, 1), (1, 0)):
-                raise DecodingDomainError(
-                    f"aux pair for port {port!r} holds |{bv}{bh}>, outside the "
-                    "single-photon image")
-            occ[register.index_of(ModeId(port, V))] = bv
-            occ[register.index_of(ModeId(port, H))] = bh
-        terms[tuple(occ)] = amp
-    return FockKet(register, terms)
+    occs = {index: occ for occ, index in _codebook(register, enc).items()}
+    support = np.flatnonzero(state.amplitudes)
+    for index in support:
+        if index not in occs:
+            raise DecodingDomainError(f"basis state |{index:0{state.n_qubits}b}> is outside "
+                                      "the image: an aux pair other than |01> or |10>")
+    return FockKet(register, {occs[i]: state.amplitudes[i] for i in support})
 
 
 def project_encodable(state: FockKet, enc: MBEncoding) -> FockKet:
     """Keep only the terms inside the encodable subspace (post-selection)."""
-    kept = {}
-    for occ, amp in state.terms.items():
-        try:
-            _term_bits(occ, state.register, enc)
-        except EncodingDomainError:
-            continue
-        kept[occ] = amp
-    return FockKet(state.register, kept, validate=False)
+    book = _codebook(state.register, enc)
+    return FockKet(state.register, {occ: a for occ, a in state.terms.items() if occ in book},
+                   validate=False)
 
 
 def check_record(check_id: str, ref: str, got: float, want: float, tol: float) -> dict:
@@ -372,7 +344,6 @@ def verify_hwp_mb(rng: np.random.Generator, trials: int = 100) -> list[dict]:
     enc = MBEncoding((), ("A",))
     register = Register(("A",))
     rotation = hwp(register, "A", ROTATION_DEG)
-    root_half = 2.0 ** -0.5
     after_hwp = linear_map(lambda amps: mb_encode(apply_mode_transform(
         polarization_ket(register, ("A",), amps), rotation), enc).amplitudes, 2)
 
@@ -380,8 +351,8 @@ def verify_hwp_mb(rng: np.random.Generator, trials: int = 100) -> list[dict]:
         """Bell rotation images of the columns (x, y) of amps."""
         x, y = amps
         out = np.zeros((4,) + x.shape, dtype=complex)
-        out[0b01] = (x + y) * root_half
-        out[0b10] = (x - y) * root_half
+        out[0b01] = (x + y) * HALF
+        out[0b10] = (x - y) * HALF
         return out
 
     h_line, v_line = batched_fidelity(after_hwp, expected(np.eye(2)))
@@ -395,7 +366,7 @@ def verify_hwp_mb(rng: np.random.Generator, trials: int = 100) -> list[dict]:
 
     analyzer = []
     for sign, mode_pol in ((1, H), (-1, V)):
-        plus = polarization_ket(register, ("A",), (root_half, sign * root_half))
+        plus = polarization_ket(register, ("A",), (HALF, sign * HALF))
         after = apply_mode_transform(plus, rotation)
         fired = sum(abs(amp) ** 2 for occ, amp in after.terms.items()
                     if occ[register.index_of(ModeId("A", mode_pol))] == 1)
@@ -422,10 +393,9 @@ def verify_f_equals_tprime(rng: np.random.Generator, trials: int = 200) -> list[
     paired by DETECTOR_TO_BELL: exactly as branch operators, and on one
     fixed and trials - 1 random inputs."""
     enc = MBEncoding(("IN",), ())
-    root_half = 2.0 ** -0.5
     groups = []
     for aux_sign, label in ((1, PSI_PLUS), (-1, PSI_MINUS)):
-        optical = compile_branches(filter_gate(f_gate, (root_half, aux_sign * root_half)), 2, enc)
+        optical = compile_branches(filter_gate(f_gate, (HALF, aux_sign * HALF)), 2, enc)
         teleported = compile_branches(qubit_gate(
             telegate_t, ("IN",), "IN", bell_state(label, ("AV", "AH")), variant="parity_filter"),
             2)
@@ -459,10 +429,9 @@ def verify_aux_state_equivalence() -> list[dict]:
     enc = MBEncoding((), ("A", "A'"))
     register = Register(("A", "A'"))
     target = cz_aux_state(("AV", "AH", "A'V", "A'H"))
-    root_half = 2.0 ** -0.5
 
     def pair_state(sign) -> FockKet:
-        return polarization_ket(register, ("A", "A'"), (root_half, 0.0, 0.0, sign * root_half))
+        return polarization_ket(register, ("A", "A'"), (HALF, 0.0, 0.0, sign * HALF))
 
     rotated = apply_mode_transform(pair_state(1), hwp(register, "A'", ROTATION_DEG))
     fid = qubit_fidelity(mb_encode(rotated, enc), target)

@@ -34,6 +34,7 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from .fock_core import (
+    HALF,
     Branch,
     DetectionPattern,
     FockKet,
@@ -247,11 +248,10 @@ def e_cnot(two_qubit_input: FockKet, control_port: str = "IN",
     if reg.cutoff < 4:
         raise ValueError("e_cnot needs a register cutoff of at least 4 photons")
 
-    half = 2.0 ** -0.5
     aux_ports = ("A", "A'")
     detectors = ("D0", "D1", "D0'", "D1'")
     pair = polarization_ket(Register(aux_ports + detectors, cutoff=reg.cutoff),
-                            aux_ports, (half, 0.0, 0.0, half))
+                            aux_ports, (HALF, 0.0, 0.0, HALF))
     return _run_gate(tensor(two_qubit_input, pair),
                      _expand_e_cnot(control_port, target_port, *aux_ports, *detectors),
                      aux_ports)

@@ -20,6 +20,7 @@ import numpy as np
 from . import fock_core, mb_bridge, optical_elements, optical_gates, qubit_teleport
 from .fock_core import (
     BRANCH_EQUALITY_TOL,
+    HALF,
     DetectionPattern,
     FockKet,
     H,
@@ -60,8 +61,6 @@ from .qubit_teleport import (
     random_amplitudes,
     tensor_qubits,
 )
-
-HALF = 2.0 ** -0.5
 
 
 def _suite_optical(rng: np.random.Generator, trials: int) -> list[dict]:

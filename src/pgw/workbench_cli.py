@@ -13,9 +13,9 @@ A seed or trial count that is not a non-negative integer exits 2. Reports
 for the same (suite, seed, trials) are byte-identical between runs.
 --trials 0 keeps only deterministic checks.
 
-Circuit file format (header line `pgw-circuit v1`, then directives):
+Circuit file format (UTF-8; header line `pgw-circuit v1`, then directives):
     register IN A D0 D1        spatial ports, each an H and a V mode
-    cutoff 4                   optional photon cap (default 4, at most 170)
+    cutoff 4                   photon cap on each term (default 4, at most 170)
     term RE,IM IN.H=1 A.V=1    one initial-state term (omitted modes are 0)
     element pbs IN A           beam splitter between two ports
     element hwp A 22.5         wave plate on one port at an angle in degrees
@@ -211,6 +211,7 @@ def parse_circuit(text: str, source: str = "<circuit>") -> CircuitFile:
     cutoff_line = None
     header_seen = False
     terms: list[tuple[complex, dict[ModeId, int]]] = []
+    photons: list[tuple[int, int, int]] = []  # (photons, line, column) per term
     elements: list[ElementSpec] = []
     detections: list[DetectionSpec] = []
     corrections: dict[str, list[ElementSpec]] = {}
@@ -267,7 +268,9 @@ def parse_circuit(text: str, source: str = "<circuit>") -> CircuitFile:
             if not rest:
                 raise CircuitParseError("term needs an amplitude", line_no, col)
             amp = _parse_amplitude(rest[0][0], line_no, rest[0][1])
-            terms.append((amp, _parse_counts(rest[1:], decl, line_no)))
+            counts = _parse_counts(rest[1:], decl, line_no)
+            terms.append((amp, counts))
+            photons.append((sum(counts.values()), line_no, (rest[1:] or rest)[0][1]))
         elif word == "element":
             decl = need_register(line_no, col)
             elements.append(_parse_element_tokens(rest, decl, line_no))
@@ -321,7 +324,11 @@ def parse_circuit(text: str, source: str = "<circuit>") -> CircuitFile:
         raise CircuitParseError(f"expected header {HEADER!r}", 1, 1)
     if labels is None:
         raise CircuitParseError("missing register directive",
-                                max(text.count("\n") + 1, 1), 1)
+                                len((text + "?").splitlines()), 1)
+    for n, line_no, col in photons:  # checked here, as cutoff may follow the terms
+        if n > cutoff:
+            raise CircuitParseError(f"term holds {n} photons, more than the cutoff {cutoff}",
+                                    line_no, col)
     consumed = {d.label: {m for m, _ in d.required} for d in detections}
     for label, element, columns, line_no in correct_steps:
         if label not in consumed:
@@ -409,13 +416,18 @@ def _fmt_qubit(state: QubitState) -> str:
 
 def cmd_simulate(path: str) -> int:
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     try:
-        cf = parse_circuit(text, source=path)
+        cf = parse_circuit(data.decode("utf-8"), source=path)
         result = run_circuit(cf)
+    except UnicodeDecodeError as e:  # at the first bad byte, counting lines as the parser does
+        lines = (data[:e.start].decode("utf-8") + "?").splitlines()
+        print(f"{path}:{len(lines)}:{len(lines[-1])}: error: invalid UTF-8 byte "
+              f"0x{data[e.start]:02x}", file=sys.stderr)
+        return 2
     except CircuitParseError as e:
         print(f"{path}:{e.line}:{e.column}: error: {e.reason}", file=sys.stderr)
         return 2

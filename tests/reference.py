@@ -80,3 +80,28 @@ def random_amplitudes(rng, dim):
     """Normalized complex amplitude vector, rotation invariant."""
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
+
+
+def mixed_basis_index(counts, input_ports, aux_ports):
+    """Qubit index of one photon term under the mixed-basis dictionary, or
+    None when the term lies outside the encodable subspace.
+
+    counts maps (port, "H" or "V") to a photon count. Every photon must sit
+    in a declared port and each declared port must hold exactly one. Qubits
+    are read in declaration order, most significant first: an input port
+    gives one qubit, 0 for H and 1 for V; an aux port gives two, its V count
+    and then its H count.
+    """
+    declared = set(input_ports) | set(aux_ports)
+    if any(n and port not in declared for (port, _), n in counts.items()):
+        return None
+    bits = []
+    for port in input_ports + aux_ports:
+        h, v = counts.get((port, "H"), 0), counts.get((port, "V"), 0)
+        if h + v != 1:
+            return None
+        bits += [v] if port in input_ports else [v, h]
+    index = 0
+    for bit in bits:
+        index = 2 * index + bit
+    return index

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from pgw.fock_core import FockKet, H, ModeId, Register, V
 from pgw.mb_bridge import (
     DecodingDomainError,
@@ -208,3 +209,49 @@ def test_verify_aux_resource_equivalence():
 
 def test_verify_optical_cnot_matches_teleported_cnot():
     _assert_all_pass(verify_ecnot_equals_tcnot(np.random.default_rng(7), trials=20))
+
+
+@st.composite
+def _declared_state(draw):
+    """0-2 input and 0-2 aux ports (at least one port) and one spectator
+    port, named in a random order, with up to five terms of nonzero
+    amplitude: about half encodable, the rest with random counts."""
+    n_in = draw(st.integers(0, 2))
+    n_aux = draw(st.integers(0 if n_in else 1, 2))
+    names = draw(st.permutations("PQRST"))[:n_in + n_aux + 1]
+    enc = MBEncoding(tuple(names[:n_in]), tuple(names[n_in:-1]))
+    register = Register(names, cutoff=4 * len(names))
+    modes = [(m.spatial_label, m.polarization.value) for m in register.modes]
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.booleans()):
+            counts = {(port, draw(st.sampled_from("HV"))): 1 for port in names[:-1]}
+        else:
+            counts = {mode: draw(st.sampled_from((0, 0, 1, 2))) for mode in modes}
+        occ = tuple(counts.get(mode, 0) for mode in modes)
+        terms[occ] = draw(st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0,
+                                             allow_nan=False, allow_infinity=False))
+    norm = np.sqrt(sum(abs(a) ** 2 for a in terms.values()))
+    return enc, FockKet(register, {occ: a / max(norm, 1.0) for occ, a in terms.items()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_declared_state())
+def test_dictionary_matches_the_oracle(case):
+    """mb_encode, project_encodable and mb_decode agree with the per-term
+    dictionary in tests/reference.py on random declarations and terms."""
+    enc, state = case
+    modes = [(m.spatial_label, m.polarization.value) for m in state.register.modes]
+    index = {occ: reference.mixed_basis_index(dict(zip(modes, occ)), enc.input_ports,
+                                              enc.aux_ports) for occ in state.terms}
+    accepted = {occ: amp for occ, amp in state.terms.items() if index[occ] is not None}
+    assert project_encodable(state, enc).terms == accepted
+    if len(accepted) < len(state.terms):
+        with pytest.raises(EncodingDomainError):
+            mb_encode(state, enc)
+    want = np.zeros(2 ** len(enc.qubit_labels), dtype=complex)
+    for occ, amp in accepted.items():
+        want[index[occ]] += amp
+    encoded = mb_encode(FockKet(state.register, accepted), enc)
+    assert np.array_equal(encoded.amplitudes, want)
+    assert np.array_equal(mb_encode(mb_decode(encoded, enc), enc).amplitudes, want)

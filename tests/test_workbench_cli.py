@@ -652,3 +652,21 @@ def test_python_dash_m_pgw_runs_cleanly():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert proc.stdout == "\n".join(TRUTH_TABLE_STDOUT["f_gate"]) + "\n"
+
+
+def test_simulate_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.circuit"
+    path.write_bytes(b"pgw-circuit v1\nregister IN A D0 D1\nterm 1,0 IN.H=1 # caf\xe9\n"
+                     b"gate f_gate IN A D0 D1\n")
+    assert main(["simulate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{path}:3:22: error:")
+
+
+def test_term_above_the_cutoff_is_a_parse_error():
+    """Checked after every line, since cutoff may follow the terms; a zero
+    amplitude does not hide the term. The error points at its first count."""
+    for body in ("term 1,0 IN.H=9\ncutoff 4\n", "term 0,0 A.H=1 IN.V=4\n"):
+        err = _parse_error("pgw-circuit v1\nregister IN A\n" + body)
+        assert (err.line, err.column) == (3, 10)
