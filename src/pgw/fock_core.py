@@ -14,7 +14,8 @@ Branch values whose squared norm is the branch probability; branch
 states stay unnormalized so probabilities can be read off directly,
 matching the 1/sqrt(2) prefactor style of the gate algebra.
 measure_outcomes runs many detection patterns with one pass over the
-state per set of measured modes.
+state per set of measured modes. Every trace over modes goes through it:
+drop_vacuum_ports is a vacuum detection that must keep every term.
 
 Conventions pinned here and relied on everywhere else:
   * mode order is lexicographic by (spatial label, H before V);
@@ -558,17 +559,10 @@ def fidelity_up_to_global_phase(a: FockKet, b: FockKet) -> float:
 
 
 def drop_vacuum_ports(state: FockKet, labels: Iterable[str]) -> FockKet:
-    """Remove spatial ports that are vacuum in every term of the state."""
-    removed: list[ModeId] = []
-    for label in labels:
-        removed.extend(state.register.port_modes(label))
-    removed_idx = [state.register.index_of(m) for m in removed]
-    for occ in state.terms:
-        for i in removed_idx:
-            if occ[i] != 0:
-                raise ValueError(f"port {state.register.modes[i].spatial_label!r} is not vacuum")
-    removed_set = set(removed_idx)
-    keep = [i for i in range(state.register.n_modes) if i not in removed_set]
-    sub = state.register.drop_modes(removed)
-    return FockKet(sub, {tuple(occ[i] for i in keep): amp for occ, amp in state.terms.items()},
-                   validate=False)
+    """Remove spatial ports that must be vacuum in every term, by a vacuum detection."""
+    labels = tuple(labels)
+    modes = [m for label in labels for m in state.register.port_modes(label)]
+    (kept,) = measure_outcomes(state, [(DetectionPattern(dict.fromkeys(modes, 0)), "vacuum", 0)])
+    if len(kept.conditional_state.terms) != len(state.terms):
+        raise ValueError(f"ports {', '.join(labels)} are not all vacuum")
+    return kept.conditional_state

@@ -8,6 +8,9 @@ Conventions:
     rotation including the -i factor;
   * pockels_z is the polarization phase flip |V> -> -|V>, applied by the
     gate layer as classical feed-forward, not as a quantum control.
+
+ELEMENTS is the one table of element signatures; ElementSpec checks and
+builds through it, and the circuit-file parser reads `element` lines by it.
 """
 
 from __future__ import annotations
@@ -38,21 +41,15 @@ class ElementSpec:
     def __post_init__(self):
         kind = ElementKind(self.kind)
         object.__setattr__(self, "kind", kind)
-        arity = {ElementKind.PBS: 2, ElementKind.HWP: 1, ElementKind.PC: 1}
-        if kind is ElementKind.SWAP:
-            if len(self.modes) != 2 or self.spatial_ports:
-                raise ValueError("swap takes exactly 2 modes")
-        elif len(self.spatial_ports) != arity[kind] or self.modes:
-            raise ValueError(f"{kind.value} takes exactly {arity[kind]} spatial port(s)")
+        _, arity, modes, _ = ELEMENTS[kind]
+        if (len(self.spatial_ports), len(self.modes)) != ((0, arity) if modes else (arity, 0)):
+            noun = "mode" if modes else "spatial port"
+            raise ValueError(f"{kind.value} takes exactly {arity} {noun}(s)")
 
     def build(self, register: Register) -> ModeTransform:
-        if self.kind is ElementKind.PBS:
-            return pbs(register, *self.spatial_ports)
-        if self.kind is ElementKind.HWP:
-            return hwp(register, self.spatial_ports[0], self.angle_degrees)
-        if self.kind is ElementKind.PC:
-            return pockels_z(register, self.spatial_ports[0])
-        return mode_swap(register, *self.modes)
+        constructor, _, _, angle = ELEMENTS[self.kind]
+        extra = (self.angle_degrees,) if angle else ()
+        return constructor(register, *(self.modes or self.spatial_ports), *extra)
 
 
 _EXCHANGE = ((0.0, 1.0), (1.0, 0.0))
@@ -95,3 +92,14 @@ def mode_swap(register: Register, m1: ModeId, m2: ModeId) -> ModeTransform:
         raise ValueError("mode_swap needs two distinct modes")
     i1, i2 = register.index_of(m1), register.index_of(m2)
     return ModeTransform(register, _EXCHANGE, sorted((i1, i2)))
+
+
+# The one table of element signatures. Kind -> (constructor, number of
+# arguments, whether they are modes (else spatial ports), whether an angle in
+# degrees follows them); the constructor is called as (register, *arguments).
+ELEMENTS = {
+    ElementKind.PBS: (pbs, 2, False, False),
+    ElementKind.HWP: (hwp, 1, False, True),
+    ElementKind.PC: (pockels_z, 1, False, False),
+    ElementKind.SWAP: (mode_swap, 2, True, False),
+}

@@ -17,7 +17,8 @@ post-selected CNOT on two polarization qubits (success 1/4, four accepted
 detector combinations carrying 1/16 each).
 
 Each gate is written once, as an expander that lists its elements, its
-heralded detector patterns and the corrections of each outcome. One runner,
+heralded detector patterns and the corrections of each outcome; e_cnot's
+expander joins those of its two stages, corrections included. One runner,
 run_pipeline, applies such a list to a state. The library gates call it on
 their expansion and drop the emptied auxiliary ports; the circuit-file
 `gate` directive (workbench_cli) splices the same expansion into a circuit,
@@ -112,25 +113,19 @@ def _expand_d_cnot(target: str, control: str, d0: str, d1: str):
 def _expand_e_cnot(control: str, target: str, aux: str, aux2: str,
                    d0: str, d1: str, d0b: str, d1b: str):
     """Parity stage on (control, aux), then the plate-sandwiched stage on
-    (target, aux2); detector patterns are the products of the two stages."""
-    s1_elements, s1_detections, _ = _expand_f_gate(control, aux, d0, d1)
-    s2_elements, s2_detections, _ = _expand_d_cnot(target, aux2, d0b, d1b)
-    elements = s1_elements + s2_elements
+    (target, aux2); each outcome joins one of each stage, with its corrections."""
+    s1_elements, s1_detections, s1_corrections = _expand_f_gate(control, aux, d0, d1)
+    s2_elements, s2_detections, s2_corrections = _expand_d_cnot(target, aux2, d0b, d1b)
     detections = []
     corrections: dict[str, list[ElementSpec]] = {}
     for b1 in s1_detections:
         for b2 in s2_detections:
             label = f"{b1.label},{b2.label}"
             detections.append(DetectionSpec(label, b2.j, b1.required + b2.required))
-            fixes = []
-            if b1.j:
-                fixes.append(ElementSpec(ElementKind.PC, (control,)))
-            if b2.j:
-                fixes.append(ElementSpec(ElementKind.SWAP, (),
-                                         (ModeId(target, H), ModeId(target, V))))
+            fixes = s1_corrections.get(b1.label, []) + s2_corrections.get(b2.label, [])
             if fixes:
                 corrections[label] = fixes
-    return elements, detections, corrections
+    return s1_elements + s2_elements, detections, corrections
 
 
 # Gate name -> (expander, number of port arguments), for circuit files.
@@ -186,6 +181,14 @@ def _require_port_photons(state: FockKet, ports: Sequence[str], count: int) -> N
                                  else f"expected vacuum in port {port!r}")
 
 
+def _run_filter(expander, joint: FockKet, layout: FGateLayout) -> GateResult:
+    """f_gate or destructive_cnot: check the photon numbers, run the expansion."""
+    _require_port_photons(joint, (layout.input_port, layout.aux_port), 1)
+    _require_port_photons(joint, layout.detector_ports, 0)
+    return _run_gate(joint, expander(layout.input_port, layout.aux_port,
+                                     *layout.detector_ports), (layout.aux_port,))
+
+
 def f_gate(joint: FockKet, layout: FGateLayout) -> GateResult:
     """Post-selected parity-check filter on (input, aux); see module docstring.
 
@@ -193,10 +196,7 @@ def f_gate(joint: FockKet, layout: FGateLayout) -> GateResult:
     in the auxiliary port; detector ports must be vacuum. Accepted branch
     states live on the input port (plus any bystander ports).
     """
-    _require_port_photons(joint, (layout.input_port, layout.aux_port), 1)
-    _require_port_photons(joint, layout.detector_ports, 0)
-    return _run_gate(joint, _expand_f_gate(layout.input_port, layout.aux_port,
-                                           *layout.detector_ports), (layout.aux_port,))
+    return _run_filter(_expand_f_gate, joint, layout)
 
 
 def quantum_parity_check(input_state: FockKet, aux_polarization) -> GateResult:
@@ -225,10 +225,7 @@ def destructive_cnot(joint: FockKet, layout: FGateLayout) -> GateResult:
     on the target after. An H control leaves the target alone, a V control
     flips it; success probability 1/2.
     """
-    _require_port_photons(joint, (layout.input_port, layout.aux_port), 1)
-    _require_port_photons(joint, layout.detector_ports, 0)
-    return _run_gate(joint, _expand_d_cnot(layout.input_port, layout.aux_port,
-                                           *layout.detector_ports), (layout.aux_port,))
+    return _run_filter(_expand_d_cnot, joint, layout)
 
 
 def e_cnot(two_qubit_input: FockKet, control_port: str = "IN",

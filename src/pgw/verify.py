@@ -3,7 +3,8 @@
 run_suite runs one suite of SUITES (optical, teleport, mb), or all in
 order, each with a fresh generator from the seed, and returns a Report in
 the fixed text and JSON formats. TRUTH_TABLES holds one amplitude-in
-builder per tabulated gate.
+builder per tabulated gate. Random element pipelines run through
+optical_gates.run_pipeline, as circuits and the library gates do.
 
 Each layer function that perfbench/tracer.py wraps is called through its
 module (optical_elements.hwp, qubit_teleport.telegate_t), also where a gate
@@ -21,7 +22,6 @@ from . import fock_core, mb_bridge, optical_elements, optical_gates, qubit_telep
 from .fock_core import (
     BRANCH_EQUALITY_TOL,
     HALF,
-    DetectionPattern,
     FockKet,
     H,
     ModeId,
@@ -41,7 +41,8 @@ from .mb_bridge import (
     mb_decode,
     pair_branches,
 )
-from .optical_gates import ROTATION_DEG, ecnot_gate, filter_gate
+from .optical_elements import ElementKind, ElementSpec
+from .optical_gates import ROTATION_DEG, DetectionSpec, ecnot_gate, filter_gate
 from .qubit_teleport import (
     CNOT_MATRIX,
     CZ_MATRIX,
@@ -190,19 +191,17 @@ def _suite_optical(rng: np.random.Generator, trials: int) -> list[dict]:
     ec_success, ec_branch, ec_fid = gate_deviations(ec_ops, v, CNOT_MATRIX, 0.25, 1.0 / 16.0)
 
     # Random plate angles change the map on every trial, so these run one by one.
+    port_a = [DetectionSpec(f"A.H={h},A.V={v}", 0, ((ModeId("A", H), h), (ModeId("A", V), v)))
+              for h, v in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2))]
     norm_dev, completeness_dev = [], []
     for amps, (theta1, theta2) in zip(w.T, thetas.T):
-        state = polarization_ket(reg_ab, ("A", "B"), amps)
-        state = fock_core.apply_mode_transform(state, optical_elements.hwp(reg_ab, "A", theta1))
-        state = fock_core.apply_mode_transform(state, optical_elements.pbs(reg_ab, "A", "B"))
-        state = fock_core.apply_mode_transform(state, optical_elements.hwp(reg_ab, "B", theta2))
+        elements = (ElementSpec(ElementKind.HWP, ("A",), (), theta1),
+                    ElementSpec(ElementKind.PBS, ("A", "B")),
+                    ElementSpec(ElementKind.HWP, ("B",), (), theta2))
+        state, branches = optical_gates.run_pipeline(
+            polarization_ket(reg_ab, ("A", "B"), amps), elements, port_a, {})
         norm_dev.append(abs(state.norm_squared() - 1.0))
-        total = 0.0
-        for counts in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)):
-            pattern = DetectionPattern({ModeId("A", H): counts[0],
-                                        ModeId("A", V): counts[1]})
-            total += fock_core.measure_and_postselect(state, pattern).probability
-        completeness_dev.append(abs(total - 1.0))
+        completeness_dev.append(abs(sum(b.probability for b in branches) - 1.0))
     norm_dev, completeness_dev = np.max(norm_dev), np.max(completeness_dev)
 
     checks.append(check_record(
@@ -402,11 +401,6 @@ def _suite_teleport(rng: np.random.Generator, trials: int) -> list[dict]:
     return checks
 
 
-def _fock_dev(a: FockKet, b: FockKet) -> float:
-    keys = set(a.terms) | set(b.terms)
-    return max((abs(a.amplitude(k) - b.amplitude(k)) for k in keys), default=0.0)
-
-
 def _suite_mb(rng: np.random.Generator, trials: int) -> list[dict]:
     checks: list[dict] = []
     reg = Register(("IN", "A"))
@@ -434,9 +428,11 @@ def _suite_mb(rng: np.random.Generator, trials: int) -> list[dict]:
 
     fixed = polarization_ket(reg, ("IN", "A"), np.array([0.5, 0.5j, -0.5, 0.5]))
     decoded = mb_decode(mb_bridge.mb_encode(fixed, enc), enc)
+    dev = max(abs(fixed.amplitude(k) - decoded.amplitude(k))
+              for k in set(fixed.terms) | set(decoded.terms))
     checks.append(check_record(
         "mb-roundtrip", "decoding after encoding returns the original optical state",
-        _fock_dev(fixed, decoded), 0.0, 1e-13))
+        dev, 0.0, 1e-13))
 
     checks.extend(mb_bridge.verify_pbs_mb(rng, trials))
     checks.extend(mb_bridge.verify_hwp_mb(rng, trials))

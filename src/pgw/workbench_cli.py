@@ -26,7 +26,8 @@ Circuit file format (UTF-8; header line `pgw-circuit v1`, then directives):
     detect D0 0 D0.H=1 D0.V=0  branch: exact counts, with a label and a
                                feed-forward index j
     correct D0 pc IN           correction applied to that branch's survivors
-Lines starting with # are comments. `gate` names: f_gate, parity_check,
+A `#` starts a comment that runs to the end of its line; no port label,
+number or count contains one. `gate` names: f_gate, parity_check,
 d_cnot (ports: target control d0 d1), e_cnot (ports: control target aux
 aux' d0 d1 d0' d1'). All detections are evaluated on the state after the
 full element pipeline, so expanded corrections are conjugated through any
@@ -62,7 +63,7 @@ from .fock_core import (
     RegisterError,
     V,
 )
-from .optical_elements import ElementKind, ElementSpec
+from .optical_elements import ELEMENTS, ElementKind, ElementSpec
 from .optical_gates import GATE_EXPANDERS, DetectionSpec, gate_truth_table, run_pipeline
 from .qubit_teleport import QubitState
 from .verify import SUITES, TRUTH_TABLES, run_suite
@@ -139,9 +140,7 @@ def _parse_mode(text: str, labels: tuple[str, ...], line: int, col: int) -> Mode
         mode = ModeId.parse(text)
     except ValueError as e:
         raise CircuitParseError(str(e), line, col) from None
-    if mode.spatial_label not in labels:
-        raise CircuitParseError(
-            f"port {mode.spatial_label!r} not declared in register", line, col)
+    _parse_port(mode.spatial_label, labels, line, col)
     return mode
 
 
@@ -153,32 +152,22 @@ def _parse_port(text: str, labels: tuple[str, ...], line: int, col: int) -> str:
 
 def _parse_element_tokens(tokens: list[tuple[str, int]], labels: tuple[str, ...],
                           line: int) -> ElementSpec:
+    """KIND, its port or mode arguments, then an angle if the kind takes one."""
     if not tokens:
         raise CircuitParseError("missing element kind", line, 1)
-    kind, col = tokens[0]
-    args = tokens[1:]
-    if kind == "pbs":
-        if len(args) != 2:
-            raise CircuitParseError("element pbs takes two port arguments", line, col)
-        return ElementSpec(ElementKind.PBS,
-                           tuple(_parse_port(t, labels, line, c) for t, c in args))
-    if kind == "hwp":
-        if len(args) != 2:
-            raise CircuitParseError("element hwp takes a port and an angle", line, col)
-        port = _parse_port(args[0][0], labels, line, args[0][1])
-        angle = _parse_float(args[1][0], "an angle in degrees", line, args[1][1])
-        return ElementSpec(ElementKind.HWP, (port,), (), angle)
-    if kind == "pc":
-        if len(args) != 1:
-            raise CircuitParseError("element pc takes one port argument", line, col)
-        return ElementSpec(ElementKind.PC, (_parse_port(args[0][0], labels, line,
-                                                        args[0][1]),))
-    if kind == "swap":
-        if len(args) != 2:
-            raise CircuitParseError("element swap takes two mode arguments", line, col)
-        return ElementSpec(ElementKind.SWAP, (),
-                           tuple(_parse_mode(t, labels, line, c) for t, c in args))
-    raise CircuitParseError(f"unknown element kind {kind!r}", line, col)
+    (word, col), args = tokens[0], tokens[1:]
+    if word not in ELEMENTS:  # ElementKind members hash and compare as their values
+        raise CircuitParseError(f"unknown element kind {word!r}", line, col)
+    _, arity, modes, angle = ELEMENTS[word]
+    if len(args) != arity + angle:
+        noun = "mode" if modes else "port"
+        raise CircuitParseError(f"element {word} takes {arity} {noun} argument(s)"
+                                + " and an angle" * angle, line, col)
+    parse = _parse_mode if modes else _parse_port
+    targets = tuple(parse(t, labels, line, c) for t, c in args[:arity])
+    degrees = _parse_float(args[-1][0], "an angle in degrees", line, args[-1][1]) if angle else 0.0
+    ports, mode_ids = ((), targets) if modes else (targets, ())
+    return ElementSpec(ElementKind(word), ports, mode_ids, degrees)
 
 
 def _parse_counts(tokens: list[tuple[str, int]], labels: tuple[str, ...],
@@ -224,10 +213,9 @@ def parse_circuit(text: str, source: str = "<circuit>") -> CircuitFile:
         return labels
 
     for line_no, raw in enumerate(text.splitlines(), 1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
+        tokens = _line_tokens(raw.partition("#")[0])  # '#' starts a comment
+        if not tokens:
             continue
-        tokens = _line_tokens(raw)
         if not header_seen:
             if [t for t, _ in tokens] != HEADER.split():
                 raise CircuitParseError(f"expected header {HEADER!r}", line_no,
@@ -243,10 +231,9 @@ def parse_circuit(text: str, source: str = "<circuit>") -> CircuitFile:
                 raise CircuitParseError("register needs at least one port", line_no, col)
             seen = []
             for name, ncol in rest:
-                if any(c in name for c in ".,=#"):
+                if any(c in name for c in ".,="):
                     raise CircuitParseError(
-                        f"port label {name!r} may not contain '.', ',', '=', or '#'",
-                        line_no, ncol)
+                        f"port label {name!r} may not contain '.', ',', or '='", line_no, ncol)
                 if name in seen:
                     raise CircuitParseError(f"port {name!r} declared twice", line_no, ncol)
                 seen.append(name)

@@ -255,3 +255,20 @@ def test_dictionary_matches_the_oracle(case):
     encoded = mb_encode(FockKet(state.register, accepted), enc)
     assert np.array_equal(encoded.amplitudes, want)
     assert np.array_equal(mb_encode(mb_decode(encoded, enc), enc).amplitudes, want)
+
+
+@pytest.mark.parametrize("inputs, aux, index", [
+    (("P1", "P2", "P3", "P4", "P5"), (), 0b10110),
+    (("P1", "P2", "P3", "P4", "P5", "P6"), (), 0b101101),
+    (("P1", "P2", "P3", "P4"), ("A",), 0b1011_10),
+], ids=["5-inputs", "6-inputs", "4-inputs-1-aux"])
+def test_decode_then_encode_above_the_default_cutoff(inputs, aux, index):
+    """An encoding with more ports than the default cutoff decodes onto a
+    register whose cutoff holds one photon per port."""
+    from pgw.qubit_teleport import QubitState
+    enc = MBEncoding(inputs, aux)
+    amps = np.zeros(2 ** len(enc.qubit_labels), dtype=complex)
+    amps[index] = 1.0
+    decoded = mb_decode(QubitState(enc.qubit_labels, amps), enc)
+    assert decoded.register.cutoff >= len(inputs + aux)
+    assert np.array_equal(mb_encode(decoded, enc).amplitudes, amps)

@@ -17,9 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pgw
-from pgw.fock_core import FockKet, Register, fidelity_up_to_global_phase, polarization_ket
+from pgw.fock_core import (
+    H,
+    V,
+    FockKet,
+    ModeId,
+    Register,
+    fidelity_up_to_global_phase,
+    polarization_ket,
+)
 from pgw.mb_bridge import check_record
-from pgw.optical_elements import ElementKind
+from pgw.optical_elements import ElementKind, ElementSpec, hwp, mode_swap, pbs, pockels_z
 from pgw.optical_gates import destructive_cnot, e_cnot, f_gate
 from pgw.workbench_cli import (
     DEFAULT_SEED,
@@ -670,3 +678,54 @@ def test_term_above_the_cutoff_is_a_parse_error():
     for body in ("term 1,0 IN.H=9\ncutoff 4\n", "term 0,0 A.H=1 IN.V=4\n"):
         err = _parse_error("pgw-circuit v1\nregister IN A\n" + body)
         assert (err.line, err.column) == (3, 10)
+
+
+def test_readme_circuit_example_runs(tmp_path, capsys):
+    """The circuit-format example in README.md, comments included, runs."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    after = readme[readme.index("Circuit files are line-oriented"):]
+    block = after.split("```\n", 2)[1]
+    assert block.startswith("pgw-circuit v1\n") and " # " in block
+    path = tmp_path / "readme.circuit"
+    path.write_text(block)
+    assert main(["simulate", str(path)]) == 0
+    assert "outcome none  j=0" in capsys.readouterr().out
+
+
+def test_a_comment_may_follow_any_directive_without_moving_columns():
+    cf = parse_circuit("pgw-circuit v1 # format\nregister IN #A\nterm 1,0 IN.H=1#x\n")
+    assert cf.labels == ("IN",)
+    assert cf.terms == [(1.0 + 0.0j, {ModeId("IN", H): 1})]
+    err = _parse_error("pgw-circuit v1\nregister IN\n  term 1,0 IN.V=x # note\n")
+    assert (err.line, err.column) == (3, 12)
+
+
+# One element line per kind, the ElementSpec fields it must parse to (ports,
+# modes, angle), and the constructor it must build through.
+_ELEMENT_LINES = {
+    ElementKind.PBS: ("pbs A B", (("A", "B"), (), 0.0), lambda reg: pbs(reg, "A", "B")),
+    ElementKind.HWP: ("hwp B 22.5", (("B",), (), 22.5), lambda reg: hwp(reg, "B", 22.5)),
+    ElementKind.PC: ("pc A", (("A",), (), 0.0), lambda reg: pockels_z(reg, "A")),
+    ElementKind.SWAP: ("swap A.H B.V", ((), (ModeId("A", H), ModeId("B", V)), 0.0),
+                       lambda reg: mode_swap(reg, ModeId("A", H), ModeId("B", V))),
+}
+
+
+@pytest.mark.parametrize("kind", list(ElementKind), ids=[k.value for k in ElementKind])
+def test_element_table_drives_parser_spec_and_build(kind):
+    """Each kind's line parses to the spec built directly, the spec builds
+    the constructor's transform, and one argument too few or too many fails
+    at the kind's column."""
+    line, fields, construct = _ELEMENT_LINES[kind]
+    spec = ElementSpec(kind, *fields)
+    head = "pgw-circuit v1\nregister A B\n"
+    assert parse_circuit(head + f"element {line}\n").elements == [spec]
+    reg = Register(("A", "B"))
+    built, direct = spec.build(reg), construct(reg)
+    assert built.touched == direct.touched
+    assert np.array_equal(built.block, direct.block)
+    tokens = line.split()
+    for wrong in (tokens[:-1], tokens + ["A"]):
+        err = _parse_error(head + "  element " + " ".join(wrong) + "\n")
+        assert (err.line, err.column) == (3, 11)
+        assert err.reason.startswith(f"element {kind.value} takes ")
