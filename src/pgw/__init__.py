@@ -36,7 +36,6 @@ from .optical_gates import (
 )
 from .qubit_teleport import (
     BellLabel,
-    QubitOperator,
     QubitState,
     bell_state,
     cnot_via_cz,

@@ -9,10 +9,12 @@ term on those modes through phi(U), the block's n-photon representation
 (Aaronson & Arkhipov, arXiv:1011.3245; entries are permanents over square
 roots of factorials, Scheel, quant-ph/0406127): each row, for one
 occupation of the block, maps image occupations to coefficients, and is
-built once per call for every block size. Number-resolving detection with post-selection produces
-Branch values whose squared norm is the branch probability; branch
-states stay unnormalized so probabilities can be read off directly,
-matching the 1/sqrt(2) prefactor style of the gate algebra.
+built once per call for every block size. A DetectionPattern is one
+heralded outcome (required counts, consumed modes, label, feed-forward
+index j); number-resolving detection with post-selection turns it into a
+Branch with the same label and j, whose squared norm is the branch
+probability. Branch states stay unnormalized so probabilities can be read
+off directly, matching the 1/sqrt(2) prefactor style of the gate algebra.
 measure_outcomes runs many detection patterns with one pass over the
 state per set of measured modes. Every trace over modes goes through it:
 drop_vacuum_ports is a vacuum detection that must keep every term.
@@ -295,17 +297,22 @@ class ModeTransform:
 
 @dataclass(frozen=True)
 class DetectionPattern:
-    """Exact photon counts required on measured modes.
+    """One heralded outcome: exact photon counts required on measured modes,
+    with the outcome's label and feed-forward index j.
 
-    required lists (mode, count) constraints; measured is the full set of
-    modes consumed by the detection (traced out of the surviving state).
+    required lists (mode, count) constraints, sorted by mode; measured is the
+    full set of modes consumed by the detection (traced out of the surviving
+    state) and defaults to the required modes. An empty label becomes the
+    required counts written MODE=COUNT and joined by commas.
     """
 
     required: tuple[tuple[ModeId, int], ...]
     measured: frozenset[ModeId]
+    label: str
+    j: int
 
     def __init__(self, required: Mapping[ModeId, int],
-                 measured: Iterable[ModeId] | None = None):
+                 measured: Iterable[ModeId] | None = None, label: str = "", j: int = 0):
         req = tuple(sorted(required.items()))
         meas = frozenset(measured) if measured is not None else frozenset(required)
         for mode, count in req:
@@ -315,6 +322,8 @@ class DetectionPattern:
                 raise ValueError(f"required mode {mode} missing from measured set")
         object.__setattr__(self, "required", req)
         object.__setattr__(self, "measured", meas)
+        object.__setattr__(self, "label", label or ",".join(f"{m}={c}" for m, c in req))
+        object.__setattr__(self, "j", j)
 
 
 @dataclass(frozen=True)
@@ -322,9 +331,9 @@ class Branch:
     """One post-selected measurement outcome.
 
     conditional_state is unnormalized: probability == its squared norm.
-    j is the feed-forward correction index associated with the outcome.
-    For composite gates with several detection stages, outcome_label
-    records the full detector pattern and j is the final stage's index.
+    outcome_label and j come from the DetectionPattern that produced it;
+    for composite gates with several detection stages, the label records
+    the full detector pattern and j is the final stage's index.
     """
 
     outcome_label: str
@@ -475,15 +484,14 @@ def _transfer_row(steps: list[list[tuple[int, complex]]], counts: tuple[int, ...
             for image, v in sorted(poly.items()) if v]
 
 
-def measure_and_postselect(state: FockKet, pattern: DetectionPattern, *,
-                           outcome_label: str = "", j: int = 0) -> Branch:
+def measure_and_postselect(state: FockKet, pattern: DetectionPattern) -> Branch:
     """Project onto exact counts on measured modes and trace those modes out.
 
     Returns an unnormalized conditional state on the surviving modes; the
     branch probability is its squared norm. Zero-probability outcomes give
     a zero branch rather than an error.
     """
-    return measure_outcomes(state, [(pattern, outcome_label, j)])[0]
+    return measure_outcomes(state, [pattern])[0]
 
 
 def _picker(indices: Sequence[int]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
@@ -494,10 +502,9 @@ def _picker(indices: Sequence[int]) -> Callable[[tuple[int, ...]], tuple[int, ..
     return operator.itemgetter(*indices) if indices else lambda occ: ()
 
 
-def measure_outcomes(state: FockKet,
-                     outcomes: Sequence[tuple[DetectionPattern, str, int]]
+def measure_outcomes(state: FockKet, patterns: Sequence[DetectionPattern]
                      ) -> tuple[Branch, ...]:
-    """measure_and_postselect for each (pattern, outcome_label, j), in order.
+    """measure_and_postselect for each pattern, in order.
 
     Patterns that measure the same set of modes share one pass over the
     state, which sorts its terms into buckets by their counts on those
@@ -507,7 +514,7 @@ def measure_outcomes(state: FockKet,
     register = state.register
     groups: dict[frozenset[ModeId], tuple] = {}
     branches = []
-    for pattern, outcome_label, j in outcomes:
+    for pattern in patterns:
         required = {register.index_of(m): c for m, c in pattern.required}
         group = groups.get(pattern.measured)
         if group is None:
@@ -537,8 +544,7 @@ def measure_outcomes(state: FockKet,
                     "constrain every measured mode")
             terms = hits[0] if hits else {}
         conditional = FockKet(sub_register, terms, validate=False)
-        label = outcome_label or ",".join(f"{m}={c}" for m, c in pattern.required)
-        branches.append(Branch(label, j, conditional, conditional.norm_squared()))
+        branches.append(Branch(pattern.label, pattern.j, conditional, conditional.norm_squared()))
     return tuple(branches)
 
 
@@ -562,7 +568,7 @@ def drop_vacuum_ports(state: FockKet, labels: Iterable[str]) -> FockKet:
     """Remove spatial ports that must be vacuum in every term, by a vacuum detection."""
     labels = tuple(labels)
     modes = [m for label in labels for m in state.register.port_modes(label)]
-    (kept,) = measure_outcomes(state, [(DetectionPattern(dict.fromkeys(modes, 0)), "vacuum", 0)])
+    (kept,) = measure_outcomes(state, [DetectionPattern(dict.fromkeys(modes, 0))])
     if len(kept.conditional_state.terms) != len(state.terms):
         raise ValueError(f"ports {', '.join(labels)} are not all vacuum")
     return kept.conditional_state

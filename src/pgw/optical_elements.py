@@ -41,10 +41,12 @@ class ElementSpec:
     def __post_init__(self):
         kind = ElementKind(self.kind)
         object.__setattr__(self, "kind", kind)
-        _, arity, modes, _ = ELEMENTS[kind]
+        _, arity, modes, angle = ELEMENTS[kind]
         if (len(self.spatial_ports), len(self.modes)) != ((0, arity) if modes else (arity, 0)):
             noun = "mode" if modes else "spatial port"
             raise ValueError(f"{kind.value} takes exactly {arity} {noun}(s)")
+        if not angle and self.angle_degrees != 0.0:
+            raise ValueError(f"{kind.value} takes no angle, got {self.angle_degrees!r}")
 
     def build(self, register: Register) -> ModeTransform:
         constructor, _, _, angle = ELEMENTS[self.kind]

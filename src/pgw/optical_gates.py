@@ -17,14 +17,16 @@ post-selected CNOT on two polarization qubits (success 1/4, four accepted
 detector combinations carrying 1/16 each).
 
 Each gate is written once, as an expander that lists its elements, its
-heralded detector patterns and the corrections of each outcome; e_cnot's
-expander joins those of its two stages, corrections included. One runner,
-run_pipeline, applies such a list to a state. The library gates call it on
-their expansion and drop the emptied auxiliary ports; the circuit-file
-`gate` directive (workbench_cli) splices the same expansion into a circuit,
-which run_circuit hands to the same runner. filter_gate and ecnot_gate run
-the library gates as functions of their input qubits' amplitudes, the form
-the truth tables and the compiled branch operators use.
+heralded outcomes (each a fock_core.DetectionPattern with its label and j)
+and the corrections of each outcome; e_cnot's expander joins those of its
+two stages into one pattern per outcome, corrections included. One runner,
+run_pipeline, applies such a list to a state, passing the patterns straight
+to measure_outcomes. The library gates call it on their expansion and drop
+the emptied auxiliary ports; the circuit-file `gate` directive
+(workbench_cli) splices the same expansion into a circuit, which
+run_circuit hands to the same runner. filter_gate and ecnot_gate run the
+library gates as functions of their input qubits' amplitudes, the form the
+truth tables and the compiled branch operators use.
 """
 
 from __future__ import annotations
@@ -71,15 +73,6 @@ class FGateLayout:
             raise ValueError(f"layout ports must be distinct, got {ports}")
 
 
-@dataclass(frozen=True)
-class DetectionSpec:
-    """One labeled detector pattern with its feed-forward index."""
-
-    label: str
-    j: int
-    required: tuple[tuple[ModeId, int], ...]
-
-
 def _expand_f_gate(inp: str, aux: str, d0: str, d1: str):
     """Filter stage: combine, rotate, route to detectors, flip on outcome 1."""
     elements = [
@@ -88,12 +81,9 @@ def _expand_f_gate(inp: str, aux: str, d0: str, d1: str):
         ElementSpec(ElementKind.SWAP, (), (ModeId(aux, H), ModeId(d0, H))),
         ElementSpec(ElementKind.SWAP, (), (ModeId(aux, V), ModeId(d1, V))),
     ]
-    detections = [
-        DetectionSpec(d0, 0, ((ModeId(d0, H), 1), (ModeId(d0, V), 0),
-                              (ModeId(d1, H), 0), (ModeId(d1, V), 0))),
-        DetectionSpec(d1, 1, ((ModeId(d0, H), 0), (ModeId(d0, V), 0),
-                              (ModeId(d1, H), 0), (ModeId(d1, V), 1))),
-    ]
+    modes = (ModeId(d0, H), ModeId(d0, V), ModeId(d1, H), ModeId(d1, V))
+    detections = [DetectionPattern(dict(zip(modes, (1, 0, 0, 0))), label=d0, j=0),
+                  DetectionPattern(dict(zip(modes, (0, 0, 0, 1))), label=d1, j=1)]
     corrections = {d1: [ElementSpec(ElementKind.PC, (inp,))]}
     return elements, detections, corrections
 
@@ -121,7 +111,8 @@ def _expand_e_cnot(control: str, target: str, aux: str, aux2: str,
     for b1 in s1_detections:
         for b2 in s2_detections:
             label = f"{b1.label},{b2.label}"
-            detections.append(DetectionSpec(label, b2.j, b1.required + b2.required))
+            detections.append(DetectionPattern(dict(b1.required + b2.required),
+                                               label=label, j=b2.j))
             fixes = s1_corrections.get(b1.label, []) + s2_corrections.get(b2.label, [])
             if fixes:
                 corrections[label] = fixes
@@ -138,7 +129,7 @@ GATE_EXPANDERS = {
 
 
 def run_pipeline(state: FockKet, elements: Sequence[ElementSpec],
-                 detections: Sequence[DetectionSpec],
+                 detections: Sequence[DetectionPattern],
                  corrections: Mapping[str, Sequence[ElementSpec]]
                  ) -> tuple[FockKet, tuple[Branch, ...]]:
     """Apply the elements, then run every detection on the resulting state
@@ -152,11 +143,9 @@ def run_pipeline(state: FockKet, elements: Sequence[ElementSpec],
     for element in elements:
         state = apply_mode_transform(state, element.build(register))
     branches = []
-    raws = measure_outcomes(state, [(DetectionPattern(dict(det.required)), det.label, det.j)
-                                    for det in detections])
-    for det, raw in zip(detections, raws):
+    for raw in measure_outcomes(state, detections):
         out = raw.conditional_state
-        for fix in corrections.get(det.label, ()):
+        for fix in corrections.get(raw.outcome_label, ()):
             out = apply_mode_transform(out, fix.build(out.register))
         branches.append(Branch(raw.outcome_label, raw.j, out, raw.probability))
     return state, tuple(branches)

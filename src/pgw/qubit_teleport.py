@@ -89,37 +89,6 @@ class QubitState:
 
 
 @dataclass(frozen=True)
-class QubitOperator:
-    """Matrix on named target qubits; claims are validated at construction."""
-
-    matrix: np.ndarray
-    targets: tuple[str, ...]
-    claim: str | None = None
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        dim = 2 ** len(self.targets)
-        if m.shape != (dim, dim):
-            raise ValueError(f"matrix shape {m.shape} != ({dim}, {dim})")
-        # Written as not (dev <= tol) so that a NaN entry fails the claim.
-        if self.claim == "unitary":
-            if not np.abs(m.conj().T @ m - np.eye(dim)).max() <= 1e-12:
-                raise ValueError("operator claims unitarity but is not unitary")
-        elif self.claim == "projector":
-            if not (np.abs(m @ m - m).max() <= 1e-12 and np.abs(m.conj().T - m).max() <= 1e-12):
-                raise ValueError("operator claims to be a projector but is not")
-        elif self.claim is not None:
-            raise ValueError(f"unknown claim {self.claim!r}")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "targets", tuple(self.targets))
-
-    def apply(self, state: QubitState) -> QubitState:
-        return apply_matrix(state, self.matrix, self.targets)
-
-
-@dataclass(frozen=True)
 class BellLabel:
     """One of the four Bell states: family Psi (odd parity) or Phi (even),
     sign +1 or -1."""

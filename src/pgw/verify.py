@@ -42,7 +42,7 @@ from .mb_bridge import (
     pair_branches,
 )
 from .optical_elements import ElementKind, ElementSpec
-from .optical_gates import ROTATION_DEG, DetectionSpec, ecnot_gate, filter_gate
+from .optical_gates import ROTATION_DEG, ecnot_gate, filter_gate
 from .qubit_teleport import (
     CNOT_MATRIX,
     CZ_MATRIX,
@@ -191,7 +191,7 @@ def _suite_optical(rng: np.random.Generator, trials: int) -> list[dict]:
     ec_success, ec_branch, ec_fid = gate_deviations(ec_ops, v, CNOT_MATRIX, 0.25, 1.0 / 16.0)
 
     # Random plate angles change the map on every trial, so these run one by one.
-    port_a = [DetectionSpec(f"A.H={h},A.V={v}", 0, ((ModeId("A", H), h), (ModeId("A", V), v)))
+    port_a = [fock_core.DetectionPattern({ModeId("A", H): h, ModeId("A", V): v})
               for h, v in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2))]
     norm_dev, completeness_dev = [], []
     for amps, (theta1, theta2) in zip(w.T, thetas.T):

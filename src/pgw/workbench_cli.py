@@ -34,9 +34,12 @@ full element pipeline, so expanded corrections are conjugated through any
 elements that follow their detector in the original staged circuit.
 The gate expanders and the runner that applies elements, detections and
 corrections live in optical_gates; the library gates run through the same
-runner. Detection patterns must be pairwise exclusive: two patterns that
-agree on every mode they both constrain are an error. A `correct` step may
-not act on a mode that its branch's detection consumes.
+runner. Each `detect` line and each outcome of a `gate` line is one
+fock_core.DetectionPattern, and outcome labels are unique across both kinds
+of line. An element's port or mode arguments are distinct. Detection
+patterns must be pairwise exclusive: two patterns that agree on every mode
+they both constrain are an error. A `correct` step may not act on a mode
+that its branch's detection consumes.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from .fock_core import (
     DEFAULT_CUTOFF,
     NORM_SLACK,
     Branch,
+    DetectionPattern,
     FockKet,
     H,
     ModeId,
@@ -64,7 +68,7 @@ from .fock_core import (
     V,
 )
 from .optical_elements import ELEMENTS, ElementKind, ElementSpec
-from .optical_gates import GATE_EXPANDERS, DetectionSpec, gate_truth_table, run_pipeline
+from .optical_gates import GATE_EXPANDERS, gate_truth_table, run_pipeline
 from .qubit_teleport import QubitState
 from .verify import SUITES, TRUTH_TABLES, run_suite
 
@@ -91,12 +95,11 @@ class CircuitParseError(ValueError):
 class CircuitFile:
     """Parsed circuit: register, initial terms, pipeline, detections."""
 
-    source: str
     labels: tuple[str, ...]
     cutoff: int
     terms: list[tuple[complex, dict[ModeId, int]]] = field(default_factory=list)
     elements: list[ElementSpec] = field(default_factory=list)
-    detections: list[DetectionSpec] = field(default_factory=list)
+    detections: list[DetectionPattern] = field(default_factory=list)
     corrections: dict[str, list[ElementSpec]] = field(default_factory=dict)
 
 
@@ -165,6 +168,10 @@ def _parse_element_tokens(tokens: list[tuple[str, int]], labels: tuple[str, ...]
                                 + " and an angle" * angle, line, col)
     parse = _parse_mode if modes else _parse_port
     targets = tuple(parse(t, labels, line, c) for t, c in args[:arity])
+    for k in range(1, arity):
+        if targets[k] in targets[:k]:
+            raise CircuitParseError(f"element {word} repeats argument {args[k][0]!r}",
+                                    line, args[k][1])
     degrees = _parse_float(args[-1][0], "an angle in degrees", line, args[-1][1]) if angle else 0.0
     ports, mode_ids = ((), targets) if modes else (targets, ())
     return ElementSpec(ElementKind(word), ports, mode_ids, degrees)
@@ -194,7 +201,7 @@ def _argument_modes(element: ElementSpec) -> list[tuple[ModeId, ...]]:
     return [(ModeId(p, H), ModeId(p, V)) for p in element.spatial_ports]
 
 
-def parse_circuit(text: str, source: str = "<circuit>") -> CircuitFile:
+def parse_circuit(text: str) -> CircuitFile:
     labels: tuple[str, ...] | None = None
     cutoff = DEFAULT_CUTOFF
     cutoff_line = None
@@ -202,15 +209,20 @@ def parse_circuit(text: str, source: str = "<circuit>") -> CircuitFile:
     terms: list[tuple[complex, dict[ModeId, int]]] = []
     photons: list[tuple[int, int, int]] = []  # (photons, line, column) per term
     elements: list[ElementSpec] = []
-    detections: list[DetectionSpec] = []
+    detections: dict[str, DetectionPattern] = {}  # by label, from `detect` and `gate` lines
     corrections: dict[str, list[ElementSpec]] = {}
-    # Each `correct` step: (branch label, element, argument columns, line).
-    correct_steps: list[tuple[str, ElementSpec, list[int], int]] = []
+    # Each `correct` step: (branch label, element, label column, argument columns, line).
+    correct_steps: list[tuple[str, ElementSpec, int, list[int], int]] = []
 
     def need_register(line: int, col: int) -> tuple[str, ...]:
         if labels is None:
             raise CircuitParseError("register must be declared first", line, col)
         return labels
+
+    def unused_label(label: str, line: int, col: int) -> str:
+        if label in detections:
+            raise CircuitParseError(f"detection label {label!r} used twice", line, col)
+        return label
 
     for line_no, raw in enumerate(text.splitlines(), 1):
         tokens = _line_tokens(raw.partition("#")[0])  # '#' starts a comment
@@ -278,7 +290,8 @@ def parse_circuit(text: str, source: str = "<circuit>") -> CircuitFile:
                                         line_no, ncol)
             g_elements, g_detections, g_corrections = expander(*port_names)
             elements.extend(g_elements)
-            detections.extend(g_detections)
+            for pattern in g_detections:
+                detections[unused_label(pattern.label, line_no, ncol)] = pattern
             for label, fixes in g_corrections.items():
                 corrections.setdefault(label, []).extend(fixes)
         elif word == "detect":
@@ -286,24 +299,21 @@ def parse_circuit(text: str, source: str = "<circuit>") -> CircuitFile:
             if len(rest) < 3:
                 raise CircuitParseError("detect needs a label, an index, and counts",
                                         line_no, col)
-            label, label_col = rest[0]
-            if any(d.label == label for d in detections):
-                raise CircuitParseError(f"detection label {label!r} used twice",
-                                        line_no, label_col)
+            label = unused_label(rest[0][0], line_no, rest[0][1])
             j = _parse_int(rest[1][0], "a feed-forward index", line_no, rest[1][1])
             if j not in (0, 1):
                 raise CircuitParseError("feed-forward index must be 0 or 1",
                                         line_no, rest[1][1])
             counts = _parse_counts(rest[2:], decl, line_no)
-            detections.append(DetectionSpec(label, j, tuple(sorted(counts.items()))))
+            detections[label] = DetectionPattern(counts, label=label, j=j)
         elif word == "correct":
             decl = need_register(line_no, col)
             if not rest:
                 raise CircuitParseError("correct needs a branch label", line_no, col)
-            label = rest[0][0]
+            label, label_col = rest[0]
             element = _parse_element_tokens(rest[1:], decl, line_no)
             corrections.setdefault(label, []).append(element)
-            correct_steps.append((label, element, [c for _, c in rest[2:]], line_no))
+            correct_steps.append((label, element, label_col, [c for _, c in rest[2:]], line_no))
         else:
             raise CircuitParseError(f"unknown directive {word!r}", line_no, col)
 
@@ -316,23 +326,21 @@ def parse_circuit(text: str, source: str = "<circuit>") -> CircuitFile:
         if n > cutoff:
             raise CircuitParseError(f"term holds {n} photons, more than the cutoff {cutoff}",
                                     line_no, col)
-    consumed = {d.label: {m for m, _ in d.required} for d in detections}
-    for label, element, columns, line_no in correct_steps:
-        if label not in consumed:
+    for label, element, label_col, columns, line_no in correct_steps:
+        if label not in detections:
             raise CircuitParseError(f"correction for unknown branch {label!r}",
-                                    line_no, 1)
+                                    line_no, label_col)
         for modes, col in zip(_argument_modes(element), columns):
             for mode in modes:
-                if mode in consumed[label]:
+                if mode in detections[label].measured:
                     raise CircuitParseError(
                         f"correction for branch {label!r} acts on mode {mode}, "
                         "which its detection consumes", line_no, col)
-    return CircuitFile(source, labels, cutoff, terms, elements, detections, corrections)
+    return CircuitFile(labels, cutoff, terms, elements, list(detections.values()), corrections)
 
 
 @dataclass
 class SimulationResult:
-    register: Register
     initial_norm_squared: float
     final_state: FockKet | None
     branches: tuple[Branch, ...]
@@ -356,16 +364,16 @@ def run_circuit(cf: CircuitFile) -> SimulationResult:
         raise ValueError(f"the elements took norm^2 from {initial!r} to {state.norm_squared()!r}:"
                          " precision loss in the n-photon amplitudes (too many photons)")
     if not cf.detections:
-        return SimulationResult(register, initial, state, (), 0.0)
+        return SimulationResult(initial, state, (), 0.0)
     total = sum(b.probability for b in branches)
     rejected = initial - total
     if rejected < -CONSERVATION_TOL:
         raise ValueError(f"detected branches carry {total!r} of the initial norm^2 "
                          f"{initial!r}; the detection patterns overlap")
-    return SimulationResult(register, initial, None, branches, rejected)
+    return SimulationResult(initial, None, branches, rejected)
 
 
-def _require_exclusive(detections: list[DetectionSpec]) -> None:
+def _require_exclusive(detections: list[DetectionPattern]) -> None:
     """Two patterns can both fire unless some mode they both constrain has
     different counts in them; such a pair would count one outcome twice."""
     for i, det in enumerate(detections):
@@ -408,7 +416,7 @@ def cmd_simulate(path: str) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     try:
-        cf = parse_circuit(data.decode("utf-8"), source=path)
+        cf = parse_circuit(data.decode("utf-8"))
         result = run_circuit(cf)
     except UnicodeDecodeError as e:  # at the first bad byte, counting lines as the parser does
         lines = (data[:e.start].decode("utf-8") + "?").splitlines()

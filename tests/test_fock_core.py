@@ -310,12 +310,23 @@ def test_mode_transform_trims_identity_modes_from_its_block():
 def test_measure_and_postselect_probability_and_survivors():
     reg = Register(("A", "IN"))
     state = FockKet(reg, {(1, 0, 1, 0): 0.6, (0, 1, 0, 1): 0.8})
-    pattern = DetectionPattern({ModeId("A", H): 1, ModeId("A", V): 0})
-    branch = measure_and_postselect(state, pattern, outcome_label="hit", j=0)
+    pattern = DetectionPattern({ModeId("A", H): 1, ModeId("A", V): 0}, label="hit", j=0)
+    branch = measure_and_postselect(state, pattern)
     assert branch.probability == pytest.approx(0.36)
     assert branch.outcome_label == "hit"
     assert branch.conditional_state.register.spatial_labels == ("IN",)
     assert branch.conditional_state.amplitude((1, 0)) == pytest.approx(0.6)
+
+
+def test_detection_pattern_default_label_names_its_counts():
+    reg = Register(("A", "IN"))
+    state = FockKet(reg, {(1, 0, 1, 0): 0.6, (0, 1, 0, 1): 0.8})
+    pattern = DetectionPattern({ModeId("A", V): 0, ModeId("A", H): 1})
+    assert (pattern.label, pattern.j) == ("A.H=1,A.V=0", 0)
+    branch = measure_and_postselect(state, pattern)
+    assert (branch.outcome_label, branch.j) == ("A.H=1,A.V=0", 0)
+    branch = measure_and_postselect(state, DetectionPattern({ModeId("A", H): 1}, label="hit", j=1))
+    assert (branch.outcome_label, branch.j) == ("hit", 1)
 
 
 def test_measurement_outcomes_sum_to_norm():

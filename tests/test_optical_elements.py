@@ -18,7 +18,15 @@ from pgw.fock_core import (
     apply_mode_transform,
     single_photon,
 )
-from pgw.optical_elements import ElementKind, ElementSpec, hwp, mode_swap, pbs, pockels_z
+from pgw.optical_elements import (
+    ELEMENTS,
+    ElementKind,
+    ElementSpec,
+    hwp,
+    mode_swap,
+    pbs,
+    pockels_z,
+)
 
 HALF = 2.0 ** -0.5
 
@@ -115,6 +123,17 @@ def test_element_spec_validates_arity():
         ElementSpec(ElementKind.HWP, ("A", "B"))
     with pytest.raises(ValueError):
         ElementSpec(ElementKind.SWAP, (), (ModeId("A", H),))
+
+
+@pytest.mark.parametrize("kind", [k for k, (_, _, _, angle) in ELEMENTS.items() if not angle],
+                         ids=lambda k: k.value)
+def test_element_spec_rejects_an_angle_on_a_kind_without_one(kind):
+    _, arity, modes, _ = ELEMENTS[kind]
+    args = (ModeId("A", H), ModeId("B", H))[:arity] if modes else ("A", "B")[:arity]
+    fields = ((), args) if modes else (args, ())
+    ElementSpec(kind, *fields)
+    with pytest.raises(ValueError, match="takes no angle"):
+        ElementSpec(kind, *fields, 22.5)
 
 
 def test_element_spec_build_matches_direct_constructors():

@@ -26,7 +26,7 @@ from pgw.fock_core import (
 )
 from pgw.optical_elements import ElementKind, ElementSpec
 from pgw.optical_gates import (
-    DetectionSpec,
+    GATE_EXPANDERS,
     FGateLayout,
     destructive_cnot,
     e_cnot,
@@ -244,7 +244,7 @@ def test_grouped_detection_equals_one_projection_per_pattern(picked, patterns, a
     detections, corrections = [], {}
     for k, (g, counts, j, fix) in enumerate(patterns):
         label = f"x{k}"
-        detections.append(DetectionSpec(label, j, tuple(zip(_GROUPS[g], counts))))
+        detections.append(DetectionPattern(dict(zip(_GROUPS[g], counts)), label=label, j=j))
         if fix:
             corrections[label] = [ElementSpec(ElementKind.HWP, ("A",), (), angle),
                                   ElementSpec(ElementKind.PC, ("A",))]
@@ -257,8 +257,7 @@ def test_grouped_detection_equals_one_projection_per_pattern(picked, patterns, a
     assert after.terms == expected_after.terms
     assert len(branches) == len(detections)
     for det, got in zip(detections, branches):
-        want = measure_and_postselect(expected_after, DetectionPattern(dict(det.required)),
-                                      outcome_label=det.label, j=det.j)
+        want = measure_and_postselect(expected_after, det)
         out = want.conditional_state
         for fix in corrections.get(det.label, ()):
             out = apply_mode_transform(out, fix.build(out.register))
@@ -267,3 +266,31 @@ def test_grouped_detection_equals_one_projection_per_pattern(picked, patterns, a
         assert got.conditional_state.register == out.register
         assert got.conditional_state.terms == out.terms
     assert any(b.probability == 0 for b in branches)
+
+
+# Per gate: its detector ports, and the (label, j) of each outcome, when the
+# ports are named after their roles.
+_GATE_OUTCOMES = {
+    "f_gate": (("D0", "D1"), [("D0", 0), ("D1", 1)]),
+    "parity_check": (("D0", "D1"), [("D0", 0), ("D1", 1)]),
+    "d_cnot": (("D0", "D1"), [("D0", 0), ("D1", 1)]),
+    "e_cnot": (("D0", "D1", "D0'", "D1'"),
+               [("D0,D0'", 0), ("D0,D1'", 1), ("D1,D0'", 0), ("D1,D1'", 1)]),
+}
+_GATE_PORTS = {4: ("IN", "A", "D0", "D1"), 8: ("IN", "IN'", "A", "A'", "D0", "D1", "D0'", "D1'")}
+
+
+@pytest.mark.parametrize("name", sorted(GATE_EXPANDERS))
+def test_gate_expanders_give_one_pattern_per_outcome_on_the_detector_modes(name):
+    """Each expanded outcome measures exactly its detector ports' modes and
+    requires one photon per stage, with the gate's labels and j values."""
+    expander, arity = GATE_EXPANDERS[name]
+    detectors, outcomes = _GATE_OUTCOMES[name]
+    _, detections, corrections = expander(*_GATE_PORTS[arity])
+    modes = {ModeId(port, pol) for port in detectors for pol in (H, V)}
+    assert [(d.label, d.j) for d in detections] == outcomes
+    for d in detections:
+        assert d.measured == modes and len(d.measured) == (8 if name == "e_cnot" else 4)
+        assert {m for m, _ in d.required} == modes
+        assert sum(c for _, c in d.required) == len(detectors) // 2
+    assert set(corrections) <= {d.label for d in detections}

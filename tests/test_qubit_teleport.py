@@ -19,7 +19,6 @@ from pgw.qubit_teleport import (
     PHI_PLUS,
     PSI_MINUS,
     PSI_PLUS,
-    QubitOperator,
     QubitState,
     apply_matrix,
     bell_state,
@@ -54,21 +53,6 @@ def test_qubit_state_validation():
     too_many = tuple(f"Q{i}" for i in range(7))
     with pytest.raises(ValueError):
         QubitState(too_many, np.zeros(128))
-
-
-def test_qubit_operator_claim_checked():
-    with pytest.raises(ValueError):
-        QubitOperator(np.array([[1.0, 0.0], [0.0, 0.5]]), ("Q",), claim="unitary")
-    flip = QubitOperator(np.array([[0.0, 1.0], [1.0, 0.0]]), ("Q",), claim="unitary")
-    out = flip.apply(QubitState(("Q",), (1.0, 0.0)))
-    assert out.amplitudes[1] == 1.0
-
-
-def test_qubit_operator_claims_fail_on_nan():
-    nan_matrix = np.array([[1.0, 0.0], [0.0, np.nan]])
-    for claim in ("unitary", "projector"):
-        with pytest.raises(ValueError):
-            QubitOperator(nan_matrix, ("Q",), claim=claim)
 
 
 def test_apply_matrix_targets_the_named_qubits():

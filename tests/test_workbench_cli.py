@@ -53,7 +53,7 @@ gate f_gate IN A D0 D1
 
 def _parse_error(text):
     with pytest.raises(CircuitParseError) as excinfo:
-        parse_circuit(text, source="test")
+        parse_circuit(text)
     return excinfo.value
 
 
@@ -166,6 +166,40 @@ def test_detect_label_may_not_repeat_a_gate_outcome():
     assert (err.line, err.column) == (5, 8)
 
 
+def test_gate_outcome_label_may_not_repeat_an_earlier_outcome(tmp_path, capsys):
+    """Labels are checked once for `detect` and `gate` lines alike, so two
+    gates cannot share an outcome (and so a correction)."""
+    text = ("pgw-circuit v1\nregister IN IN2 A A2 D0 D1\n"
+            "term 1,0 IN.H=1 A.H=1 IN2.V=1 A2.H=1\n"
+            "gate f_gate IN A D0 D1\ngate f_gate IN2 A2 D1 D0\n")
+    err = _parse_error(text)
+    assert (err.line, err.column, err.reason) == (5, 6, "detection label 'D1' used twice")
+    path = tmp_path / "twice.circuit"
+    path.write_text(text)
+    assert main(["simulate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"{path}:5:6: error:")
+    err = _parse_error("pgw-circuit v1\nregister IN A D0 D1\ndetect D0 0 D0.H=1\n"
+                       "gate  f_gate IN A D0 D1\n")
+    assert (err.line, err.column, err.reason) == (4, 7, "detection label 'D0' used twice")
+
+
+def test_correction_for_an_unknown_branch_points_at_its_label():
+    err = _parse_error("pgw-circuit v1\nregister IN\nterm 1,0 IN.H=1\ncorrect   D9 pc IN\n")
+    assert (err.line, err.column) == (4, 11)
+    assert err.reason == "correction for unknown branch 'D9'"
+
+
+@pytest.mark.parametrize("line", ["element pbs IN IN", "element swap IN.H  IN.H",
+                                  "correct x pbs D  D", "correct x swap IN.V IN.V"])
+def test_repeated_element_argument_is_a_parse_error(line):
+    """A repeated port or mode fails at the repeated token, for every kind."""
+    err = _parse_error("pgw-circuit v1\nregister IN D\nterm 1,0 IN.H=1\n"
+                       f"detect x 0 IN.H=1\n{line}\n")
+    kind, repeated = line.split()[-3], line.split()[-1]
+    assert (err.line, err.column) == (5, line.rindex(repeated) + 1)
+    assert err.reason == f"element {kind} repeats argument {repeated!r}"
+
+
 def test_overlapping_detections_are_rejected(tmp_path, capsys):
     text = ("pgw-circuit v1\nregister IN D\nterm 1,0 IN.H=1 D.H=1\n"
             "detect x 0 D.H=1\ndetect y 0 D.H=1 D.V=0\n")
@@ -217,7 +251,7 @@ def test_packaged_filter_fixture_simulates(capsys):
 def test_packaged_cnot_fixture_matches_library(capsys):
     path = CIRCUIT_DIR / "e_cnot.circuit"
     assert main(["simulate", str(path)]) == 0
-    result = run_circuit(parse_circuit(path.read_text(), source=str(path)))
+    result = run_circuit(parse_circuit(path.read_text()))
 
     amps = np.zeros(4)
     amps[2] = 1.0  # photon pair |V>_IN |H>_IN'
