@@ -31,7 +31,6 @@ from .optical_gates import (
     destructive_cnot,
     e_cnot,
     f_gate,
-    gate_truth_table,
     quantum_parity_check,
 )
 from .qubit_teleport import (

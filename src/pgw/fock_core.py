@@ -45,7 +45,6 @@ import numpy as np
 PRUNE_THRESHOLD = 1e-14
 NORM_SLACK = 1e-12
 UNITARITY_TOL = 1e-12
-BRANCH_EQUALITY_TOL = 1e-10
 DEFAULT_CUTOFF = 4
 HALF = 2.0 ** -0.5  # 1/sqrt(2), the balanced beam-splitter amplitude
 
@@ -346,24 +345,14 @@ class Branch:
 class GateResult:
     """Accepted branches of a post-selected gate, corrections applied.
 
-    success_probability is the sum of accepted branch probabilities.
-    corrected_outputs_equal records whether all nonzero corrected branches
-    agree up to a global phase (within 1e-10).
+    success_probability is the sum of the accepted branch probabilities.
     """
 
     accepted_branches: tuple[Branch, ...]
-    success_probability: float
-    corrected_outputs_equal: bool
 
-    @classmethod
-    def from_branches(cls, branches: Iterable[Branch],
-                      fidelity: Callable[[Any, Any], float]) -> "GateResult":
-        """Sum the branch probabilities and compare the nonzero branch states
-        with fidelity, the global-phase-blind fidelity of their state type."""
-        branches = tuple(branches)
-        live = [b.conditional_state for b in branches if b.probability > 0.0]
-        agree = all(fidelity(live[0], s) >= 1.0 - BRANCH_EQUALITY_TOL for s in live[1:])
-        return cls(branches, sum(b.probability for b in branches), agree)
+    @property
+    def success_probability(self) -> float:
+        return sum(b.probability for b in self.accepted_branches)
 
 
 def single_photon(mode: ModeId, register: Register) -> FockKet:

@@ -24,12 +24,13 @@ teleportation CNOT.
 A post-selected gate with feed-forward is one linear map K_b per accepted
 outcome b. compile_branches builds those maps once by running an
 amplitude-in gate builder (optical_gates.filter_gate and ecnot_gate,
-qubit_teleport.qubit_gate) on each basis input, so the randomized checks
-apply K_b to every seeded trial input in one matrix product, and the
-optical-versus-teleported claim is also checked exactly as an operator
-equality, K_b(optical) = e^{i phi_b} K_b(teleported), with the outcomes
-paired by label. gate_deviations reads every claim of the form "each
-branch is M v with weight q, and the weights sum to p" off the K_b.
+qubit_teleport.qubit_gate) on each basis input, the one per-basis run of
+a gate: the truth tables read their rows off the columns of K_b, the
+randomized checks apply K_b to every seeded trial input in one matrix
+product, and the optical-versus-teleported claim is also checked exactly
+as an operator equality, K_b(optical) = e^{i phi_b} K_b(teleported), with
+the outcomes paired by label. gate_deviations reads every claim of the
+form "each branch is M v with weight q, and the weights sum to p" off the K_b.
 """
 
 from __future__ import annotations

@@ -25,14 +25,15 @@ to measure_outcomes. The library gates call it on their expansion and drop
 the emptied auxiliary ports; the circuit-file `gate` directive
 (workbench_cli) splices the same expansion into a circuit, which
 run_circuit hands to the same runner. filter_gate and ecnot_gate run the
-library gates as functions of their input qubits' amplitudes, the form the
-truth tables and the compiled branch operators use.
+library gates as functions of their input qubits' amplitudes, which
+mb_bridge.compile_branches turns into the branch operators K_b that the
+checks and the truth tables read; a GateResult holds only the branches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -48,7 +49,6 @@ from .fock_core import (
     V,
     apply_mode_transform,
     drop_vacuum_ports,
-    fidelity_up_to_global_phase,
     measure_outcomes,
     polarization_ket,
     single_photon,
@@ -154,10 +154,9 @@ def run_pipeline(state: FockKet, elements: Sequence[ElementSpec],
 def _run_gate(state: FockKet, expansion, aux_ports: Sequence[str]) -> GateResult:
     """Run an expanded gate and drop its emptied auxiliary ports."""
     _, branches = run_pipeline(state, *expansion)
-    return GateResult.from_branches(
-        (Branch(b.outcome_label, b.j, drop_vacuum_ports(b.conditional_state, aux_ports),
-                b.probability) for b in branches),
-        fidelity_up_to_global_phase)
+    return GateResult(tuple(
+        Branch(b.outcome_label, b.j, drop_vacuum_ports(b.conditional_state, aux_ports),
+               b.probability) for b in branches))
 
 
 def _require_port_photons(state: FockKet, ports: Sequence[str], count: int) -> None:
@@ -200,7 +199,9 @@ def quantum_parity_check(input_state: FockKet, aux_polarization) -> GateResult:
     inp = ports[0]
     if inp in ("A", "D0", "D1"):
         raise ValueError("input port may not be named A, D0 or D1")
-    pol = {"H": H, "V": V}[str(aux_polarization)]
+    pol = {"H": H, "V": V}.get(str(aux_polarization))
+    if pol is None:
+        raise ValueError(f"auxiliary polarization must be H or V, got {aux_polarization!r}")
     aux_reg = Register(("A", "D0", "D1"), cutoff=input_state.register.cutoff)
     joint = tensor(input_state, single_photon(ModeId("A", pol), aux_reg))
     return f_gate(joint, FGateLayout(inp, "A", ("D0", "D1")))
@@ -257,28 +258,3 @@ def ecnot_gate(amps) -> GateResult:
     """e_cnot with control IN and target IN', as a function of their
     (HH, HV, VH, VV) amplitudes."""
     return e_cnot(polarization_ket(Register(("IN", "IN'")), ("IN", "IN'"), amps))
-
-
-@dataclass(frozen=True)
-class TruthTableRow:
-    input_state: Any
-    output_state: FockKet | None
-    probability: float
-
-
-def gate_truth_table(gate: Callable[[Any], GateResult],
-                     basis: Sequence) -> tuple[TruthTableRow, ...]:
-    """Run a gate over basis inputs (states, or amplitudes for an
-    amplitude-in builder) and tabulate corrected outputs.
-
-    The output column holds the first nonzero accepted branch, normalized
-    (branches agree up to global phase whenever the gate succeeds), or
-    None when the gate rejects the input with certainty.
-    """
-    rows = []
-    for ket in basis:
-        result = gate(ket)
-        live = [b for b in result.accepted_branches if b.probability > 0.0]
-        out = live[0].conditional_state.normalized() if live else None
-        rows.append(TruthTableRow(ket, out, result.success_probability))
-    return tuple(rows)

@@ -278,8 +278,7 @@ def telegate_t(input_state: QubitState, qubit: str, aux: QubitState,
         raise ValueError("auxiliary must be a two-qubit state")
     a1, a2 = aux.labels
     joint = tensor_qubits(input_state, aux)
-    return GateResult.from_branches(
-        _teleport_one(joint, qubit, a1, a2, variant, input_state.labels), qubit_fidelity)
+    return GateResult(_teleport_one(joint, qubit, a1, a2, variant, input_state.labels))
 
 
 def cz_aux_state(labels: Sequence[str] = ("A1", "A2", "A1'", "A2'")) -> QubitState:
@@ -311,13 +310,11 @@ def cz_via_two_telegates(input_state: QubitState, aux: QubitState | None = None
     q1, q2 = input_state.labels
     a1, a2, b1, b2 = aux.labels
     joint = tensor_qubits(input_state, aux)
-    order_mid = (q1, q2, b1, b2)
-    branches = []
-    for s1 in _teleport_one(joint, q1, a1, a2, "swap", order_mid):
-        for s2 in _teleport_one(s1.conditional_state, q2, b1, b2, "swap", (q1, q2)):
-            branches.append(Branch(f"{s1.outcome_label},{s2.outcome_label}", s2.j,
-                                   s2.conditional_state, s2.probability))
-    return GateResult.from_branches(branches, qubit_fidelity)
+    return GateResult(tuple(
+        Branch(f"{s1.outcome_label},{s2.outcome_label}", s2.j, s2.conditional_state,
+               s2.probability)
+        for s1 in _teleport_one(joint, q1, a1, a2, "swap", (q1, q2, b1, b2))
+        for s2 in _teleport_one(s1.conditional_state, q2, b1, b2, "swap", (q1, q2))))
 
 
 def cnot_via_cz(input_state: QubitState) -> GateResult:
@@ -328,7 +325,7 @@ def cnot_via_cz(input_state: QubitState) -> GateResult:
     target = input_state.labels[1]
     state = apply_matrix(input_state, HADAMARD, (target,))
     cz = cz_via_two_telegates(state)
-    return GateResult.from_branches(
-        (Branch(b.outcome_label, b.j,
-                apply_matrix(b.conditional_state, HADAMARD, (target,)), b.probability)
-         for b in cz.accepted_branches), qubit_fidelity)
+    return GateResult(tuple(
+        Branch(b.outcome_label, b.j,
+               apply_matrix(b.conditional_state, HADAMARD, (target,)), b.probability)
+        for b in cz.accepted_branches))

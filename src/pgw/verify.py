@@ -2,8 +2,9 @@
 
 run_suite runs one suite of SUITES (optical, teleport, mb), or all in
 order, each with a fresh generator from the seed, and returns a Report in
-the fixed text and JSON formats. TRUTH_TABLES holds one amplitude-in
-builder per tabulated gate. Random element pipelines run through
+the fixed text and JSON formats. TRUTH_TABLES holds the amplitude-in
+builders of each tabulated gate and the encoding of its branch operators,
+whose columns are the table rows. Random element pipelines run through
 optical_gates.run_pipeline, as circuits and the library gates do.
 
 Each layer function that perfbench/tracer.py wraps is called through its
@@ -20,7 +21,6 @@ import numpy as np
 
 from . import fock_core, mb_bridge, optical_elements, optical_gates, qubit_teleport
 from .fock_core import (
-    BRANCH_EQUALITY_TOL,
     HALF,
     FockKet,
     H,
@@ -62,6 +62,10 @@ from .qubit_teleport import (
     random_amplitudes,
     tensor_qubits,
 )
+
+# Branch-operator encodings: the filters' output port IN, e_cnot's IN and IN'.
+IN_ENC = MBEncoding(("IN",), ())
+PAIR_ENC = MBEncoding(("IN", "IN'"), ())
 
 
 def _suite_optical(rng: np.random.Generator, trials: int) -> list[dict]:
@@ -140,7 +144,7 @@ def _suite_optical(rng: np.random.Generator, trials: int) -> list[dict]:
 
     # Each gate is compiled once to its branch operators; the table checks
     # apply them to the basis inputs, the randomized checks to the trials.
-    ec_ops = compile_branches(ecnot_gate, 4, MBEncoding(("IN", "IN'"), ()))
+    ec_ops = compile_branches(ecnot_gate, 4, PAIR_ENC)
     table_success, _, table_fid = gate_deviations(ec_ops, np.eye(4), CNOT_MATRIX, 0.25,
                                                   1.0 / 16.0)
     checks.append(check_record(
@@ -152,7 +156,7 @@ def _suite_optical(rng: np.random.Generator, trials: int) -> list[dict]:
         table_success, 0.0, 1e-10))
 
     def filter_ops(gate, aux) -> dict[str, np.ndarray]:
-        return compile_branches(filter_gate(gate, aux), 2, MBEncoding(("IN",), ()))
+        return compile_branches(filter_gate(gate, aux), 2, IN_ENC)
 
     # The destructive CNOT's branch operators are 1/2 times I (control H) or
     # X (control V), up to a phase, so it is checked exactly on the whole
@@ -185,7 +189,7 @@ def _suite_optical(rng: np.random.Generator, trials: int) -> list[dict]:
     _, minus_branch, minus_fid = gate_deviations(minus_ops, ab, PAULI_Z, 0.5, 0.25)
     # Every branch against the first one as the target map.
     branches_agree = all(gate_deviations(ops, ab, next(iter(ops.values())), 0.5, 0.25)[2]
-                         >= 1.0 - BRANCH_EQUALITY_TOL for ops in (neutral_ops, minus_ops))
+                         >= 1.0 - 1e-10 for ops in (neutral_ops, minus_ops))
     dc = [gate_deviations(ops, gd, line, 0.5, 0.25) for ops, line in dc_ops]
     dc_success, dc_fid = np.max([d[0] for d in dc]), np.min([d[2] for d in dc])
     ec_success, ec_branch, ec_fid = gate_deviations(ec_ops, v, CNOT_MATRIX, 0.25, 1.0 / 16.0)
@@ -511,26 +515,26 @@ def _qubit_inputs(n: int) -> list[str]:
 
 _PLUS_PAIR = bell_state(PSI_PLUS, ("A1", "A2"))
 
-# Gate name -> (note, row texts, amplitude-in builders). Each builder runs on
-# the basis of its own consecutive block of rows.
+# Gate name -> (note, row texts, amplitude-in builders, output encoding or None
+# for a qubit gate). Each builder runs on the basis of its own block of rows.
 TRUTH_TABLES = {
     "f_gate": ("balanced auxiliary photon on A", _port_inputs("IN"),
-               [filter_gate(optical_gates.f_gate, (HALF, HALF))]),
+               [filter_gate(optical_gates.f_gate, (HALF, HALF))], IN_ENC),
     "parity_check": ("auxiliary photon fixed to H", _port_inputs("IN"),
-                     [filter_gate(optical_gates.f_gate, (1.0, 0.0))]),
+                     [filter_gate(optical_gates.f_gate, (1.0, 0.0))], IN_ENC),
     "d_cnot": ("control photon on A (consumed), target on IN", _port_inputs("A", "IN"),
                [filter_gate(optical_gates.destructive_cnot, control)
-                for control in np.eye(2)]),
-    "e_cnot": ("control on IN, target on IN'", _port_inputs("IN", "IN'"), [ecnot_gate]),
+                for control in np.eye(2)], IN_ENC),
+    "e_cnot": ("control on IN, target on IN'", _port_inputs("IN", "IN'"), [ecnot_gate], PAIR_ENC),
     "telegate_t": ("variant swap, auxiliary pair in the plus Bell state", _qubit_inputs(1),
                    [qubit_gate(qubit_teleport.telegate_t, ("Q",), "Q", _PLUS_PAIR,
-                               variant="swap")]),
+                               variant="swap")], None),
     "telegate_tp": ("variant parity_filter, auxiliary pair in the plus Bell state",
                     _qubit_inputs(1),
                     [qubit_gate(qubit_teleport.telegate_t, ("Q",), "Q", _PLUS_PAIR,
-                                variant="parity_filter")]),
+                                variant="parity_filter")], None),
     "cz2t": ("controlled phase from two telegates", _qubit_inputs(2),
-             [qubit_gate(qubit_teleport.cz_via_two_telegates, ("Q1", "Q2"))]),
+             [qubit_gate(qubit_teleport.cz_via_two_telegates, ("Q1", "Q2"))], None),
     "cnot_cz": ("CNOT from the telegate controlled phase", _qubit_inputs(2),
-                [qubit_gate(qubit_teleport.cnot_via_cz, ("Q1", "Q2"))]),
+                [qubit_gate(qubit_teleport.cnot_via_cz, ("Q1", "Q2"))], None),
 }

@@ -67,8 +67,9 @@ from .fock_core import (
     RegisterError,
     V,
 )
+from .mb_bridge import branch_probabilities, compile_branches, mb_decode
 from .optical_elements import ELEMENTS, ElementKind, ElementSpec
-from .optical_gates import GATE_EXPANDERS, gate_truth_table, run_pipeline
+from .optical_gates import GATE_EXPANDERS, run_pipeline
 from .qubit_teleport import QubitState
 from .verify import SUITES, TRUTH_TABLES, run_suite
 
@@ -207,7 +208,7 @@ def parse_circuit(text: str) -> CircuitFile:
     cutoff_line = None
     header_seen = False
     terms: list[tuple[complex, dict[ModeId, int]]] = []
-    photons: list[tuple[int, int, int]] = []  # (photons, line, column) per term
+    term_at: list[tuple[int, int, int]] = []  # (line, amplitude column, count column)
     elements: list[ElementSpec] = []
     detections: dict[str, DetectionPattern] = {}  # by label, from `detect` and `gate` lines
     corrections: dict[str, list[ElementSpec]] = {}
@@ -269,7 +270,7 @@ def parse_circuit(text: str) -> CircuitFile:
             amp = _parse_amplitude(rest[0][0], line_no, rest[0][1])
             counts = _parse_counts(rest[1:], decl, line_no)
             terms.append((amp, counts))
-            photons.append((sum(counts.values()), line_no, (rest[1:] or rest)[0][1]))
+            term_at.append((line_no, rest[0][1], (rest[1:] or rest)[0][1]))
         elif word == "element":
             decl = need_register(line_no, col)
             elements.append(_parse_element_tokens(rest, decl, line_no))
@@ -322,10 +323,18 @@ def parse_circuit(text: str) -> CircuitFile:
     if labels is None:
         raise CircuitParseError("missing register directive",
                                 len((text + "?").splitlines()), 1)
-    for n, line_no, col in photons:  # checked here, as cutoff may follow the terms
+    initial: dict[frozenset, complex] = {}  # amplitude per occupation, as run_circuit sums
+    for (amp, counts), (line_no, _, col) in zip(terms, term_at):  # cutoff may follow terms
+        n = sum(counts.values())
         if n > cutoff:
             raise CircuitParseError(f"term holds {n} photons, more than the cutoff {cutoff}",
                                     line_no, col)
+        key = frozenset((mode, c) for mode, c in counts.items() if c)
+        initial[key] = initial.get(key, 0.0 + 0.0j) + amp
+    sq = sum(abs(c) ** 2 for c in initial.values())
+    if sq > 1.0 + NORM_SLACK:  # FockKet's bound, reported at the last term's amplitude
+        raise CircuitParseError(f"initial state has squared norm {sq!r}, more than 1",
+                                *term_at[-1][:2])
     for label, element, label_col, columns, line_no in correct_steps:
         if label not in detections:
             raise CircuitParseError(f"correction for unknown branch {label!r}",
@@ -402,10 +411,10 @@ def _fmt_fock(state: FockKet) -> str:
     return " + ".join(parts) or "0"
 
 
-def _fmt_qubit(state: QubitState) -> str:
-    n = state.n_qubits
+def _fmt_qubit(amps: np.ndarray) -> str:
+    n = len(amps).bit_length() - 1
     parts = [f"({_fmt_c(amp)}) |{index:0{n}b}>"
-             for index, amp in enumerate(state.amplitudes) if abs(amp) > 1e-12]
+             for index, amp in enumerate(amps) if abs(amp) > 1e-12]
     return " + ".join(parts) or "0"
 
 
@@ -461,19 +470,23 @@ def cmd_verify(suite: str, seed: int, trials: int, json_path: str | None = None)
 
 
 def cmd_truth_table(gate: str) -> int:
-    note, texts, builders = TRUTH_TABLES[gate]
-    block = np.eye(len(texts) // len(builders))
-    rows = [row for builder in builders for row in gate_truth_table(builder, block)]
+    note, texts, builders, enc = TRUTH_TABLES[gate]
+    dim = len(texts) // len(builders)
+    columns = [[k[:, i] for k in ops.values()]
+               for ops in (compile_branches(b, dim, enc) for b in builders) for i in range(dim)]
     print(f"truth-table: {gate}")
     print(f"# {note}")
     width = max(map(len, texts))
-    for text, row in zip(texts, rows, strict=True):
-        out = row.output_state
+    for text, cols in zip(texts, columns, strict=True):
+        out = next((c / np.linalg.norm(c) for c in cols if c.any()), None)
         if out is None:
             shown = "(blocked)"
+        elif enc is None:
+            shown = _fmt_qubit(out)
         else:
-            shown = _fmt_qubit(out) if isinstance(out, QubitState) else _fmt_fock(out)
-        print(f"  {text:<{width}}  p={row.probability:.12g}  ->  {shown}")
+            shown = _fmt_fock(mb_decode(QubitState(enc.qubit_labels, out), enc))
+        p = sum(branch_probabilities(c) for c in cols)
+        print(f"  {text:<{width}}  p={p:.12g}  ->  {shown}")
     return 0
 
 

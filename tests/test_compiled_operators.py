@@ -15,6 +15,7 @@ from pgw import mb_bridge
 from pgw.fock_core import FockKet, H, ModeId, Register, V, apply_mode_transform
 from pgw.mb_bridge import (
     DETECTOR_TO_BELL,
+    MATRIX_IDENTITY_TOL,
     MBEncoding,
     batched_fidelity,
     check_record,
@@ -40,6 +41,7 @@ from pgw.qubit_teleport import (
     telegate_t,
     tensor_qubits,
 )
+from pgw.verify import TRUTH_TABLES
 
 HALF = 2.0 ** -0.5
 TOL = 1e-12
@@ -156,11 +158,27 @@ def test_compile_rejects_an_outcome_missing_for_some_inputs():
     def flaky(amps):
         result = cnot_via_cz(QubitState(("Q1", "Q2"), amps))
         if amps[0] == 1.0:
-            return type(result)(result.accepted_branches[1:], 0.0, False)
+            return type(result)(result.accepted_branches[1:])
         return result
 
     with pytest.raises(ValueError):
         compile_branches(flaky, 4)
+
+
+@pytest.mark.parametrize("gate", sorted(TRUTH_TABLES))
+def test_nonzero_branch_operators_of_a_tabulated_gate_agree_up_to_phase(gate):
+    """A truth-table row prints the first nonzero branch; every other nonzero
+    K_b of the gate equals a phase times the first, to the matrix-identity
+    tolerance, so the choice loses nothing."""
+    _, texts, builders, enc = TRUTH_TABLES[gate]
+    for builder in builders:
+        ops = compile_branches(builder, len(texts) // len(builders), enc)
+        live = [k for k in ops.values() if k.any()]
+        assert len(live) > 1
+        for k in live[1:]:
+            overlap = np.vdot(live[0], k)
+            phase = overlap / abs(overlap)
+            assert np.max(np.abs(k - phase * live[0])) <= MATRIX_IDENTITY_TOL
 
 
 def test_pairing_is_by_label_not_position():

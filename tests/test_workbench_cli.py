@@ -714,6 +714,28 @@ def test_term_above_the_cutoff_is_a_parse_error():
         assert (err.line, err.column) == (3, 10)
 
 
+def test_initial_norm_above_one_is_a_parse_error(tmp_path, capsys):
+    """The bound of FockKet, 1 + NORM_SLACK, on the initial state with
+    repeated occupations summed as run_circuit sums them. The error points
+    at the amplitude of the last term line."""
+    head = "pgw-circuit v1\nregister IN A\n"
+    body = "term 0.8,0 IN.H=1\nterm 0.8,0 A.H=1\n"
+    err = _parse_error(head + body)
+    assert (err.line, err.column) == (4, 6)
+    assert err.reason == "initial state has squared norm 1.2800000000000002, more than 1"
+    # One occupation written twice, once with an explicit zero count, adds up.
+    err = _parse_error(head + "term 0.6,0 IN.H=1\nterm 0.6,0 IN.H=1 A.V=0\n# done\n")
+    assert (err.line, err.column) == (4, 6)
+    # Cancelling repeats bring the norm back down, and a norm of one passes.
+    cf = parse_circuit(head + "term 0.8,0 IN.H=1\nterm 0.6,0 A.H=1\nterm -0.6,0 A.H=1\n")
+    assert run_circuit(cf).initial_norm_squared == pytest.approx(0.64, abs=1e-15)
+    parse_circuit(head + "term 0.6,0 IN.H=1\nterm 0.8,0 A.H=1\n")
+    path = tmp_path / "over.circuit"
+    path.write_text(head + body)
+    assert main(["simulate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"{path}:4:6: error: initial state has")
+
+
 def test_readme_circuit_example_runs(tmp_path, capsys):
     """The circuit-format example in README.md, comments included, runs."""
     readme = (Path(__file__).parent.parent / "README.md").read_text()
