@@ -1,10 +1,12 @@
 """Sparse multimode Fock-space states and the machinery that moves them.
 
 A Register fixes an ordered set of optical modes, each identified by a
-spatial label and a polarization. States are sparse maps from occupation
-vectors to complex amplitudes (FockKet). Passive elements act through
-ModeTransform, which stores only the modes a unitary touches and the
-small block U on them. apply_mode_transform maps the photons of each
+spatial label and a polarization, and indexes each spatial port's (H, V)
+pair. States are sparse maps from occupation vectors to complex amplitudes
+(FockKet). Passive elements act through ModeTransform, which stores only
+the modes a unitary touches and the small block U on them, as plain-Python
+rows of complex built and checked without numpy; its block and matrix are
+numpy views built on access. apply_mode_transform maps the photons of each
 term on those modes through phi(U), the block's n-photon representation
 (Aaronson & Arkhipov, arXiv:1011.3245; entries are permanents over square
 roots of factorials, Scheel, quant-ph/0406127): each row, for one
@@ -39,8 +41,6 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Iterable, Mapping, Sequence
-
-import numpy as np
 
 PRUNE_THRESHOLD = 1e-14
 NORM_SLACK = 1e-12
@@ -83,15 +83,20 @@ class ModeId:
         return cls(label, Polarization(pol))
 
 
+_SLOT = {H: 0, V: 1}  # where a mode's flat index goes in its port's (H, V) pair
+
+
 class Register:
     """Ordered mode register shared by states and transforms.
 
     Built either from spatial labels (each contributing an H and a V mode)
     or from an explicit mode collection (sub-registers left over after
     detection). Mode order is always lexicographic by (label, H before V).
+    Besides each mode's flat index, a register keeps a port index: each
+    spatial label's (H, V) flat indices, None for a mode it does not hold.
     """
 
-    __slots__ = ("modes", "cutoff", "_index")
+    __slots__ = ("modes", "cutoff", "_index", "_ports")
 
     def __init__(self, spatial_labels: Sequence[str] = (), cutoff: int = DEFAULT_CUTOFF,
                  modes: Iterable[ModeId] | None = None):
@@ -99,15 +104,21 @@ class Register:
             labels = tuple(spatial_labels)
             if len(set(labels)) != len(labels):
                 raise RegisterError(f"duplicate spatial labels in {labels}")
-            modes = [ModeId(lab, pol) for lab in labels for pol in (H, V)]
-        modes = tuple(sorted(modes))
-        if len(set(modes)) != len(modes):
-            raise RegisterError("duplicate modes in register")
-        if cutoff < 1:
-            raise ValueError("cutoff must be at least 1")
-        self.modes = modes
-        self.cutoff = int(cutoff)
+            modes = tuple(ModeId(lab, pol) for lab in sorted(labels) for pol in (H, V))
+        else:
+            modes = tuple(sorted(modes))
+            if len(set(modes)) != len(modes):
+                raise RegisterError("duplicate modes in register")
+        if isinstance(cutoff, bool) or not hasattr(cutoff, "__index__") or cutoff < 1:
+            raise ValueError(f"cutoff must be an int of at least 1, got {cutoff!r}")
+        self._fill(modes, operator.index(cutoff))
+
+    def _fill(self, modes: tuple[ModeId, ...], cutoff: int) -> None:
+        self.modes, self.cutoff = modes, cutoff
         self._index = {m: i for i, m in enumerate(modes)}
+        self._ports = {}
+        for i, m in enumerate(modes):
+            self._ports.setdefault(m.spatial_label, [None, None])[_SLOT[m.polarization]] = i
 
     @property
     def n_modes(self) -> int:
@@ -115,7 +126,7 @@ class Register:
 
     @property
     def spatial_labels(self) -> tuple[str, ...]:
-        return tuple(dict.fromkeys(m.spatial_label for m in self.modes))
+        return tuple(self._ports)
 
     def index_of(self, mode: ModeId) -> int:
         try:
@@ -123,8 +134,16 @@ class Register:
         except KeyError:
             raise RegisterError(f"mode {mode} not in register {self.spatial_labels}") from None
 
+    def port_index(self, label: str) -> tuple[int, int]:
+        """The (H, V) flat indices of a spatial port that has both its modes."""
+        h, v = self._ports.get(label, (None, None))
+        if h is None or v is None:
+            where = "only half in" if label in self._ports else "not in"
+            raise RegisterError(f"spatial port {label!r} {where} register {self.spatial_labels}")
+        return h, v
+
     def port_modes(self, label: str) -> tuple[ModeId, ...]:
-        found = tuple(m for m in self.modes if m.spatial_label == label)
+        found = tuple(self.modes[i] for i in self._ports.get(label, ()) if i is not None)
         if not found:
             raise RegisterError(f"spatial port {label!r} not in register {self.spatial_labels}")
         return found
@@ -133,7 +152,9 @@ class Register:
         removed = set(removed)
         for m in removed:
             self.index_of(m)
-        return Register(cutoff=self.cutoff, modes=[m for m in self.modes if m not in removed])
+        kept = Register.__new__(Register)  # still sorted and distinct, so not checked again
+        kept._fill(tuple(m for m in self.modes if m not in removed), self.cutoff)
+        return kept
 
     def merged(self, other: "Register") -> "Register":
         if self.cutoff != other.cutoff:
@@ -248,48 +269,77 @@ class ModeTransform:
     """Unitary over mode creation operators, stored as the block it acts on.
 
     touched holds the flat mode indices, ascending, on which the transform
-    differs from the identity, and block is the k x k matrix on those
-    indices. Off the block the transform is the identity, so checking the
-    block's unitarity checks the whole map, and apply_mode_transform only
-    ever reads and writes the touched modes.
+    differs from the identity, and rows the k x k block on those indices, a
+    tuple of rows of complex. Off the block the transform is the identity,
+    so checking the block's unitarity checks the whole map, and
+    apply_mode_transform only ever reads and writes the touched modes.
 
     With modes (flat indices, strictly ascending) the matrix is the block
     on those modes; without, it is the full register matrix. Either is
-    trimmed to its touched block. matrix rebuilds the full register matrix.
+    trimmed to its touched block, with no numpy call. block and matrix
+    rebuild the block and the full register matrix as read-only arrays.
     """
 
     register: Register
     touched: tuple[int, ...]
-    block: np.ndarray
+    rows: tuple[tuple[complex, ...], ...]
 
     def __init__(self, register: Register, matrix, modes: Iterable[int] | None = None):
-        matrix = np.asarray(matrix, dtype=complex)
         n = register.n_modes
-        modes = tuple(range(n)) if modes is None else tuple(operator.index(i) for i in modes)
+        modes = tuple(range(n)) if modes is None else tuple(map(operator.index, modes))
         k = len(modes)
-        if matrix.shape != (k, k):
-            raise ValueError(f"matrix shape {matrix.shape} != ({k}, {k})")
+        if hasattr(matrix, "tolist"):  # a numpy array: read its entries as Python numbers
+            matrix = matrix.tolist()
+        try:
+            rows = tuple(tuple(map(complex, row)) for row in matrix)
+        except TypeError:  # an entry where a row should be, or a row where an entry should be
+            rows = ()
+        if len(rows) != k or any(len(row) != k for row in rows):
+            raise ValueError(f"matrix is not {k} x {k}, one row and column per mode")
         if any(not 0 <= i < n for i in modes):
             raise ValueError(f"modes {modes} out of range for a {n}-mode register")
-        if any(a >= b for a, b in zip(modes, modes[1:])):
+        if any(map(operator.ge, modes, modes[1:])):
             raise ValueError(f"modes {modes} are not strictly ascending")
-        close = np.abs(matrix - np.eye(k)) <= 1e-15  # a NaN entry is never close
-        keep = np.flatnonzero(~(close.all(axis=0) & close.all(axis=1)))
-        block = matrix[np.ix_(keep, keep)]
-        dev = np.abs(block.conj().T @ block - np.eye(len(keep))).max(initial=0.0)
+        # A mode is trimmed when its diagonal entry is 1 and the rest of its row
+        # and column 0, each to within 1e-15; no NaN is within anything.
+        moved = [p for p in range(k) if not abs(rows[p][p] - 1) <= 1e-15
+                 or any(not abs(rows[p][q]) <= 1e-15 or not abs(rows[q][p]) <= 1e-15
+                        for q in range(k) if q != p)]
+        touched = modes
+        if len(moved) < k:
+            rows = tuple(tuple(rows[p][q] for q in moved) for p in moved)
+            touched = tuple(modes[p] for p in moved)
+        # B^dag B is Hermitian, entry for entry in floating point too, so its upper
+        # triangle holds every deviation from I. A NaN deviation, once seen, stays.
+        cols, dev = tuple(zip(*rows)), 0.0
+        for i, col in enumerate(cols):
+            conj = tuple(map(complex.conjugate, col))
+            for j in range(i, len(cols)):
+                d = abs(sum(map(operator.mul, conj, cols[j])) - (i == j))
+                if d > dev or d != d:
+                    dev = d
         if not dev <= UNITARITY_TOL:  # a NaN entry fails too
             raise ValueError(f"matrix is not unitary (deviation {dev:.3g})")
-        block.setflags(write=False)
         object.__setattr__(self, "register", register)
-        object.__setattr__(self, "touched", tuple(modes[p] for p in keep))
-        object.__setattr__(self, "block", block)
+        object.__setattr__(self, "touched", touched)
+        object.__setattr__(self, "rows", rows)
 
     @property
-    def matrix(self) -> np.ndarray:
+    def block(self):
+        """The k x k block on touched, as a read-only numpy array."""
+        import numpy as np
+        k = len(self.rows)
+        b = np.array(self.rows, dtype=complex).reshape(k, k)
+        b.setflags(write=False)
+        return b
+
+    @property
+    def matrix(self):
         """The full register matrix: the identity with block on touched."""
+        import numpy as np
         m = np.eye(self.register.n_modes, dtype=complex)
-        if self.touched:
-            m[np.ix_(self.touched, self.touched)] = self.block
+        for i, row in zip(self.touched, self.rows):
+            m[i, self.touched] = row
         m.setflags(write=False)
         return m
 
@@ -396,15 +446,12 @@ def superpose(terms: Sequence[tuple[complex, FockKet]]) -> FockKet:
 def tensor(a: FockKet, b: FockKet) -> FockKet:
     """Product state on the union register (registers must be disjoint)."""
     merged = a.register.merged(b.register)
-    pos_a = [merged.index_of(m) for m in a.register.modes]
-    pos_b = [merged.index_of(m) for m in b.register.modes]
+    pos = [merged.index_of(m) for m in a.register.modes + b.register.modes]
     out: dict[tuple[int, ...], complex] = {}
     for occ_a, amp_a in a.terms.items():
         for occ_b, amp_b in b.terms.items():
             occ = [0] * merged.n_modes
-            for p, c in zip(pos_a, occ_a):
-                occ[p] = c
-            for p, c in zip(pos_b, occ_b):
+            for p, c in zip(pos, occ_a + occ_b):
                 occ[p] = c
             out[tuple(occ)] = amp_a * amp_b
     return FockKet(merged, out)
@@ -420,7 +467,7 @@ def apply_mode_transform(state: FockKet, u: ModeTransform) -> FockKet:
     touched = u.touched
     if not touched:
         return state
-    steps = [[(p, x) for p, x in enumerate(column) if x] for column in u.block.T.tolist()]
+    steps = [[(p, x) for p, x in enumerate(column) if x] for column in zip(*u.rows)]
     pick = _picker(touched)
     # phi_0(U) = 1: a term with no photons on the block keeps its key.
     rows: dict[tuple[int, ...], list] = {(0,) * len(touched): [(None, 1.0 + 0.0j)]}

@@ -9,6 +9,9 @@ Conventions:
   * pockels_z is the polarization phase flip |V> -> -|V>, applied by the
     gate layer as classical feed-forward, not as a quantum control.
 
+Each constructor finds its modes through the register's port index and
+builds a ModeTransform from a plain-Python block, with no numpy call; the
+transform's block and matrix are numpy views built on access.
 ELEMENTS is the one table of element signatures; ElementSpec checks and
 builds through it, and the circuit-file parser reads `element` lines by it.
 """
@@ -19,7 +22,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .fock_core import H, V, ModeId, ModeTransform, Register
+from .fock_core import ModeId, ModeTransform, Register
 
 
 class ElementKind(str, Enum):
@@ -61,19 +64,16 @@ def pbs(register: Register, port_a: str, port_b: str) -> ModeTransform:
     """Polarizing beam splitter: H transmits, V is exchanged between ports."""
     if port_a == port_b:
         raise ValueError("pbs needs two distinct spatial ports")
-    av = register.index_of(ModeId(port_a, V))
-    bv = register.index_of(ModeId(port_b, V))
-    register.index_of(ModeId(port_a, H))
-    register.index_of(ModeId(port_b, H))
-    return ModeTransform(register, _EXCHANGE, sorted((av, bv)))
+    _, av = register.port_index(port_a)
+    _, bv = register.port_index(port_b)
+    return ModeTransform(register, _EXCHANGE, (av, bv) if av < bv else (bv, av))
 
 
 def hwp(register: Register, port: str, theta_degrees: float) -> ModeTransform:
     """Half-wave plate at theta_degrees on the (H, V) pair of one port."""
     if not math.isfinite(theta_degrees):
         raise ValueError(f"wave plate angle must be finite, got {theta_degrees!r}")
-    ih = register.index_of(ModeId(port, H))
-    iv = register.index_of(ModeId(port, V))
+    ih, iv = register.port_index(port)
     # The plate has period 180 degrees; reducing first keeps 2 theta finite.
     two_theta = math.radians(2.0 * math.fmod(theta_degrees, 180.0))
     c, s = math.cos(two_theta), math.sin(two_theta)
@@ -83,8 +83,7 @@ def hwp(register: Register, port: str, theta_degrees: float) -> ModeTransform:
 
 def pockels_z(register: Register, port: str) -> ModeTransform:
     """Conditional phase flip element: |H> -> |H>, |V> -> -|V> on the port."""
-    register.index_of(ModeId(port, H))
-    iv = register.index_of(ModeId(port, V))
+    _, iv = register.port_index(port)
     return ModeTransform(register, ((-1.0,),), (iv,))
 
 

@@ -162,7 +162,7 @@ def _run_gate(state: FockKet, expansion, aux_ports: Sequence[str]) -> GateResult
 def _require_port_photons(state: FockKet, ports: Sequence[str], count: int) -> None:
     """Every term holds exactly count photons (0 or 1) in each of ports."""
     for port in ports:
-        idx = [state.register.index_of(m) for m in state.register.port_modes(port)]
+        idx = state.register.port_index(port)
         for occ in state.terms:
             if sum(occ[i] for i in idx) != count:
                 raise ValueError(f"expected exactly one photon in port {port!r}" if count

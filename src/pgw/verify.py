@@ -260,29 +260,21 @@ def _suite_teleport(rng: np.random.Generator, trials: int) -> list[dict]:
         "bell-orthonormality", "the four Bell states form an orthonormal set",
         np.abs(gram - np.eye(4)).max(), 0.0, 1e-14))
 
-    dev = 0.0
-    for label, j_want in ((PSI_PLUS, 0), (PSI_MINUS, 1)):
-        state = tensor_qubits(bell_state(label, ("B1", "B2")),
-                              QubitState(("Q",), (1.0, 0.0)))
+    # Each Bell state with the probabilities it must give: j = 0, j = 1, rejected.
+    devs = []
+    for label, want in ((PSI_PLUS, (1.0, 0.0, 0.0)), (PSI_MINUS, (0.0, 1.0, 0.0)),
+                        (PHI_PLUS, (0.0, 0.0, 1.0)), (PHI_MINUS, (0.0, 0.0, 1.0))):
+        state = tensor_qubits(bell_state(label, ("B1", "B2")), QubitState(("Q",), (1.0, 0.0)))
         result = qubit_teleport.pbm(state, ("B1", "B2"))
-        dev = max(dev, abs(result.branches[j_want].probability - 1.0),
-                  result.branches[1 - j_want].probability,
-                  abs(result.rejected_probability))
+        got = (*(b.probability for b in result.branches), result.rejected_probability)
+        devs.append(max(abs(g - w) for g, w in zip(got, want, strict=True)))
     checks.append(check_record(
         "pbm-resolves-odd-bells",
         "each odd-parity Bell state fires its own outcome deterministically",
-        dev, 0.0, 1e-12))
-
-    dev = 0.0
-    for label in (PHI_PLUS, PHI_MINUS):
-        state = tensor_qubits(bell_state(label, ("B1", "B2")),
-                              QubitState(("Q",), (1.0, 0.0)))
-        result = qubit_teleport.pbm(state, ("B1", "B2"))
-        dev = max(dev, result.branches[0].probability, result.branches[1].probability,
-                  abs(result.rejected_probability - 1.0))
+        max(devs[:2]), 0.0, 1e-12))
     checks.append(check_record(
         "pbm-rejects-even-bells", "even-parity Bell components are rejected outright",
-        dev, 0.0, 1e-12))
+        max(devs[2:]), 0.0, 1e-12))
 
     eye2 = np.eye(2)
     decomposed = 0.5 * (np.eye(4) + np.kron(PAULI_Z, eye2) + np.kron(eye2, PAULI_Z)

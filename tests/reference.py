@@ -68,6 +68,21 @@ def fock_matrix(u, basis):
     return m
 
 
+def unitary_deviation(u):
+    """max |U^dag U - I| entrywise; NaN when an entry of u is NaN, 0 when u is 0 x 0."""
+    u = np.asarray(u, dtype=complex)
+    return np.abs(u.conj().T @ u - np.eye(len(u))).max(initial=0.0)
+
+
+def trim_identity(m):
+    """(kept indices, block) of a square matrix without the modes whose row
+    and column are the identity's to within 1e-15; a NaN entry keeps its modes."""
+    m = np.asarray(m, dtype=complex)
+    close = np.abs(m - np.eye(len(m))) <= 1e-15
+    keep = np.flatnonzero(~(close.all(axis=0) & close.all(axis=1)))
+    return tuple(int(i) for i in keep), m[np.ix_(keep, keep)]
+
+
 def haar_unitary(rng, n):
     """Haar-distributed unitary from the QR decomposition of a Ginibre matrix."""
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))

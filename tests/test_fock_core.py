@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -15,6 +15,7 @@ from pgw.fock_core import (
     OccupationVector,
     Register,
     RegisterError,
+    UNITARITY_TOL,
     V,
     apply_mode_transform,
     drop_vacuum_ports,
@@ -56,6 +57,56 @@ def test_register_rejects_duplicates_and_bad_cutoff():
         Register(("A", "A"))
     with pytest.raises(ValueError):
         Register(("A",), cutoff=0)
+
+
+@pytest.mark.parametrize("cutoff", [2.5, 4.0, True, False, "4", None, -1],
+                         ids=["float", "integral-float", "true", "false", "str", "none", "negative"])
+def test_register_cutoff_must_be_an_int_of_at_least_one(cutoff):
+    with pytest.raises(ValueError, match="cutoff must be an int"):
+        Register(("A",), cutoff=cutoff)
+
+
+def test_register_cutoff_takes_any_integer_type():
+    reg = Register(("A",), cutoff=np.int64(3))
+    assert reg.cutoff == 3 and type(reg.cutoff) is int
+
+
+_LABELS = st.lists(st.text(alphabet="AB'0éΩ", min_size=1, max_size=3), min_size=1,
+                   max_size=6, unique=True)
+
+
+@given(labels=_LABELS, data=st.data())
+@example(labels=["AB", "A'", "A"], data=None)
+@settings(max_examples=100, deadline=None)
+def test_register_orders_modes_and_indexes_ports(labels, data):
+    """The labels path sorts like the modes path, a dropped register equals
+    the validated one on the same modes, and the port index names each
+    port's (H, V) flat indices while it has both."""
+    reg = Register(labels)
+    assert reg.modes == tuple(sorted(ModeId(lab, pol) for lab in labels for pol in (H, V)))
+    assert reg.modes == Register(modes=reversed(reg.modes)).modes
+    for lab in labels:
+        assert reg.port_index(lab) == (reg.index_of(ModeId(lab, H)), reg.index_of(ModeId(lab, V)))
+    removed = set(reg.modes[::3]) if data is None else data.draw(
+        st.sets(st.sampled_from(reg.modes), max_size=len(reg.modes)))
+    dropped = reg.drop_modes(removed)
+    validated = Register(modes=[m for m in reg.modes if m not in removed], cutoff=reg.cutoff)
+    assert dropped == validated
+    assert dropped.spatial_labels == validated.spatial_labels
+    for lab in labels:
+        kept = tuple(m for m in reg.modes if m.spatial_label == lab and m not in removed)
+        if not kept:
+            with pytest.raises(RegisterError, match=f"spatial port {lab!r} not in register"):
+                dropped.port_index(lab)
+            with pytest.raises(RegisterError, match=f"spatial port {lab!r} not in register"):
+                dropped.port_modes(lab)
+            continue
+        assert dropped.port_modes(lab) == validated.port_modes(lab) == kept
+        if len(kept) == 2:
+            assert dropped.port_index(lab) == tuple(dropped.index_of(m) for m in kept)
+        else:
+            with pytest.raises(RegisterError, match=f"spatial port {lab!r} only half in register"):
+                dropped.port_index(lab)
 
 
 def test_register_index_of_unknown_mode():
@@ -305,6 +356,46 @@ def test_mode_transform_trims_identity_modes_from_its_block():
     assert np.array_equal(identity.matrix, np.eye(4))
     ket = FockKet(reg, {(1, 0, 1, 0): 1.0})
     assert apply_mode_transform(ket, identity) is ket
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       modes=st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True).map(sorted),
+       case=st.sampled_from(["exact", "just-below", "just-above", "nan"]),
+       data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_block_check_agrees_with_the_numpy_reference(seed, modes, case, data):
+    """A Haar block scattered onto ascending modes of a 4-port register, exact,
+    perturbed to a reference deviation of 0.9 or 1.1 times UNITARITY_TOL, or
+    with a NaN anywhere in the register matrix: ModeTransform accepts it
+    exactly when the numpy reference does, with the reference's touched modes
+    and block."""
+    rng = np.random.default_rng(seed)
+    k = len(modes)
+    u = reference.haar_unitary(rng, k)
+    if case.startswith("just"):
+        # The deviation grows linearly in a perturbation this small, so one
+        # probe sets the step that lands it on the wanted multiple.
+        d = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+        probe = 1e-9
+        per_step = reference.unitary_deviation(u + probe * d) / probe
+        u = u + (0.9 if case == "just-below" else 1.1) * UNITARITY_TOL / per_step * d
+    full = np.eye(8, dtype=complex)
+    full[np.ix_(modes, modes)] = u
+    if case == "nan":
+        full[data.draw(st.integers(0, 7)), data.draw(st.integers(0, 7))] = np.nan
+    reg = Register(("A", "B", "C", "D"))
+    for matrix, on in ((full, range(8)), (full[np.ix_(modes, modes)], modes)):
+        kept, block = reference.trim_identity(matrix)
+        accepted = bool(reference.unitary_deviation(block) <= UNITARITY_TOL)
+        assert accepted == (case != "just-above" and not np.isnan(matrix).any())
+        if not accepted:
+            with pytest.raises(ValueError, match="not unitary"):
+                ModeTransform(reg, matrix, on)
+            continue
+        t = ModeTransform(reg, matrix, on)
+        assert t.touched == tuple(on[i] for i in kept)
+        assert np.array_equal(t.block, block)
+        assert all(type(x) is complex for row in t.rows for x in row)
 
 
 def test_measure_and_postselect_probability_and_survivors():

@@ -1,12 +1,14 @@
 """Unit tests for the passive element constructors."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pgw
 from pgw.fock_core import (
     FockKet,
     H,
@@ -27,6 +29,7 @@ from pgw.optical_elements import (
     pbs,
     pockels_z,
 )
+from pgw.workbench_cli import parse_circuit, run_circuit
 
 HALF = 2.0 ** -0.5
 
@@ -249,3 +252,39 @@ def test_element_blocks_equal_the_full_register_construction(case):
                               if differs[i, :].any() or differs[:, i].any())
     from_full = ModeTransform(reg, t.matrix)
     assert apply_mode_transform(ket, t).terms == apply_mode_transform(ket, from_full).terms
+
+
+def _one_of_each_kind():
+    """An ElementSpec of every ELEMENTS kind on ports A and B."""
+    specs = []
+    for kind, (_, arity, modes, angle) in ELEMENTS.items():
+        args = (ModeId("A", V), ModeId("B", H))[:arity] if modes else ("B", "A")[:arity]
+        fields = ((), args) if modes else (args, ())
+        specs.append(ElementSpec(kind, *fields, *((33.0,) if angle else ())))
+    return specs
+
+
+def test_every_element_block_holds_built_in_complex_entries():
+    reg = Register(("A", "B"))
+    for spec in _one_of_each_kind():
+        t = spec.build(reg)
+        assert t.rows and all(type(x) is complex for row in t.rows for x in row), spec
+
+
+def test_elements_build_and_run_without_numpy(monkeypatch):
+    """Building every kind of element, applying it and running the packaged
+    e_cnot circuit call none of numpy's array constructors."""
+    text = (Path(pgw.__file__).parent / "circuits" / "e_cnot.circuit").read_text()
+    reg = Register(("A", "B"))
+    ket = FockKet(reg, {(1, 0, 0, 1): HALF, (0, 1, 1, 0): HALF})
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numpy called while building or running elements")
+
+    for name in ("asarray", "eye", "ix_"):
+        monkeypatch.setattr(np, name, forbidden)
+    for spec in _one_of_each_kind():
+        ket = apply_mode_transform(ket, spec.build(reg))
+    assert ket.norm_squared() == pytest.approx(1.0, abs=1e-12)
+    result = run_circuit(parse_circuit(text))
+    assert [b.outcome_label for b in result.branches] == ["D0,D0'", "D0,D1'", "D1,D0'", "D1,D1'"]
