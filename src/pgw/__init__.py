@@ -15,7 +15,6 @@ from .fock_core import (
     FockKet,
     GateResult,
     ModeId,
-    OccupationVector,
     ModeTransform,
     Register,
     apply_mode_transform,

@@ -1,25 +1,27 @@
 """Sparse multimode Fock-space states and the machinery that moves them.
 
-A Register fixes an ordered set of optical modes, each identified by a
-spatial label and a polarization, and indexes each spatial port's (H, V)
-pair. States are sparse maps from occupation vectors to complex amplitudes
-(FockKet). Passive elements act through ModeTransform, which stores only
-the modes a unitary touches and the small block U on them, as plain-Python
-rows of complex built and checked without numpy; its block and matrix are
-numpy views built on access. apply_mode_transform maps the photons of each
-term on those modes through phi(U), the block's n-photon representation
-(Aaronson & Arkhipov, arXiv:1011.3245; entries are permanents over square
-roots of factorials, Scheel, quant-ph/0406127): each row, for one
-occupation of the block, maps image occupations to coefficients, and is
-built once per call for every block size. A DetectionPattern is one
-heralded outcome (required counts, consumed modes, label, feed-forward
-index j); number-resolving detection with post-selection turns it into a
-Branch with the same label and j, whose squared norm is the branch
-probability. Branch states stay unnormalized so probabilities can be read
-off directly, matching the 1/sqrt(2) prefactor style of the gate algebra.
-measure_outcomes runs many detection patterns with one pass over the
-state per set of measured modes. Every trace over modes goes through it:
-drop_vacuum_ports is a vacuum detection that must keep every term.
+A Register fixes an ordered set of optical modes, each a ModeId, the named
+tuple (spatial label, polarization), and keeps one index, each spatial
+port's (H, V) flat indices, for both index_of and port_index. States
+(FockKet) are sparse maps from occupations, plain tuples of photon counts
+one per mode, to complex amplitudes. Passive elements act through
+ModeTransform, which stores only the modes a unitary touches and the small
+block U on them, as plain-Python rows of complex built and checked without
+numpy; its block and matrix are numpy views built on access.
+apply_mode_transform maps the photons of each term on those modes through
+phi(U), the block's n-photon representation (Aaronson & Arkhipov,
+arXiv:1011.3245; entries are permanents over square roots of factorials,
+Scheel, quant-ph/0406127): each row, for one occupation of the block, maps
+image occupations to coefficients, and is built once per call for every
+block size. A DetectionPattern is one heralded outcome (required counts,
+consumed modes, label, feed-forward index j); number-resolving detection
+with post-selection turns it into a Branch with the same label and j, whose
+squared norm is the branch probability. Branch states stay unnormalized so
+probabilities can be read off directly, matching the 1/sqrt(2) prefactor
+style of the gate algebra. measure_outcomes runs many detection patterns
+with one pass over the state per set of measured modes. Every trace over
+modes goes through it: drop_vacuum_ports is a vacuum detection that must
+keep every term.
 
 Conventions pinned here and relied on everywhere else:
   * mode order is lexicographic by (spatial label, H before V);
@@ -40,7 +42,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 PRUNE_THRESHOLD = 1e-14
 NORM_SLACK = 1e-12
@@ -65,15 +67,14 @@ H = Polarization.H
 V = Polarization.V
 
 
-@dataclass(frozen=True, order=True)
-class ModeId:
-    """One optical mode: a spatial port label plus a polarization."""
+class ModeId(NamedTuple):
+    """One optical mode, the named tuple (spatial port label, polarization)."""
 
     spatial_label: str
     polarization: Polarization
 
     def __str__(self):
-        return f"{self.spatial_label}.{self.polarization.value}"
+        return f"{self.spatial_label}.{self.polarization}"
 
     @classmethod
     def parse(cls, text: str) -> "ModeId":
@@ -83,20 +84,17 @@ class ModeId:
         return cls(label, Polarization(pol))
 
 
-_SLOT = {H: 0, V: 1}  # where a mode's flat index goes in its port's (H, V) pair
-
-
 class Register:
     """Ordered mode register shared by states and transforms.
 
     Built either from spatial labels (each contributing an H and a V mode)
     or from an explicit mode collection (sub-registers left over after
     detection). Mode order is always lexicographic by (label, H before V).
-    Besides each mode's flat index, a register keeps a port index: each
-    spatial label's (H, V) flat indices, None for a mode it does not hold.
+    Its one index is by port: each spatial label's (H, V) flat indices, None
+    for a mode it does not hold, read by both index_of and port_index.
     """
 
-    __slots__ = ("modes", "cutoff", "_index", "_ports")
+    __slots__ = ("modes", "cutoff", "_ports")
 
     def __init__(self, spatial_labels: Sequence[str] = (), cutoff: int = DEFAULT_CUTOFF,
                  modes: Iterable[ModeId] | None = None):
@@ -115,10 +113,11 @@ class Register:
 
     def _fill(self, modes: tuple[ModeId, ...], cutoff: int) -> None:
         self.modes, self.cutoff = modes, cutoff
-        self._index = {m: i for i, m in enumerate(modes)}
-        self._ports = {}
+        self._ports = ports = {}
         for i, m in enumerate(modes):
-            self._ports.setdefault(m.spatial_label, [None, None])[_SLOT[m.polarization]] = i
+            if m.polarization not in (H, V):
+                raise RegisterError(f"mode {m} is neither H nor V polarized")
+            ports.setdefault(m.spatial_label, [None, None])[m.polarization == V] = i
 
     @property
     def n_modes(self) -> int:
@@ -129,10 +128,11 @@ class Register:
         return tuple(self._ports)
 
     def index_of(self, mode: ModeId) -> int:
-        try:
-            return self._index[mode]
-        except KeyError:
-            raise RegisterError(f"mode {mode} not in register {self.spatial_labels}") from None
+        h, v = self._ports.get(mode.spatial_label, (None, None))
+        i = h if mode.polarization == H else v if mode.polarization == V else None
+        if i is None:
+            raise RegisterError(f"mode {mode} not in register {self.spatial_labels}")
+        return i
 
     def port_index(self, label: str) -> tuple[int, int]:
         """The (H, V) flat indices of a spatial port that has both its modes."""
@@ -174,64 +174,41 @@ class Register:
         return f"Register({[str(m) for m in self.modes]}, cutoff={self.cutoff})"
 
 
-class OccupationVector(tuple):
-    """Photon counts per flat mode index; a validated tuple of ints >= 0."""
-
-    __slots__ = ()
-
-    def __new__(cls, counts):
-        counts = tuple(counts)
-        for c in counts:
-            if not isinstance(c, int) or c < 0:
-                raise ValueError(f"occupation counts must be ints >= 0, got {counts}")
-        return super().__new__(cls, counts)
-
-    @property
-    def total_photons(self) -> int:
-        return sum(self)
-
-
-def _trusted_occupation(counts: tuple[int, ...]) -> OccupationVector:
-    """Wrap counts that a kernel built from valid occupation vectors."""
-    return tuple.__new__(OccupationVector, counts)
-
-
 class FockKet:
-    """Sparse state: occupation vector -> complex amplitude.
+    """Sparse state: occupation (a tuple of photon counts) -> complex amplitude.
 
     Unnormalized kets are allowed (norm <= 1), which is how conditional
     branch states carry their probability. Construction prunes dust below
     PRUNE_THRESHOLD and validates the register invariants.
 
-    validate=False is for callers that built the keys themselves from
-    another ket's occupation vectors (the kernels in this module): each key
-    is then taken as a valid occupation vector of the register and wrapped
-    without checking its counts, and only the pruning runs.
+    Keys are plain tuples of photon counts, one per register mode; with
+    validate=True any other sequence is turned into one. validate=False is
+    for callers that built the keys themselves as such tuples (the kernels
+    in this module): only the pruning runs.
     """
 
     __slots__ = ("register", "terms")
 
     def __init__(self, register: Register, terms: Mapping[Any, complex], *,
                  validate: bool = True):
-        wrap = OccupationVector if validate else _trusted_occupation
-        pruned: dict[OccupationVector, complex] = {}
+        pruned: dict[tuple[int, ...], complex] = {}
         for occ, amp in terms.items():
             c = complex(amp)
             if abs(c) < PRUNE_THRESHOLD:
                 continue
-            if occ.__class__ is not OccupationVector:
-                occ = wrap(occ)
-            pruned[occ] = c
-        if validate:
-            for occ, c in pruned.items():
+            if validate:
+                occ = tuple(occ)
+                if any(not isinstance(n, int) or n < 0 for n in occ):
+                    raise ValueError(f"occupation counts must be ints >= 0, got {occ}")
                 if len(occ) != register.n_modes:
                     raise ValueError(
                         f"occupation length {len(occ)} != register size {register.n_modes}")
-                if occ.total_photons > register.cutoff:
-                    raise ValueError(
-                        f"{occ.total_photons} photons exceeds cutoff {register.cutoff}")
+                if sum(occ) > register.cutoff:
+                    raise ValueError(f"{sum(occ)} photons exceeds cutoff {register.cutoff}")
                 if not (math.isfinite(c.real) and math.isfinite(c.imag)):
                     raise ValueError("non-finite amplitude")
+            pruned[occ] = c
+        if validate:
             sq = sum(abs(c) ** 2 for c in pruned.values())
             if sq > 1.0 + NORM_SLACK:
                 raise ValueError(f"squared norm {sq} exceeds 1 (unnormalized kets may not exceed norm 1)")
@@ -251,10 +228,8 @@ class FockKet:
         return FockKet(self.register,
                        {occ: amp / n for occ, amp in self.terms.items()}, validate=False)
 
-    def amplitude(self, occ) -> complex:
-        if not isinstance(occ, OccupationVector):
-            occ = OccupationVector(occ)
-        return self.terms.get(occ, 0.0 + 0.0j)
+    def amplitude(self, occ: Sequence[int]) -> complex:
+        return self.terms.get(tuple(occ), 0.0 + 0.0j)
 
     def __repr__(self):
         parts = []
@@ -365,8 +340,8 @@ class DetectionPattern:
         req = tuple(sorted(required.items()))
         meas = frozenset(measured) if measured is not None else frozenset(required)
         for mode, count in req:
-            if count < 0:
-                raise ValueError("required photon counts must be >= 0")
+            if isinstance(count, bool) or not hasattr(count, "__index__") or count < 0:
+                raise ValueError(f"required photon counts must be ints >= 0, got {mode}={count!r}")
             if mode not in meas:
                 raise ValueError(f"required mode {mode} missing from measured set")
         object.__setattr__(self, "required", req)
@@ -434,7 +409,7 @@ def superpose(terms: Sequence[tuple[complex, FockKet]]) -> FockKet:
     if not terms:
         raise ValueError("superpose needs at least one term")
     register = terms[0][1].register
-    out: dict[OccupationVector, complex] = {}
+    out: dict[tuple[int, ...], complex] = {}
     for coeff, ket in terms:
         if ket.register != register:
             raise RegisterError("superpose requires kets on the same register")

@@ -35,8 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
 from .fock_core import (
     HALF,
     Branch,
@@ -244,14 +242,14 @@ def e_cnot(two_qubit_input: FockKet, control_port: str = "IN",
                      aux_ports)
 
 
-def filter_gate(gate: Callable[[FockKet, FGateLayout], GateResult], aux
-                ) -> Callable[[np.ndarray], GateResult]:
+def filter_gate(gate: Callable[[FockKet, FGateLayout], GateResult], aux: Sequence[complex]
+                ) -> Callable[[Sequence[complex]], GateResult]:
     """gate (f_gate or destructive_cnot) on ports IN, A, D0, D1, as a function
     of IN's (H, V) amplitudes, with the A photon in the polarization aux."""
     register = Register(("IN", "A", "D0", "D1"))
     layout = FGateLayout("IN", "A", ("D0", "D1"))
-    return lambda amps: gate(polarization_ket(register, ("IN", "A"), np.kron(amps, aux)),
-                             layout)
+    return lambda amps: gate(polarization_ket(register, ("IN", "A"),
+                                              [a * b for a in amps for b in aux]), layout)
 
 
 def ecnot_gate(amps) -> GateResult:

@@ -1,5 +1,7 @@
 """Unit tests for the sparse Fock state layer."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +14,6 @@ from pgw.fock_core import (
     H,
     ModeId,
     ModeTransform,
-    OccupationVector,
     Register,
     RegisterError,
     UNITARITY_TOL,
@@ -80,8 +81,9 @@ _LABELS = st.lists(st.text(alphabet="AB'0éΩ", min_size=1, max_size=3), min_siz
 @settings(max_examples=100, deadline=None)
 def test_register_orders_modes_and_indexes_ports(labels, data):
     """The labels path sorts like the modes path, a dropped register equals
-    the validated one on the same modes, and the port index names each
-    port's (H, V) flat indices while it has both."""
+    the validated one on the same modes, index_of gives each mode's position
+    and rejects a dropped one, and the port index names each port's (H, V)
+    flat indices while it has both."""
     reg = Register(labels)
     assert reg.modes == tuple(sorted(ModeId(lab, pol) for lab in labels for pol in (H, V)))
     assert reg.modes == Register(modes=reversed(reg.modes)).modes
@@ -93,6 +95,11 @@ def test_register_orders_modes_and_indexes_ports(labels, data):
     validated = Register(modes=[m for m in reg.modes if m not in removed], cutoff=reg.cutoff)
     assert dropped == validated
     assert dropped.spatial_labels == validated.spatial_labels
+    for r in (reg, dropped):
+        assert [r.index_of(m) for m in r.modes] == list(range(r.n_modes))
+    for m in removed:
+        with pytest.raises(RegisterError, match=re.escape(f"mode {m} not in register")):
+            dropped.index_of(m)
     for lab in labels:
         kept = tuple(m for m in reg.modes if m.spatial_label == lab and m not in removed)
         if not kept:
@@ -115,12 +122,18 @@ def test_register_index_of_unknown_mode():
         reg.index_of(ModeId("B", H))
 
 
-def test_occupation_vector_validation():
-    assert OccupationVector((0, 2, 1)).total_photons == 3
-    with pytest.raises(ValueError):
-        OccupationVector((0, -1))
-    with pytest.raises(ValueError):
-        OccupationVector((0.5, 1))
+def test_polarization_other_than_h_or_v_is_a_register_error():
+    with pytest.raises(RegisterError, match=r"mode A\.X "):
+        Register(modes=[ModeId("A", "X")])
+    with pytest.raises(RegisterError, match=r"mode A\.X not in register"):
+        Register(("A",)).index_of(ModeId("A", "X"))
+
+
+def test_mode_id_is_a_tuple_that_sorts_by_label_then_h_before_v():
+    assert ModeId("A", H) == ("A", "H") and hash(ModeId("A", H)) == hash(("A", "H"))
+    assert sorted([ModeId("B", H), ModeId("A", V), ModeId("A", H)]) == [
+        ModeId("A", H), ModeId("A", V), ModeId("B", H)]
+    assert repr(ModeId("A", V)) == "ModeId(spatial_label='A', polarization=<Polarization.V: 'V'>)"
 
 
 def test_single_photon_and_vacuum():
@@ -147,6 +160,22 @@ def test_fock_ket_rejects_counts_over_cutoff():
     reg = Register(("A",), cutoff=2)
     with pytest.raises(ValueError):
         FockKet(reg, {(3, 0): 0.5})
+
+
+@pytest.mark.parametrize("occ, message", [
+    ((0, -1), "occupation counts must be ints >= 0"),
+    ((0.5, 1), "occupation counts must be ints >= 0"),
+    ((1, 0, 0), "occupation length 3 != register size 2"),
+], ids=["negative", "float", "wrong-length"])
+def test_fock_ket_rejects_bad_occupations(occ, message):
+    with pytest.raises(ValueError, match=message):
+        FockKet(Register(("A",)), {occ: 1.0})
+
+
+def test_fock_ket_amplitude_takes_any_sequence():
+    ket = FockKet(Register(("A",)), {(1, 0): 0.6, (0, 1): 0.8})
+    assert ket.amplitude([1, 0]) == ket.amplitude((1, 0)) == 0.6
+    assert ket.amplitude(range(2)) == 0.8
 
 
 def test_superpose_requires_matching_registers():
@@ -238,8 +267,8 @@ def test_two_mode_block_matches_the_permanent_oracle(seed, split, pair, spectato
     for key, want in expected.items():
         assert abs(out.amplitude(key) - want) <= 1e-14
     for key in out.terms:
-        assert isinstance(key, OccupationVector)
-        assert key.total_photons == sum(occ)
+        assert type(key) is tuple
+        assert sum(key) == sum(occ)
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1),
@@ -273,8 +302,8 @@ def test_block_of_any_size_matches_the_permanent_oracle(seed, modes, data):
     for key, want in expected.items():
         assert abs(out.amplitude(key) - want) <= 1e-14
     for key in out.terms:
-        assert isinstance(key, OccupationVector)
-        assert key.total_photons == sum(occ)
+        assert type(key) is tuple
+        assert sum(key) == sum(occ)
 
 
 @given(n=st.integers(0, 4), spectators=_spectators(5),
@@ -287,8 +316,8 @@ def test_phase_block_multiplies_by_exactly_minus_one_to_the_n(n, spectators, amp
     out = apply_mode_transform(FockKet(reg, {occ: amp}), pockels_z(reg, "A"))
     assert out.terms == {occ: (-1) ** n * amp}
     key = next(iter(out.terms))
-    assert isinstance(key, OccupationVector)
-    assert key.total_photons == sum(occ)
+    assert type(key) is tuple
+    assert sum(key) == sum(occ)
 
 
 def test_mode_transform_rejects_non_unitary():
@@ -418,6 +447,18 @@ def test_detection_pattern_default_label_names_its_counts():
     assert (branch.outcome_label, branch.j) == ("A.H=1,A.V=0", 0)
     branch = measure_and_postselect(state, DetectionPattern({ModeId("A", H): 1}, label="hit", j=1))
     assert (branch.outcome_label, branch.j) == ("hit", 1)
+
+
+@pytest.mark.parametrize("count", [1.5, 1.0, True, False, "1", None, -1],
+                         ids=["float", "integral-float", "true", "false", "str", "none", "negative"])
+def test_detection_pattern_counts_must_be_ints_of_at_least_zero(count):
+    with pytest.raises(ValueError, match="required photon counts must be ints >= 0"):
+        DetectionPattern({ModeId("A", H): count})
+
+
+def test_detection_pattern_takes_any_integer_count():
+    pattern = DetectionPattern({ModeId("A", H): np.int64(1), ModeId("A", V): 0})
+    assert pattern.label == "A.H=1,A.V=0"
 
 
 def test_measurement_outcomes_sum_to_norm():
