@@ -6,16 +6,17 @@ port's (H, V) flat indices, for both index_of and port_index. States
 (FockKet) are sparse maps from occupations, plain tuples of photon counts
 one per mode, to complex amplitudes. Passive elements act through
 ModeTransform, which stores only the modes a unitary touches and the small
-block U on them, as plain-Python rows of complex built and checked without
-numpy; its block and matrix are numpy views built on access.
-apply_mode_transform maps the photons of each term on those modes through
-phi(U), the block's n-photon representation (Aaronson & Arkhipov,
-arXiv:1011.3245; entries are permanents over square roots of factorials,
-Scheel, quant-ph/0406127): each row, for one occupation of the block, maps
-image occupations to coefficients, and is built once per call for every
-block size. A DetectionPattern is one heralded outcome (required counts,
-consumed modes, label, feed-forward index j); number-resolving detection
-with post-selection turns it into a Branch with the same label and j, whose
+block U on them, as plain-Python rows of complex built and checked
+(require_unitary) without numpy; its block and matrix are numpy views built
+on access. apply_mode_transform maps the photons of each term on those
+modes through phi(U), the block's n-photon representation (Aaronson &
+Arkhipov, arXiv:1011.3245; entries are permanents over square roots of
+factorials, Scheel, quant-ph/0406127), building each row, image counts on
+the block and their coefficients, once per call. phi(U2 U1) =
+phi(U2) phi(U1), so optical_gates applies an element list as one block.
+A DetectionPattern is one heralded outcome (required counts, consumed
+modes, label, feed-forward index j); number-resolving detection with
+post-selection turns it into a Branch with the same label and j, whose
 squared norm is the branch probability. Branch states stay unnormalized so
 probabilities can be read off directly, matching the 1/sqrt(2) prefactor
 style of the gate algebra. measure_outcomes runs many detection patterns
@@ -239,6 +240,21 @@ class FockKet:
         return " + ".join(parts) if parts else "0"
 
 
+def require_unitary(rows: Sequence[Sequence[complex]]) -> None:
+    """Raise ValueError unless the square complex block rows is unitary."""
+    # B^dag B is Hermitian, entry for entry in floating point too, so its upper
+    # triangle holds every deviation from I. A NaN deviation, once seen, stays.
+    cols, dev = tuple(zip(*rows)), 0.0
+    for i, col in enumerate(cols):
+        conj = tuple(map(complex.conjugate, col))
+        for j in range(i, len(cols)):
+            d = abs(sum(map(operator.mul, conj, cols[j])) - (i == j))
+            if d > dev or d != d:
+                dev = d
+    if not dev <= UNITARITY_TOL:  # a NaN entry fails too
+        raise ValueError(f"matrix is not unitary (deviation {dev:.3g})")
+
+
 @dataclass(frozen=True)
 class ModeTransform:
     """Unitary over mode creation operators, stored as the block it acts on.
@@ -284,17 +300,7 @@ class ModeTransform:
         if len(moved) < k:
             rows = tuple(tuple(rows[p][q] for q in moved) for p in moved)
             touched = tuple(modes[p] for p in moved)
-        # B^dag B is Hermitian, entry for entry in floating point too, so its upper
-        # triangle holds every deviation from I. A NaN deviation, once seen, stays.
-        cols, dev = tuple(zip(*rows)), 0.0
-        for i, col in enumerate(cols):
-            conj = tuple(map(complex.conjugate, col))
-            for j in range(i, len(cols)):
-                d = abs(sum(map(operator.mul, conj, cols[j])) - (i == j))
-                if d > dev or d != d:
-                    dev = d
-        if not dev <= UNITARITY_TOL:  # a NaN entry fails too
-            raise ValueError(f"matrix is not unitary (deviation {dev:.3g})")
+        require_unitary(rows)
         object.__setattr__(self, "register", register)
         object.__setattr__(self, "touched", touched)
         object.__setattr__(self, "rows", rows)
@@ -444,6 +450,8 @@ def apply_mode_transform(state: FockKet, u: ModeTransform) -> FockKet:
         return state
     steps = [[(p, x) for p, x in enumerate(column) if x] for column in zip(*u.rows)]
     pick = _picker(touched)
+    # A block on every register mode has the whole key as its image.
+    whole = len(touched) == state.register.n_modes
     # phi_0(U) = 1: a term with no photons on the block keeps its key.
     rows: dict[tuple[int, ...], list] = {(0,) * len(touched): [(None, 1.0 + 0.0j)]}
     out: dict[tuple[int, ...], complex] = {}
@@ -452,24 +460,24 @@ def apply_mode_transform(state: FockKet, u: ModeTransform) -> FockKet:
         counts = pick(occ)
         row = rows.get(counts)
         if row is None:
-            row = rows[counts] = _transfer_row(steps, counts, touched)
+            row = rows[counts] = _transfer_row(steps, counts)
         written = None
-        for writes, coeff in row:
-            key = occ
-            if writes is not None:
+        for image, coeff in row:
+            key = occ if image is None else image
+            if image is not None and not whole:
                 written = written or list(occ)
-                for mode, count in writes:
+                for mode, count in zip(touched, image):
                     written[mode] = count
                 key = tuple(written)
             out[key] = get(key, 0.0 + 0.0j) + amp * coeff
     return FockKet(state.register, out, validate=False)
 
 
-def _transfer_row(steps: list[list[tuple[int, complex]]], counts: tuple[int, ...],
-                  touched: tuple[int, ...]) -> list[tuple[tuple | None, complex]]:
-    """Row counts of phi(U): (writes, coefficient) per nonzero coefficient,
-    images ascending. writes holds the image's (mode, count) pairs, or None
-    when the image is counts itself.
+def _transfer_row(steps: list[list[tuple[int, complex]]], counts: tuple[int, ...]
+                  ) -> list[tuple[tuple[int, ...] | None, complex]]:
+    """Row counts of phi(U): (image, coefficient) per nonzero coefficient,
+    images ascending. image holds the counts on the block's modes, or is
+    None when it is counts itself.
 
     a_q^dag -> sum_p U_pq a_p^dag, so <c'| phi(U) |c> is the x^c' coefficient
     of prod_q (sum_p U_pq x_p)^c_q, times sqrt(prod c'! / prod c!). The
@@ -490,7 +498,7 @@ def _transfer_row(steps: list[list[tuple[int, complex]]], counts: tuple[int, ...
                     grown[key] = get(key, 0.0 + 0.0j) + v * x
             poly = grown
     norm = math.prod(map(math.factorial, counts))
-    return [(None if image == counts else tuple(zip(touched, image)),
+    return [(None if image == counts else image,
              v * math.sqrt(math.prod(map(math.factorial, image)) / norm))
             for image, v in sorted(poly.items()) if v]
 

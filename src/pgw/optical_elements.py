@@ -9,11 +9,13 @@ Conventions:
   * pockels_z is the polarization phase flip |V> -> -|V>, applied by the
     gate layer as classical feed-forward, not as a quantum control.
 
-Each constructor finds its modes through the register's port index and
-builds a ModeTransform from a plain-Python block, with no numpy call; the
-transform's block and matrix are numpy views built on access.
-ELEMENTS is the one table of element signatures; ElementSpec checks and
-builds through it, and the circuit-file parser reads `element` lines by it.
+Each kind's block builder finds its modes through the register's port
+index and writes its plain-Python block on them, with no numpy call.
+ElementSpec.block returns that block, which run_pipeline composes;
+ElementSpec.build and pbs, hwp, pockels_z and mode_swap return it as a
+checked ModeTransform. ELEMENTS is the one table of element signatures;
+ElementSpec checks and builds through it, and the circuit-file parser
+reads `element` lines by it.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .fock_core import ModeId, ModeTransform, Register
+
+# (modes, rows): an element's flat modes, ascending, and its block on them.
+Block = tuple[tuple[int, ...], tuple[tuple[complex, ...], ...]]
 
 
 class ElementKind(str, Enum):
@@ -51,26 +56,29 @@ class ElementSpec:
         if not angle and self.angle_degrees != 0.0:
             raise ValueError(f"{kind.value} takes no angle, got {self.angle_degrees!r}")
 
-    def build(self, register: Register) -> ModeTransform:
-        constructor, _, _, angle = ELEMENTS[self.kind]
+    def block(self, register: Register) -> Block:
+        """The element's flat modes on register, ascending, and its block on them."""
+        builder, _, _, angle = ELEMENTS[self.kind]
         extra = (self.angle_degrees,) if angle else ()
-        return constructor(register, *(self.modes or self.spatial_ports), *extra)
+        return builder(register, *(self.modes or self.spatial_ports), *extra)
+
+    def build(self, register: Register) -> ModeTransform:
+        modes, rows = self.block(register)
+        return ModeTransform(register, rows, modes)
 
 
-_EXCHANGE = ((0.0, 1.0), (1.0, 0.0))
+_EXCHANGE = ((0j, 1 + 0j), (1 + 0j, 0j))
 
 
-def pbs(register: Register, port_a: str, port_b: str) -> ModeTransform:
-    """Polarizing beam splitter: H transmits, V is exchanged between ports."""
+def _pbs_block(register: Register, port_a: str, port_b: str) -> Block:
     if port_a == port_b:
         raise ValueError("pbs needs two distinct spatial ports")
     _, av = register.port_index(port_a)
     _, bv = register.port_index(port_b)
-    return ModeTransform(register, _EXCHANGE, (av, bv) if av < bv else (bv, av))
+    return (av, bv) if av < bv else (bv, av), _EXCHANGE
 
 
-def hwp(register: Register, port: str, theta_degrees: float) -> ModeTransform:
-    """Half-wave plate at theta_degrees on the (H, V) pair of one port."""
+def _hwp_block(register: Register, port: str, theta_degrees: float) -> Block:
     if not math.isfinite(theta_degrees):
         raise ValueError(f"wave plate angle must be finite, got {theta_degrees!r}")
     ih, iv = register.port_index(port)
@@ -78,29 +86,47 @@ def hwp(register: Register, port: str, theta_degrees: float) -> ModeTransform:
     two_theta = math.radians(2.0 * math.fmod(theta_degrees, 180.0))
     c, s = math.cos(two_theta), math.sin(two_theta)
     # H sorts before V, so (ih, iv) is ascending.
-    return ModeTransform(register, ((-1j * c, -1j * s), (-1j * s, 1j * c)), (ih, iv))
+    return (ih, iv), ((-1j * c, -1j * s), (-1j * s, 1j * c))
+
+
+def _pc_block(register: Register, port: str) -> Block:
+    _, iv = register.port_index(port)
+    return (iv,), ((-1 + 0j,),)
+
+
+def _swap_block(register: Register, m1: ModeId, m2: ModeId) -> Block:
+    if m1 == m2:
+        raise ValueError("mode_swap needs two distinct modes")
+    i1, i2 = register.index_of(m1), register.index_of(m2)
+    return (i1, i2) if i1 < i2 else (i2, i1), _EXCHANGE
+
+
+def pbs(register: Register, port_a: str, port_b: str) -> ModeTransform:
+    """Polarizing beam splitter: H transmits, V is exchanged between ports."""
+    return ElementSpec(ElementKind.PBS, (port_a, port_b)).build(register)
+
+
+def hwp(register: Register, port: str, theta_degrees: float) -> ModeTransform:
+    """Half-wave plate at theta_degrees on the (H, V) pair of one port."""
+    return ElementSpec(ElementKind.HWP, (port,), (), theta_degrees).build(register)
 
 
 def pockels_z(register: Register, port: str) -> ModeTransform:
     """Conditional phase flip element: |H> -> |H>, |V> -> -|V> on the port."""
-    _, iv = register.port_index(port)
-    return ModeTransform(register, ((-1.0,),), (iv,))
+    return ElementSpec(ElementKind.PC, (port,)).build(register)
 
 
 def mode_swap(register: Register, m1: ModeId, m2: ModeId) -> ModeTransform:
     """Permutation exchanging two modes (used to route photons to detectors)."""
-    if m1 == m2:
-        raise ValueError("mode_swap needs two distinct modes")
-    i1, i2 = register.index_of(m1), register.index_of(m2)
-    return ModeTransform(register, _EXCHANGE, sorted((i1, i2)))
+    return ElementSpec(ElementKind.SWAP, (), (m1, m2)).build(register)
 
 
-# The one table of element signatures. Kind -> (constructor, number of
+# The one table of element signatures. Kind -> (block builder, number of
 # arguments, whether they are modes (else spatial ports), whether an angle in
-# degrees follows them); the constructor is called as (register, *arguments).
+# degrees follows them); the builder is called as (register, *arguments).
 ELEMENTS = {
-    ElementKind.PBS: (pbs, 2, False, False),
-    ElementKind.HWP: (hwp, 1, False, True),
-    ElementKind.PC: (pockels_z, 1, False, False),
-    ElementKind.SWAP: (mode_swap, 2, True, False),
+    ElementKind.PBS: (_pbs_block, 2, False, False),
+    ElementKind.HWP: (_hwp_block, 1, False, True),
+    ElementKind.PC: (_pc_block, 1, False, False),
+    ElementKind.SWAP: (_swap_block, 2, True, False),
 }

@@ -20,14 +20,15 @@ Each gate is written once, as an expander that lists its elements, its
 heralded outcomes (each a fock_core.DetectionPattern with its label and j)
 and the corrections of each outcome; e_cnot's expander joins those of its
 two stages into one pattern per outcome, corrections included. One runner,
-run_pipeline, applies such a list to a state, passing the patterns straight
-to measure_outcomes. The library gates call it on their expansion and drop
-the emptied auxiliary ports; the circuit-file `gate` directive
-(workbench_cli) splices the same expansion into a circuit, which
-run_circuit hands to the same runner. filter_gate and ecnot_gate run the
-library gates as functions of their input qubits' amplitudes, which
-mb_bridge.compile_branches turns into the branch operators K_b that the
-checks and the truth tables read; a GateResult holds only the branches.
+run_pipeline, applies such a list to a state as one composed mode transform
+and passes the patterns straight to measure_outcomes. The library gates
+call it on their expansion and drop the emptied auxiliary ports; the
+circuit-file `gate` directive (workbench_cli) splices the same expansion
+into a circuit, which run_circuit hands to the same runner. filter_gate
+and ecnot_gate run the library gates as functions of their input qubits'
+amplitudes, which mb_bridge.compile_branches turns into the branch
+operators K_b that the checks and the truth tables read; a GateResult
+holds only the branches.
 """
 
 from __future__ import annotations
@@ -43,12 +44,14 @@ from .fock_core import (
     GateResult,
     H,
     ModeId,
+    ModeTransform,
     Register,
     V,
     apply_mode_transform,
     drop_vacuum_ports,
     measure_outcomes,
     polarization_ket,
+    require_unitary,
     single_photon,
     tensor,
 )
@@ -133,13 +136,34 @@ def run_pipeline(state: FockKet, elements: Sequence[ElementSpec],
     """Apply the elements, then run every detection on the resulting state
     and apply that outcome's corrections to its survivors.
 
+    The elements compose to one mode unitary U = U_k ... U_1, kept as
+    row[p] = {q: U_pq}: each element's block, checked for unitarity,
+    rewrites only its own rows. U is checked and trimmed once as a
+    ModeTransform, and phi(U) = phi(U_k) ... phi(U_1) applied once. Against
+    one pass per element, |20, 20> through 12 random plates, each followed
+    by a pbs, agrees to 1e-11 per amplitude (about 5e-13); |30, 30> only to
+    about 5e-10.
+
     Returns the state after the elements and one branch per detection, in
     order. Detected modes are traced out of each branch; every other port,
     emptied or not, stays in its register.
     """
     register = state.register
+    rows: dict[int, dict[int, complex]] = {}
     for element in elements:
-        state = apply_mode_transform(state, element.build(register))
+        modes, block = element.block(register)
+        require_unitary(block)
+        old = [rows.get(m, {m: 1 + 0j}) for m in modes]
+        for m, entries in zip(modes, block):
+            rows[m] = new = {}
+            for b, row in zip(entries, old):
+                if b:
+                    for q, x in row.items():
+                        new[q] = new.get(q, 0j) + b * x
+    touched = sorted(rows)
+    u = ModeTransform(register, [[rows[p].get(q, 0j) for q in touched] for p in touched],
+                      touched)
+    state = apply_mode_transform(state, u)
     branches = []
     for raw in measure_outcomes(state, detections):
         out = raw.conditional_state
