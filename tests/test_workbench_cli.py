@@ -7,6 +7,7 @@ because the circuit format is meant to be written by hand.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -55,6 +56,152 @@ def _parse_error(text):
     with pytest.raises(CircuitParseError) as excinfo:
         parse_circuit(text)
     return excinfo.value
+
+
+# One circuit per CircuitParseError raise site of the parser, with the exact
+# (line, column, reason) it fails with, and a variant of each that indents the
+# line or adds a comment, so columns are counted on the raw line. A `missing
+# element kind` error points at column 1 whatever the indentation.
+_H = HEADER + "\n"
+_R = _H + "register IN A D0 D1\n"
+PINNED_PARSE_ERRORS = [
+    ("header-first", "register IN\n", 1, 1, "expected header 'pgw-circuit v1'"),
+    ("header-first-indented", "# note\n  pgw-circuit v2 # x\n",
+     2, 3, "expected header 'pgw-circuit v1'"),
+    ("header-missing", "", 1, 1, "expected header 'pgw-circuit v1'"),
+    ("header-missing-comment-only", "# only a comment\n   \n",
+     1, 1, "expected header 'pgw-circuit v1'"),
+    ("register-twice", _R + "register A\n", 3, 1, "register declared twice"),
+    ("register-twice-indented", _R + "  register A # again\n", 3, 3, "register declared twice"),
+    ("register-empty", _H + "register\n", 2, 1, "register needs at least one port"),
+    ("register-empty-indented", _H + "\tregister # no ports\n",
+     2, 2, "register needs at least one port"),
+    ("register-bad-label", _H + "register IN A.B\n",
+     2, 13, "port label 'A.B' may not contain '.', ',', or '='"),
+    ("register-bad-label-indented", _H + "  register IN  a=b # note\n",
+     2, 16, "port label 'a=b' may not contain '.', ',', or '='"),
+    ("register-port-twice", _H + "register IN A IN\n", 2, 15, "port 'IN' declared twice"),
+    ("register-port-twice-indented", _H + " register  IN A  IN#x\n",
+     2, 18, "port 'IN' declared twice"),
+    ("register-missing", _H + "cutoff 3\n", 3, 1, "missing register directive"),
+    ("register-missing-no-newline", _H + "  cutoff 3 # x", 2, 1, "missing register directive"),
+    ("register-first", _H + "term 1,0 IN.H=1\n", 2, 1, "register must be declared first"),
+    ("register-first-indented", _H + "# c\n  element pc IN # x\n",
+     3, 3, "register must be declared first"),
+    ("cutoff-twice", _R + "cutoff 3\ncutoff 4\n", 4, 1, "cutoff declared twice"),
+    ("cutoff-twice-indented", _R + "cutoff 3\n   cutoff 4 # again\n",
+     4, 4, "cutoff declared twice"),
+    ("cutoff-arity", _R + "cutoff\n", 3, 1, "cutoff takes one integer"),
+    ("cutoff-arity-indented", _R + "  cutoff 3 4 # two\n", 3, 3, "cutoff takes one integer"),
+    ("cutoff-not-int", _R + "cutoff x\n", 3, 8, "expected a photon cap, got 'x'"),
+    ("cutoff-not-int-indented", _R + "  cutoff   3.0 # x\n",
+     3, 12, "expected a photon cap, got '3.0'"),
+    ("cutoff-zero", _R + "cutoff 0\n", 3, 8, "cutoff must be at least 1"),
+    ("cutoff-zero-indented", _R + " cutoff  -1 # x\n", 3, 10, "cutoff must be at least 1"),
+    ("cutoff-above-170", _R + "cutoff 171\n", 3, 8, "cutoff may not exceed 170"),
+    ("cutoff-above-170-indented", _R + "\tcutoff 200#x\n", 3, 9, "cutoff may not exceed 170"),
+    ("term-empty", _R + "term\n", 3, 1, "term needs an amplitude"),
+    ("term-empty-indented", _R + "  term # none\n", 3, 3, "term needs an amplitude"),
+    ("amplitude-no-comma", _R + "term 1 IN.H=1\n", 3, 6, "expected amplitude RE,IM, got '1'"),
+    ("amplitude-no-comma-indented", _R + "  term  1 IN.H=1 # x\n",
+     3, 9, "expected amplitude RE,IM, got '1'"),
+    ("amplitude-real", _R + "term x,0 IN.H=1\n", 3, 6, "expected a real part, got 'x'"),
+    ("amplitude-imag-indented", _R + "  term 1,y IN.H=1 # x\n",
+     3, 8, "expected an imaginary part, got 'y'"),
+    ("amplitude-non-finite", _R + "term nan,0 IN.H=1\n",
+     3, 6, "expected a real part, got non-finite 'nan'"),
+    ("amplitude-non-finite-indented", _R + "  term 0,-inf IN.H=1 # x\n",
+     3, 8, "expected an imaginary part, got non-finite '-inf'"),
+    ("amplitude-range", _R + "term 2,0 IN.H=1\n",
+     3, 6, "amplitude parts must lie in [-1, 1], got '2,0'"),
+    ("amplitude-range-indented", _R + "  term 0,-1.5 IN.H=1 # x\n",
+     3, 8, "amplitude parts must lie in [-1, 1], got '0,-1.5'"),
+    ("count-no-equals", _R + "term 1,0 IN.H\n", 3, 10, "expected MODE=COUNT, got 'IN.H'"),
+    ("count-no-equals-indented", _R + "  term 1,0  A.H=1  IN.H # x\n",
+     3, 20, "expected MODE=COUNT, got 'IN.H'"),
+    ("mode-id", _R + "term 1,0 IN.X=1\n",
+     3, 10, "not a mode id: 'IN.X' (expected LABEL.H or LABEL.V)"),
+    ("mode-id-indented", _R + "  detect x 0  .H=1 # x\n",
+     3, 15, "not a mode id: '.H' (expected LABEL.H or LABEL.V)"),
+    ("port-undeclared", _R + "term 1,0 B.H=1\n", 3, 10, "port 'B' not declared in register"),
+    ("port-undeclared-indented", _R + " element  pbs IN  B # x\n",
+     3, 19, "port 'B' not declared in register"),
+    ("count-not-int", _R + "term 1,0 IN.H=x\n", 3, 10, "expected a photon count, got 'x'"),
+    ("count-not-int-indented", _R + "  detect x 0 A.V=0 IN.H=1.0 # x\n",
+     3, 20, "expected a photon count, got '1.0'"),
+    ("count-negative", _R + "term 1,0 IN.H=-1\n", 3, 10, "photon counts must be nonnegative"),
+    ("count-negative-indented", _R + "   term 1,0 A.V=0 IN.H=-2#x\n",
+     3, 19, "photon counts must be nonnegative"),
+    ("mode-twice", _R + "term 1,0 IN.H=1 IN.H=0\n", 3, 17, "mode IN.H listed twice"),
+    ("mode-twice-indented", _R + "  detect x 0 D0.H=1  D0.H=1 # x\n",
+     3, 22, "mode D0.H listed twice"),
+    ("element-empty", _R + "element\n", 3, 1, "missing element kind"),
+    ("element-empty-indented", _R + "   element # none\n", 3, 1, "missing element kind"),
+    ("correct-element-empty", _R + "detect x 0 D0.H=1\ncorrect x\n", 4, 1, "missing element kind"),
+    ("element-kind", _R + "element bs IN A\n", 3, 9, "unknown element kind 'bs'"),
+    ("element-kind-indented", _R + "  correct x  bs IN A # x\n",
+     3, 14, "unknown element kind 'bs'"),
+    ("element-arity", _R + "element pbs IN\n", 3, 9, "element pbs takes 2 port argument(s)"),
+    ("element-arity-indented", _R + "  element  swap IN.H # x\n",
+     3, 12, "element swap takes 2 mode argument(s)"),
+    ("element-repeat", _R + "element pbs IN IN\n", 3, 16, "element pbs repeats argument 'IN'"),
+    ("element-repeat-indented", _R + "  correct x swap A.H  A.H # x\n",
+     3, 23, "element swap repeats argument 'A.H'"),
+    ("element-angle", _R + "element hwp IN x\n", 3, 16, "expected an angle in degrees, got 'x'"),
+    ("element-angle-indented", _R + "  element  hwp IN  nan # x\n",
+     3, 20, "expected an angle in degrees, got non-finite 'nan'"),
+    ("gate-empty", _R + "gate\n", 3, 1, "gate needs a name"),
+    ("gate-empty-indented", _R + "  gate # none\n", 3, 3, "gate needs a name"),
+    ("gate-unknown", _R + "gate cnot IN A D0 D1\n", 3, 6, "unknown gate 'cnot'"),
+    ("gate-unknown-indented", _R + "  gate  cnot IN A D0 D1 # x\n", 3, 9, "unknown gate 'cnot'"),
+    ("gate-arity", _R + "gate f_gate IN A D0\n", 3, 6, "gate f_gate takes 4 ports"),
+    ("gate-arity-indented", _R + "  gate  d_cnot IN A D0 D1 D1 # x\n",
+     3, 9, "gate d_cnot takes 4 ports"),
+    ("gate-distinct", _R + "gate f_gate IN A D0 D0\n", 3, 6, "gate f_gate ports must be distinct"),
+    ("gate-distinct-indented", _R + " gate   parity_check IN IN D0 D1 # x\n",
+     3, 9, "gate parity_check ports must be distinct"),
+    ("label-twice", _R + "detect x 0 D0.H=1\ndetect x 0 D0.H=0\n",
+     4, 8, "detection label 'x' used twice"),
+    ("label-twice-gate", _R + "detect D1 0 D0.H=1\n  gate  f_gate IN A D0 D1 # x\n",
+     4, 9, "detection label 'D1' used twice"),
+    ("detect-arity", _R + "detect x 0\n", 3, 1, "detect needs a label, an index, and counts"),
+    ("detect-arity-indented", _R + "  detect x # x\n",
+     3, 3, "detect needs a label, an index, and counts"),
+    ("index-not-int", _R + "detect x y D0.H=1\n", 3, 10, "expected a feed-forward index, got 'y'"),
+    ("index-not-int-indented", _R + "  detect  x  0.0 D0.H=1 # x\n",
+     3, 14, "expected a feed-forward index, got '0.0'"),
+    ("index-range", _R + "detect x 2 D0.H=1\n", 3, 10, "feed-forward index must be 0 or 1"),
+    ("index-range-indented", _R + " detect x   -1 D0.H=1 # x\n",
+     3, 13, "feed-forward index must be 0 or 1"),
+    ("correct-empty", _R + "correct\n", 3, 1, "correct needs a branch label"),
+    ("correct-empty-indented", _R + "  correct # none\n", 3, 3, "correct needs a branch label"),
+    ("directive-unknown", _R + "bogus IN\n", 3, 1, "unknown directive 'bogus'"),
+    ("directive-unknown-indented", _R + "# c\n  Register IN # x\n",
+     4, 3, "unknown directive 'Register'"),
+    ("term-above-cutoff", _R + "term 1,0 IN.H=5\n",
+     3, 10, "term holds 5 photons, more than the cutoff 4"),
+    ("term-above-cutoff-indented", _R + "  term  0,0 A.H=0  IN.H=2 # x\ncutoff 1\n",
+     3, 13, "term holds 2 photons, more than the cutoff 1"),
+    ("norm-above-one", _R + "term 0.8,0 IN.H=1\nterm 0.8,0 A.H=1\n",
+     4, 6, "initial state has squared norm 1.2800000000000002, more than 1"),
+    ("norm-above-one-indented", _R + "term 0.8,0 IN.H=1\n  term  0.6,0 IN.H=1 # x\n# end\n",
+     4, 9, "initial state has squared norm 1.9599999999999997, more than 1"),
+    ("correct-unknown-branch", _R + "correct x pc IN\n",
+     3, 9, "correction for unknown branch 'x'"),
+    ("correct-unknown-branch-indented", _R + "detect y 0 D0.H=1\n  correct   x pc IN # x\n",
+     4, 13, "correction for unknown branch 'x'"),
+    ("correct-consumed", _R + "detect x 0 D0.H=1\ncorrect x pc D0\n",
+     4, 14, "correction for branch 'x' acts on mode D0.H, which its detection consumes"),
+    ("correct-consumed-indented", _R + "detect x 0 D0.V=0\n  correct  x swap IN.H   D0.V # x\n",
+     4, 26, "correction for branch 'x' acts on mode D0.V, which its detection consumes"),
+]
+
+
+@pytest.mark.parametrize("text, line, column, reason", [row[1:] for row in PINNED_PARSE_ERRORS],
+                         ids=[row[0] for row in PINNED_PARSE_ERRORS])
+def test_parse_error_positions_are_pinned(text, line, column, reason):
+    err = _parse_error(text)
+    assert (err.line, err.column, err.reason) == (line, column, reason)
 
 
 def test_header_line_is_required():
@@ -573,20 +720,27 @@ _fuzz_line = st.one_of(
     _line("correct", _LABEL, _ELEMENT),
     st.lists(_ANY, max_size=6).map(" ".join),
 )
+# The same lines, some indented and some with a trailing comment.
+_fuzz_raw_line = st.tuples(st.sampled_from(("", "", "  ", "\t ")), _fuzz_line,
+                           st.sampled_from(("", "", " # note", "#x"))).map("".join)
 
 
 @settings(max_examples=300, deadline=None)
 @given(header=st.sampled_from((True, True, True, False)),
-       register=st.sampled_from(_REGISTERS), lines=st.lists(_fuzz_line, max_size=6))
+       register=st.sampled_from(_REGISTERS), lines=st.lists(_fuzz_raw_line, max_size=6))
 def test_fuzzed_circuits_parse_or_fail_at_a_position(tmp_path_factory, header, register,
                                                      lines):
-    """Any token lines either parse or raise CircuitParseError at a position,
-    and simulate exits 0 or 2, never with a traceback."""
+    """Any token lines either parse or raise CircuitParseError at column 1 or
+    at the start of a token of the line it names, and simulate exits 0 or 2,
+    never with a traceback."""
     text = "\n".join(([HEADER] if header else []) + [register] + lines) + "\n"
     try:
         parse_circuit(text)
     except CircuitParseError as e:
-        assert e.line >= 1 and e.column >= 1
+        file_lines = text.splitlines()
+        assert 1 <= e.line <= len(file_lines) + 1
+        code = file_lines[e.line - 1].partition("#")[0] if e.line <= len(file_lines) else ""
+        assert e.column in {1} | {m.start() + 1 for m in re.finditer(r"\S+", code)}
     path = tmp_path_factory.getbasetemp() / "fuzzed.circuit"
     path.write_text(text)
     assert main(["simulate", str(path)]) in (0, 2)
