@@ -79,8 +79,6 @@ CONSERVATION_TOL = 1e-11
 MAX_CUTOFF = 170
 HEADER = "pgw-circuit v1"
 
-_TOKEN_RE = re.compile(r"\S+")
-
 
 class CircuitParseError(ValueError):
     """Syntax or reference error in a circuit file, with position info."""
@@ -104,248 +102,249 @@ class CircuitFile:
     corrections: dict[str, list[ElementSpec]] = field(default_factory=dict)
 
 
-def _line_tokens(raw: str) -> list[tuple[str, int]]:
-    return [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(raw)]
+class _Reader:
+    """The state of one parse. An argument kind reads the line's tokens from
+    index i, a compound kind to the end of the line; a builder takes what the
+    kinds read. An error names a token by index; its column is found then."""
 
+    def __init__(self):
+        self.where: tuple[int, str] = (1, "")  # line number, line without its comment
+        self.ports: dict[str, None] | None = None  # the register's labels, in order
+        self.cutoff: int | None = None
+        self.modes: dict[str, ModeId] = {}  # each mode token read so far, as "A.H"
+        self.terms: list[tuple[complex, dict[ModeId, int], tuple[int, str]]] = []
+        self.elements: list[ElementSpec] = []
+        self.detections: dict[str, DetectionPattern] = {}  # by label, from `detect` and `gate`
+        self.corrections: dict[str, list[ElementSpec]] = {}
+        self.correct_steps: list[tuple[str, ElementSpec, tuple[int, str]]] = []
 
-def _parse_float(text: str, what: str, line: int, col: int) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise CircuitParseError(f"expected {what}, got {text!r}", line, col) from None
-    if not math.isfinite(value):
-        raise CircuitParseError(f"expected {what}, got non-finite {text!r}", line, col)
-    return value
+    def error(self, reason: str, index: int, where=None) -> CircuitParseError:
+        """The error at token `index` of where (default: this line); column 1 past its end."""
+        line_no, code = where or self.where
+        starts = [m.start() + 1 for m in re.finditer(r"\S+", code)]
+        return CircuitParseError(reason, line_no, starts[index] if index < len(starts) else 1)
 
+    def read(self, tokens: list[str]) -> None:
+        if tokens[0] not in DIRECTIVES:
+            raise self.error(f"unknown directive {tokens[0]!r}", 0)
+        kinds, least, most, arity_error, build = DIRECTIVES[tokens[0]]
+        setting = isinstance(build, str)
+        if setting and getattr(self, build) is not None:
+            raise self.error(f"{tokens[0]} declared twice", 0)
+        if not setting and self.ports is None:
+            raise self.error("register must be declared first", 0)
+        if len(tokens) - 1 < least or most is not None and len(tokens) - 1 > most:
+            raise self.error(arity_error, 0)
+        values = [kind(self, tokens, i) for i, kind in enumerate(kinds, 1)]
+        if setting:
+            setattr(self, build, *values)
+        else:
+            build(self, *values)
 
-def _parse_int(text: str, what: str, line: int, col: int) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise CircuitParseError(f"expected {what}, got {text!r}", line, col) from None
+    def number(self, parse, text: str, what: str, i: int):
+        """An int, or a finite float, read from ASCII text without underscores:
+        int() and float() alone also read `1_0` and non-ASCII digits."""
+        try:
+            value = parse(text) if text.isascii() and "_" not in text else None
+        except ValueError:
+            value = None
+        if value is None:
+            raise self.error(f"expected {what}, got {text!r}", i)
+        if parse is float and not math.isfinite(value):
+            raise self.error(f"expected {what}, got non-finite {text!r}", i)
+        return value
 
+    def port(self, text: str, i: int) -> str:
+        if text not in self.ports:
+            raise self.error(f"port {text!r} not declared in register", i)
+        return text
 
-def _parse_amplitude(text: str, line: int, col: int) -> complex:
-    left, sep, right = text.partition(",")
-    if not sep:
-        raise CircuitParseError(f"expected amplitude RE,IM, got {text!r}", line, col)
-    amp = complex(_parse_float(left, "a real part", line, col),
-                  _parse_float(right, "an imaginary part", line, col))
-    # No term of a ket with norm at most 1 has a larger part; the bound also
-    # keeps squared magnitudes far from float overflow.
-    if max(abs(amp.real), abs(amp.imag)) > 1.0 + NORM_SLACK:
-        raise CircuitParseError(f"amplitude parts must lie in [-1, 1], got {text!r}",
-                                line, col)
-    return amp
+    def mode(self, text: str, i: int) -> ModeId:
+        if text not in self.modes:
+            try:
+                self.modes[text] = ModeId.parse(text)
+            except ValueError as e:
+                raise self.error(str(e), i) from None
+            self.port(self.modes[text].spatial_label, i)
+        return self.modes[text]
 
+    def port_labels(self, tokens: list[str], i: int) -> dict[str, None]:
+        """Kind: new port labels, to the end of the line."""
+        labels: dict[str, None] = {}
+        for k in range(i, len(tokens)):
+            if "." in tokens[k] or "," in tokens[k] or "=" in tokens[k]:
+                raise self.error(f"port label {tokens[k]!r} may not contain '.', ',', or '='", k)
+            if tokens[k] in labels:
+                raise self.error(f"port {tokens[k]!r} declared twice", k)
+            labels[tokens[k]] = None
+        return labels
 
-def _parse_mode(text: str, labels: tuple[str, ...], line: int, col: int) -> ModeId:
-    try:
-        mode = ModeId.parse(text)
-    except ValueError as e:
-        raise CircuitParseError(str(e), line, col) from None
-    _parse_port(mode.spatial_label, labels, line, col)
-    return mode
+    def cap(self, tokens: list[str], i: int) -> int:
+        cap = self.number(int, tokens[i], "a photon cap", i)
+        if not 1 <= cap <= MAX_CUTOFF:
+            raise self.error("cutoff must be at least 1" if cap < 1
+                             else f"cutoff may not exceed {MAX_CUTOFF}", i)
+        return cap
 
-
-def _parse_port(text: str, labels: tuple[str, ...], line: int, col: int) -> str:
-    if text not in labels:
-        raise CircuitParseError(f"port {text!r} not declared in register", line, col)
-    return text
-
-
-def _parse_element_tokens(tokens: list[tuple[str, int]], labels: tuple[str, ...],
-                          line: int) -> ElementSpec:
-    """KIND, its port or mode arguments, then an angle if the kind takes one."""
-    if not tokens:
-        raise CircuitParseError("missing element kind", line, 1)
-    (word, col), args = tokens[0], tokens[1:]
-    if word not in ELEMENTS:  # ElementKind members hash and compare as their values
-        raise CircuitParseError(f"unknown element kind {word!r}", line, col)
-    _, arity, modes, angle = ELEMENTS[word]
-    if len(args) != arity + angle:
-        noun = "mode" if modes else "port"
-        raise CircuitParseError(f"element {word} takes {arity} {noun} argument(s)"
-                                + " and an angle" * angle, line, col)
-    parse = _parse_mode if modes else _parse_port
-    targets = tuple(parse(t, labels, line, c) for t, c in args[:arity])
-    for k in range(1, arity):
-        if targets[k] in targets[:k]:
-            raise CircuitParseError(f"element {word} repeats argument {args[k][0]!r}",
-                                    line, args[k][1])
-    degrees = _parse_float(args[-1][0], "an angle in degrees", line, args[-1][1]) if angle else 0.0
-    ports, mode_ids = ((), targets) if modes else (targets, ())
-    return ElementSpec(ElementKind(word), ports, mode_ids, degrees)
-
-
-def _parse_counts(tokens: list[tuple[str, int]], labels: tuple[str, ...],
-                  line: int) -> dict[ModeId, int]:
-    counts: dict[ModeId, int] = {}
-    for text, col in tokens:
-        mode_text, sep, count_text = text.partition("=")
+    def amplitude(self, tokens: list[str], i: int) -> complex:
+        left, sep, right = tokens[i].partition(",")
         if not sep:
-            raise CircuitParseError(f"expected MODE=COUNT, got {text!r}", line, col)
-        mode = _parse_mode(mode_text, labels, line, col)
-        count = _parse_int(count_text, "a photon count", line, col)
-        if count < 0:
-            raise CircuitParseError("photon counts must be nonnegative", line, col)
-        if mode in counts:
-            raise CircuitParseError(f"mode {mode} listed twice", line, col)
-        counts[mode] = count
-    return counts
+            raise self.error(f"expected amplitude RE,IM, got {tokens[i]!r}", i)
+        amp = complex(self.number(float, left, "a real part", i),
+                      self.number(float, right, "an imaginary part", i))
+        # No term of a ket of norm at most 1 has a larger part, and squares stay far from overflow.
+        if max(abs(amp.real), abs(amp.imag)) > 1.0 + NORM_SLACK:
+            raise self.error(f"amplitude parts must lie in [-1, 1], got {tokens[i]!r}", i)
+        return amp
+
+    def counts(self, tokens: list[str], i: int) -> dict[ModeId, int]:
+        """Kind: MODE=COUNT tokens, to the end of the line."""
+        counts: dict[ModeId, int] = {}
+        for k in range(i, len(tokens)):
+            mode_text, sep, count_text = tokens[k].partition("=")
+            if not sep:
+                raise self.error(f"expected MODE=COUNT, got {tokens[k]!r}", k)
+            mode = self.mode(mode_text, k)
+            count = self.number(int, count_text, "a photon count", k)
+            if count < 0:
+                raise self.error("photon counts must be nonnegative", k)
+            if mode in counts:
+                raise self.error(f"mode {mode} listed twice", k)
+            counts[mode] = count
+        return counts
+
+    def element(self, tokens: list[str], i: int) -> ElementSpec:
+        """Kind: KIND, its port or mode arguments, then an angle if the kind
+        takes one, to the end of the line."""
+        if i == len(tokens):
+            raise self.error("missing element kind", i)
+        word = tokens[i]
+        if word not in ELEMENTS:  # ElementKind members hash and compare as their values
+            raise self.error(f"unknown element kind {word!r}", i)
+        _, arity, modes, angle = ELEMENTS[word]
+        if len(tokens) - i - 1 != arity + angle:
+            raise self.error(f"element {word} takes {arity} {'mode' if modes else 'port'} "
+                             "argument(s)" + " and an angle" * angle, i)
+        parse = self.mode if modes else self.port
+        targets: tuple = ()
+        for k in range(i + 1, i + 1 + arity):
+            if (target := parse(tokens[k], k)) in targets:
+                raise self.error(f"element {word} repeats argument {tokens[k]!r}", k)
+            targets += (target,)
+        last = len(tokens) - 1
+        degrees = self.number(float, tokens[last], "an angle in degrees", last) if angle else 0.0
+        return ElementSpec(word, () if modes else targets, targets if modes else (), degrees)
+
+    def gate(self, tokens: list[str], i: int) -> tuple:
+        """Kind: NAME, then its ports, to the end of the line; the gate's
+        elements, detection patterns and corrections."""
+        name = tokens[i]
+        if name not in GATE_EXPANDERS:
+            raise self.error(f"unknown gate {name!r}", i)
+        expander, arity = GATE_EXPANDERS[name]
+        if len(tokens) - i - 1 != arity:
+            raise self.error(f"gate {name} takes {arity} ports", i)
+        ports = [self.port(tokens[k], k) for k in range(i + 1, len(tokens))]
+        if len(set(ports)) != arity:
+            raise self.error(f"gate {name} ports must be distinct", i)
+        return expander(*ports)
+
+    def label(self, tokens: list[str], i: int) -> str:
+        return tokens[i]
+
+    def new_label(self, tokens: list[str], i: int, label: str | None = None) -> str:
+        """Kind: a detection label not used before (or `label`, a gate outcome)."""
+        label = tokens[i] if label is None else label
+        if label in self.detections:
+            raise self.error(f"detection label {label!r} used twice", i)
+        return label
+
+    def index(self, tokens: list[str], i: int) -> int:
+        j = self.number(int, tokens[i], "a feed-forward index", i)
+        if j not in (0, 1):
+            raise self.error("feed-forward index must be 0 or 1", i)
+        return j
+
+    def add_term(self, amp: complex, counts: dict[ModeId, int]) -> None:
+        self.terms.append((amp, counts, self.where))  # checked against the cutoff at the end
+
+    def add_element(self, element: ElementSpec) -> None:
+        self.elements.append(element)
+
+    def add_gate(self, expansion: tuple) -> None:
+        elements, detections, corrections = expansion
+        self.elements.extend(elements)
+        for pattern in detections:
+            self.detections[self.new_label(None, 1, pattern.label)] = pattern
+        for label, fixes in corrections.items():
+            self.corrections.setdefault(label, []).extend(fixes)
+
+    def add_detection(self, label: str, j: int, counts: dict[ModeId, int]) -> None:
+        self.detections[label] = DetectionPattern(counts, label=label, j=j)
+
+    def add_correction(self, label: str, element: ElementSpec) -> None:
+        self.corrections.setdefault(label, []).append(element)
+        self.correct_steps.append((label, element, self.where))  # checked at the end
 
 
-def _argument_modes(element: ElementSpec) -> list[tuple[ModeId, ...]]:
-    """The modes that each port or mode argument of an element acts on."""
-    if element.modes:
-        return [(m,) for m in element.modes]
-    return [(ModeId(p, H), ModeId(p, V)) for p in element.spatial_ports]
+# The one table of directives. Name -> (argument kinds, fewest and most
+# arguments (None: no limit), the error for any other number, builder). A
+# setting's builder is the attribute it sets: a setting is declared once, before
+# or after the register, which every other directive needs first.
+_R = _Reader
+DIRECTIVES = {
+    "register": ((_R.port_labels,), 1, None, "register needs at least one port", "ports"),
+    "cutoff": ((_R.cap,), 1, 1, "cutoff takes one integer", "cutoff"),
+    "term": ((_R.amplitude, _R.counts), 1, None, "term needs an amplitude", _R.add_term),
+    "element": ((_R.element,), 0, None, "", _R.add_element),
+    "gate": ((_R.gate,), 1, None, "gate needs a name", _R.add_gate),
+    "detect": ((_R.new_label, _R.index, _R.counts), 3, None,
+               "detect needs a label, an index, and counts", _R.add_detection),
+    "correct": ((_R.label, _R.element), 1, None, "correct needs a branch label",
+                _R.add_correction),
+}
 
 
 def parse_circuit(text: str) -> CircuitFile:
-    labels: tuple[str, ...] | None = None
-    cutoff = DEFAULT_CUTOFF
-    cutoff_line = None
+    reader = _Reader()
     header_seen = False
-    terms: list[tuple[complex, dict[ModeId, int]]] = []
-    term_at: list[tuple[int, int, int]] = []  # (line, amplitude column, count column)
-    elements: list[ElementSpec] = []
-    detections: dict[str, DetectionPattern] = {}  # by label, from `detect` and `gate` lines
-    corrections: dict[str, list[ElementSpec]] = {}
-    # Each `correct` step: (branch label, element, label column, argument columns, line).
-    correct_steps: list[tuple[str, ElementSpec, int, list[int], int]] = []
-
-    def need_register(line: int, col: int) -> tuple[str, ...]:
-        if labels is None:
-            raise CircuitParseError("register must be declared first", line, col)
-        return labels
-
-    def unused_label(label: str, line: int, col: int) -> str:
-        if label in detections:
-            raise CircuitParseError(f"detection label {label!r} used twice", line, col)
-        return label
-
     for line_no, raw in enumerate(text.splitlines(), 1):
-        tokens = _line_tokens(raw.partition("#")[0])  # '#' starts a comment
+        reader.where = line_no, raw.partition("#")[0]  # '#' starts a comment
+        tokens = reader.where[1].split()
         if not tokens:
             continue
-        if not header_seen:
-            if [t for t, _ in tokens] != HEADER.split():
-                raise CircuitParseError(f"expected header {HEADER!r}", line_no,
-                                        tokens[0][1])
-            header_seen = True
-            continue
-        word, col = tokens[0]
-        rest = tokens[1:]
-        if word == "register":
-            if labels is not None:
-                raise CircuitParseError("register declared twice", line_no, col)
-            if not rest:
-                raise CircuitParseError("register needs at least one port", line_no, col)
-            seen = []
-            for name, ncol in rest:
-                if any(c in name for c in ".,="):
-                    raise CircuitParseError(
-                        f"port label {name!r} may not contain '.', ',', or '='", line_no, ncol)
-                if name in seen:
-                    raise CircuitParseError(f"port {name!r} declared twice", line_no, ncol)
-                seen.append(name)
-            labels = tuple(seen)
-        elif word == "cutoff":
-            if cutoff_line is not None:
-                raise CircuitParseError("cutoff declared twice", line_no, col)
-            if len(rest) != 1:
-                raise CircuitParseError("cutoff takes one integer", line_no, col)
-            cutoff = _parse_int(rest[0][0], "a photon cap", line_no, rest[0][1])
-            if cutoff < 1:
-                raise CircuitParseError("cutoff must be at least 1", line_no, rest[0][1])
-            if cutoff > MAX_CUTOFF:
-                raise CircuitParseError(f"cutoff may not exceed {MAX_CUTOFF}",
-                                        line_no, rest[0][1])
-            cutoff_line = line_no
-        elif word == "term":
-            decl = need_register(line_no, col)
-            if not rest:
-                raise CircuitParseError("term needs an amplitude", line_no, col)
-            amp = _parse_amplitude(rest[0][0], line_no, rest[0][1])
-            counts = _parse_counts(rest[1:], decl, line_no)
-            terms.append((amp, counts))
-            term_at.append((line_no, rest[0][1], (rest[1:] or rest)[0][1]))
-        elif word == "element":
-            decl = need_register(line_no, col)
-            elements.append(_parse_element_tokens(rest, decl, line_no))
-        elif word == "gate":
-            decl = need_register(line_no, col)
-            if not rest:
-                raise CircuitParseError("gate needs a name", line_no, col)
-            name, ncol = rest[0]
-            if name not in GATE_EXPANDERS:
-                raise CircuitParseError(f"unknown gate {name!r}", line_no, ncol)
-            expander, arity = GATE_EXPANDERS[name]
-            ports = rest[1:]
-            if len(ports) != arity:
-                raise CircuitParseError(f"gate {name} takes {arity} ports", line_no, ncol)
-            port_names = [_parse_port(t, decl, line_no, c) for t, c in ports]
-            if len(set(port_names)) != len(port_names):
-                raise CircuitParseError(f"gate {name} ports must be distinct",
-                                        line_no, ncol)
-            g_elements, g_detections, g_corrections = expander(*port_names)
-            elements.extend(g_elements)
-            for pattern in g_detections:
-                detections[unused_label(pattern.label, line_no, ncol)] = pattern
-            for label, fixes in g_corrections.items():
-                corrections.setdefault(label, []).extend(fixes)
-        elif word == "detect":
-            decl = need_register(line_no, col)
-            if len(rest) < 3:
-                raise CircuitParseError("detect needs a label, an index, and counts",
-                                        line_no, col)
-            label = unused_label(rest[0][0], line_no, rest[0][1])
-            j = _parse_int(rest[1][0], "a feed-forward index", line_no, rest[1][1])
-            if j not in (0, 1):
-                raise CircuitParseError("feed-forward index must be 0 or 1",
-                                        line_no, rest[1][1])
-            counts = _parse_counts(rest[2:], decl, line_no)
-            detections[label] = DetectionPattern(counts, label=label, j=j)
-        elif word == "correct":
-            decl = need_register(line_no, col)
-            if not rest:
-                raise CircuitParseError("correct needs a branch label", line_no, col)
-            label, label_col = rest[0]
-            element = _parse_element_tokens(rest[1:], decl, line_no)
-            corrections.setdefault(label, []).append(element)
-            correct_steps.append((label, element, label_col, [c for _, c in rest[2:]], line_no))
-        else:
-            raise CircuitParseError(f"unknown directive {word!r}", line_no, col)
-
+        if header_seen:
+            reader.read(tokens)
+        elif tokens != HEADER.split():
+            raise reader.error(f"expected header {HEADER!r}", 0)
+        header_seen = True
     if not header_seen:
         raise CircuitParseError(f"expected header {HEADER!r}", 1, 1)
-    if labels is None:
-        raise CircuitParseError("missing register directive",
-                                len((text + "?").splitlines()), 1)
+    if reader.ports is None:
+        raise CircuitParseError("missing register directive", len((text + "?").splitlines()), 1)
+    cutoff = DEFAULT_CUTOFF if reader.cutoff is None else reader.cutoff
     initial: dict[frozenset, complex] = {}  # amplitude per occupation, as run_circuit sums
-    for (amp, counts), (line_no, _, col) in zip(terms, term_at):  # cutoff may follow terms
+    for amp, counts, where in reader.terms:
         n = sum(counts.values())
-        if n > cutoff:
-            raise CircuitParseError(f"term holds {n} photons, more than the cutoff {cutoff}",
-                                    line_no, col)
+        if n > cutoff:  # at the first count
+            raise reader.error(f"term holds {n} photons, more than the cutoff {cutoff}", 2, where)
         key = frozenset((mode, c) for mode, c in counts.items() if c)
         initial[key] = initial.get(key, 0.0 + 0.0j) + amp
     sq = sum(abs(c) ** 2 for c in initial.values())
     if sq > 1.0 + NORM_SLACK:  # FockKet's bound, reported at the last term's amplitude
-        raise CircuitParseError(f"initial state has squared norm {sq!r}, more than 1",
-                                *term_at[-1][:2])
-    for label, element, label_col, columns, line_no in correct_steps:
-        if label not in detections:
-            raise CircuitParseError(f"correction for unknown branch {label!r}",
-                                    line_no, label_col)
-        for modes, col in zip(_argument_modes(element), columns):
-            for mode in modes:
-                if mode in detections[label].measured:
-                    raise CircuitParseError(
-                        f"correction for branch {label!r} acts on mode {mode}, "
-                        "which its detection consumes", line_no, col)
-    return CircuitFile(labels, cutoff, terms, elements, list(detections.values()), corrections)
+        raise reader.error(f"initial state has squared norm {sq!r}, more than 1",
+                           1, reader.terms[-1][2])
+    for label, element, where in reader.correct_steps:
+        if label not in reader.detections:
+            raise reader.error(f"correction for unknown branch {label!r}", 1, where)
+        # The arguments follow `correct LABEL KIND`; a port argument acts on both its modes.
+        for k, arg in enumerate(element.modes or element.spatial_ports, 3):
+            for mode in (arg,) if element.modes else (ModeId(arg, H), ModeId(arg, V)):
+                if mode in reader.detections[label].measured:
+                    raise reader.error(f"correction for branch {label!r} acts on mode {mode}, "
+                                       "which its detection consumes", k, where)
+    return CircuitFile(tuple(reader.ports), cutoff, [t[:2] for t in reader.terms],
+                       reader.elements, list(reader.detections.values()), reader.corrections)
 
 
 @dataclass
