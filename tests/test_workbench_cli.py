@@ -194,6 +194,18 @@ PINNED_PARSE_ERRORS = [
      4, 14, "correction for branch 'x' acts on mode D0.H, which its detection consumes"),
     ("correct-consumed-indented", _R + "detect x 0 D0.V=0\n  correct  x swap IN.H   D0.V # x\n",
      4, 26, "correction for branch 'x' acts on mode D0.V, which its detection consumes"),
+    # Numbers are ASCII only: int() and float() alone would also read these.
+    ("count-full-width-digit", _R + "term 1,0 A.H=\uff11\n",
+     3, 10, "expected a photon count, got '\uff11'"),
+    ("count-arabic-indic-digit", _R + "  detect x 0 D0.H=\u0661 # x\n",
+     3, 14, "expected a photon count, got '\u0661'"),
+    ("index-full-width-digit", _R + "detect x \uff10 D0.H=1\n",
+     3, 10, "expected a feed-forward index, got '\uff10'"),
+    ("cutoff-underscore", _R + "cutoff 1_0\n", 3, 8, "expected a photon cap, got '1_0'"),
+    ("angle-underscore", _R + "element hwp A 2_2.5\n",
+     3, 15, "expected an angle in degrees, got '2_2.5'"),
+    ("amplitude-underscore-indented", _R + " term 0_1,0 IN.H=1\n",
+     3, 7, "expected a real part, got '0_1'"),
 ]
 
 
@@ -694,10 +706,11 @@ _PORT = _pick(("IN", "A", "D0", "D1", "IN'", "A'"), ("X.Y", "B", "a=b"))
 _MODE = _pick(("IN.H", "IN.V", "A.H", "A.V", "D0.H", "D1.V"), ("IN.X", ".H", "B.H"))
 _COUNT = _pick(("IN.H=1", "IN.V=1", "A.H=1", "A.V=1", "D0.H=1", "D0.H=0", "D1.V=0",
                 "D1.V=1", "IN.H=2"),
-               ("IN.H=-1", "IN.H=x", "D0.H", "IN.V=5", "IN.H=180"))
+               ("IN.H=-1", "IN.H=x", "D0.H", "IN.V=5", "IN.H=180", "IN.H=1_0"))
 _AMP = _pick(("1,0", "0.6,0.8", "0,1", "-0.6,0.8", "0.5,-0.5"),
              ("nan,0", "1e300,0", "1e200,1e200", "1,", "x,y"))
-_NUMBER = _pick(("0", "1", "4", "22.5", "45", "170"), ("200", "-1", "nan", "inf", "1e308", "x"))
+_NUMBER = _pick(("0", "1", "4", "22.5", "45", "170"),
+                ("200", "-1", "nan", "inf", "1e308", "x", "1_0"))
 _LABEL = _pick(("D0", "D1", "x", "y"))
 _ELEMENT = st.one_of(_line("pbs", _PORT, _PORT), _line("hwp", _PORT, _NUMBER),
                      _line("pc", _PORT), _line("swap", _MODE, _MODE))
