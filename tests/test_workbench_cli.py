@@ -32,6 +32,7 @@ from pgw.optical_elements import ElementKind, ElementSpec, hwp, mode_swap, pbs, 
 from pgw.optical_gates import destructive_cnot, e_cnot, f_gate
 from pgw.workbench_cli import (
     DEFAULT_SEED,
+    DIRECTIVES,
     HEADER,
     CircuitParseError,
     main,
@@ -39,7 +40,7 @@ from pgw.workbench_cli import (
     run_circuit,
     run_suite,
 )
-from pgw import optical_gates, verify
+from pgw import optical_gates, verify, workbench_cli
 from pgw.verify import Report
 
 CIRCUIT_DIR = Path(pgw.__file__).parent / "circuits"
@@ -721,18 +722,20 @@ _REGISTERS = ("", "register IN A D0 D1", "register IN IN' A A' D0 D1 D0' D1'")
 
 # Each directive with arguments of the right kinds most of the time, some
 # malformed, plus lines of arbitrary tokens.
-_fuzz_line = st.one_of(
-    _line("register", st.lists(_PORT, max_size=6)),
-    _line("cutoff", _NUMBER),
-    _line("term", _AMP, st.lists(_COUNT, max_size=3)),
-    _line("element", _ELEMENT),
-    _line("gate", st.sampled_from(("f_gate", "parity_check", "d_cnot", "cnot")),
-          st.permutations(("IN", "A", "D0", "D1"))),
-    _line("gate e_cnot", st.permutations(("IN", "IN'", "A", "A'", "D0", "D1", "D0'", "D1'"))),
-    _line("detect", _LABEL, _pick(("0", "1"), ("2", "x")), st.lists(_COUNT, max_size=4)),
-    _line("correct", _LABEL, _ELEMENT),
-    st.lists(_ANY, max_size=6).map(" ".join),
-)
+_FUZZ_ARGUMENTS = {
+    "register": (st.lists(_PORT, max_size=6),),
+    "cutoff": (_NUMBER,),
+    "term": (_AMP, st.lists(_COUNT, max_size=3)),
+    "element": (_ELEMENT,),
+    "gate": (st.one_of(
+        _line(st.sampled_from(("f_gate", "parity_check", "d_cnot", "cnot")),
+              st.permutations(("IN", "A", "D0", "D1"))),
+        _line("e_cnot", st.permutations(("IN", "IN'", "A", "A'", "D0", "D1", "D0'", "D1'")))),),
+    "detect": (_LABEL, _pick(("0", "1"), ("2", "x")), st.lists(_COUNT, max_size=4)),
+    "correct": (_LABEL, _ELEMENT),
+}
+_fuzz_line = st.one_of(*(_line(name, *parts) for name, parts in _FUZZ_ARGUMENTS.items()),
+                       st.lists(_ANY, max_size=6).map(" ".join))
 # The same lines, some indented and some with a trailing comment.
 _fuzz_raw_line = st.tuples(st.sampled_from(("", "", "  ", "\t ")), _fuzz_line,
                            st.sampled_from(("", "", " # note", "#x"))).map("".join)
@@ -757,6 +760,19 @@ def test_fuzzed_circuits_parse_or_fail_at_a_position(tmp_path_factory, header, r
     path = tmp_path_factory.getbasetemp() / "fuzzed.circuit"
     path.write_text(text)
     assert main(["simulate", str(path)]) in (0, 2)
+
+
+def test_grammar_docs_and_fuzz_lines_name_the_directive_table():
+    """The grammar in the module docstring, the README's circuit-format
+    example and the fuzzed lines each name exactly the keys of DIRECTIVES."""
+    doc = workbench_cli.__doc__
+    grammar = doc[doc.index("Circuit file format"):doc.index("A `#` starts a comment")]
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    example = readme[readme.index("Circuit files are line-oriented"):].split("```\n", 2)[1]
+    assert set(re.findall(r"^    (\S+) ", grammar, re.M)) == set(DIRECTIVES)
+    assert {line.split()[0] for line in example.splitlines()[1:]
+            if not line.startswith("#")} == set(DIRECTIVES)
+    assert set(_FUZZ_ARGUMENTS) == set(DIRECTIVES)
 
 
 @pytest.mark.parametrize("argv", [["verify", "--cutoff", "3"],
