@@ -13,9 +13,10 @@ modes through phi(U), the block's n-photon representation (Aaronson &
 Arkhipov, arXiv:1011.3245; entries are permanents over square roots of
 factorials, Scheel, quant-ph/0406127), building each row, image counts on
 the block and their coefficients, once per call. phi(U2 U1) =
-phi(U2) phi(U1), so optical_gates applies an element list as one block.
-A DetectionPattern is one heralded outcome (required counts, consumed
-modes, label, feed-forward index j); number-resolving detection with
+phi(U2) phi(U1), so optical_gates applies each element list, a pipeline
+or an outcome's corrections, as one block. A DetectionPattern is one
+heralded outcome (required counts, label, feed-forward index j); it
+consumes exactly the modes it counts. Number-resolving detection with
 post-selection turns it into a Branch with the same label and j, whose
 squared norm is the branch probability. Branch states stay unnormalized so
 probabilities can be read off directly, matching the 1/sqrt(2) prefactor
@@ -327,13 +328,13 @@ class ModeTransform:
 
 @dataclass(frozen=True)
 class DetectionPattern:
-    """One heralded outcome: exact photon counts required on measured modes,
-    with the outcome's label and feed-forward index j.
+    """One heralded outcome: exact photon counts required on the modes it
+    detects, with the outcome's label and feed-forward index j.
 
     required lists (mode, count) constraints, sorted by mode; measured is the
-    full set of modes consumed by the detection (traced out of the surviving
-    state) and defaults to the required modes. An empty label becomes the
-    required counts written MODE=COUNT and joined by commas.
+    frozenset of those modes, which the detection consumes (traces out of the
+    surviving state). An empty label becomes the required counts written
+    MODE=COUNT and joined by commas.
     """
 
     required: tuple[tuple[ModeId, int], ...]
@@ -341,17 +342,13 @@ class DetectionPattern:
     label: str
     j: int
 
-    def __init__(self, required: Mapping[ModeId, int],
-                 measured: Iterable[ModeId] | None = None, label: str = "", j: int = 0):
+    def __init__(self, required: Mapping[ModeId, int], label: str = "", j: int = 0):
         req = tuple(sorted(required.items()))
-        meas = frozenset(measured) if measured is not None else frozenset(required)
         for mode, count in req:
             if isinstance(count, bool) or not hasattr(count, "__index__") or count < 0:
                 raise ValueError(f"required photon counts must be ints >= 0, got {mode}={count!r}")
-            if mode not in meas:
-                raise ValueError(f"required mode {mode} missing from measured set")
         object.__setattr__(self, "required", req)
-        object.__setattr__(self, "measured", meas)
+        object.__setattr__(self, "measured", frozenset(required))
         object.__setattr__(self, "label", label or ",".join(f"{m}={c}" for m, c in req))
         object.__setattr__(self, "j", j)
 
@@ -534,10 +531,10 @@ def measure_outcomes(state: FockKet, patterns: Sequence[DetectionPattern]
     groups: dict[frozenset[ModeId], tuple] = {}
     branches = []
     for pattern in patterns:
-        required = {register.index_of(m): c for m, c in pattern.required}
         group = groups.get(pattern.measured)
         if group is None:
-            measured_idx = sorted(register.index_of(m) for m in pattern.measured)
+            # In the order of required, which every pattern on these modes shares.
+            measured_idx = [register.index_of(m) for m, _ in pattern.required]
             measured = set(measured_idx)
             pick_kept = _picker([i for i in range(register.n_modes) if i not in measured])
             pick_measured = _picker(measured_idx)
@@ -548,20 +545,9 @@ def measure_outcomes(state: FockKet, patterns: Sequence[DetectionPattern]
                 if bucket is None:
                     bucket = buckets[counts] = {}
                 bucket[pick_kept(occ)] = amp
-            group = groups[pattern.measured] = (
-                register.drop_modes(pattern.measured), measured_idx, buckets)
-        sub_register, measured_idx, buckets = group
-        if len(required) == len(measured_idx):
-            terms = buckets.get(tuple(required[i] for i in measured_idx), {})
-        else:
-            want = [(p, required[i]) for p, i in enumerate(measured_idx) if i in required]
-            hits = [b for counts, b in buckets.items()
-                    if all(counts[p] == c for p, c in want)]
-            if len(hits) > 1:
-                raise ValueError(
-                    "detection pattern leaves a measured mode with an indefinite count; "
-                    "constrain every measured mode")
-            terms = hits[0] if hits else {}
+            group = groups[pattern.measured] = (register.drop_modes(pattern.measured), buckets)
+        sub_register, buckets = group
+        terms = buckets.get(tuple(c for _, c in pattern.required), {})
         conditional = FockKet(sub_register, terms, validate=False)
         branches.append(Branch(pattern.label, pattern.j, conditional, conditional.norm_squared()))
     return tuple(branches)

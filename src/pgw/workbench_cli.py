@@ -9,7 +9,8 @@ Subcommands
 
 The suites and gate tables live in pgw.verify. The seed defaults to the
 PGW_SEED environment variable, then 12345; the --seed flag overrides both.
-A seed or trial count that is not a non-negative integer exits 2. Reports
+A seed or trial count that is not a non-negative integer, written as
+numbers in circuit files are (ASCII, no `_`), exits 2. Reports
 for the same (suite, seed, trials) are byte-identical between runs.
 --trials 0 keeps only deterministic checks.
 
@@ -92,14 +93,23 @@ class CircuitParseError(ValueError):
 
 @dataclass
 class CircuitFile:
-    """Parsed circuit: register, initial terms, pipeline, detections."""
+    """Parsed circuit: port labels in file order, the initial ket on the
+    circuit's register (its cutoff too), pipeline, detections, corrections."""
 
     labels: tuple[str, ...]
-    cutoff: int
-    terms: list[tuple[complex, dict[ModeId, int]]] = field(default_factory=list)
+    initial: FockKet
     elements: list[ElementSpec] = field(default_factory=list)
     detections: list[DetectionPattern] = field(default_factory=list)
     corrections: dict[str, list[ElementSpec]] = field(default_factory=dict)
+
+
+def _ascii_number(parse, text: str):
+    """parse(text), int or float, or None: ASCII only and without underscores,
+    which int() and float() alone also read (`1_0`, non-ASCII digits)."""
+    try:
+        return parse(text) if text.isascii() and "_" not in text else None
+    except ValueError:
+        return None
 
 
 class _Reader:
@@ -142,12 +152,8 @@ class _Reader:
             build(self, *values)
 
     def number(self, parse, text: str, what: str, i: int):
-        """An int, or a finite float, read from ASCII text without underscores:
-        int() and float() alone also read `1_0` and non-ASCII digits."""
-        try:
-            value = parse(text) if text.isascii() and "_" not in text else None
-        except ValueError:
-            value = None
+        """An int, or a finite float, read by _ascii_number."""
+        value = _ascii_number(parse, text)
         if value is None:
             raise self.error(f"expected {what}, got {text!r}", i)
         if parse is float and not math.isfinite(value):
@@ -217,7 +223,7 @@ class _Reader:
         """Kind: KIND, its port or mode arguments, then an angle if the kind
         takes one, to the end of the line."""
         if i == len(tokens):
-            raise self.error("missing element kind", i)
+            raise self.error("missing element kind", 0)
         word = tokens[i]
         if word not in ELEMENTS:  # ElementKind members hash and compare as their values
             raise self.error(f"unknown element kind {word!r}", i)
@@ -323,12 +329,16 @@ def parse_circuit(text: str) -> CircuitFile:
     if reader.ports is None:
         raise CircuitParseError("missing register directive", len((text + "?").splitlines()), 1)
     cutoff = DEFAULT_CUTOFF if reader.cutoff is None else reader.cutoff
-    initial: dict[frozenset, complex] = {}  # amplitude per occupation, as run_circuit sums
+    register = Register(reader.ports, cutoff)
+    initial: dict[tuple[int, ...], complex] = {}  # amplitude per occupation
     for amp, counts, where in reader.terms:
         n = sum(counts.values())
         if n > cutoff:  # at the first count
             raise reader.error(f"term holds {n} photons, more than the cutoff {cutoff}", 2, where)
-        key = frozenset((mode, c) for mode, c in counts.items() if c)
+        occ = [0] * register.n_modes
+        for mode, count in counts.items():
+            occ[register.index_of(mode)] = count
+        key = tuple(occ)
         initial[key] = initial.get(key, 0.0 + 0.0j) + amp
     sq = sum(abs(c) ** 2 for c in initial.values())
     if sq > 1.0 + NORM_SLACK:  # FockKet's bound, reported at the last term's amplitude
@@ -343,7 +353,8 @@ def parse_circuit(text: str) -> CircuitFile:
                 if mode in reader.detections[label].measured:
                     raise reader.error(f"correction for branch {label!r} acts on mode {mode}, "
                                        "which its detection consumes", k, where)
-    return CircuitFile(tuple(reader.ports), cutoff, [t[:2] for t in reader.terms],
+    # Counts and amplitudes were checked as read, photons and the norm above: none again.
+    return CircuitFile(tuple(reader.ports), FockKet(register, initial, validate=False),
                        reader.elements, list(reader.detections.values()), reader.corrections)
 
 
@@ -356,18 +367,9 @@ class SimulationResult:
 
 
 def run_circuit(cf: CircuitFile) -> SimulationResult:
-    register = Register(cf.labels, cf.cutoff)
-    terms: dict[tuple[int, ...], complex] = {}
-    for amp, counts in cf.terms:
-        occ = [0] * register.n_modes
-        for mode, count in counts.items():
-            occ[register.index_of(mode)] = count
-        key = tuple(occ)
-        terms[key] = terms.get(key, 0.0 + 0.0j) + amp
-    state = FockKet(register, terms)
-    initial = state.norm_squared()
+    initial = cf.initial.norm_squared()
     _require_exclusive(cf.detections)
-    state, branches = run_pipeline(state, cf.elements, cf.detections, cf.corrections)
+    state, branches = run_pipeline(cf.initial, cf.elements, cf.detections, cf.corrections)
     if abs(state.norm_squared() - initial) > CONSERVATION_TOL:
         raise ValueError(f"the elements took norm^2 from {initial!r} to {state.norm_squared()!r}:"
                          " precision loss in the n-photon amplitudes (too many photons)")
@@ -438,7 +440,7 @@ def cmd_simulate(path: str) -> int:
         print(f"{path}: error: {e}", file=sys.stderr)
         return 2
     print(f"circuit: {path}")
-    print(f"register: {' '.join(cf.labels)} (cutoff {cf.cutoff})")
+    print(f"register: {' '.join(cf.labels)} (cutoff {cf.initial.register.cutoff})")
     print(f"initial norm^2: {result.initial_norm_squared!r}")
     if result.final_state is not None:
         print("final state:")
@@ -490,11 +492,9 @@ def cmd_truth_table(gate: str) -> int:
 
 
 def _non_negative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
+    """An int of at least 0, read by the circuit files' rule (_ascii_number)."""
+    value = _ascii_number(int, text)
+    if value is None or value < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return value
 

@@ -2,7 +2,8 @@
 phi(U) once. These tests hold it to the one-pass-per-element runner
 written below: the same labels and j, and probabilities and amplitudes
 within 1e-12 (1e-11 at twenty photons per mode), with a missing key read
-as 0. The same element errors must come out of both.
+as 0. The same element errors must come out of both, from the pipeline and
+from an outcome's corrections.
 """
 
 import random
@@ -134,19 +135,32 @@ def test_a_swap_applied_twice_leaves_the_state_untouched():
     assert after is state  # the composed identity touches no mode, so nothing was applied
 
 
+def _behind_a_detection(state, elements):
+    """state with a vacuum port D added, the elements as the corrections of
+    D's vacuum outcome, and that detection: after it the register is
+    state's again."""
+    reg = state.register
+    detected = Register(cutoff=reg.cutoff, modes=reg.modes + (ModeId("D", H), ModeId("D", V)))
+    vacuum_d = DetectionPattern({ModeId("D", H): 0, ModeId("D", V): 0})
+    terms = {occ + (0, 0): amp for occ, amp in state.terms.items()}  # D sorts last here
+    return FockKet(detected, terms), [], [vacuum_d], {vacuum_d.label: elements}
+
+
 def test_every_element_block_is_checked_not_only_their_product(monkeypatch):
     """Two phase elements scaled by 2 and by 1/2 compose to the identity, so
-    only the check of each block can reject them."""
-    scales = iter((2.0, 0.5))
-
+    only the check of each block can reject them, in the pipeline and in a
+    correction list, as one pass per element does."""
     def scaled(register, port):
         return (register.port_index(port)[1],), ((complex(next(scales)),),)
 
     monkeypatch.setitem(ELEMENTS, ElementKind.PC, (scaled, 1, False, False))
     state = FockKet(Register(("A",)), {(0, 1): 1.0})
     pc = ElementSpec(ElementKind.PC, ("A",))
-    with pytest.raises(ValueError, match=r"^matrix is not unitary \(deviation 3\)$"):
-        run_pipeline(state, [pc, pc], [], {})
+    for case in ((state, [pc, pc], [], {}), _behind_a_detection(state, [pc, pc])):
+        for run in (run_pipeline, _one_pass_per_element):
+            scales = iter((2.0, 0.5))
+            with pytest.raises(ValueError, match=r"^matrix is not unitary \(deviation 3\)$"):
+                run(*case)
 
 
 @pytest.mark.parametrize("element, error, text", [
@@ -168,11 +182,12 @@ def test_an_element_that_cannot_be_built_raises_the_same_error_on_both_paths(
                    + [ModeId("C", H)])
     state = FockKet(reg, {(1, 0, 0, 1, 0): 1.0})
     elements = [ElementSpec(ElementKind.PBS, ("A", "B")), element]
-    with pytest.raises(error) as composed:
-        run_pipeline(state, elements, [], {})
-    with pytest.raises(error) as per_element:
-        _one_pass_per_element(state, elements, [], {})
-    assert str(composed.value) == str(per_element.value) == text
+    for case in ((state, elements, [], {}), _behind_a_detection(state, elements)):
+        with pytest.raises(error) as composed:
+            run_pipeline(*case)
+        with pytest.raises(error) as per_element:
+            _one_pass_per_element(*case)
+        assert str(composed.value) == str(per_element.value) == text
 
 
 def test_twenty_photons_per_mode_keep_their_precision_through_a_long_chain():

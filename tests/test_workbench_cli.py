@@ -137,7 +137,7 @@ PINNED_PARSE_ERRORS = [
     ("mode-twice-indented", _R + "  detect x 0 D0.H=1  D0.H=1 # x\n",
      3, 22, "mode D0.H listed twice"),
     ("element-empty", _R + "element\n", 3, 1, "missing element kind"),
-    ("element-empty-indented", _R + "   element # none\n", 3, 1, "missing element kind"),
+    ("element-empty-indented", _R + "   element # none\n", 3, 4, "missing element kind"),
     ("correct-element-empty", _R + "detect x 0 D0.H=1\ncorrect x\n", 4, 1, "missing element kind"),
     ("element-kind", _R + "element bs IN A\n", 3, 9, "unknown element kind 'bs'"),
     ("element-kind-indented", _R + "  correct x  bs IN A # x\n",
@@ -434,6 +434,28 @@ def test_packaged_cnot_fixture_matches_library(capsys):
             1.0, abs=1e-12)
 
 
+# Each packaged fixture's ports and the modes holding a photon in each of its
+# two terms, both of amplitude 0.70710678118654752.
+FIXTURE_TERMS = {
+    "f_gate": (("IN", "A", "D0", "D1"), [{"IN.H", "A.H"}, {"IN.H", "A.V"}]),
+    "e_cnot": (("IN", "IN'", "A", "A'", "D0", "D1", "D0'", "D1'"),
+               [{"IN.V", "IN'.H", "A.H", "A'.H"}, {"IN.V", "IN'.H", "A.V", "A'.V"}]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_TERMS))
+def test_packaged_fixture_initial_ket_is_pinned(name):
+    """The parser builds the initial ket without validating it again; the
+    validating constructor accepts the same ket."""
+    ports, terms = FIXTURE_TERMS[name]
+    reg = Register(ports, 4)
+    want = FockKet(reg, {tuple(int(str(m) in modes) for m in reg.modes): 0.70710678118654752
+                         for modes in terms})
+    initial = parse_circuit((CIRCUIT_DIR / f"{name}.circuit").read_text()).initial
+    assert initial.register == want.register
+    assert initial.terms == want.terms
+
+
 # Standard output of `pgw simulate` on the packaged fixtures after the
 # `circuit:` line, pinned byte for byte like the truth tables below.
 SIMULATE_STDOUT = {
@@ -594,6 +616,20 @@ def test_non_integer_seed_env_variable_exits_2(monkeypatch, capsys):
 def test_negative_trials_exits_2(capsys):
     _usage_error(["verify", "--trials", "-3"], capsys,
                  "argument --trials: expected a non-negative integer, got '-3'")
+
+
+@pytest.mark.parametrize("argv, seed_env, wanted", [
+    (["verify", "--seed", "١٢"], None, "argument --seed: expected a non-negative integer, got '١٢'"),
+    (["verify", "--trials", "1_0"], None,
+     "argument --trials: expected a non-negative integer, got '1_0'"),
+    (["verify"], "７", "PGW_SEED: expected a non-negative integer, got '７'"),
+], ids=["seed-arabic-indic", "trials-underscore", "env-fullwidth"])
+def test_seed_and_trials_read_numbers_as_circuit_files_do(argv, seed_env, wanted,
+                                                          monkeypatch, capsys):
+    """int() alone reads these as 12, 10 and 7; circuit files reject all three."""
+    if seed_env is not None:
+        monkeypatch.setenv("PGW_SEED", seed_env)
+    _usage_error(argv, capsys, wanted)
 
 
 def test_default_seed_constant(monkeypatch, capsys):
@@ -934,7 +970,7 @@ def test_readme_circuit_example_runs(tmp_path, capsys):
 def test_a_comment_may_follow_any_directive_without_moving_columns():
     cf = parse_circuit("pgw-circuit v1 # format\nregister IN #A\nterm 1,0 IN.H=1#x\n")
     assert cf.labels == ("IN",)
-    assert cf.terms == [(1.0 + 0.0j, {ModeId("IN", H): 1})]
+    assert cf.initial.terms == {(1, 0): 1 + 0j}
     err = _parse_error("pgw-circuit v1\nregister IN\n  term 1,0 IN.V=x # note\n")
     assert (err.line, err.column) == (3, 12)
 
