@@ -1,10 +1,10 @@
 """Sparse multimode Fock-space states and the machinery that moves them.
 
 A Register fixes an ordered set of optical modes, each a ModeId, the named
-tuple (spatial label, polarization), and keeps one index, each spatial
-port's (H, V) flat indices, for both index_of and port_index. States
-(FockKet) are sparse maps from occupations, plain tuples of photon counts
-one per mode, to complex amplitudes. Passive elements act through
+tuple (spatial label, polarization letter H or V), and keeps one index,
+each spatial port's (H, V) flat indices, for both index_of and port_index.
+States (FockKet) are sparse maps from occupations, plain tuples of photon
+counts one per mode, to complex amplitudes. Passive elements act through
 ModeTransform, which stores only the modes a unitary touches and the small
 block U on them, as plain-Python rows of complex built and checked
 (require_unitary) without numpy; its block and matrix are numpy views built
@@ -43,7 +43,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from enum import Enum
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 PRUNE_THRESHOLD = 1e-14
@@ -57,23 +56,14 @@ class RegisterError(ValueError):
     """A mode or spatial port was used with a register it does not belong to."""
 
 
-class Polarization(str, Enum):
-    H = "H"
-    V = "V"
-
-    def __str__(self):
-        return self.value
-
-
-H = Polarization.H
-V = Polarization.V
+H, V = "H", "V"  # a mode's polarization is its letter; a Register holds no other
 
 
 class ModeId(NamedTuple):
     """One optical mode, the named tuple (spatial port label, polarization)."""
 
     spatial_label: str
-    polarization: Polarization
+    polarization: str
 
     def __str__(self):
         return f"{self.spatial_label}.{self.polarization}"
@@ -81,9 +71,19 @@ class ModeId(NamedTuple):
     @classmethod
     def parse(cls, text: str) -> "ModeId":
         label, _, pol = text.rpartition(".")
-        if not label or pol not in ("H", "V"):
+        if not label or pol not in (H, V):
             raise ValueError(f"not a mode id: {text!r} (expected LABEL.H or LABEL.V)")
-        return cls(label, Polarization(pol))
+        return cls(label, pol)
+
+
+def _count(n: Any, least: int) -> int | None:
+    """n as a plain int if it is an integer of at least `least`, else None.
+    Integers are read by __index__, so numpy integers count; bools do not."""
+    if type(n) is not int:  # a bool's type is bool, not int
+        if isinstance(n, bool) or not hasattr(n, "__index__"):
+            return None
+        n = operator.index(n)
+    return n if n >= least else None
 
 
 class Register:
@@ -109,9 +109,9 @@ class Register:
             modes = tuple(sorted(modes))
             if len(set(modes)) != len(modes):
                 raise RegisterError("duplicate modes in register")
-        if isinstance(cutoff, bool) or not hasattr(cutoff, "__index__") or cutoff < 1:
+        if (count := _count(cutoff, 1)) is None:
             raise ValueError(f"cutoff must be an int of at least 1, got {cutoff!r}")
-        self._fill(modes, operator.index(cutoff))
+        self._fill(modes, count)
 
     def _fill(self, modes: tuple[ModeId, ...], cutoff: int) -> None:
         self.modes, self.cutoff = modes, cutoff
@@ -183,10 +183,10 @@ class FockKet:
     branch states carry their probability. Construction prunes dust below
     PRUNE_THRESHOLD and validates the register invariants.
 
-    Keys are plain tuples of photon counts, one per register mode; with
-    validate=True any other sequence is turned into one. validate=False is
-    for callers that built the keys themselves as such tuples (the kernels
-    in this module): only the pruning runs.
+    Keys are plain tuples of int photon counts, one per register mode; with
+    validate=True any other sequence of integers (not bools) is turned into
+    one. validate=False is for callers that built the keys themselves as
+    such tuples (the kernels in this module): only the pruning runs.
     """
 
     __slots__ = ("register", "terms")
@@ -199,9 +199,10 @@ class FockKet:
             if abs(c) < PRUNE_THRESHOLD:
                 continue
             if validate:
-                occ = tuple(occ)
-                if any(not isinstance(n, int) or n < 0 for n in occ):
-                    raise ValueError(f"occupation counts must be ints >= 0, got {occ}")
+                counts = tuple(_count(n, 0) for n in occ)
+                if None in counts:
+                    raise ValueError(f"occupation counts must be ints >= 0, got {tuple(occ)}")
+                occ = counts
                 if len(occ) != register.n_modes:
                     raise ValueError(
                         f"occupation length {len(occ)} != register size {register.n_modes}")
@@ -343,11 +344,12 @@ class DetectionPattern:
     j: int
 
     def __init__(self, required: Mapping[ModeId, int], label: str = "", j: int = 0):
-        req = tuple(sorted(required.items()))
-        for mode, count in req:
-            if isinstance(count, bool) or not hasattr(count, "__index__") or count < 0:
+        req = []
+        for mode, count in sorted(required.items()):
+            if (n := _count(count, 0)) is None:
                 raise ValueError(f"required photon counts must be ints >= 0, got {mode}={count!r}")
-        object.__setattr__(self, "required", req)
+            req.append((mode, n))
+        object.__setattr__(self, "required", tuple(req))
         object.__setattr__(self, "measured", frozenset(required))
         object.__setattr__(self, "label", label or ",".join(f"{m}={c}" for m, c in req))
         object.__setattr__(self, "j", j)

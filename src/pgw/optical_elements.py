@@ -9,20 +9,19 @@ Conventions:
   * pockels_z is the polarization phase flip |V> -> -|V>, applied by the
     gate layer as classical feed-forward, not as a quantum control.
 
-Each kind's block builder finds its modes through the register's port
-index and writes its plain-Python block on them, with no numpy call.
-ElementSpec.block returns that block, which run_pipeline composes;
-ElementSpec.build and pbs, hwp, pockels_z and mode_swap return it as a
-checked ModeTransform. ELEMENTS is the one table of element signatures;
-ElementSpec checks and builds through it, and the circuit-file parser
-reads `element` lines by it.
+An element is its ELEMENTS row, keyed by its circuit-file word.
+ElementSpec(kind, args, angle_degrees) checks its arguments against that
+row, and the circuit-file parser reads `element` lines by it. Each kind's
+block builder finds its modes through the register's port index and writes
+its plain-Python block on them, with no numpy call. ElementSpec.block
+returns that block, which run_pipeline composes; ElementSpec.build and pbs,
+hwp, pockels_z and mode_swap return it as a checked ModeTransform.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .fock_core import ModeId, ModeTransform, Register
 
@@ -30,37 +29,30 @@ from .fock_core import ModeId, ModeTransform, Register
 Block = tuple[tuple[int, ...], tuple[tuple[complex, ...], ...]]
 
 
-class ElementKind(str, Enum):
-    PBS = "pbs"
-    HWP = "hwp"
-    PC = "pc"
-    SWAP = "swap"
-
-
 @dataclass(frozen=True)
 class ElementSpec:
-    """Declarative element description; the unit of the CLI circuit format."""
+    """Declarative element description; the unit of the CLI circuit format.
+    kind is an ELEMENTS key, whose row says whether args are ports or modes."""
 
-    kind: ElementKind
-    spatial_ports: tuple[str, ...] = ()
-    modes: tuple[ModeId, ...] = ()
+    kind: str
+    args: tuple
     angle_degrees: float = 0.0
 
     def __post_init__(self):
-        kind = ElementKind(self.kind)
-        object.__setattr__(self, "kind", kind)
-        _, arity, modes, angle = ELEMENTS[kind]
-        if (len(self.spatial_ports), len(self.modes)) != ((0, arity) if modes else (arity, 0)):
-            noun = "mode" if modes else "spatial port"
-            raise ValueError(f"{kind.value} takes exactly {arity} {noun}(s)")
+        if self.kind not in ELEMENTS:
+            raise ValueError(f"unknown element kind {self.kind!r}")
+        _, arity, modes, angle = ELEMENTS[self.kind]
+        noun = "mode" if modes else "spatial port"
+        if len(self.args) != arity or any(isinstance(a, ModeId) is not modes for a in self.args):
+            raise ValueError(f"{self.kind} takes exactly {arity} {noun}(s), got {self.args!r}")
         if not angle and self.angle_degrees != 0.0:
-            raise ValueError(f"{kind.value} takes no angle, got {self.angle_degrees!r}")
+            raise ValueError(f"{self.kind} takes no angle, got {self.angle_degrees!r}")
 
     def block(self, register: Register) -> Block:
         """The element's flat modes on register, ascending, and its block on them."""
         builder, _, _, angle = ELEMENTS[self.kind]
         extra = (self.angle_degrees,) if angle else ()
-        return builder(register, *(self.modes or self.spatial_ports), *extra)
+        return builder(register, *self.args, *extra)
 
     def build(self, register: Register) -> ModeTransform:
         modes, rows = self.block(register)
@@ -103,30 +95,30 @@ def _swap_block(register: Register, m1: ModeId, m2: ModeId) -> Block:
 
 def pbs(register: Register, port_a: str, port_b: str) -> ModeTransform:
     """Polarizing beam splitter: H transmits, V is exchanged between ports."""
-    return ElementSpec(ElementKind.PBS, (port_a, port_b)).build(register)
+    return ElementSpec("pbs", (port_a, port_b)).build(register)
 
 
 def hwp(register: Register, port: str, theta_degrees: float) -> ModeTransform:
     """Half-wave plate at theta_degrees on the (H, V) pair of one port."""
-    return ElementSpec(ElementKind.HWP, (port,), (), theta_degrees).build(register)
+    return ElementSpec("hwp", (port,), theta_degrees).build(register)
 
 
 def pockels_z(register: Register, port: str) -> ModeTransform:
     """Conditional phase flip element: |H> -> |H>, |V> -> -|V> on the port."""
-    return ElementSpec(ElementKind.PC, (port,)).build(register)
+    return ElementSpec("pc", (port,)).build(register)
 
 
 def mode_swap(register: Register, m1: ModeId, m2: ModeId) -> ModeTransform:
     """Permutation exchanging two modes (used to route photons to detectors)."""
-    return ElementSpec(ElementKind.SWAP, (), (m1, m2)).build(register)
+    return ElementSpec("swap", (m1, m2)).build(register)
 
 
-# The one table of element signatures. Kind -> (block builder, number of
+# The one table of elements. Circuit-file word -> (block builder, number of
 # arguments, whether they are modes (else spatial ports), whether an angle in
 # degrees follows them); the builder is called as (register, *arguments).
 ELEMENTS = {
-    ElementKind.PBS: (_pbs_block, 2, False, False),
-    ElementKind.HWP: (_hwp_block, 1, False, True),
-    ElementKind.PC: (_pc_block, 1, False, False),
-    ElementKind.SWAP: (_swap_block, 2, True, False),
+    "pbs": (_pbs_block, 2, False, False),
+    "hwp": (_hwp_block, 1, False, True),
+    "pc": (_pc_block, 1, False, False),
+    "swap": (_swap_block, 2, True, False),
 }

@@ -56,7 +56,7 @@ from .fock_core import (
     single_photon,
     tensor,
 )
-from .optical_elements import ElementKind, ElementSpec
+from .optical_elements import ElementSpec
 
 ROTATION_DEG = 22.5
 
@@ -78,15 +78,15 @@ class FGateLayout:
 def _expand_f_gate(inp: str, aux: str, d0: str, d1: str):
     """Filter stage: combine, rotate, route to detectors, flip on outcome 1."""
     elements = [
-        ElementSpec(ElementKind.PBS, (inp, aux)),
-        ElementSpec(ElementKind.HWP, (aux,), (), ROTATION_DEG),
-        ElementSpec(ElementKind.SWAP, (), (ModeId(aux, H), ModeId(d0, H))),
-        ElementSpec(ElementKind.SWAP, (), (ModeId(aux, V), ModeId(d1, V))),
+        ElementSpec("pbs", (inp, aux)),
+        ElementSpec("hwp", (aux,), ROTATION_DEG),
+        ElementSpec("swap", (ModeId(aux, H), ModeId(d0, H))),
+        ElementSpec("swap", (ModeId(aux, V), ModeId(d1, V))),
     ]
     modes = (ModeId(d0, H), ModeId(d0, V), ModeId(d1, H), ModeId(d1, V))
     detections = [DetectionPattern(dict(zip(modes, (1, 0, 0, 0))), label=d0, j=0),
                   DetectionPattern(dict(zip(modes, (0, 0, 0, 1))), label=d1, j=1)]
-    corrections = {d1: [ElementSpec(ElementKind.PC, (inp,))]}
+    corrections = {d1: [ElementSpec("pc", (inp,))]}
     return elements, detections, corrections
 
 
@@ -94,11 +94,10 @@ def _expand_d_cnot(target: str, control: str, d0: str, d1: str):
     """Plate-sandwiched filter. The closing plate sits before detection here,
     so the outcome-1 phase flip conjugates to a polarization exchange."""
     f_elements, detections, _ = _expand_f_gate(target, control, d0, d1)
-    plate = ElementSpec(ElementKind.HWP, (target,), (), ROTATION_DEG)
-    control_plate = ElementSpec(ElementKind.HWP, (control,), (), ROTATION_DEG)
+    plate = ElementSpec("hwp", (target,), ROTATION_DEG)
+    control_plate = ElementSpec("hwp", (control,), ROTATION_DEG)
     elements = [plate, control_plate] + f_elements + [plate]
-    corrections = {d1: [ElementSpec(ElementKind.SWAP, (),
-                                    (ModeId(target, H), ModeId(target, V)))]}
+    corrections = {d1: [ElementSpec("swap", (ModeId(target, H), ModeId(target, V)))]}
     return elements, detections, corrections
 
 
@@ -228,11 +227,10 @@ def quantum_parity_check(input_state: FockKet, aux_polarization) -> GateResult:
     inp = ports[0]
     if inp in ("A", "D0", "D1"):
         raise ValueError("input port may not be named A, D0 or D1")
-    pol = {"H": H, "V": V}.get(str(aux_polarization))
-    if pol is None:
+    if aux_polarization not in (H, V):
         raise ValueError(f"auxiliary polarization must be H or V, got {aux_polarization!r}")
     aux_reg = Register(("A", "D0", "D1"), cutoff=input_state.register.cutoff)
-    joint = tensor(input_state, single_photon(ModeId("A", pol), aux_reg))
+    joint = tensor(input_state, single_photon(ModeId("A", aux_polarization), aux_reg))
     return f_gate(joint, FGateLayout(inp, "A", ("D0", "D1")))
 
 

@@ -6,7 +6,8 @@ analysis that accepts only the odd-parity Bell states Psi+ (j = 0) and
 Psi- (j = 1); the photon-free qubit that survives carries the input, up to
 a Z correction indexed by j. With auxiliary Psi+ the corrected output is
 the input itself; with Psi- it is Z times the input. Success probability
-is 1/2 regardless of the input.
+is 1/2 regardless of the input. The analysis, pbm, returns a GateResult of
+its two accepted branches; the rejected Phi+- outcomes carry the rest.
 
 Two telegates whose auxiliary pairs are prepared in the four-qubit
 superposition built from Psi+- combinations with a single minus sign
@@ -15,7 +16,8 @@ a Hadamard sandwich on the target turns into a CNOT. The parity_filter
 variant realizes the same telegate by projecting (input, first aux qubit)
 onto the even-parity subspace before the Bell analysis; on auxiliary
 states restricted to span{Psi+, Psi-} both variants produce identical
-branches.
+branches. The swap variant relabels the input and first aux qubit ahead of
+that same analysis on the auxiliary pair.
 """
 
 from __future__ import annotations
@@ -193,28 +195,17 @@ def _contract_pair(state: QubitState, pair: tuple[str, str], bra: np.ndarray) ->
     return QubitState(remaining, contracted.reshape(-1))
 
 
-@dataclass(frozen=True)
-class PBMResult:
-    """Partial Bell measurement outcome: two accepted branches plus the
-    aggregate probability of the rejected even-parity (Phi+-) subspace."""
-
-    branches: tuple[Branch, Branch]
-    rejected_probability: float
-
-
-def pbm(state: QubitState, pair: tuple[str, str]) -> PBMResult:
+def pbm(state: QubitState, pair: tuple[str, str]) -> GateResult:
     """Measure a qubit pair, accepting only Psi+ (j = 0) and Psi- (j = 1).
 
     Accepted branches carry the unnormalized conditional state on the
-    remaining qubits; Phi+- outcomes are consumed and reported only as an
-    aggregate rejection probability.
-    """
+    remaining qubits; the rejected Phi+- outcomes carry the rest of the norm,
+    state.norm_squared() - success_probability."""
     branches = []
     for j, label in ((0, PSI_PLUS), (1, PSI_MINUS)):
         conditional = _contract_pair(state, pair, bell_state(label).amplitudes)
         branches.append(Branch(str(label), j, conditional, conditional.norm_squared()))
-    rejected = state.norm_squared() - sum(b.probability for b in branches)
-    return PBMResult(tuple(branches), max(rejected, 0.0))
+    return GateResult(tuple(branches))
 
 
 def parity_filter(state: QubitState, pair: tuple[str, str]) -> QubitState:
@@ -227,35 +218,21 @@ def parity_filter(state: QubitState, pair: tuple[str, str]) -> QubitState:
 
 def _teleport_one(joint: QubitState, qubit: str, a1: str, a2: str,
                   variant: str, out_order: Sequence[str]) -> tuple[Branch, Branch]:
-    """One teleportation stage inside a larger joint state.
-
-    swap variant: regroup by exchanging the roles of `qubit` and the first
-    auxiliary qubit (a pure relabeling), then Bell-measure (qubit, a2); the
-    input re-emerges on a1, which is renamed back to `qubit`.
-    parity_filter variant: filter (qubit, a1) to even parity, then
-    Bell-measure (a1, a2); the input stays on `qubit`.
-    Both apply the Z^j correction on the surviving qubit.
-    """
+    """One teleportation stage inside a larger joint state: stage the state,
+    Bell-measure (a1, a2) and apply Z^j to `qubit`, where the input emerges.
+    The swap variant stages by a pure relabelling, `qubit` and a1 trading
+    names; the parity_filter variant filters (qubit, a1) to even parity."""
     if variant == "swap":
-        measured_pair = (qubit, a2)
-        survivor = a1
-        staged = joint
+        staged = QubitState(tuple({qubit: a1, a1: qubit}.get(lab, lab) for lab in joint.labels),
+                            joint.amplitudes)
     elif variant == "parity_filter":
-        measured_pair = (a1, a2)
-        survivor = qubit
         staged = parity_filter(joint, (qubit, a1))
     else:
         raise ValueError(f"unknown telegate variant {variant!r}")
-    result = pbm(staged, measured_pair)
-    out = []
-    for b in result.branches:
-        s = b.conditional_state
-        if survivor != qubit:
-            s = QubitState(tuple(qubit if lab == survivor else lab for lab in s.labels),
-                           s.amplitudes)
-        s = z_correction(reorder(s, out_order), qubit, b.j)
-        out.append(Branch(b.outcome_label, b.j, s, b.probability))
-    return tuple(out)
+    return tuple(
+        Branch(b.outcome_label, b.j,
+               z_correction(reorder(b.conditional_state, out_order), qubit, b.j), b.probability)
+        for b in pbm(staged, (a1, a2)).accepted_branches)
 
 
 def qubit_gate(gate: Callable[..., GateResult], labels: Sequence[str], *args, **kwargs
@@ -271,8 +248,8 @@ def telegate_t(input_state: QubitState, qubit: str, aux: QubitState,
 
     With auxiliary Psi+ the corrected output equals the input; with Psi-
     it equals Z applied to the teleported qubit. Success probability 1/2.
-    The surviving qubit is relabeled back to `qubit`, so branch states are
-    directly comparable with the input.
+    The input emerges on `qubit`, so branch states are directly comparable
+    with the input.
     """
     if aux.n_qubits != 2:
         raise ValueError("auxiliary must be a two-qubit state")

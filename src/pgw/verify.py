@@ -41,7 +41,7 @@ from .mb_bridge import (
     mb_decode,
     pair_branches,
 )
-from .optical_elements import ElementKind, ElementSpec
+from .optical_elements import ElementSpec
 from .optical_gates import ROTATION_DEG, ecnot_gate, filter_gate
 from .qubit_teleport import (
     CNOT_MATRIX,
@@ -199,9 +199,8 @@ def _suite_optical(rng: np.random.Generator, trials: int) -> list[dict]:
               for h, v in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2))]
     norm_dev, completeness_dev = [], []
     for amps, (theta1, theta2) in zip(w.T, thetas.T):
-        elements = (ElementSpec(ElementKind.HWP, ("A",), (), theta1),
-                    ElementSpec(ElementKind.PBS, ("A", "B")),
-                    ElementSpec(ElementKind.HWP, ("B",), (), theta2))
+        elements = (ElementSpec("hwp", ("A",), theta1), ElementSpec("pbs", ("A", "B")),
+                    ElementSpec("hwp", ("B",), theta2))
         state, branches = optical_gates.run_pipeline(
             polarization_ket(reg_ab, ("A", "B"), amps), elements, port_a, {})
         norm_dev.append(abs(state.norm_squared() - 1.0))
@@ -266,7 +265,8 @@ def _suite_teleport(rng: np.random.Generator, trials: int) -> list[dict]:
                         (PHI_PLUS, (0.0, 0.0, 1.0)), (PHI_MINUS, (0.0, 0.0, 1.0))):
         state = tensor_qubits(bell_state(label, ("B1", "B2")), QubitState(("Q",), (1.0, 0.0)))
         result = qubit_teleport.pbm(state, ("B1", "B2"))
-        got = (*(b.probability for b in result.branches), result.rejected_probability)
+        got = (*(b.probability for b in result.accepted_branches),
+               state.norm_squared() - result.success_probability)
         devs.append(max(abs(g - w) for g, w in zip(got, want, strict=True)))
     checks.append(check_record(
         "pbm-resolves-odd-bells",

@@ -69,7 +69,7 @@ from .fock_core import (
     V,
 )
 from .mb_bridge import branch_probabilities, compile_branches, mb_decode
-from .optical_elements import ELEMENTS, ElementKind, ElementSpec
+from .optical_elements import ELEMENTS, ElementSpec
 from .optical_gates import GATE_EXPANDERS, run_pipeline
 from .qubit_teleport import QubitState
 from .verify import SUITES, TRUTH_TABLES, run_suite
@@ -225,7 +225,7 @@ class _Reader:
         if i == len(tokens):
             raise self.error("missing element kind", 0)
         word = tokens[i]
-        if word not in ELEMENTS:  # ElementKind members hash and compare as their values
+        if word not in ELEMENTS:
             raise self.error(f"unknown element kind {word!r}", i)
         _, arity, modes, angle = ELEMENTS[word]
         if len(tokens) - i - 1 != arity + angle:
@@ -239,7 +239,7 @@ class _Reader:
             targets += (target,)
         last = len(tokens) - 1
         degrees = self.number(float, tokens[last], "an angle in degrees", last) if angle else 0.0
-        return ElementSpec(word, () if modes else targets, targets if modes else (), degrees)
+        return ElementSpec(word, targets, degrees)
 
     def gate(self, tokens: list[str], i: int) -> tuple:
         """Kind: NAME, then its ports, to the end of the line; the gate's
@@ -348,8 +348,9 @@ def parse_circuit(text: str) -> CircuitFile:
         if label not in reader.detections:
             raise reader.error(f"correction for unknown branch {label!r}", 1, where)
         # The arguments follow `correct LABEL KIND`; a port argument acts on both its modes.
-        for k, arg in enumerate(element.modes or element.spatial_ports, 3):
-            for mode in (arg,) if element.modes else (ModeId(arg, H), ModeId(arg, V)):
+        modes = ELEMENTS[element.kind][2]
+        for k, arg in enumerate(element.args, 3):
+            for mode in (arg,) if modes else (ModeId(arg, H), ModeId(arg, V)):
                 if mode in reader.detections[label].measured:
                     raise reader.error(f"correction for branch {label!r} acts on mode {mode}, "
                                        "which its detection consumes", k, where)

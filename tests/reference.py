@@ -83,6 +83,15 @@ def trim_identity(m):
     return tuple(int(i) for i in keep), m[np.ix_(keep, keep)]
 
 
+def pair_weight(amplitudes, axes, bra):
+    """Squared norm of the projection of an n-qubit state (amplitudes with the
+    leftmost qubit most significant) onto the two-qubit state bra on the
+    qubits at axes, the first of them the more significant bit of bra."""
+    n = len(amplitudes).bit_length() - 1
+    pair_first = np.moveaxis(np.reshape(amplitudes, (2,) * n), list(axes), [0, 1])
+    return float(np.sum(np.abs(np.conj(bra) @ pair_first.reshape(4, -1)) ** 2))
+
+
 def haar_unitary(rng, n):
     """Haar-distributed unitary from the QR decomposition of a Ginibre matrix."""
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -120,3 +129,74 @@ def mixed_basis_index(counts, input_ports, aux_ports):
     for bit in bits:
         index = 2 * index + bit
     return index
+
+
+def element_matrix(modes, kind, args, angle=0.0):
+    """Mode matrix of one element over modes, a list of (port, "H" or "V"),
+    written from the conventions in the optical_elements docstring: pbs
+    exchanges the V modes of its two ports (coefficient +1) and leaves H;
+    hwp at theta applies -i [[cos 2t, sin 2t], [sin 2t, -cos 2t]] on its
+    port's (H, V); pc flips the sign of its port's V; swap exchanges two
+    modes, each given as (port, pol)."""
+    index = {mode: i for i, mode in enumerate(modes)}
+    u = np.eye(len(modes), dtype=complex)
+    if kind == "hwp":
+        h, v = index[(args[0], "H")], index[(args[0], "V")]
+        c, s = math.cos(math.radians(2.0 * angle)), math.sin(math.radians(2.0 * angle))
+        u[np.ix_([h, v], [h, v])] = -1j * np.array([[c, s], [s, -c]])
+    elif kind == "pc":
+        u[index[(args[0], "V")], index[(args[0], "V")]] = -1.0
+    else:
+        pair = [(port, "V") for port in args] if kind == "pbs" else list(args)
+        a, b = index[pair[0]], index[pair[1]]
+        u[[a, b]] = u[[b, a]]
+    return u
+
+
+def apply_dense(u, state):
+    """phi(u) on state, {occupation: amplitude}: each input occupation's
+    column of the dense Fock matrix over its photon-number sector."""
+    out = {}
+    for occ_in, amp in state.items():
+        for occ_out in occupations(len(occ_in), sum(occ_in)):
+            out[occ_out] = out.get(occ_out, 0j) + fock_matrix_element(u, occ_out, occ_in) * amp
+    return out
+
+
+def run_circuit_dense(ports, terms, elements, detections, corrections):
+    """A circuit file run by dense linear algebra, written apart from pgw.
+
+    ports are spatial labels; modes are (port, pol) sorted by port, H before
+    V. terms is [(amplitude, {mode: count})]; elements and each
+    corrections[label] list (kind, args, angle); detections list (label, j,
+    {mode: count}). The elements multiply into one register unitary. Each
+    detection masks the terms with its counts and drops its modes; each of
+    that outcome's corrections then acts on the survivors on their own.
+    Returns ([(label, j, probability, kept modes, {occupation: amplitude})],
+    rejected probability).
+    """
+    modes = [(port, pol) for port in sorted(ports) for pol in "HV"]
+    state = {}
+    for amp, counts in terms:
+        occ = tuple(counts.get(mode, 0) for mode in modes)
+        state[occ] = state.get(occ, 0j) + amp
+    initial = sum(abs(a) ** 2 for a in state.values())
+    u = np.eye(len(modes), dtype=complex)
+    for kind, args, angle in elements:
+        u = element_matrix(modes, kind, args, angle) @ u
+    state = apply_dense(u, state)
+    branches = []
+    for label, j, required in detections:
+        kept = [i for i, mode in enumerate(modes) if mode not in required]
+        mask = [(i, required[mode]) for i, mode in enumerate(modes) if mode in required]
+        survivors = {}
+        for occ, amp in state.items():
+            if all(occ[i] == n for i, n in mask):
+                key = tuple(occ[i] for i in kept)
+                survivors[key] = survivors.get(key, 0j) + amp
+        probability = sum(abs(a) ** 2 for a in survivors.values())
+        kept_modes = [modes[i] for i in kept]
+        for kind, args, angle in corrections.get(label, ()):
+            survivors = apply_dense(element_matrix(kept_modes, kind, args, angle), survivors)
+        branches.append((label, j, probability, kept_modes, survivors))
+    return branches, initial - sum(b[2] for b in branches)

@@ -34,6 +34,8 @@ from pgw.optical_gates import FGateLayout, destructive_cnot, e_cnot, f_gate
 from pgw.qubit_teleport import (
     CZ_MATRIX,
     PAULI_Z,
+    PHI_MINUS,
+    PHI_PLUS,
     PSI_MINUS,
     PSI_PLUS,
     QubitState,
@@ -350,8 +352,9 @@ def test_criterion_10_conservation_invariants():
     for _ in range(250):
         state = random_qubit_state(rng, ("Q1", "Q2", "Q3"))
         result = pbm(state, ("Q2", "Q3"))
-        total = (result.branches[0].probability + result.branches[1].probability
-                 + result.rejected_probability)
+        total = result.success_probability + sum(
+            reference.pair_weight(state.amplitudes, (1, 2), bell_state(label).amplitudes)
+            for label in (PHI_PLUS, PHI_MINUS))
         pbm_dev = max(pbm_dev, abs(total - state.norm_squared()))
 
     _verdict(10, "norms and outcome probabilities are conserved across 1000 "

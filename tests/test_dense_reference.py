@@ -1,0 +1,94 @@
+"""Whole circuit files against a dense reference.
+
+Random circuits are rendered as pgw-circuit v1 text and run through
+parse_circuit and run_circuit. reference.run_circuit_dense runs the same
+circuit by dense linear algebra, with element matrices written from the
+optical_elements conventions rather than from pgw's builders. Labels, j,
+probabilities, branch amplitudes and the rejected probability must agree
+within 1e-12, a missing amplitude reading as 0.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference
+from pgw.workbench_cli import parse_circuit, run_circuit
+
+TOL = 1e-12
+
+
+def _element(draw, ports):
+    """(kind, args, angle): args are port labels, or (port, pol) for swap."""
+    kind = draw(st.sampled_from([k for k in ("pbs", "hwp", "pc", "swap")
+                                 if len(ports) > 1 or k != "pbs"]))
+    if kind == "swap":
+        modes = [(port, pol) for port in ports for pol in "HV"]
+        return kind, tuple(draw(st.lists(st.sampled_from(modes), min_size=2, max_size=2,
+                                         unique=True))), 0.0
+    arity = 2 if kind == "pbs" else 1
+    args = draw(st.lists(st.sampled_from(ports), min_size=arity, max_size=arity, unique=True))
+    return kind, tuple(args), draw(st.floats(-360.0, 360.0)) if kind == "hwp" else 0.0
+
+
+def _words(kind, args, angle):
+    words = [kind] + [arg if isinstance(arg, str) else f"{arg[0]}.{arg[1]}" for arg in args]
+    return " ".join(words + [repr(angle)] * (kind == "hwp"))
+
+
+def _counts(counts):
+    return " ".join(f"{port}.{pol}={n}" for (port, pol), n in counts.items())
+
+
+@st.composite
+def _circuit(draw):
+    """At most 4 ports (declared in a random order), n <= 3 photons in up to
+    four terms, at most 8 elements of every kind, every count pattern of one
+    port detected, and `correct` lines on the other ports."""
+    ports = draw(st.permutations("ABCD"))[:draw(st.integers(2, 4))]
+    modes = [(port, pol) for port in ports for pol in "HV"]
+    n = draw(st.integers(1, 3))
+    amplitudes = {}
+    for _ in range(draw(st.integers(1, 4))):
+        counts = {}
+        for mode in draw(st.lists(st.sampled_from(modes), min_size=n, max_size=n)):
+            counts[mode] = counts.get(mode, 0) + 1
+        amplitudes[frozenset(counts.items())] = complex(draw(st.floats(0.1, 1.0)),
+                                                        draw(st.floats(-1.0, 1.0)))
+    norm = sum(abs(a) ** 2 for a in amplitudes.values()) ** 0.5
+    terms = [(amp / norm, dict(key)) for key, amp in amplitudes.items()]
+    elements = [_element(draw, ports) for _ in range(draw(st.integers(0, 8)))]
+    detector = draw(st.sampled_from(ports))
+    kept = [port for port in ports if port != detector]
+    detections, corrections = [], {}
+    for h in range(n + 1):
+        for v in range(n + 1 - h):
+            label = f"n{h}{v}"
+            detections.append((label, draw(st.integers(0, 1)),
+                               {(detector, "H"): h, (detector, "V"): v}))
+            if draw(st.booleans()):
+                corrections[label] = [_element(draw, kept)
+                                      for _ in range(draw(st.integers(1, 2)))]
+    lines = ["pgw-circuit v1", "register " + " ".join(ports)]
+    lines += [f"term {amp.real!r},{amp.imag!r} {_counts(counts)}" for amp, counts in terms]
+    lines += ["element " + _words(*element) for element in elements]
+    lines += [f"detect {label} {j} {_counts(required)}" for label, j, required in detections]
+    lines += [f"correct {label} {_words(*fix)}"
+              for label, fixes in corrections.items() for fix in fixes]
+    return "\n".join(lines) + "\n", (ports, terms, elements, detections, corrections)
+
+
+@given(_circuit())
+@settings(max_examples=60, deadline=None)
+def test_circuit_files_agree_with_the_dense_reference(case):
+    text, circuit = case
+    result = run_circuit(parse_circuit(text))
+    want, rejected = reference.run_circuit_dense(*circuit)
+    assert [(b.outcome_label, b.j) for b in result.branches] == [w[:2] for w in want]
+    for got, (_, _, probability, kept_modes, amplitudes) in zip(result.branches, want):
+        assert abs(got.probability - probability) <= TOL
+        state = got.conditional_state
+        assert [(m.spatial_label, m.polarization) for m in state.register.modes] == kept_modes
+        gap = max((abs(state.terms.get(k, 0.0) - amplitudes.get(k, 0.0))
+                   for k in set(state.terms) | set(amplitudes)), default=0.0)
+        assert gap <= TOL
+    assert abs(result.rejected_probability - rejected) <= TOL

@@ -36,7 +36,7 @@ HALF = 2.0 ** -0.5
 def test_mode_id_parse_and_str():
     mode = ModeId.parse("IN'.V")
     assert mode.spatial_label == "IN'"
-    assert mode.polarization is V
+    assert mode.polarization == V
     assert str(mode) == "IN'.V"
 
 
@@ -133,7 +133,7 @@ def test_mode_id_is_a_tuple_that_sorts_by_label_then_h_before_v():
     assert ModeId("A", H) == ("A", "H") and hash(ModeId("A", H)) == hash(("A", "H"))
     assert sorted([ModeId("B", H), ModeId("A", V), ModeId("A", H)]) == [
         ModeId("A", H), ModeId("A", V), ModeId("B", H)]
-    assert repr(ModeId("A", V)) == "ModeId(spatial_label='A', polarization=<Polarization.V: 'V'>)"
+    assert repr(ModeId("A", V)) == "ModeId(spatial_label='A', polarization='V')"
 
 
 def test_single_photon_and_vacuum():
@@ -165,11 +165,18 @@ def test_fock_ket_rejects_counts_over_cutoff():
 @pytest.mark.parametrize("occ, message", [
     ((0, -1), "occupation counts must be ints >= 0"),
     ((0.5, 1), "occupation counts must be ints >= 0"),
+    ((True, False), "occupation counts must be ints >= 0"),
     ((1, 0, 0), "occupation length 3 != register size 2"),
-], ids=["negative", "float", "wrong-length"])
+], ids=["negative", "float", "bool", "wrong-length"])
 def test_fock_ket_rejects_bad_occupations(occ, message):
     with pytest.raises(ValueError, match=message):
         FockKet(Register(("A",)), {occ: 1.0})
+
+
+def test_fock_ket_stores_any_integer_count_as_an_int():
+    ket = FockKet(Register(("A",)), {(np.int64(1), np.int8(0)): 1.0})
+    (occ,) = ket.terms
+    assert occ == (1, 0) and all(type(n) is int for n in occ)
 
 
 def test_fock_ket_amplitude_takes_any_sequence():
@@ -459,6 +466,7 @@ def test_detection_pattern_counts_must_be_ints_of_at_least_zero(count):
 def test_detection_pattern_takes_any_integer_count():
     pattern = DetectionPattern({ModeId("A", H): np.int64(1), ModeId("A", V): 0})
     assert pattern.label == "A.H=1,A.V=0"
+    assert all(type(n) is int for _, n in pattern.required)
 
 
 def test_measurement_outcomes_sum_to_norm():

@@ -221,7 +221,7 @@ def _declared_state(draw):
     names = draw(st.permutations("PQRST"))[:n_in + n_aux + 1]
     enc = MBEncoding(tuple(names[:n_in]), tuple(names[n_in:-1]))
     register = Register(names, cutoff=4 * len(names))
-    modes = [(m.spatial_label, m.polarization.value) for m in register.modes]
+    modes = [(m.spatial_label, m.polarization) for m in register.modes]
     terms = {}
     for _ in range(draw(st.integers(0, 5))):
         if draw(st.booleans()):
@@ -241,7 +241,7 @@ def test_dictionary_matches_the_oracle(case):
     """mb_encode, project_encodable and mb_decode agree with the per-term
     dictionary in tests/reference.py on random declarations and terms."""
     enc, state = case
-    modes = [(m.spatial_label, m.polarization.value) for m in state.register.modes]
+    modes = [(m.spatial_label, m.polarization) for m in state.register.modes]
     index = {occ: reference.mixed_basis_index(dict(zip(modes, occ)), enc.input_ports,
                                               enc.aux_ports) for occ in state.terms}
     accepted = {occ: amp for occ, amp in state.terms.items() if index[occ] is not None}

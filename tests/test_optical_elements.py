@@ -22,7 +22,6 @@ from pgw.fock_core import (
 )
 from pgw.optical_elements import (
     ELEMENTS,
-    ElementKind,
     ElementSpec,
     hwp,
     mode_swap,
@@ -121,31 +120,42 @@ def test_disjoint_elements_commute():
 
 def test_element_spec_validates_arity():
     with pytest.raises(ValueError):
-        ElementSpec(ElementKind.PBS, ("A",))
+        ElementSpec("pbs", ("A",))
     with pytest.raises(ValueError):
-        ElementSpec(ElementKind.HWP, ("A", "B"))
+        ElementSpec("hwp", ("A", "B"))
     with pytest.raises(ValueError):
-        ElementSpec(ElementKind.SWAP, (), (ModeId("A", H),))
+        ElementSpec("swap", (ModeId("A", H),))
 
 
-@pytest.mark.parametrize("kind", [k for k, (_, _, _, angle) in ELEMENTS.items() if not angle],
-                         ids=lambda k: k.value)
+@pytest.mark.parametrize("kind, args, message", [
+    ("beam", ("A",), "unknown element kind 'beam'"),
+    ("swap", ("A", "B"), r"swap takes exactly 2 mode\(s\), got \('A', 'B'\)"),
+    ("pbs", ("A", ModeId("B", H)), r"pbs takes exactly 2 spatial port\(s\)"),
+    ("pc", (ModeId("A", V),), r"pc takes exactly 1 spatial port\(s\)"),
+], ids=["unknown-kind", "ports-for-modes", "mode-for-port", "mode-for-port-pc"])
+def test_element_spec_checks_the_kind_and_each_argument_type(kind, args, message):
+    """An argument of the wrong type fails at construction, not later in the
+    block builder."""
+    with pytest.raises(ValueError, match=message):
+        ElementSpec(kind, args)
+
+
+@pytest.mark.parametrize("kind", [k for k, (_, _, _, angle) in ELEMENTS.items() if not angle])
 def test_element_spec_rejects_an_angle_on_a_kind_without_one(kind):
     _, arity, modes, _ = ELEMENTS[kind]
     args = (ModeId("A", H), ModeId("B", H))[:arity] if modes else ("A", "B")[:arity]
-    fields = ((), args) if modes else (args, ())
-    ElementSpec(kind, *fields)
+    ElementSpec(kind, args)
     with pytest.raises(ValueError, match="takes no angle"):
-        ElementSpec(kind, *fields, 22.5)
+        ElementSpec(kind, args, 22.5)
 
 
 def test_element_spec_build_matches_direct_constructors():
     reg = Register(("A", "B"))
     pairs = [
-        (ElementSpec(ElementKind.PBS, ("A", "B")), pbs(reg, "A", "B")),
-        (ElementSpec(ElementKind.HWP, ("A",), (), 22.5), hwp(reg, "A", 22.5)),
-        (ElementSpec(ElementKind.PC, ("B",)), pockels_z(reg, "B")),
-        (ElementSpec(ElementKind.SWAP, (), (ModeId("A", H), ModeId("B", H))),
+        (ElementSpec("pbs", ("A", "B")), pbs(reg, "A", "B")),
+        (ElementSpec("hwp", ("A",), 22.5), hwp(reg, "A", 22.5)),
+        (ElementSpec("pc", ("B",)), pockels_z(reg, "B")),
+        (ElementSpec("swap", (ModeId("A", H), ModeId("B", H))),
          mode_swap(reg, ModeId("A", H), ModeId("B", H))),
     ]
     for spec, direct in pairs:
@@ -188,24 +198,24 @@ def _full_register_matrix(reg, spec):
     """Each element as it was built before blocks: the register identity
     with the element's entries written in."""
     m = np.eye(reg.n_modes, dtype=complex)
-    if spec.kind is ElementKind.PBS:
-        av, bv = (reg.index_of(ModeId(p, V)) for p in spec.spatial_ports)
+    if spec.kind == "pbs":
+        av, bv = (reg.index_of(ModeId(p, V)) for p in spec.args)
         m[av, av] = m[bv, bv] = 0.0
         m[av, bv] = m[bv, av] = 1.0
-    elif spec.kind is ElementKind.HWP:
-        ih = reg.index_of(ModeId(spec.spatial_ports[0], H))
-        iv = reg.index_of(ModeId(spec.spatial_ports[0], V))
+    elif spec.kind == "hwp":
+        ih = reg.index_of(ModeId(spec.args[0], H))
+        iv = reg.index_of(ModeId(spec.args[0], V))
         two_theta = math.radians(2.0 * math.fmod(spec.angle_degrees, 180.0))
         c, s = math.cos(two_theta), math.sin(two_theta)
         m[ih, ih] = -1j * c
         m[ih, iv] = -1j * s
         m[iv, ih] = -1j * s
         m[iv, iv] = 1j * c
-    elif spec.kind is ElementKind.PC:
-        iv = reg.index_of(ModeId(spec.spatial_ports[0], V))
+    elif spec.kind == "pc":
+        iv = reg.index_of(ModeId(spec.args[0], V))
         m[iv, iv] = -1.0
     else:
-        i1, i2 = (reg.index_of(mode) for mode in spec.modes)
+        i1, i2 = (reg.index_of(mode) for mode in spec.args)
         m[i1, i1] = m[i2, i2] = 0.0
         m[i1, i2] = m[i2, i1] = 1.0
     return m
@@ -215,16 +225,16 @@ def _full_register_matrix(reg, spec):
 def _element_on_a_state(draw):
     labels = [f"P{k}" for k in range(draw(st.integers(2, 6)))]
     reg = Register(labels)
-    kind = draw(st.sampled_from(list(ElementKind)))
-    if kind is ElementKind.SWAP:
+    kind = draw(st.sampled_from(list(ELEMENTS)))
+    if kind == "swap":
         modes = draw(st.lists(st.sampled_from(reg.modes), min_size=2, max_size=2, unique=True))
-        spec = ElementSpec(kind, (), tuple(modes))
+        spec = ElementSpec(kind, tuple(modes))
     else:
-        arity = 2 if kind is ElementKind.PBS else 1
+        arity = 2 if kind == "pbs" else 1
         ports = draw(st.lists(st.sampled_from(labels), min_size=arity, max_size=arity,
                               unique=True))
-        angle = draw(st.floats(-720.0, 720.0)) if kind is ElementKind.HWP else 0.0
-        spec = ElementSpec(kind, tuple(ports), (), angle)
+        angle = draw(st.floats(-720.0, 720.0)) if kind == "hwp" else 0.0
+        spec = ElementSpec(kind, tuple(ports), angle)
     # up to four terms of up to three photons each, placed mode by mode
     placements = draw(st.lists(
         st.lists(st.integers(0, reg.n_modes - 1), min_size=1, max_size=3),
@@ -259,8 +269,7 @@ def _one_of_each_kind():
     specs = []
     for kind, (_, arity, modes, angle) in ELEMENTS.items():
         args = (ModeId("A", V), ModeId("B", H))[:arity] if modes else ("B", "A")[:arity]
-        fields = ((), args) if modes else (args, ())
-        specs.append(ElementSpec(kind, *fields, *((33.0,) if angle else ())))
+        specs.append(ElementSpec(kind, args, *((33.0,) if angle else ())))
     return specs
 
 

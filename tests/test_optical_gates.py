@@ -24,7 +24,7 @@ from pgw.fock_core import (
     measure_and_postselect,
     single_photon,
 )
-from pgw.optical_elements import ElementKind, ElementSpec
+from pgw.optical_elements import ElementSpec
 from pgw.optical_gates import (
     GATE_EXPANDERS,
     FGateLayout,
@@ -218,8 +218,8 @@ def test_grouped_detection_equals_one_projection_per_pattern(picked, patterns, a
     reg = Register(("A", "B", "C"))
     norm = sum(abs(amp) ** 2 for _, amp in picked) ** 0.5
     state = FockKet(reg, {_BASIS[k]: amp / norm for k, amp in picked})
-    elements = [ElementSpec(ElementKind.PBS, ("A", "B")),
-                ElementSpec(ElementKind.HWP, ("C",), (), angle)]
+    elements = [ElementSpec("pbs", ("A", "B")),
+                ElementSpec("hwp", ("C",), angle)]
     # One pattern per group that no state with at most 3 photons can fire.
     patterns = patterns + [(g, [4, 0], 0, False) for g in range(len(_GROUPS))]
     detections, corrections = [], {}
@@ -227,8 +227,8 @@ def test_grouped_detection_equals_one_projection_per_pattern(picked, patterns, a
         label = f"x{k}"
         detections.append(DetectionPattern(dict(zip(_GROUPS[g], counts)), label=label, j=j))
         if fix:
-            corrections[label] = [ElementSpec(ElementKind.HWP, ("A",), (), angle),
-                                  ElementSpec(ElementKind.PC, ("A",))]
+            corrections[label] = [ElementSpec("hwp", ("A",), angle),
+                                  ElementSpec("pc", ("A",))]
 
     after, branches = run_pipeline(state, elements, detections, corrections)
 

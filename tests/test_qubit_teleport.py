@@ -74,21 +74,24 @@ def test_reorder_permutes_amplitudes():
 def test_pbm_resolves_odd_bells_and_rejects_even():
     for label, j_want in ((PSI_PLUS, 0), (PSI_MINUS, 1)):
         result = pbm(bell_state(label, ("B1", "B2")), ("B1", "B2"))
-        assert result.branches[j_want].probability == pytest.approx(1.0, abs=1e-12)
-        assert result.branches[1 - j_want].probability == pytest.approx(0.0, abs=1e-12)
-        assert result.rejected_probability == pytest.approx(0.0, abs=1e-12)
+        assert result.accepted_branches[j_want].probability == pytest.approx(1.0, abs=1e-12)
+        assert result.accepted_branches[1 - j_want].probability == pytest.approx(0.0, abs=1e-12)
+        assert result.success_probability == pytest.approx(1.0, abs=1e-12)
     for label in (PHI_PLUS, PHI_MINUS):
         result = pbm(bell_state(label, ("B1", "B2")), ("B1", "B2"))
-        assert result.rejected_probability == pytest.approx(1.0, abs=1e-12)
+        assert result.success_probability == pytest.approx(0.0, abs=1e-12)
 
 
 def test_pbm_outcomes_complete_on_random_states():
+    """Psi+ and Psi- from pbm, and Phi+ and Phi- contracted in numpy, sum to
+    the norm: a lost or mis-weighted branch shows."""
     rng = np.random.default_rng(21)
     for _ in range(25):
         state = random_qubit_state(rng, ("Q", "B1", "B2"))
         result = pbm(state, ("B1", "B2"))
-        total = (result.branches[0].probability + result.branches[1].probability
-                 + result.rejected_probability)
+        phis = [reference.pair_weight(state.amplitudes, (1, 2), bell_state(label).amplitudes)
+                for label in (PHI_PLUS, PHI_MINUS)]
+        total = result.success_probability + sum(phis)
         assert total == pytest.approx(state.norm_squared(), abs=1e-12)
 
 
