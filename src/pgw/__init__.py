@@ -26,14 +26,12 @@ from .fock_core import (
 )
 from .optical_elements import ElementSpec, hwp, mode_swap, pbs, pockels_z
 from .optical_gates import (
-    FGateLayout,
     destructive_cnot,
     e_cnot,
     f_gate,
     quantum_parity_check,
 )
 from .qubit_teleport import (
-    BellLabel,
     QubitState,
     bell_state,
     cnot_via_cz,

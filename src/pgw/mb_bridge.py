@@ -74,8 +74,7 @@ MATRIX_IDENTITY_TOL = 1e-14
 
 # Detector outcome of each optical stage -> Bell outcome of the matching
 # teleportation stage: D0 <-> Psi+ and D1 <-> Psi-; primes mark stage two.
-DETECTOR_TO_BELL = {"D0": str(PSI_PLUS), "D1": str(PSI_MINUS),
-                    "D0'": str(PSI_PLUS), "D1'": str(PSI_MINUS)}
+DETECTOR_TO_BELL = {"D0": PSI_PLUS, "D1": PSI_MINUS, "D0'": PSI_PLUS, "D1'": PSI_MINUS}
 
 
 class EncodingDomainError(ValueError):

@@ -34,7 +34,6 @@ holds only the branches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .fock_core import (
@@ -59,20 +58,6 @@ from .fock_core import (
 from .optical_elements import ElementSpec
 
 ROTATION_DEG = 22.5
-
-
-@dataclass(frozen=True)
-class FGateLayout:
-    """Port assignment for one parity-check filter instance."""
-
-    input_port: str
-    aux_port: str
-    detector_ports: tuple[str, str]
-
-    def __post_init__(self):
-        ports = (self.input_port, self.aux_port) + tuple(self.detector_ports)
-        if len(set(ports)) != 4:
-            raise ValueError(f"layout ports must be distinct, got {ports}")
 
 
 def _expand_f_gate(inp: str, aux: str, d0: str, d1: str):
@@ -197,22 +182,25 @@ def _require_port_photons(state: FockKet, ports: Sequence[str], count: int) -> N
                                  else f"expected vacuum in port {port!r}")
 
 
-def _run_filter(expander, joint: FockKet, layout: FGateLayout) -> GateResult:
-    """f_gate or destructive_cnot: check the photon numbers, run the expansion."""
-    _require_port_photons(joint, (layout.input_port, layout.aux_port), 1)
-    _require_port_photons(joint, layout.detector_ports, 0)
-    return _run_gate(joint, expander(layout.input_port, layout.aux_port,
-                                     *layout.detector_ports), (layout.aux_port,))
+def _run_filter(expander, joint: FockKet, ports: tuple[str, str, str, str]) -> GateResult:
+    """f_gate or destructive_cnot on (input, aux, d0, d1): check, then run."""
+    if len(set(ports)) != 4:
+        raise ValueError(f"filter ports must be distinct, got {ports}")
+    inp, aux, d0, d1 = ports
+    _require_port_photons(joint, (inp, aux), 1)
+    _require_port_photons(joint, (d0, d1), 0)
+    return _run_gate(joint, expander(*ports), (aux,))
 
 
-def f_gate(joint: FockKet, layout: FGateLayout) -> GateResult:
-    """Post-selected parity-check filter on (input, aux); see module docstring.
+def f_gate(joint: FockKet, inp: str, aux: str, d0: str, d1: str) -> GateResult:
+    """Post-selected parity-check filter on (inp, aux) with detector ports
+    d0 and d1, in the order of `gate f_gate`; see module docstring.
 
     The joint state must hold exactly one photon in the input port and one
     in the auxiliary port; detector ports must be vacuum. Accepted branch
     states live on the input port (plus any bystander ports).
     """
-    return _run_filter(_expand_f_gate, joint, layout)
+    return _run_filter(_expand_f_gate, joint, (inp, aux, d0, d1))
 
 
 def quantum_parity_check(input_state: FockKet, aux_polarization) -> GateResult:
@@ -231,18 +219,19 @@ def quantum_parity_check(input_state: FockKet, aux_polarization) -> GateResult:
         raise ValueError(f"auxiliary polarization must be H or V, got {aux_polarization!r}")
     aux_reg = Register(("A", "D0", "D1"), cutoff=input_state.register.cutoff)
     joint = tensor(input_state, single_photon(ModeId("A", aux_polarization), aux_reg))
-    return f_gate(joint, FGateLayout(inp, "A", ("D0", "D1")))
+    return f_gate(joint, inp, "A", "D0", "D1")
 
 
-def destructive_cnot(joint: FockKet, layout: FGateLayout) -> GateResult:
-    """CNOT whose control photon (the auxiliary port) is consumed by detection.
+def destructive_cnot(joint: FockKet, target: str, control: str, d0: str, d1: str) -> GateResult:
+    """CNOT whose control photon is consumed by detection at d0 or d1, in
+    the order of `gate d_cnot`.
 
     The filter is sandwiched in half-wave plates: one on the target before,
     one on the auxiliary control (mapping H/V onto the +/- basis), and one
     on the target after. An H control leaves the target alone, a V control
     flips it; success probability 1/2.
     """
-    return _run_filter(_expand_d_cnot, joint, layout)
+    return _run_filter(_expand_d_cnot, joint, (target, control, d0, d1))
 
 
 def e_cnot(two_qubit_input: FockKet, control_port: str = "IN",
@@ -271,14 +260,14 @@ def e_cnot(two_qubit_input: FockKet, control_port: str = "IN",
                      aux_ports)
 
 
-def filter_gate(gate: Callable[[FockKet, FGateLayout], GateResult], aux: Sequence[complex]
+def filter_gate(gate: Callable[..., GateResult], aux: Sequence[complex]
                 ) -> Callable[[Sequence[complex]], GateResult]:
     """gate (f_gate or destructive_cnot) on ports IN, A, D0, D1, as a function
     of IN's (H, V) amplitudes, with the A photon in the polarization aux."""
     register = Register(("IN", "A", "D0", "D1"))
-    layout = FGateLayout("IN", "A", ("D0", "D1"))
     return lambda amps: gate(polarization_ket(register, ("IN", "A"),
-                                              [a * b for a in amps for b in aux]), layout)
+                                              [a * b for a in amps for b in aux]),
+                             "IN", "A", "D0", "D1")
 
 
 def ecnot_gate(amps) -> GateResult:

@@ -90,37 +90,21 @@ class QubitState:
             raise ValueError(f"qubit {label!r} not in {self.labels}") from None
 
 
-@dataclass(frozen=True)
-class BellLabel:
-    """One of the four Bell states: family Psi (odd parity) or Phi (even),
-    sign +1 or -1."""
-
-    family: str
-    sign: int
-
-    def __post_init__(self):
-        if self.family not in ("Psi", "Phi") or self.sign not in (1, -1):
-            raise ValueError(f"not a Bell label: {self.family}, {self.sign}")
-
-    def __str__(self):
-        return f"{self.family}{'+' if self.sign == 1 else '-'}"
+# Bell state name -> (its two basis indices, the sign of the second):
+# Psi+- = (|01> +- |10>)/sqrt(2), Phi+- = (|00> +- |11>)/sqrt(2).
+PSI_PLUS, PSI_MINUS, PHI_PLUS, PHI_MINUS = "Psi+", "Psi-", "Phi+", "Phi-"
+_BELL_TERMS = {PSI_PLUS: ((0b01, 0b10), 1), PSI_MINUS: ((0b01, 0b10), -1),
+               PHI_PLUS: ((0b00, 0b11), 1), PHI_MINUS: ((0b00, 0b11), -1)}
 
 
-PSI_PLUS = BellLabel("Psi", 1)
-PSI_MINUS = BellLabel("Psi", -1)
-PHI_PLUS = BellLabel("Phi", 1)
-PHI_MINUS = BellLabel("Phi", -1)
-
-
-def bell_state(label: BellLabel, labels: tuple[str, str] = ("Q1", "Q2")) -> QubitState:
-    """Psi+- = (|01> +- |10>)/sqrt(2), Phi+- = (|00> +- |11>)/sqrt(2)."""
+def bell_state(name: str, labels: tuple[str, str] = ("Q1", "Q2")) -> QubitState:
+    """The Bell state called name (PSI_PLUS, ..., PHI_MINUS) on labels."""
+    if name not in _BELL_TERMS:
+        raise ValueError(f"not a Bell state: {name!r}")
+    (first, second), sign = _BELL_TERMS[name]
     amps = np.zeros(4, dtype=complex)
-    if label.family == "Psi":
-        amps[0b01] = 1.0
-        amps[0b10] = label.sign
-    else:
-        amps[0b00] = 1.0
-        amps[0b11] = label.sign
+    amps[first] = 1.0
+    amps[second] = sign
     return QubitState(labels, amps / np.sqrt(2.0))
 
 
@@ -204,7 +188,7 @@ def pbm(state: QubitState, pair: tuple[str, str]) -> GateResult:
     branches = []
     for j, label in ((0, PSI_PLUS), (1, PSI_MINUS)):
         conditional = _contract_pair(state, pair, bell_state(label).amplitudes)
-        branches.append(Branch(str(label), j, conditional, conditional.norm_squared()))
+        branches.append(Branch(label, j, conditional, conditional.norm_squared()))
     return GateResult(tuple(branches))
 
 

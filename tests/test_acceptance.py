@@ -30,7 +30,7 @@ from pgw.mb_bridge import (
     verify_pbs_mb,
 )
 from pgw.optical_elements import hwp, pbs
-from pgw.optical_gates import FGateLayout, destructive_cnot, e_cnot, f_gate
+from pgw.optical_gates import destructive_cnot, e_cnot, f_gate
 from pgw.qubit_teleport import (
     CZ_MATRIX,
     PAULI_Z,
@@ -48,7 +48,7 @@ from pgw.qubit_teleport import (
 )
 
 SQRT_HALF = 2.0 ** -0.5
-FILTER_LAYOUT = FGateLayout("IN", "A", ("D0", "D1"))
+FILTER_PORTS = ("IN", "A", "D0", "D1")
 
 
 def _verdict(number: int, description: str, ok: bool) -> None:
@@ -119,14 +119,14 @@ def test_criterion_02_filter_action_on_random_inputs():
         alpha, beta = reference.random_amplitudes(rng, 2)
         aux = reference.random_amplitudes(rng, 2)
 
-        result = f_gate(_pair_input(register, (alpha, beta), aux), FILTER_LAYOUT)
+        result = f_gate(_pair_input(register, (alpha, beta), aux), *FILTER_PORTS)
         want = -1j * SQRT_HALF * np.array([alpha * aux[0], beta * aux[1]])
         for branch in result.accepted_branches:
             got = _single_port_amplitudes(branch.conditional_state)
             structure_dev = max(structure_dev, np.abs(got - want).max())
 
         neutral = f_gate(_pair_input(register, (alpha, beta),
-                                     (SQRT_HALF, SQRT_HALF)), FILTER_LAYOUT)
+                                     (SQRT_HALF, SQRT_HALF)), *FILTER_PORTS)
         success_dev = max(success_dev, abs(neutral.success_probability - 0.5))
         input_state = QubitState(("Q",), (alpha, beta))
         for branch in neutral.accepted_branches:
@@ -136,7 +136,7 @@ def test_criterion_02_filter_action_on_random_inputs():
             neutral_fid = min(neutral_fid, fid)
 
         minus = f_gate(_pair_input(register, (alpha, beta),
-                                   (SQRT_HALF, -SQRT_HALF)), FILTER_LAYOUT)
+                                   (SQRT_HALF, -SQRT_HALF)), *FILTER_PORTS)
         flipped = np.array([alpha, -beta])
         for branch in minus.accepted_branches:
             got = _single_port_amplitudes(branch.conditional_state.normalized())
@@ -159,7 +159,7 @@ def test_criterion_03_destructive_cnot_lines():
         for control_bit in (0, 1):
             aux = (1.0, 0.0) if control_bit == 0 else (0.0, 1.0)
             result = destructive_cnot(
-                _pair_input(register, (gamma, delta), aux), FILTER_LAYOUT)
+                _pair_input(register, (gamma, delta), aux), *FILTER_PORTS)
             success_dev = max(success_dev,
                               abs(result.success_probability - 0.5))
             want = 0.5 * (np.array([gamma, delta]) if control_bit == 0

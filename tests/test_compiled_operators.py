@@ -30,7 +30,7 @@ from pgw.mb_bridge import (
     verify_f_equals_tprime,
 )
 from pgw.optical_elements import hwp, pbs
-from pgw.optical_gates import FGateLayout, destructive_cnot, e_cnot, f_gate
+from pgw.optical_gates import destructive_cnot, e_cnot, f_gate
 from pgw.qubit_teleport import (
     PSI_MINUS,
     PSI_PLUS,
@@ -45,7 +45,7 @@ from pgw.verify import TRUTH_TABLES
 
 HALF = 2.0 ** -0.5
 TOL = 1e-12
-LAYOUT = FGateLayout("IN", "A", ("D0", "D1"))
+FILTER_PORTS = ("IN", "A", "D0", "D1")
 FILTER_REGISTER = Register(("IN", "A", "D0", "D1"))
 CNOT_REGISTER = Register(("IN", "IN'"))
 
@@ -71,7 +71,7 @@ def _random_inputs(dim, count=5, seed=2024):
 
 def _filter_gate(gate, aux):
     return lambda amps: gate(_ports_state(FILTER_REGISTER, ("IN", "A"), np.kron(amps, aux)),
-                             LAYOUT)
+                             *FILTER_PORTS)
 
 
 def _qubit_gate(gate, labels, *args, **kwargs):
@@ -184,7 +184,7 @@ def test_nonzero_branch_operators_of_a_tabulated_gate_agree_up_to_phase(gate):
 def test_pairing_is_by_label_not_position():
     k0, k1 = np.eye(2), np.diag([1.0, -1.0])
     optical = {"D0": k0, "D1": k1}
-    teleported = {str(PSI_PLUS): k0, str(PSI_MINUS): k1}
+    teleported = {PSI_PLUS: k0, PSI_MINUS: k1}
     swapped = dict(reversed(list(teleported.items())))
     assert pair_branches(optical, teleported, DETECTOR_TO_BELL) == [(k0, k0), (k1, k1)]
     assert pair_branches(optical, swapped, DETECTOR_TO_BELL) == [(k0, k0), (k1, k1)]
@@ -227,7 +227,7 @@ def test_reversed_branch_order_still_passes(monkeypatch, verify):
 @pytest.mark.parametrize("verify", [verify_f_equals_tprime, verify_ecnot_equals_tcnot])
 def test_unmatched_label_fails_every_pairing_check(monkeypatch, verify):
     _patched_compile(monkeypatch, lambda ops: {
-        label.replace(str(PSI_MINUS), "Psi?"): k for label, k in ops.items()})
+        label.replace(PSI_MINUS, "Psi?"): k for label, k in ops.items()})
     records = verify(np.random.default_rng(11), trials=10)
     assert records
     assert all(r["status"] == "fail" for r in records)

@@ -27,7 +27,6 @@ from pgw.fock_core import (
 from pgw.optical_elements import ElementSpec
 from pgw.optical_gates import (
     GATE_EXPANDERS,
-    FGateLayout,
     destructive_cnot,
     e_cnot,
     f_gate,
@@ -37,7 +36,7 @@ from pgw.optical_gates import (
 from pgw.qubit_teleport import CNOT_MATRIX
 
 HALF = 2.0 ** -0.5
-LAYOUT = FGateLayout("IN", "A", ("D0", "D1"))
+FILTER_PORTS = ("IN", "A", "D0", "D1")
 
 
 def _pair(register, in_amps, aux_amps):
@@ -69,7 +68,7 @@ def filter_register():
 def test_f_gate_branch_amplitudes_match_closed_form(filter_register):
     a, b = 0.6, 0.8j
     c, d = 0.48 + 0.36j, -0.8
-    result = f_gate(_pair(filter_register, (a, b), (c, d)), LAYOUT)
+    result = f_gate(_pair(filter_register, (a, b), (c, d)), *FILTER_PORTS)
     assert len(result.accepted_branches) == 2
     for branch, j_want in zip(result.accepted_branches, (0, 1)):
         assert branch.j == j_want
@@ -79,7 +78,7 @@ def test_f_gate_branch_amplitudes_match_closed_form(filter_register):
 
 
 def test_f_gate_branch_labels_follow_detectors(filter_register):
-    result = f_gate(_pair(filter_register, (1.0, 0.0), (HALF, HALF)), LAYOUT)
+    result = f_gate(_pair(filter_register, (1.0, 0.0), (HALF, HALF)), *FILTER_PORTS)
     assert [b.outcome_label for b in result.accepted_branches] == ["D0", "D1"]
 
 
@@ -88,7 +87,7 @@ def test_f_gate_neutral_aux_success_half(filter_register):
     for _ in range(20):
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         a, b = v / np.linalg.norm(v)
-        result = f_gate(_pair(filter_register, (a, b), (HALF, HALF)), LAYOUT)
+        result = f_gate(_pair(filter_register, (a, b), (HALF, HALF)), *FILTER_PORTS)
         assert result.success_probability == pytest.approx(0.5, abs=1e-10)
         for branch in result.accepted_branches:
             assert branch.probability == pytest.approx(0.25, abs=1e-10)
@@ -96,7 +95,7 @@ def test_f_gate_neutral_aux_success_half(filter_register):
 
 def test_f_gate_minus_aux_flips_relative_phase(filter_register):
     a, b = 0.6, 0.8
-    result = f_gate(_pair(filter_register, (a, b), (HALF, -HALF)), LAYOUT)
+    result = f_gate(_pair(filter_register, (a, b), (HALF, -HALF)), *FILTER_PORTS)
     for branch in result.accepted_branches:
         state = branch.conditional_state
         ratio = state.amplitude((0, 1)) / state.amplitude((1, 0))
@@ -127,7 +126,7 @@ def test_f_gate_rejects_multiphoton_input(filter_register):
     occ[filter_register.index_of(ModeId("IN", V))] = 1
     occ[filter_register.index_of(ModeId("A", H))] = 1
     with pytest.raises(ValueError):
-        f_gate(FockKet(filter_register, {tuple(occ): 1.0}), LAYOUT)
+        f_gate(FockKet(filter_register, {tuple(occ): 1.0}), *FILTER_PORTS)
 
 
 def test_f_gate_requires_vacuum_detectors(filter_register):
@@ -136,19 +135,23 @@ def test_f_gate_requires_vacuum_detectors(filter_register):
     occ[filter_register.index_of(ModeId("A", H))] = 1
     occ[filter_register.index_of(ModeId("D0", H))] = 1
     with pytest.raises(ValueError):
-        f_gate(FockKet(filter_register, {tuple(occ): 1.0}, validate=False), LAYOUT)
+        f_gate(FockKet(filter_register, {tuple(occ): 1.0}, validate=False), *FILTER_PORTS)
 
 
-def test_f_gate_layout_requires_distinct_ports():
-    with pytest.raises(ValueError):
-        FGateLayout("IN", "IN", ("D0", "D1"))
+def test_f_gate_layout_requires_distinct_ports(filter_register):
+    joint = _pair(filter_register, (1.0, 0.0), (HALF, HALF))
+    for gate in (f_gate, destructive_cnot):
+        for ports in (("IN", "IN", "D0", "D1"), ("IN", "A", "D0", "D0"),
+                      ("IN", "A", "A", "D1")):
+            with pytest.raises(ValueError, match=r"filter ports must be distinct, got \("):
+                gate(joint, *ports)
 
 
 def test_destructive_cnot_lines_carry_exactly_half(filter_register):
     gamma, delta = 0.6, 0.8j
     for control, want in (((1.0, 0.0), (gamma, delta)), ((0.0, 1.0), (delta, gamma))):
         result = destructive_cnot(_pair(filter_register, (gamma, delta), control),
-                                  LAYOUT)
+                                  *FILTER_PORTS)
         assert result.success_probability == pytest.approx(0.5, abs=1e-10)
         for branch in result.accepted_branches:
             state = branch.conditional_state

@@ -43,6 +43,15 @@ def test_bell_states_are_orthonormal():
     assert np.abs(gram - np.eye(4)).max() < 1e-14
 
 
+def test_a_bell_state_is_its_name():
+    for name in ("Psi", "psi+", "Phi+-", ""):
+        with pytest.raises(ValueError, match="not a Bell state"):
+            bell_state(name)
+    assert (PSI_PLUS, PSI_MINUS, PHI_PLUS, PHI_MINUS) == ("Psi+", "Psi-", "Phi+", "Phi-")
+    amps = bell_state("Phi-", ("A", "B")).amplitudes
+    assert np.array_equal(amps, np.array([1, 0, 0, -1]) / np.sqrt(2.0))
+
+
 def test_qubit_state_validation():
     with pytest.raises(ValueError):
         QubitState(("Q", "Q"), np.zeros(4))
