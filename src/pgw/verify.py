@@ -68,6 +68,14 @@ IN_ENC = MBEncoding(("IN",), ())
 PAIR_ENC = MBEncoding(("IN", "IN'"), ())
 
 
+def _kraus_claim(ops_targets, p: float) -> tuple[float, float]:
+    """kraus_deviations for the claim that, for each (ops, M), every branch
+    operator K_b is e^{i phi_b} sqrt(p/n) M over its n branches, so that
+    sum_b K_b^dagger K_b = p I: one linear map per heralded outcome."""
+    return kraus_deviations([[(k, np.sqrt(p / len(ops)) * m) for k in ops.values()]
+                             for ops, m in ops_targets], p)
+
+
 def _suite_optical(rng: np.random.Generator, trials: int) -> list[dict]:
     checks: list[dict] = []
     reg_a = Register(("A",))
@@ -163,14 +171,17 @@ def _suite_optical(rng: np.random.Generator, trials: int) -> list[dict]:
     # input space.
     dc_ops = [(filter_ops(optical_gates.destructive_cnot, control), line)
               for control, line in (((1.0, 0.0), IDENTITY_2), ((0.0, 1.0), PAULI_X))]
-    phase_dev, complete_dev = kraus_deviations(
-        [[(k, 0.5 * line) for k in ops.values()] for ops, line in dc_ops], 0.5)
+    phase_dev, complete_dev = _kraus_claim(dc_ops, 0.5)
     checks.append(check_record(
         "dcnot-kraus-phase", "each destructive CNOT branch operator is a phase times "
         "I/2 for control H and X/2 for control V", phase_dev, 0.0, MATRIX_IDENTITY_TOL))
     checks.append(check_record(
         "dcnot-kraus-complete", "for either control the destructive CNOT branch operators "
         "satisfy sum K^dagger K = I/2", complete_dev, 0.0, MATRIX_IDENTITY_TOL))
+    checks.append(check_record(
+        "ecnot-kraus-cnot", "each full CNOT branch operator is a phase times CNOT/4, and "
+        "sum K^dagger K = I/4", np.max(_kraus_claim([(ec_ops, CNOT_MATRIX)], 0.25)), 0.0,
+        MATRIX_IDENTITY_TOL))
 
     if trials <= 0:
         return checks
@@ -328,6 +339,15 @@ def _suite_teleport(rng: np.random.Generator, trials: int) -> list[dict]:
     checks.append(check_record(
         "cnot-via-cz-success", "the teleportation CNOT succeeds with probability 1/4",
         table_success, 0.0, 1e-10))
+    cz_ops = compile_branches(qubit_gate(qubit_teleport.cz_via_two_telegates, ("Q1", "Q2")), 4)
+    checks.append(check_record(
+        "cnot-via-cz-kraus-cnot", "each teleportation CNOT branch operator is a phase times "
+        "CNOT/4, and sum K^dagger K = I/4", np.max(_kraus_claim([(cn_ops, CNOT_MATRIX)], 0.25)),
+        0.0, MATRIX_IDENTITY_TOL))
+    checks.append(check_record(
+        "cz-via-telegates-kraus-cz", "each two-telegate branch operator is a phase times CZ/4, "
+        "and sum K^dagger K = I/4", np.max(_kraus_claim([(cz_ops, CZ_MATRIX)], 0.25)), 0.0,
+        MATRIX_IDENTITY_TOL))
 
     if trials <= 0:
         return checks
@@ -359,9 +379,7 @@ def _suite_teleport(rng: np.random.Generator, trials: int) -> list[dict]:
                                              1.0 / 16.0)[2])
     pauli_fid = np.min(pauli_fid)
 
-    cz_success, cz_branch, cz_fid = gate_deviations(
-        compile_branches(qubit_gate(qubit_teleport.cz_via_two_telegates, ("Q1", "Q2")), 4),
-        psis, CZ_MATRIX, 0.25, 1.0 / 16.0)
+    cz_success, cz_branch, cz_fid = gate_deviations(cz_ops, psis, CZ_MATRIX, 0.25, 1.0 / 16.0)
     cn_fid = gate_deviations(cn_ops, psis, CNOT_MATRIX, 0.25, 1.0 / 16.0)[2]
 
     checks.append(check_record(
