@@ -102,23 +102,27 @@ class Register:
                  modes: Iterable[ModeId] | None = None):
         if modes is None:
             labels = tuple(spatial_labels)
-            if len(set(labels)) != len(labels):
-                raise RegisterError(f"duplicate spatial labels in {labels}")
-            modes = tuple(ModeId(lab, pol) for lab in sorted(labels) for pol in (H, V))
+            modes = tuple(ModeId(lab, pol) for lab in labels for pol in (H, V))
+            duplicate = f"duplicate spatial labels in {labels}"
         else:
-            modes = tuple(sorted(modes))
-            if len(set(modes)) != len(modes):
-                raise RegisterError("duplicate modes in register")
+            modes = tuple(modes)
+            duplicate = "duplicate modes in register"
+        # Checked before sorting, which would raise TypeError on a mixed label.
+        for m in modes:
+            if not isinstance(m.spatial_label, str):
+                raise RegisterError(f"spatial port label {m.spatial_label!r} is not a string")
+            if m.polarization not in (H, V):
+                raise RegisterError(f"mode {m} is neither H nor V polarized")
+        if len(set(modes)) != len(modes):
+            raise RegisterError(duplicate)
         if (count := _count(cutoff, 1)) is None:
             raise ValueError(f"cutoff must be an int of at least 1, got {cutoff!r}")
-        self._fill(modes, count)
+        self._fill(tuple(sorted(modes)), count)
 
     def _fill(self, modes: tuple[ModeId, ...], cutoff: int) -> None:
         self.modes, self.cutoff = modes, cutoff
         self._ports = ports = {}
         for i, m in enumerate(modes):
-            if m.polarization not in (H, V):
-                raise RegisterError(f"mode {m} is neither H nor V polarized")
             ports.setdefault(m.spatial_label, [None, None])[m.polarization == V] = i
 
     @property

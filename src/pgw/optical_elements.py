@@ -41,6 +41,8 @@ class ElementSpec:
     def __post_init__(self):
         if self.kind not in ELEMENTS:
             raise ValueError(f"unknown element kind {self.kind!r}")
+        if not isinstance(self.args, tuple):
+            raise ValueError(f"{self.kind} arguments must be a tuple, got {self.args!r}")
         _, arity, modes, angle = ELEMENTS[self.kind]
         noun = "mode" if modes else "spatial port"
         if len(self.args) != arity or any(isinstance(a, ModeId) is not modes for a in self.args):

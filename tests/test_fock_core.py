@@ -127,6 +127,10 @@ def test_polarization_other_than_h_or_v_is_a_register_error():
         Register(modes=[ModeId("A", "X")])
     with pytest.raises(RegisterError, match=r"mode A\.X not in register"):
         Register(("A",)).index_of(ModeId("A", "X"))
+    with pytest.raises(RegisterError, match=r"mode A\.1 is neither H nor V"):
+        Register(modes=[ModeId("A", 1), ModeId("A", H)])
+    with pytest.raises(RegisterError, match="spatial port label 3 is not a string"):
+        Register(("A", 3))
 
 
 def test_mode_id_is_a_tuple_that_sorts_by_label_then_h_before_v():

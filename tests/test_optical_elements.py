@@ -132,7 +132,11 @@ def test_element_spec_validates_arity():
     ("swap", ("A", "B"), r"swap takes exactly 2 mode\(s\), got \('A', 'B'\)"),
     ("pbs", ("A", ModeId("B", H)), r"pbs takes exactly 2 spatial port\(s\)"),
     ("pc", (ModeId("A", V),), r"pc takes exactly 1 spatial port\(s\)"),
-], ids=["unknown-kind", "ports-for-modes", "mode-for-port", "mode-for-port-pc"])
+    ("pbs", "AB", r"pbs arguments must be a tuple, got 'AB'"),
+    ("pbs", ["A", "B"], r"pbs arguments must be a tuple, got \['A', 'B'\]"),
+    ("hwp", ("IN"), r"hwp arguments must be a tuple, got 'IN'"),
+], ids=["unknown-kind", "ports-for-modes", "mode-for-port", "mode-for-port-pc",
+        "string-for-tuple", "list-for-tuple", "missing-comma"])
 def test_element_spec_checks_the_kind_and_each_argument_type(kind, args, message):
     """An argument of the wrong type fails at construction, not later in the
     block builder."""
