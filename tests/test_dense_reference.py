@@ -8,6 +8,8 @@ probabilities, branch amplitudes and the rejected probability must agree
 within 1e-12, a missing amplitude reading as 0.
 """
 
+import itertools
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,11 +41,19 @@ def _counts(counts):
     return " ".join(f"{port}.{pol}={n}" for (port, pol), n in counts.items())
 
 
+def _port_modes(port):
+    return [(port, "H"), (port, "V")]
+
+
 @st.composite
 def _circuit(draw):
     """At most 4 ports (declared in a random order), n <= 3 photons in up to
-    four terms, at most 8 elements of every kind, every count pattern of one
-    port detected, and `correct` lines on the other ports."""
+    four terms, at most 8 elements of every kind, every count pattern of the
+    detected modes in a random order, and `correct` lines on the ports that
+    no pattern measures. The patterns cover one port, or two ports jointly,
+    or split into two groups on different mode sets: those with P.H >= 1 on
+    port P, and those with P.H = 0 on P.H and one to three modes of P.V and
+    a second port Q, so that both groups may measure as many modes."""
     ports = draw(st.permutations("ABCD"))[:draw(st.integers(2, 4))]
     modes = [(port, pol) for port in ports for pol in "HV"]
     n = draw(st.integers(1, 3))
@@ -57,17 +67,28 @@ def _circuit(draw):
     norm = sum(abs(a) ** 2 for a in amplitudes.values()) ** 0.5
     terms = [(amp / norm, dict(key)) for key, amp in amplitudes.items()]
     elements = [_element(draw, ports) for _ in range(draw(st.integers(0, 8)))]
-    detector = draw(st.sampled_from(ports))
-    kept = [port for port in ports if port != detector]
+    p, q = draw(st.permutations(ports))[:2]
+    shape = draw(st.sampled_from(["one port", "two ports", "two groups"]))
+    if shape == "one port":
+        groups = [(_port_modes(p), range(n + 1))]
+    elif shape == "two ports":
+        groups = [(_port_modes(p) + _port_modes(q), range(n + 1))]
+    else:
+        rest = draw(st.lists(st.sampled_from([(p, "V")] + _port_modes(q)), min_size=1,
+                             max_size=3, unique=True))
+        groups = [(_port_modes(p), range(1, n + 1)), ([(p, "H")] + rest, (0,))]
+    patterns = [dict(zip(measured, counts)) for measured, first in groups
+                for counts in itertools.product(range(n + 1), repeat=len(measured))
+                if sum(counts) <= n and counts[0] in first]
+    consumed = {port for required in patterns for port, _ in required}
+    kept = [port for port in ports if port not in consumed]
     detections, corrections = [], {}
-    for h in range(n + 1):
-        for v in range(n + 1 - h):
-            label = f"n{h}{v}"
-            detections.append((label, draw(st.integers(0, 1)),
-                               {(detector, "H"): h, (detector, "V"): v}))
-            if draw(st.booleans()):
-                corrections[label] = [_element(draw, kept)
-                                      for _ in range(draw(st.integers(1, 2)))]
+    for k, required in enumerate(draw(st.permutations(patterns))):
+        label = f"n{k}"
+        detections.append((label, draw(st.integers(0, 1)), required))
+        if kept and draw(st.booleans()):
+            corrections[label] = [_element(draw, kept)
+                                  for _ in range(draw(st.integers(1, 2)))]
     lines = ["pgw-circuit v1", "register " + " ".join(ports)]
     lines += [f"term {amp.real!r},{amp.imag!r} {_counts(counts)}" for amp, counts in terms]
     lines += ["element " + _words(*element) for element in elements]
