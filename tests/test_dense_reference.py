@@ -53,7 +53,7 @@ def _circuit(draw):
     no pattern measures. The patterns cover one port, or two ports jointly,
     or split into two groups on different mode sets: those with P.H >= 1 on
     port P, and those with P.H = 0 on P.H and one to three modes of P.V and
-    a second port Q, so that both groups may measure as many modes."""
+    a second port Q, so that the two groups may measure equally many modes."""
     ports = draw(st.permutations("ABCD"))[:draw(st.integers(2, 4))]
     modes = [(port, pol) for port in ports for pol in "HV"]
     n = draw(st.integers(1, 3))
