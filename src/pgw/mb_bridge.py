@@ -39,8 +39,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-import numpy as np
-
 from . import fock_core
 from .fock_core import (
     DEFAULT_CUTOFF,
@@ -63,6 +61,7 @@ from .qubit_teleport import (
     bell_state,
     cnot_via_cz,
     cz_aux_state,
+    np,
     overlap_q,
     qubit_fidelity,
     qubit_gate,

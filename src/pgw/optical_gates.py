@@ -184,6 +184,8 @@ def _require_port_photons(state: FockKet, ports: Sequence[str], count: int) -> N
 
 def _run_filter(expander, joint: FockKet, ports: tuple[str, str, str, str]) -> GateResult:
     """f_gate or destructive_cnot on (input, aux, d0, d1): check, then run."""
+    if not all(isinstance(port, str) for port in ports):
+        raise ValueError(f"filter ports must be strings, got {ports}")
     if len(set(ports)) != 4:
         raise ValueError(f"filter ports must be distinct, got {ports}")
     inp, aux, d0, d1 = ports

@@ -22,23 +22,47 @@ that same analysis on the auxiliary pair.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .fock_core import NORM_SLACK, Branch, GateResult
+
+
+class _Numpy:
+    """numpy, imported on the first attribute read so that importing pgw does
+    not; each attribute read is then kept on the handle as a plain attribute."""
+
+    def __getattr__(self, name: str):
+        import numpy
+        value = getattr(numpy, name)
+        setattr(self, name, value)
+        return value
+
+
+np = _Numpy()
 
 MAX_QUBITS = 6
 
-IDENTITY_2 = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-CZ_MATRIX = np.diag([1, 1, 1, -1]).astype(complex)
-CNOT_MATRIX = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-PARITY_FILTER_MATRIX = np.diag([1, 0, 0, 1]).astype(complex)
+# The gate matrices, each built on its first read (also as a module
+# attribute, through __getattr__) and the same array on every read after.
+_MATRICES = {
+    "IDENTITY_2": lambda: np.eye(2, dtype=complex),
+    "PAULI_X": lambda: np.array([[0, 1], [1, 0]], dtype=complex),
+    "PAULI_Z": lambda: np.array([[1, 0], [0, -1]], dtype=complex),
+    "HADAMARD": lambda: np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0),
+    "CZ_MATRIX": lambda: np.diag([1, 1, 1, -1]).astype(complex),
+    "CNOT_MATRIX": lambda: np.array(
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
+    "PARITY_FILTER_MATRIX": lambda: np.diag([1, 0, 0, 1]).astype(complex),
+}
+
+
+@functools.cache
+def __getattr__(name: str):
+    if name not in _MATRICES:  # a probe such as __path__ must not import numpy
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return _MATRICES[name]()
 
 
 @dataclass(frozen=True)
@@ -99,7 +123,7 @@ _BELL_TERMS = {PSI_PLUS: ((0b01, 0b10), 1), PSI_MINUS: ((0b01, 0b10), -1),
 
 def bell_state(name: str, labels: tuple[str, str] = ("Q1", "Q2")) -> QubitState:
     """The Bell state called name (PSI_PLUS, ..., PHI_MINUS) on labels."""
-    if name not in _BELL_TERMS:
+    if not isinstance(name, str) or name not in _BELL_TERMS:
         raise ValueError(f"not a Bell state: {name!r}")
     (first, second), sign = _BELL_TERMS[name]
     amps = np.zeros(4, dtype=complex)
@@ -167,7 +191,7 @@ def z_correction(state: QubitState, qubit: str, j: int) -> QubitState:
         raise ValueError("j must be 0 or 1")
     if j == 0:
         return state
-    return apply_matrix(state, PAULI_Z, (qubit,))
+    return apply_matrix(state, __getattr__("PAULI_Z"), (qubit,))
 
 
 def _contract_pair(state: QubitState, pair: tuple[str, str], bra: np.ndarray) -> QubitState:
@@ -197,7 +221,7 @@ def parity_filter(state: QubitState, pair: tuple[str, str]) -> QubitState:
 
     Returns the unnormalized filtered state; both qubits are kept.
     """
-    return apply_matrix(state, PARITY_FILTER_MATRIX, pair)
+    return apply_matrix(state, __getattr__("PARITY_FILTER_MATRIX"), pair)
 
 
 def _teleport_one(joint: QubitState, qubit: str, a1: str, a2: str,
@@ -283,10 +307,10 @@ def cnot_via_cz(input_state: QubitState) -> GateResult:
     two-telegate controlled-Z, then H on the target again. Success 1/4."""
     if input_state.n_qubits != 2:
         raise ValueError("input must be a two-qubit state")
-    target = input_state.labels[1]
-    state = apply_matrix(input_state, HADAMARD, (target,))
+    target, hadamard = input_state.labels[1], __getattr__("HADAMARD")
+    state = apply_matrix(input_state, hadamard, (target,))
     cz = cz_via_two_telegates(state)
     return GateResult(tuple(
         Branch(b.outcome_label, b.j,
-               apply_matrix(b.conditional_state, HADAMARD, (target,)), b.probability)
+               apply_matrix(b.conditional_state, hadamard, (target,)), b.probability)
         for b in cz.accepted_branches))

@@ -2,9 +2,9 @@
 
 run_suite runs one suite of SUITES (optical, teleport, mb), or all in
 order, each with a fresh generator from the seed, and returns a Report in
-the fixed text and JSON formats. TRUTH_TABLES holds the amplitude-in
-builders of each tabulated gate and the encoding of its branch operators,
-whose columns are the table rows. Random element pipelines run through
+the fixed text and JSON formats. TRUTH_TABLES builds, on each lookup, the
+amplitude-in builders of a tabulated gate and the encoding of its branch
+operators, whose columns are the table rows. Random element pipelines run through
 optical_gates.run_pipeline, as circuits and the library gates do.
 
 Each layer function that perfbench/tracer.py wraps is called through its
@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import fock_core, mb_bridge, optical_elements, optical_gates, qubit_teleport
 from .fock_core import (
@@ -44,11 +42,6 @@ from .mb_bridge import (
 from .optical_elements import ElementSpec
 from .optical_gates import ROTATION_DEG, ecnot_gate, filter_gate
 from .qubit_teleport import (
-    CNOT_MATRIX,
-    CZ_MATRIX,
-    IDENTITY_2,
-    PAULI_X,
-    PAULI_Z,
     PHI_MINUS,
     PHI_PLUS,
     PSI_MINUS,
@@ -56,6 +49,7 @@ from .qubit_teleport import (
     QubitState,
     bell_state,
     cz_aux_state,
+    np,
     overlap_q,
     parity_filter,
     qubit_gate,
@@ -78,6 +72,8 @@ def _kraus_claim(ops_targets, p: float) -> tuple[float, float]:
 
 def _suite_optical(rng: np.random.Generator, trials: int) -> list[dict]:
     checks: list[dict] = []
+    cnot, identity = qubit_teleport.CNOT_MATRIX, qubit_teleport.IDENTITY_2
+    pauli_x, pauli_z = qubit_teleport.PAULI_X, qubit_teleport.PAULI_Z
     reg_a = Register(("A",))
 
     u = optical_elements.hwp(reg_a, "A", ROTATION_DEG).matrix
@@ -153,8 +149,7 @@ def _suite_optical(rng: np.random.Generator, trials: int) -> list[dict]:
     # Each gate is compiled once to its branch operators; the table checks
     # apply them to the basis inputs, the randomized checks to the trials.
     ec_ops = compile_branches(ecnot_gate, 4, PAIR_ENC)
-    table_success, _, table_fid = gate_deviations(ec_ops, np.eye(4), CNOT_MATRIX, 0.25,
-                                                  1.0 / 16.0)
+    table_success, _, table_fid = gate_deviations(ec_ops, np.eye(4), cnot, 0.25, 1.0 / 16.0)
     checks.append(check_record(
         "ecnot-truth-table-outputs",
         "control V flips the target and control H leaves it alone",
@@ -170,7 +165,7 @@ def _suite_optical(rng: np.random.Generator, trials: int) -> list[dict]:
     # X (control V), up to a phase, so it is checked exactly on the whole
     # input space.
     dc_ops = [(filter_ops(optical_gates.destructive_cnot, control), line)
-              for control, line in (((1.0, 0.0), IDENTITY_2), ((0.0, 1.0), PAULI_X))]
+              for control, line in (((1.0, 0.0), identity), ((0.0, 1.0), pauli_x))]
     phase_dev, complete_dev = _kraus_claim(dc_ops, 0.5)
     checks.append(check_record(
         "dcnot-kraus-phase", "each destructive CNOT branch operator is a phase times "
@@ -180,7 +175,7 @@ def _suite_optical(rng: np.random.Generator, trials: int) -> list[dict]:
         "satisfy sum K^dagger K = I/2", complete_dev, 0.0, MATRIX_IDENTITY_TOL))
     checks.append(check_record(
         "ecnot-kraus-cnot", "each full CNOT branch operator is a phase times CNOT/4, and "
-        "sum K^dagger K = I/4", np.max(_kraus_claim([(ec_ops, CNOT_MATRIX)], 0.25)), 0.0,
+        "sum K^dagger K = I/4", np.max(_kraus_claim([(ec_ops, cnot)], 0.25)), 0.0,
         MATRIX_IDENTITY_TOL))
 
     if trials <= 0:
@@ -196,14 +191,14 @@ def _suite_optical(rng: np.random.Generator, trials: int) -> list[dict]:
     neutral_ops = filter_ops(optical_gates.f_gate, (HALF, HALF))
     minus_ops = filter_ops(optical_gates.f_gate, (HALF, -HALF))
     neutral_success, neutral_branch, neutral_fid = gate_deviations(
-        neutral_ops, ab, IDENTITY_2, 0.5, 0.25)
-    _, minus_branch, minus_fid = gate_deviations(minus_ops, ab, PAULI_Z, 0.5, 0.25)
+        neutral_ops, ab, identity, 0.5, 0.25)
+    _, minus_branch, minus_fid = gate_deviations(minus_ops, ab, pauli_z, 0.5, 0.25)
     # Every branch against the first one as the target map.
     branches_agree = all(gate_deviations(ops, ab, next(iter(ops.values())), 0.5, 0.25)[2]
                          >= 1.0 - 1e-10 for ops in (neutral_ops, minus_ops))
     dc = [gate_deviations(ops, gd, line, 0.5, 0.25) for ops, line in dc_ops]
     dc_success, dc_fid = np.max([d[0] for d in dc]), np.min([d[2] for d in dc])
-    ec_success, ec_branch, ec_fid = gate_deviations(ec_ops, v, CNOT_MATRIX, 0.25, 1.0 / 16.0)
+    ec_success, ec_branch, ec_fid = gate_deviations(ec_ops, v, cnot, 0.25, 1.0 / 16.0)
 
     # Random plate angles change the map on every trial, so these run one by one.
     port_a = [fock_core.DetectionPattern({ModeId("A", H): h, ModeId("A", V): v})
@@ -264,6 +259,8 @@ def _suite_optical(rng: np.random.Generator, trials: int) -> list[dict]:
 
 def _suite_teleport(rng: np.random.Generator, trials: int) -> list[dict]:
     checks: list[dict] = []
+    cnot, cz = qubit_teleport.CNOT_MATRIX, qubit_teleport.CZ_MATRIX
+    identity, pauli_z = qubit_teleport.IDENTITY_2, qubit_teleport.PAULI_Z
     bells = [bell_state(label) for label in (PSI_PLUS, PSI_MINUS, PHI_PLUS, PHI_MINUS)]
     gram = np.array([[overlap_q(x, y) for y in bells] for x in bells])
     checks.append(check_record(
@@ -288,12 +285,12 @@ def _suite_teleport(rng: np.random.Generator, trials: int) -> list[dict]:
         max(devs[2:]), 0.0, 1e-12))
 
     eye2 = np.eye(2)
-    decomposed = 0.5 * (np.eye(4) + np.kron(PAULI_Z, eye2) + np.kron(eye2, PAULI_Z)
-                        - np.kron(PAULI_Z, PAULI_Z))
+    decomposed = 0.5 * (np.eye(4) + np.kron(pauli_z, eye2) + np.kron(eye2, pauli_z)
+                        - np.kron(pauli_z, pauli_z))
     checks.append(check_record(
         "cz-pauli-decomposition",
         "the controlled phase is half the signed sum of identity and Z terms",
-        np.abs(decomposed - CZ_MATRIX).max(), 0.0, 1e-14))
+        np.abs(decomposed - cz).max(), 0.0, 1e-14))
 
     combo = np.zeros(16, dtype=complex)
     for sign1, label1 in ((1, PSI_PLUS), (-1, PSI_MINUS)):
@@ -328,7 +325,7 @@ def _suite_teleport(rng: np.random.Generator, trials: int) -> list[dict]:
 
     cn_ops = compile_branches(qubit_gate(qubit_teleport.cnot_via_cz, ("Q1", "Q2")), 4)
     table_success, table_branch, table_fid = gate_deviations(
-        cn_ops, np.eye(4), CNOT_MATRIX, 0.25, 1.0 / 16.0)
+        cn_ops, np.eye(4), cnot, 0.25, 1.0 / 16.0)
     checks.append(check_record(
         "cnot-via-cz-table-outputs",
         "the teleportation CNOT maps every basis input to its flipped image",
@@ -342,11 +339,11 @@ def _suite_teleport(rng: np.random.Generator, trials: int) -> list[dict]:
     cz_ops = compile_branches(qubit_gate(qubit_teleport.cz_via_two_telegates, ("Q1", "Q2")), 4)
     checks.append(check_record(
         "cnot-via-cz-kraus-cnot", "each teleportation CNOT branch operator is a phase times "
-        "CNOT/4, and sum K^dagger K = I/4", np.max(_kraus_claim([(cn_ops, CNOT_MATRIX)], 0.25)),
+        "CNOT/4, and sum K^dagger K = I/4", np.max(_kraus_claim([(cn_ops, cnot)], 0.25)),
         0.0, MATRIX_IDENTITY_TOL))
     checks.append(check_record(
         "cz-via-telegates-kraus-cz", "each two-telegate branch operator is a phase times CZ/4, "
-        "and sum K^dagger K = I/4", np.max(_kraus_claim([(cz_ops, CZ_MATRIX)], 0.25)), 0.0,
+        "and sum K^dagger K = I/4", np.max(_kraus_claim([(cz_ops, cz)], 0.25)), 0.0,
         MATRIX_IDENTITY_TOL))
 
     if trials <= 0:
@@ -356,7 +353,7 @@ def _suite_teleport(rng: np.random.Generator, trials: int) -> list[dict]:
     phis, psis = (np.array(column).T for column in zip(*draws))
 
     plus, minus, t_variants = [], [], []
-    for label, frame, devs in ((PSI_PLUS, IDENTITY_2, plus), (PSI_MINUS, PAULI_Z, minus)):
+    for label, frame, devs in ((PSI_PLUS, identity, plus), (PSI_MINUS, pauli_z, minus)):
         ops = {variant: compile_branches(qubit_gate(
             qubit_teleport.telegate_t, ("Q",), "Q", bell_state(label, ("A1", "A2")),
             variant=variant), 2) for variant in ("swap", "parity_filter")}
@@ -369,8 +366,8 @@ def _suite_teleport(rng: np.random.Generator, trials: int) -> list[dict]:
     t_variants = np.max(t_variants)
 
     pauli_fid = []
-    for frame1, label1 in ((IDENTITY_2, PSI_PLUS), (PAULI_Z, PSI_MINUS)):
-        for frame2, label2 in ((IDENTITY_2, PSI_PLUS), (PAULI_Z, PSI_MINUS)):
+    for frame1, label1 in ((identity, PSI_PLUS), (pauli_z, PSI_MINUS)):
+        for frame2, label2 in ((identity, PSI_PLUS), (pauli_z, PSI_MINUS)):
             aux = tensor_qubits(bell_state(label1, ("A1", "A2")),
                                 bell_state(label2, ("A1'", "A2'")))
             ops = compile_branches(
@@ -379,8 +376,8 @@ def _suite_teleport(rng: np.random.Generator, trials: int) -> list[dict]:
                                              1.0 / 16.0)[2])
     pauli_fid = np.min(pauli_fid)
 
-    cz_success, cz_branch, cz_fid = gate_deviations(cz_ops, psis, CZ_MATRIX, 0.25, 1.0 / 16.0)
-    cn_fid = gate_deviations(cn_ops, psis, CNOT_MATRIX, 0.25, 1.0 / 16.0)[2]
+    cz_success, cz_branch, cz_fid = gate_deviations(cz_ops, psis, cz, 0.25, 1.0 / 16.0)
+    cn_fid = gate_deviations(cn_ops, psis, cnot, 0.25, 1.0 / 16.0)[2]
 
     checks.append(check_record(
         "telegate-success", "the telegate succeeds with probability 1/2 regardless "
@@ -523,28 +520,31 @@ def _qubit_inputs(n: int) -> list[str]:
     return [f"|{index:0{n}b}>" for index in range(2 ** n)]
 
 
-_PLUS_PAIR = bell_state(PSI_PLUS, ("A1", "A2"))
+def _plus_telegate(variant: str):
+    """telegate_t on qubit Q through an auxiliary pair in the plus Bell state."""
+    return qubit_gate(qubit_teleport.telegate_t, ("Q",), "Q", bell_state(PSI_PLUS, ("A1", "A2")),
+                      variant=variant)
 
-# Gate name -> (note, row texts, amplitude-in builders, output encoding or None
-# for a qubit gate). Each builder runs on the basis of its own block of rows.
+
+# Gate name -> a function that builds, on each lookup, (note, row texts, amplitude-in
+# builders, output encoding or None for a qubit gate). Each builder runs on the
+# basis of its own block of rows.
 TRUTH_TABLES = {
-    "f_gate": ("balanced auxiliary photon on A", _port_inputs("IN"),
-               [filter_gate(optical_gates.f_gate, (HALF, HALF))], IN_ENC),
-    "parity_check": ("auxiliary photon fixed to H", _port_inputs("IN"),
-                     [filter_gate(optical_gates.f_gate, (1.0, 0.0))], IN_ENC),
-    "d_cnot": ("control photon on A (consumed), target on IN", _port_inputs("A", "IN"),
-               [filter_gate(optical_gates.destructive_cnot, control)
-                for control in np.eye(2)], IN_ENC),
-    "e_cnot": ("control on IN, target on IN'", _port_inputs("IN", "IN'"), [ecnot_gate], PAIR_ENC),
-    "telegate_t": ("variant swap, auxiliary pair in the plus Bell state", _qubit_inputs(1),
-                   [qubit_gate(qubit_teleport.telegate_t, ("Q",), "Q", _PLUS_PAIR,
-                               variant="swap")], None),
-    "telegate_tp": ("variant parity_filter, auxiliary pair in the plus Bell state",
-                    _qubit_inputs(1),
-                    [qubit_gate(qubit_teleport.telegate_t, ("Q",), "Q", _PLUS_PAIR,
-                                variant="parity_filter")], None),
-    "cz2t": ("controlled phase from two telegates", _qubit_inputs(2),
-             [qubit_gate(qubit_teleport.cz_via_two_telegates, ("Q1", "Q2"))], None),
-    "cnot_cz": ("CNOT from the telegate controlled phase", _qubit_inputs(2),
-                [qubit_gate(qubit_teleport.cnot_via_cz, ("Q1", "Q2"))], None),
+    "f_gate": lambda: ("balanced auxiliary photon on A", _port_inputs("IN"),
+                       [filter_gate(optical_gates.f_gate, (HALF, HALF))], IN_ENC),
+    "parity_check": lambda: ("auxiliary photon fixed to H", _port_inputs("IN"),
+                             [filter_gate(optical_gates.f_gate, (1.0, 0.0))], IN_ENC),
+    "d_cnot": lambda: ("control photon on A (consumed), target on IN", _port_inputs("A", "IN"),
+                       [filter_gate(optical_gates.destructive_cnot, control)
+                        for control in ((1.0, 0.0), (0.0, 1.0))], IN_ENC),
+    "e_cnot": lambda: ("control on IN, target on IN'", _port_inputs("IN", "IN'"), [ecnot_gate],
+                       PAIR_ENC),
+    "telegate_t": lambda: ("variant swap, auxiliary pair in the plus Bell state",
+                           _qubit_inputs(1), [_plus_telegate("swap")], None),
+    "telegate_tp": lambda: ("variant parity_filter, auxiliary pair in the plus Bell state",
+                            _qubit_inputs(1), [_plus_telegate("parity_filter")], None),
+    "cz2t": lambda: ("controlled phase from two telegates", _qubit_inputs(2),
+                     [qubit_gate(qubit_teleport.cz_via_two_telegates, ("Q1", "Q2"))], None),
+    "cnot_cz": lambda: ("CNOT from the telegate controlled phase", _qubit_inputs(2),
+                        [qubit_gate(qubit_teleport.cnot_via_cz, ("Q1", "Q2"))], None),
 }

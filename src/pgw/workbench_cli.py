@@ -54,8 +54,6 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .fock_core import (
     DEFAULT_CUTOFF,
     NORM_SLACK,
@@ -71,7 +69,7 @@ from .fock_core import (
 from .mb_bridge import branch_probabilities, compile_branches, mb_decode
 from .optical_elements import ELEMENTS, ElementSpec
 from .optical_gates import GATE_EXPANDERS, run_pipeline
-from .qubit_teleport import QubitState
+from .qubit_teleport import QubitState, np
 from .verify import SUITES, TRUTH_TABLES, run_suite
 
 DEFAULT_SEED = 12345
@@ -472,7 +470,7 @@ def cmd_verify(suite: str, seed: int, trials: int, json_path: str | None = None)
 
 
 def cmd_truth_table(gate: str) -> int:
-    note, texts, builders, enc = TRUTH_TABLES[gate]
+    note, texts, builders, enc = TRUTH_TABLES[gate]()
     dim = len(texts) // len(builders)
     columns = [[k[:, i] for k in ops.values()]
                for ops in (compile_branches(b, dim, enc) for b in builders) for i in range(dim)]

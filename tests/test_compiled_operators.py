@@ -170,7 +170,7 @@ def test_nonzero_branch_operators_of_a_tabulated_gate_agree_up_to_phase(gate):
     """A truth-table row prints the first nonzero branch; every other nonzero
     K_b of the gate equals a phase times the first, to the matrix-identity
     tolerance, so the choice loses nothing."""
-    _, texts, builders, enc = TRUTH_TABLES[gate]
+    _, texts, builders, enc = TRUTH_TABLES[gate]()
     for builder in builders:
         ops = compile_branches(builder, len(texts) // len(builders), enc)
         live = [k for k in ops.values() if k.any()]

@@ -145,6 +145,9 @@ def test_f_gate_layout_requires_distinct_ports(filter_register):
                       ("IN", "A", "A", "D1")):
             with pytest.raises(ValueError, match=r"filter ports must be distinct, got \("):
                 gate(joint, *ports)
+        for ports in (("IN", "A", "D0", ["D1"]), ("IN", ["A"], "D0", "D1")):
+            with pytest.raises(ValueError, match=r"filter ports must be strings, got \("):
+                gate(joint, *ports)
 
 
 def test_destructive_cnot_lines_carry_exactly_half(filter_register):

@@ -7,6 +7,8 @@ phase flip, and the two-telegate controlled phase leaves every accepted
 branch at exactly one quarter of the controlled-phase image.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,9 @@ def test_bell_states_are_orthonormal():
 def test_a_bell_state_is_its_name():
     for name in ("Psi", "psi+", "Phi+-", ""):
         with pytest.raises(ValueError, match="not a Bell state"):
+            bell_state(name)
+    for name in (["Psi+"], {"Phi-": 1}):  # unhashable names fail as names, not as dict keys
+        with pytest.raises(ValueError, match=re.escape(f"not a Bell state: {name!r}")):
             bell_state(name)
     assert (PSI_PLUS, PSI_MINUS, PHI_PLUS, PHI_MINUS) == ("Psi+", "Psi-", "Phi+", "Phi-")
     amps = bell_state("Phi-", ("A", "B")).amplitudes

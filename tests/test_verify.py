@@ -1,12 +1,19 @@
-"""Tests for how the verify suites reach the layer functions they check."""
+"""Tests for how the verify suites and truth tables reach the layer
+functions they check, and for what starting pgw loads."""
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import pgw
 from pgw.verify import run_suite
+from pgw.workbench_cli import cmd_truth_table
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_tracer", Path(__file__).parent.parent / "perfbench" / "tracer.py")
@@ -40,3 +47,67 @@ def test_suites_call_each_traced_function_through_its_module(monkeypatch, module
     report = run_suite("all", 1, 2)
     assert report.passed
     assert calls
+
+
+# A truth table for each traced gate function that its builders hand to
+# filter_gate or qubit_gate.
+TABLE_OF = {("pgw.optical_gates", "f_gate"): "f_gate",
+            ("pgw.optical_gates", "destructive_cnot"): "d_cnot",
+            ("pgw.qubit_teleport", "telegate_t"): "telegate_t",
+            ("pgw.qubit_teleport", "cz_via_two_telegates"): "cz2t",
+            ("pgw.qubit_teleport", "cnot_via_cz"): "cnot_cz"}
+
+
+@pytest.mark.parametrize("module, attr", sorted(TABLE_OF),
+                         ids=[f"{m}.{a}" for m, a in sorted(TABLE_OF)])
+def test_truth_tables_call_each_traced_gate_through_its_module(monkeypatch, capsys, module, attr):
+    """filter_gate and qubit_gate keep the gate function they are given. So a
+    table must hand them the function as its module holds it when the table is
+    printed, not as it was at import, or a traced run would miss its calls."""
+    assert (module, attr) in TRACED_FUNCTIONS
+    owner = importlib.import_module(module)
+    original = getattr(owner, attr)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(attr)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counting)
+    assert cmd_truth_table(TABLE_OF[module, attr]) == 0
+    assert capsys.readouterr().out.startswith(f"truth-table: {TABLE_OF[module, attr]}\n")
+    assert calls
+
+
+_STARTUP = """
+import contextlib, io, json, sys
+import pgw
+from pgw.workbench_cli import main
+seen = {"import numpy": "numpy" in sys.modules,
+        "modules": [m for m in json.loads(sys.argv[1]) if m in sys.modules]}
+with contextlib.redirect_stdout(io.StringIO()):
+    seen["simulate"] = [main(["simulate", path]) for path in sys.argv[2:]]
+    seen["simulate numpy"] = "numpy" in sys.modules
+    seen["verify"] = main(["verify", "--trials", "0"])
+seen["verify numpy"] = "numpy" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+def test_numpy_is_loaded_by_verify_not_by_import_or_simulate():
+    """`import pgw` and `pgw simulate` never import numpy; verify does, when it
+    first computes. `import pgw` still loads every module that the benchmark
+    tracer reads from sys.modules. This runs in a fresh interpreter, as this
+    one already holds numpy."""
+    src = str(Path(pgw.__file__).parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    fixtures = sorted(str(p) for p in (Path(pgw.__file__).parent / "circuits").glob("*.circuit"))
+    assert len(fixtures) == 2
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP, json.dumps(_tracer._MODULES), *fixtures],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "import numpy": False, "modules": list(_tracer._MODULES), "simulate": [0, 0],
+        "simulate numpy": False, "verify": 0, "verify numpy": True}
