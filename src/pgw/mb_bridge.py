@@ -36,8 +36,11 @@ form "each branch is M v with weight q, and the weights sum to p" off the K_b.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
+import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import fock_core
 from .fock_core import (
@@ -57,11 +60,12 @@ from .optical_gates import ROTATION_DEG, ecnot_gate, f_gate, filter_gate
 from .qubit_teleport import (
     PSI_MINUS,
     PSI_PLUS,
+    Matrix,
     QubitState,
+    _names,
     bell_state,
     cnot_via_cz,
     cz_aux_state,
-    np,
     overlap_q,
     qubit_fidelity,
     qubit_gate,
@@ -96,13 +100,15 @@ class MBEncoding:
     aux_ports: tuple[str, ...]
 
     def __post_init__(self):
-        ports = tuple(self.input_ports) + tuple(self.aux_ports)
+        input_ports = _names(self.input_ports, "input_ports")
+        aux_ports = _names(self.aux_ports, "aux_ports")
+        ports = input_ports + aux_ports
         if not ports:
             raise ValueError("encoding needs at least one port")
         if len(set(ports)) != len(ports):
             raise ValueError(f"ports declared twice in {ports}")
-        object.__setattr__(self, "input_ports", tuple(self.input_ports))
-        object.__setattr__(self, "aux_ports", tuple(self.aux_ports))
+        object.__setattr__(self, "input_ports", input_ports)
+        object.__setattr__(self, "aux_ports", aux_ports)
 
     @property
     def qubit_labels(self) -> tuple[str, ...]:
@@ -131,7 +137,7 @@ def _codebook(register: Register, enc: MBEncoding) -> dict[tuple[int, ...], int]
 def mb_encode(state: FockKet, enc: MBEncoding) -> QubitState:
     """Isometric map from the one-photon-per-port subspace to qubits."""
     book = _codebook(state.register, enc)
-    amps = np.zeros(2 ** len(enc.qubit_labels), dtype=complex)
+    amps = [0j] * 2 ** len(enc.qubit_labels)
     for occ, amp in state.terms.items():
         index = book.get(occ)
         if index is None:
@@ -149,7 +155,7 @@ def mb_decode(state: QubitState, enc: MBEncoding) -> FockKet:
     ports = enc.input_ports + enc.aux_ports
     register = Register(ports, max(DEFAULT_CUTOFF, len(ports)))
     occs = {index: occ for occ, index in _codebook(register, enc).items()}
-    support = np.flatnonzero(state.amplitudes)
+    support = [i for i, amp in enumerate(state.amplitudes) if amp]
     for index in support:
         if index not in occs:
             raise DecodingDomainError(f"basis state |{index:0{state.n_qubits}b}> is outside "
@@ -172,13 +178,84 @@ def check_record(check_id: str, ref: str, got: float, want: float, tol: float) -
             "got": got, "want": want, "tol": tol}
 
 
-def linear_map(fn: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:
+def recorder(checks: list[dict]) -> Callable[..., None]:
+    """check(id, ref, got, want, tol) appends one check_record to checks."""
+    return lambda *record: checks.append(check_record(*record))
+
+
+def eye(dim: int) -> Matrix:
+    """The dim x dim identity; its rows are also the basis inputs, as columns."""
+    return tuple(tuple(complex(i == j) for j in range(dim)) for i in range(dim))
+
+
+def dagger(m: Matrix) -> list[list[complex]]:
+    return [[x.conjugate() for x in col] for col in zip(*m)]
+
+
+# A batch of trial inputs v_1 ... v_n is kept as the rows of the matrix with
+# columns v_1 ... v_n, so that each step below is one map over the batch.
+
+def matmul(a: Matrix, b: Matrix) -> list[list[complex]]:
+    """a @ b, both given as rows; each entry sums a's nonzero terms in order."""
+    n = len(b[0]) if len(b) else 0
+    out = []
+    for row in a:
+        acc = None
+        for x, entries in zip(row, b, strict=True):
+            if x:
+                term = map(operator.mul, itertools.repeat(complex(x), n), entries)
+                acc = list(term) if acc is None else list(map(operator.add, acc, term))
+        out.append([0j] * n if acc is None else acc)
+    return out
+
+
+def inner(left: Matrix, right: Matrix) -> list[complex]:
+    """<l|r> for each column l of left and r of right."""
+    return list(map(sum, zip(*[map(operator.mul, map(complex.conjugate, map(complex, a)), b)
+                               for a, b in zip(left, right, strict=True)])))
+
+
+def branch_probabilities(outputs: Matrix) -> list[float]:
+    """Squared norm of each column (as the sum of its |x|^2): one branch
+    probability per trial, for outputs that hold one trial per column."""
+    return list(map(sum, zip(*[[h * h for h in map(abs, row)] for row in outputs])))
+
+
+def batched_fidelity(states: Matrix, targets: Matrix, target_norms=None) -> list[float]:
+    """Column-wise |<t|s>| / (|s| |t|) for states and targets that hold one
+    trial per column: qubit_fidelity for every trial at once (target_norms
+    are the targets' column norms, if known). A zero column gives NaN where
+    qubit_fidelity raises; max_or_nan and min_or_nan propagate it, so any
+    check reduced from it fails."""
+    norms = [math.sqrt(z.real) for z in inner(states, states)]
+    if target_norms is None:
+        target_norms = [math.sqrt(z.real) for z in inner(targets, targets)]
+    return [abs(overlap) / size if size else math.nan for overlap, size in
+            zip(inner(targets, states), map(operator.mul, norms, target_norms))]
+
+
+def max_or_nan(values: Iterable[float]) -> float:
+    """The largest of values; NaN if any is NaN, wherever it sits, or if none."""
+    worst = math.nan
+    for d in values:
+        if not d <= worst:  # larger, or one of the two is NaN
+            if d != d:
+                return math.nan
+            worst = d
+    return float(worst)
+
+
+def min_or_nan(values: Iterable[float]) -> float:
+    return -max_or_nan(-d for d in values)
+
+
+def linear_map(fn: Callable[[Sequence[complex]], Sequence[complex]], dim: int) -> Matrix:
     """Matrix of a linear map given as a function of dim input amplitudes."""
-    return np.column_stack([fn(basis) for basis in np.eye(dim, dtype=complex)])
+    return tuple(zip(*[tuple(fn(basis)) for basis in eye(dim)]))
 
 
-def compile_branches(gate: Callable[[np.ndarray], GateResult], dim: int,
-                     enc: MBEncoding | None = None) -> dict[str, np.ndarray]:
+def compile_branches(gate: Callable[[Sequence[complex]], GateResult], dim: int,
+                     enc: MBEncoding | None = None) -> dict[str, Matrix]:
     """Branch operators {outcome label: K_b} of a post-selected linear gate.
 
     gate runs the gate on the input with the given dim amplitudes. Column i
@@ -187,8 +264,8 @@ def compile_branches(gate: Callable[[np.ndarray], GateResult], dim: int,
     By linearity K_b @ v is branch b for any input v, unnormalized, so its
     squared column norms are the branch probabilities.
     """
-    columns: dict[str, list[np.ndarray]] = {}
-    for basis in np.eye(dim, dtype=complex):
+    columns: dict[str, list[tuple[complex, ...]]] = {}
+    for basis in eye(dim):
         for branch in gate(basis).accepted_branches:
             state = branch.conditional_state
             columns.setdefault(branch.outcome_label, []).append(
@@ -197,28 +274,12 @@ def compile_branches(gate: Callable[[np.ndarray], GateResult], dim: int,
         if len(cols) != dim:
             raise ValueError(f"outcome {label!r} occurs {len(cols)} times over "
                              f"{dim} basis inputs")
-    return {label: np.column_stack(cols) for label, cols in columns.items()}
+    return {label: tuple(zip(*cols)) for label, cols in columns.items()}
 
 
-def branch_probabilities(outputs: np.ndarray) -> np.ndarray:
-    """Squared norm of each column: one branch probability per trial."""
-    return np.sum(np.abs(outputs) ** 2, axis=0)
-
-
-def batched_fidelity(states: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Column-wise |<t|s>| / (|s| |t|): qubit_fidelity for every trial at once.
-
-    A zero column gives NaN where qubit_fidelity raises; np.min and np.max
-    propagate it, so any check reduced from it fails.
-    """
-    overlaps = np.abs(np.sum(targets.conj() * states, axis=0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return overlaps / (np.linalg.norm(states, axis=0) * np.linalg.norm(targets, axis=0))
-
-
-def pair_branches(left: Mapping[str, np.ndarray], right: Mapping[str, np.ndarray],
+def pair_branches(left: Mapping[str, Matrix], right: Mapping[str, Matrix],
                   rename: Mapping[str, str] | None = None
-                  ) -> list[tuple[np.ndarray, np.ndarray]] | None:
+                  ) -> list[tuple[Matrix, Matrix]] | None:
     """Match branches by outcome label, in left's order.
 
     Each comma-separated stage of a left label is mapped through rename
@@ -239,42 +300,51 @@ def pair_branches(left: Mapping[str, np.ndarray], right: Mapping[str, np.ndarray
     return [(value, right[label]) for label, value in renamed.items()]
 
 
-def gate_deviations(ops: Mapping[str, np.ndarray] | Iterable[np.ndarray], inputs: np.ndarray,
-                    target: np.ndarray, success, weight) -> tuple[float, float, float]:
+def gate_deviations(ops: Mapping[str, Matrix] | Iterable[Matrix],
+                    inputs: Sequence[Sequence[complex]], target: Matrix, success,
+                    weight) -> tuple[float, float, float]:
     """How far branch operators K_b are from the claim that, on every input
     column v, each branch is target @ v up to a phase with probability
     weight, and the branch probabilities sum to success.
 
     Returns the largest |sum_b p_b - success| and |p_b - weight| over the
     columns and the smallest fidelity of K_b @ v with target @ v. success
-    and weight may be per-column arrays. A zero column gives a NaN
+    and weight may be per-column sequences. A zero column gives a NaN
     fidelity, which fails any check built on it.
     """
-    outputs = [k @ inputs for k in (ops.values() if isinstance(ops, Mapping) else ops)]
-    probs = [branch_probabilities(out) for out in outputs]
-    wanted = target @ inputs
-    return (float(np.max(np.abs(sum(probs) - success))),
-            float(np.max([np.abs(p - weight) for p in probs])),
-            float(np.min([batched_fidelity(out, wanted) for out in outputs])))
+    rows = list(zip(*inputs))
+    wanted = matmul(target, rows)
+    wanted_norms = [math.sqrt(z.real) for z in inner(wanted, wanted)]
+    probs, fids = [], []
+    for k in (ops.values() if isinstance(ops, Mapping) else ops):
+        out = matmul(k, rows)
+        probs.append(branch_probabilities(out))
+        fids += batched_fidelity(out, wanted, wanted_norms)
+    success, weight = (x if isinstance(x, Sequence) else itertools.repeat(x)
+                       for x in (success, weight))
+    return (max_or_nan(abs(sum(ps) - s) for ps, s in zip(zip(*probs), success)),
+            max_or_nan(abs(p - w) for ps in probs for p, w in zip(ps, weight)),
+            min_or_nan(fids))
 
 
-def _paired_deviations(groups: list, inputs: np.ndarray, weight=None) -> tuple[float, float]:
+def _paired_deviations(groups: list, inputs: Sequence[Sequence[complex]], weight=None
+                       ) -> tuple[float, float]:
     """Largest branch-probability deviation and smallest fidelity over the
     label-matched (optical, teleported) pairs. Each optical operator goes
     through gate_deviations with its teleported partner as the target and
     the partner's branch probabilities as the weight; a given weight holds
     both sides to it instead. Both are NaN when a group failed to pair."""
     if any(group is None for group in groups):
-        return float("nan"), float("nan")
+        return math.nan, math.nan
     prob_devs, fids = [], []
     for group in groups:
         for k_opt, k_tel in group:
-            p_tel = branch_probabilities(k_tel @ inputs)
-            want = p_tel if weight is None else weight
+            p_tel = branch_probabilities(matmul(k_tel, list(zip(*inputs))))
+            want = p_tel if weight is None else [weight] * len(p_tel)
             _, prob_dev, fid = gate_deviations([k_opt], inputs, k_tel, want, want)
-            prob_devs += [prob_dev, np.max(np.abs(p_tel - want))]
+            prob_devs += [prob_dev, max_or_nan(abs(p - w) for p, w in zip(p_tel, want))]
             fids.append(fid)
-    return float(np.max(prob_devs)), float(np.min(fids))
+    return max_or_nan(prob_devs), min_or_nan(fids)
 
 
 def kraus_deviations(groups: list, p_success: float) -> tuple[float, float]:
@@ -282,26 +352,28 @@ def kraus_deviations(groups: list, p_success: float) -> tuple[float, float]:
     teleported) branch operators, one group per gate configuration.
 
     Returns the largest entry of |K_opt - e^{i phi} K_tel|, with the phase
-    taken from the two operators' trace overlap, and the largest entry of
-    sum_b K_b^dagger K_b - p_success I on either side of any group. Both
-    are NaN when a group failed to pair.
+    taken from the two operators' trace overlap (NaN where it is zero), and
+    the largest entry of sum_b K_b^dagger K_b - p_success I on either side
+    of any group. Both are NaN when a group failed to pair.
     """
     if any(group is None for group in groups):
-        return float("nan"), float("nan")
+        return math.nan, math.nan
     phase_devs, complete_devs = [], []
     for group in groups:
         for k_opt, k_tel in group:
-            overlap = np.vdot(k_tel, k_opt)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                phase = overlap / abs(overlap)
-            phase_devs.append(np.max(np.abs(k_opt - phase * k_tel)))
+            k_opt, k_tel = ([complex(x) for row in k for x in row] for k in (k_opt, k_tel))
+            overlap = sum(map(operator.mul, map(complex.conjugate, k_tel), k_opt))
+            phase = overlap * (1.0 / abs(overlap)) if overlap else complex(math.nan, math.nan)
+            phase_devs.append(max_or_nan(abs(x - phase * y) for x, y in zip(k_opt, k_tel)))
         for side in zip(*group):
-            gram = sum(k.conj().T @ k for k in side)
-            complete_devs.append(np.max(np.abs(gram - p_success * np.eye(len(gram)))))
-    return float(np.max(phase_devs)), float(np.max(complete_devs))
+            n = len(side[0])
+            grams = [[x for row in matmul(dagger(k), k) for x in row] for k in side]
+            complete_devs.append(max_or_nan(abs(sum(g) - p_success * (i % (n + 1) == 0))
+                                            for i, g in enumerate(zip(*grams))))
+    return max_or_nan(phase_devs), max_or_nan(complete_devs)
 
 
-def verify_pbs_mb(rng: np.random.Generator, trials: int = 100) -> list[dict]:
+def verify_pbs_mb(rng: random.Random, trials: int = 100) -> list[dict]:
     """Check that the beam splitter's coincidence action encodes to the
     even-parity filter structure a A |001> + b B |110> on (IN, AV, AH)."""
     enc = MBEncoding(("IN",), ("A",))
@@ -311,34 +383,31 @@ def verify_pbs_mb(rng: np.random.Generator, trials: int = 100) -> list[dict]:
     after_pbs = linear_map(lambda amps: mb_encode(project_encodable(apply_mode_transform(
         polarization_ket(register, ("IN", "A"), amps), splitter), enc), enc).amplitudes, 4)
 
-    def expected(inp: np.ndarray, aux: np.ndarray) -> np.ndarray:
-        amps = np.zeros((8,) + inp.shape[1:], dtype=complex)
-        amps[0b001] = inp[0] * aux[0]
-        amps[0b110] = inp[1] * aux[1]
+    def expected(inp: Sequence[complex], aux: Sequence[complex]) -> list[complex]:
+        amps = [0j] * 8
+        amps[0b001], amps[0b110] = inp[0] * aux[0], inp[1] * aux[1]
         return amps
 
     checks = []
-    got = np.abs(after_pbs[:, 0] - expected(np.array([1, 0]), np.array([1, 0]))).max()
-    checks.append(check_record(
-        "pbs-mb-even-term", "matched H input and H auxiliary pass the beam splitter "
-        "into the surviving even-parity ket", got, 0.0, 1e-12))
-    got = np.linalg.norm(after_pbs[:, 0b10])
-    checks.append(check_record(
-        "pbs-mb-odd-filtered", "odd-parity input and auxiliary combination is "
-        "post-selected away by the beam splitter", got, 0.0, 1e-12))
+    check = recorder(checks)
+    got = max_or_nan(abs(row[0] - y) for row, y in zip(after_pbs, expected((1, 0), (1, 0))))
+    check("pbs-mb-even-term", "matched H input and H auxiliary pass the beam splitter "
+          "into the surviving even-parity ket", got, 0.0, 1e-12)
+    got = math.hypot(*(abs(row[0b10]) for row in after_pbs))
+    check("pbs-mb-odd-filtered", "odd-parity input and auxiliary combination is "
+          "post-selected away by the beam splitter", got, 0.0, 1e-12)
     if trials > 0:
-        draws = np.array([np.concatenate((random_amplitudes(rng, 2), random_amplitudes(rng, 2)))
-                          for _ in range(trials)]).T
-        inp, aux = draws[:2], draws[2:]
-        joint = (inp[:, None, :] * aux[None, :, :]).reshape(4, trials)
-        worst = np.max(np.abs(after_pbs @ joint - expected(inp, aux)))
-        checks.append(check_record(
-            "pbs-mb-random", "beam splitter action on random coincidence inputs "
-            "equals the even-parity filter structure", worst, 0.0, 1e-12))
+        draws = [(random_amplitudes(rng, 2), random_amplitudes(rng, 2)) for _ in range(trials)]
+        joint = list(zip(*([a * b for a in inp for b in aux] for inp, aux in draws)))
+        want = list(zip(*(expected(inp, aux) for inp, aux in draws)))
+        worst = max_or_nan(abs(x - y) for got, row in zip(matmul(after_pbs, joint), want)
+                           for x, y in zip(got, row))
+        check("pbs-mb-random", "beam splitter action on random coincidence inputs "
+              "equals the even-parity filter structure", worst, 0.0, 1e-12)
     return checks
 
 
-def verify_hwp_mb(rng: np.random.Generator, trials: int = 100) -> list[dict]:
+def verify_hwp_mb(rng: random.Random, trials: int = 100) -> list[dict]:
     """Check the half-wave plate's mixed-basis image: the Bell rotation on
     the occupation qubit pair, and Bell discrimination after detection."""
     enc = MBEncoding((), ("A",))
@@ -347,22 +416,19 @@ def verify_hwp_mb(rng: np.random.Generator, trials: int = 100) -> list[dict]:
     after_hwp = linear_map(lambda amps: mb_encode(apply_mode_transform(
         polarization_ket(register, ("A",), amps), rotation), enc).amplitudes, 2)
 
-    def expected(amps: np.ndarray) -> np.ndarray:
-        """Bell rotation images of the columns (x, y) of amps."""
-        x, y = amps
-        out = np.zeros((4,) + x.shape, dtype=complex)
-        out[0b01] = (x + y) * HALF
-        out[0b10] = (x - y) * HALF
+    def expected(x: complex, y: complex) -> list[complex]:
+        """Bell rotation image of the input (x, y)."""
+        out = [0j] * 4
+        out[0b01], out[0b10] = (x + y) * HALF, (x - y) * HALF
         return out
 
-    h_line, v_line = batched_fidelity(after_hwp, expected(np.eye(2)))
+    h_line, v_line = batched_fidelity(after_hwp, list(zip(expected(1, 0), expected(0, 1))))
     checks = []
-    checks.append(check_record(
-        "hwp-mb-h-line", "plate maps the H occupation pattern to the plus Bell "
-        "state up to a global phase", h_line, 1.0, 1e-12))
-    checks.append(check_record(
-        "hwp-mb-v-line", "plate maps the V occupation pattern to the minus Bell "
-        "state up to a global phase", v_line, 1.0, 1e-12))
+    check = recorder(checks)
+    check("hwp-mb-h-line", "plate maps the H occupation pattern to the plus Bell "
+          "state up to a global phase", h_line, 1.0, 1e-12)
+    check("hwp-mb-v-line", "plate maps the V occupation pattern to the minus Bell "
+          "state up to a global phase", v_line, 1.0, 1e-12)
 
     analyzer = []
     for sign, pol in ((1, H), (-1, V)):
@@ -371,23 +437,21 @@ def verify_hwp_mb(rng: np.random.Generator, trials: int = 100) -> list[dict]:
         fired = fock_core.measure_and_postselect(apply_mode_transform(plus, rotation),
                                                  fock_core.DetectionPattern({ModeId("A", pol): 1}))
         analyzer.append(fired.probability)
-    checks.append(check_record(
-        "bell-analyzer-psi-plus", "plus Bell state fires the H-side detector "
-        "deterministically", analyzer[0], 1.0, 1e-12))
-    checks.append(check_record(
-        "bell-analyzer-psi-minus", "minus Bell state fires the V-side detector "
-        "deterministically", analyzer[1], 1.0, 1e-12))
+    check("bell-analyzer-psi-plus", "plus Bell state fires the H-side detector "
+          "deterministically", analyzer[0], 1.0, 1e-12)
+    check("bell-analyzer-psi-minus", "minus Bell state fires the V-side detector "
+          "deterministically", analyzer[1], 1.0, 1e-12)
 
     if trials > 0:
-        amps = np.array([random_amplitudes(rng, 2) for _ in range(trials)]).T
-        worst = np.min(batched_fidelity(after_hwp @ amps, expected(amps)))
-        checks.append(check_record(
-            "hwp-mb-random", "plate action on random single-photon auxiliary states "
-            "matches the Bell rotation up to a global phase", worst, 1.0, 1e-12))
+        amps = [random_amplitudes(rng, 2) for _ in range(trials)]
+        worst = min_or_nan(batched_fidelity(matmul(after_hwp, list(zip(*amps))),
+                                            list(zip(*(expected(*a) for a in amps)))))
+        check("hwp-mb-random", "plate action on random single-photon auxiliary states "
+              "matches the Bell rotation up to a global phase", worst, 1.0, 1e-12)
     return checks
 
 
-def verify_f_equals_tprime(rng: np.random.Generator, trials: int = 200) -> list[dict]:
+def verify_f_equals_tprime(rng: random.Random, trials: int = 200) -> list[dict]:
     """Branch-by-branch equality of the optical parity-check filter with the
     parity-filter telegate on the encodable auxiliary domain, with outcomes
     paired by DETECTOR_TO_BELL: exactly as branch operators, and on one
@@ -400,25 +464,21 @@ def verify_f_equals_tprime(rng: np.random.Generator, trials: int = 200) -> list[
             telegate_t, ("IN",), "IN", bell_state(label, ("AV", "AH")), variant="parity_filter"),
             2)
         groups.append(pair_branches(optical, teleported, DETECTOR_TO_BELL))
-    inputs = np.array([(0.6 + 0.0j, 0.8j)]
-                      + [random_amplitudes(rng, 2) for _ in range(trials - 1)]).T
+    inputs = [(0.6 + 0.0j, 0.8j)] + [random_amplitudes(rng, 2) for _ in range(trials - 1)]
     worst_prob, worst_fid = _paired_deviations(groups, inputs)
     phase_dev, complete_dev = kraus_deviations(groups, 0.5)
     return [
-        check_record(
-            "filter-telegate-branch-prob", "optical filter branches and parity-filter "
-            "telegate branches carry identical probabilities", worst_prob, 0.0, 1e-11),
-        check_record(
-            "filter-telegate-branch-state", "encoded optical filter branches equal the "
-            "matching telegate branches up to a global phase", worst_fid, 1.0, 1e-11),
-        check_record(
-            "filter-telegate-kraus-phase", "each encoded optical filter branch operator "
-            "equals its label-matched parity-filter telegate operator times a phase",
-            phase_dev, 0.0, MATRIX_IDENTITY_TOL),
-        check_record(
-            "filter-telegate-kraus-complete", "on both sides the branch operators satisfy "
-            "sum K^dagger K = I/2, success 1/2 on every input",
-            complete_dev, 0.0, MATRIX_IDENTITY_TOL),
+        check_record("filter-telegate-branch-prob", "optical filter branches and parity-filter "
+                     "telegate branches carry identical probabilities", worst_prob, 0.0, 1e-11),
+        check_record("filter-telegate-branch-state", "encoded optical filter branches equal the "
+                     "matching telegate branches up to a global phase", worst_fid, 1.0, 1e-11),
+        check_record("filter-telegate-kraus-phase", "each encoded optical filter branch operator "
+                     "equals its label-matched parity-filter telegate operator times a phase",
+                     phase_dev, 0.0, MATRIX_IDENTITY_TOL),
+        check_record("filter-telegate-kraus-complete",
+                     "on both sides the branch operators satisfy "
+                     "sum K^dagger K = I/2, success 1/2 on every input",
+                     complete_dev, 0.0, MATRIX_IDENTITY_TOL),
     ]
 
 
@@ -439,19 +499,16 @@ def verify_aux_state_equivalence() -> list[dict]:
     wrong_sign = apply_mode_transform(pair_state(-1), hwp(register, "A'", ROTATION_DEG))
     wrong_sign_fid = abs(overlap_q(mb_encode(wrong_sign, enc), target))
     return [
-        check_record(
-            "aux-resource-equivalence", "rotating one arm of the entangled pair and "
-            "encoding gives the controlled-Z auxiliary resource", fid, 1.0, 1e-12),
-        check_record(
-            "aux-resource-needs-rotation", "without the plate the encoded pair is "
-            "orthogonal to the controlled-Z resource", unrotated_fid, 0.0, 1e-12),
-        check_record(
-            "aux-resource-needs-plus-pair", "starting from the minus-signed pair the "
-            "encoded state is orthogonal to the resource", wrong_sign_fid, 0.0, 1e-12),
+        check_record("aux-resource-equivalence", "rotating one arm of the entangled pair and "
+                     "encoding gives the controlled-Z auxiliary resource", fid, 1.0, 1e-12),
+        check_record("aux-resource-needs-rotation", "without the plate the encoded pair is "
+                     "orthogonal to the controlled-Z resource", unrotated_fid, 0.0, 1e-12),
+        check_record("aux-resource-needs-plus-pair", "starting from the minus-signed pair the "
+                     "encoded state is orthogonal to the resource", wrong_sign_fid, 0.0, 1e-12),
     ]
 
 
-def verify_ecnot_equals_tcnot(rng: np.random.Generator, trials: int = 100) -> list[dict]:
+def verify_ecnot_equals_tcnot(rng: random.Random, trials: int = 100) -> list[dict]:
     """End to end: encoded branches of the optical CNOT equal the branches
     of the teleportation CNOT, pairing detector outcomes with Bell outcomes
     stage by stage through DETECTOR_TO_BELL: exactly as branch operators,
@@ -459,23 +516,19 @@ def verify_ecnot_equals_tcnot(rng: np.random.Generator, trials: int = 100) -> li
     optical = compile_branches(ecnot_gate, 4, MBEncoding(("IN", "IN'"), ()))
     teleported = compile_branches(qubit_gate(cnot_via_cz, ("IN", "IN'")), 4)
     groups = [pair_branches(optical, teleported, DETECTOR_TO_BELL)]
-    inputs = np.array([np.array([0.5, 0.5j, -0.5, 0.5])]
-                      + [random_amplitudes(rng, 4) for _ in range(trials - 1)]).T
+    inputs = ([(0.5, 0.5j, -0.5, 0.5)]
+              + [random_amplitudes(rng, 4) for _ in range(trials - 1)])
     worst_prob, worst_fid = _paired_deviations(groups, inputs, 1.0 / 16.0)
     phase_dev, complete_dev = kraus_deviations(groups, 0.25)
     return [
-        check_record(
-            "ecnot-tcnot-branch-prob", "optical CNOT and teleportation CNOT branches "
-            "all carry probability 1/16", worst_prob, 0.0, 1e-10),
-        check_record(
-            "ecnot-tcnot-branch-state", "encoded optical CNOT branches equal the "
-            "teleportation CNOT branches up to a global phase", worst_fid, 1.0, 1e-10),
-        check_record(
-            "ecnot-tcnot-kraus-phase", "each encoded optical CNOT branch operator equals "
-            "its label-matched teleportation CNOT operator times a phase",
-            phase_dev, 0.0, MATRIX_IDENTITY_TOL),
-        check_record(
-            "ecnot-tcnot-kraus-complete", "on both sides the branch operators satisfy "
-            "sum K^dagger K = I/4, success 1/4 on every input",
-            complete_dev, 0.0, MATRIX_IDENTITY_TOL),
+        check_record("ecnot-tcnot-branch-prob", "optical CNOT and teleportation CNOT branches "
+                     "all carry probability 1/16", worst_prob, 0.0, 1e-10),
+        check_record("ecnot-tcnot-branch-state", "encoded optical CNOT branches equal the "
+                     "teleportation CNOT branches up to a global phase", worst_fid, 1.0, 1e-10),
+        check_record("ecnot-tcnot-kraus-phase", "each encoded optical CNOT branch operator equals "
+                     "its label-matched teleportation CNOT operator times a phase",
+                     phase_dev, 0.0, MATRIX_IDENTITY_TOL),
+        check_record("ecnot-tcnot-kraus-complete", "on both sides the branch operators satisfy "
+                     "sum K^dagger K = I/4, success 1/4 on every input",
+                     complete_dev, 0.0, MATRIX_IDENTITY_TOL),
     ]

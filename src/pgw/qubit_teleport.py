@@ -22,72 +22,91 @@ that same analysis on the auxiliary pair.
 
 from __future__ import annotations
 
-import functools
+import itertools
+import math
+import operator
+import random
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from .fock_core import NORM_SLACK, Branch, GateResult
 
-
-class _Numpy:
-    """numpy, imported on the first attribute read so that importing pgw does
-    not; each attribute read is then kept on the handle as a plain attribute."""
-
-    def __getattr__(self, name: str):
-        import numpy
-        value = getattr(numpy, name)
-        setattr(self, name, value)
-        return value
-
-
-np = _Numpy()
-
 MAX_QUBITS = 6
 
-# The gate matrices, each built on its first read (also as a module
-# attribute, through __getattr__) and the same array on every read after.
-_MATRICES = {
-    "IDENTITY_2": lambda: np.eye(2, dtype=complex),
-    "PAULI_X": lambda: np.array([[0, 1], [1, 0]], dtype=complex),
-    "PAULI_Z": lambda: np.array([[1, 0], [0, -1]], dtype=complex),
-    "HADAMARD": lambda: np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0),
-    "CZ_MATRIX": lambda: np.diag([1, 1, 1, -1]).astype(complex),
-    "CNOT_MATRIX": lambda: np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
-    "PARITY_FILTER_MATRIX": lambda: np.diag([1, 0, 0, 1]).astype(complex),
-}
+_SQRT_HALF = 1.0 / math.sqrt(2.0)  # one ulp below fock_core.HALF, which rounds 2 ** -0.5
+_NORM_BOUND = math.sqrt(1.0 + NORM_SLACK)  # the largest norm a state may have
+
+Matrix = tuple[tuple[complex, ...], ...]
 
 
-@functools.cache
-def __getattr__(name: str):
-    if name not in _MATRICES:  # a probe such as __path__ must not import numpy
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return _MATRICES[name]()
+def _matrix(rows) -> Matrix:
+    """rows, a matrix of numbers or a numpy array, as a tuple of complex rows."""
+    return tuple(tuple(map(complex, row)) for row in rows)
+
+
+def _diag(*entries) -> Matrix:
+    return _matrix([[x if i == j else 0 for j in range(len(entries))]
+                    for i, x in enumerate(entries)])
+
+
+IDENTITY_2 = _diag(1, 1)
+PAULI_X = _matrix([[0, 1], [1, 0]])
+PAULI_Z = _diag(1, -1)
+HADAMARD = _matrix([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]])
+CZ_MATRIX = _diag(1, 1, 1, -1)
+CNOT_MATRIX = _matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+PARITY_FILTER_MATRIX = _diag(1, 0, 0, 1)
+
+
+def _names(value, what: str) -> tuple[str, ...]:
+    """value as a tuple of strings, else ValueError naming the argument what.
+    A bare string is refused, not read as one name per character."""
+    names = None if isinstance(value, str) or not isinstance(value, Iterable) else tuple(value)
+    if names is None or not all(map(isinstance, names, itertools.repeat(str))):
+        raise ValueError(f"{what} must be a sequence of strings, got {value!r}")
+    return names
+
+
+def _amplitudes(value) -> tuple[complex, ...]:
+    """value, a flat sequence of numbers (a numpy array too), as a tuple of
+    complex, else ValueError. complex() also parses strings; they are refused."""
+    if hasattr(value, "tolist"):  # a numpy array: its entries as Python numbers
+        value = value.tolist()
+    flat = isinstance(value, Sequence) and not isinstance(value, (str, bytes, bytearray))
+    kinds = set(map(type, value)) if flat else {str}
+    if kinds == {complex}:
+        return tuple(value)
+    if not any(issubclass(kind, str) for kind in kinds):
+        try:
+            return tuple(map(complex, value))
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"amplitudes must be a flat sequence of numbers, got {value!r}")
 
 
 @dataclass(frozen=True)
 class QubitState:
     """Dense n-qubit amplitudes with named qubits; leftmost label is the
-    most significant bit of the basis index."""
+    most significant bit of the basis index. amplitudes is a tuple of
+    complex, built from any flat sequence of numbers."""
 
     labels: tuple[str, ...]
-    amplitudes: np.ndarray
+    amplitudes: tuple[complex, ...]
 
     def __post_init__(self):
-        labels = tuple(self.labels)
+        labels = _names(self.labels, "labels")
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate qubit labels {labels}")
         if len(labels) > MAX_QUBITS:
             raise ValueError(f"at most {MAX_QUBITS} qubits supported")
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.size != 2 ** len(labels):
-            raise ValueError(f"expected {2 ** len(labels)} amplitudes, got {amps.size}")
-        if not np.all(np.isfinite(amps)):
-            raise ValueError("non-finite amplitude")
-        if float(np.vdot(amps, amps).real) > 1.0 + NORM_SLACK:
-            raise ValueError("squared norm exceeds 1")
-        amps = amps.copy()
-        amps.setflags(write=False)
+        amps = _amplitudes(self.amplitudes)
+        if len(amps) != 2 ** len(labels):
+            raise ValueError(f"expected {2 ** len(labels)} amplitudes, got {len(amps)}")
+        # The norm is finite only if every entry is, and fails <= if one is NaN.
+        if not math.hypot(*map(abs, amps)) <= _NORM_BOUND:
+            finite = all(math.isfinite(a.real) and math.isfinite(a.imag) for a in amps)
+            raise ValueError("squared norm exceeds 1" if finite else "non-finite amplitude")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -96,16 +115,18 @@ class QubitState:
         return len(self.labels)
 
     def norm_squared(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
+        """Sum of re^2 + im^2, the real part of each conj(a) a, in order."""
+        return sum(map(operator.mul, map(complex.conjugate, self.amplitudes),
+                       self.amplitudes)).real
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return math.sqrt(self.norm_squared())
 
     def normalized(self) -> "QubitState":
         n = self.norm()
         if n == 0.0:
             raise ValueError("cannot normalize the zero state")
-        return QubitState(self.labels, self.amplitudes / n)
+        return QubitState(self.labels, [a * (1.0 / n) for a in self.amplitudes])
 
     def axis_of(self, label: str) -> int:
         try:
@@ -126,28 +147,44 @@ def bell_state(name: str, labels: tuple[str, str] = ("Q1", "Q2")) -> QubitState:
     if not isinstance(name, str) or name not in _BELL_TERMS:
         raise ValueError(f"not a Bell state: {name!r}")
     (first, second), sign = _BELL_TERMS[name]
-    amps = np.zeros(4, dtype=complex)
-    amps[first] = 1.0
-    amps[second] = sign
-    return QubitState(labels, amps / np.sqrt(2.0))
+    amps = [0j] * 4
+    amps[first], amps[second] = _SQRT_HALF, sign * _SQRT_HALF
+    return QubitState(labels, amps)
 
 
 def tensor_qubits(a: QubitState, b: QubitState) -> QubitState:
     if set(a.labels) & set(b.labels):
         raise ValueError("qubit registers overlap")
-    return QubitState(a.labels + b.labels, np.kron(a.amplitudes, b.amplitudes))
+    return QubitState(a.labels + b.labels, [x * y for x in a.amplitudes for y in b.amplitudes])
 
 
-def apply_matrix(state: QubitState, matrix: np.ndarray, targets: Sequence[str]) -> QubitState:
-    """Apply a 2^k x 2^k matrix to the named target qubits."""
-    k = len(targets)
+def _offsets(state: QubitState, targets: Sequence[str]) -> list[list[int]]:
+    """The basis-index offset of every bit pattern on the targets, in pattern
+    order with the first target the leading bit, then of every pattern on the
+    other qubits: each basis index is one of each, added."""
     axes = [state.axis_of(t) for t in targets]
-    n = state.n_qubits
-    tensor_form = state.amplitudes.reshape((2,) * n)
-    op = np.asarray(matrix, dtype=complex).reshape((2,) * (2 * k))
-    moved = np.tensordot(op, tensor_form, axes=(list(range(k, 2 * k)), axes))
-    moved = np.moveaxis(moved, list(range(k)), axes)
-    return QubitState(state.labels, moved.reshape(-1))
+    if len(set(axes)) != len(axes):
+        raise ValueError(f"targets {tuple(targets)} name a qubit twice")
+    n, split = state.n_qubits, []
+    for group in (axes, [a for a in range(n) if a not in axes]):
+        split.append([0])
+        for axis in group:
+            split[-1] = [o + b for o in split[-1] for b in (0, 1 << (n - 1 - axis))]
+    return split
+
+
+def apply_matrix(state: QubitState, matrix, targets: Sequence[str]) -> QubitState:
+    """Apply a 2^k x 2^k matrix (rows of numbers) to the named target qubits."""
+    offsets, bases = _offsets(state, targets)
+    rows = _matrix(matrix)
+    if len(rows) != len(offsets) or any(len(row) != len(offsets) for row in rows):
+        raise ValueError(f"matrix is not {len(offsets)} x {len(offsets)}, one per target pattern")
+    terms = [[(o, x) for o, x in zip(offsets, row) if x] for row in rows]
+    amps, out = state.amplitudes, [0j] * len(state.amplitudes)
+    for base in bases:
+        for o, row in zip(offsets, terms):
+            out[base + o] = sum([x * amps[base + c] for c, x in row])
+    return QubitState(state.labels, tuple(out))
 
 
 def reorder(state: QubitState, new_labels: Sequence[str]) -> QubitState:
@@ -155,26 +192,27 @@ def reorder(state: QubitState, new_labels: Sequence[str]) -> QubitState:
     new_labels = tuple(new_labels)
     if sorted(new_labels) != sorted(state.labels):
         raise ValueError(f"cannot reorder {state.labels} as {new_labels}")
-    perm = [state.axis_of(lab) for lab in new_labels]
-    tensor_form = state.amplitudes.reshape((2,) * state.n_qubits)
-    return QubitState(new_labels, np.transpose(tensor_form, perm).reshape(-1))
+    return QubitState(new_labels, [state.amplitudes[i] for i in _offsets(state, new_labels)[0]])
 
 
-def random_amplitudes(rng: np.random.Generator, dim: int) -> np.ndarray:
+def random_amplitudes(rng: random.Random, dim: int) -> tuple[complex, ...]:
     """Normalized complex vector drawn from a rotation-invariant law: dim
     real parts, then dim imaginary parts, from standard normals."""
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
+    re, im = ([rng.gauss(0.0, 1.0) for _ in range(dim)] for _ in range(2))
+    norm = math.hypot(*re, *im)
+    return tuple([complex(x / norm, y / norm) for x, y in zip(re, im)])
 
 
-def random_qubit_state(rng: np.random.Generator, labels: Sequence[str]) -> QubitState:
+def random_qubit_state(rng: random.Random, labels: Sequence[str]) -> QubitState:
     """Normalized state with rotation-invariant random amplitudes."""
     return QubitState(tuple(labels), random_amplitudes(rng, 2 ** len(labels)))
 
 
 def overlap_q(a: QubitState, b: QubitState) -> complex:
-    """Inner product <a|b>, matching qubits by label."""
-    return complex(np.vdot(a.amplitudes, reorder(b, a.labels).amplitudes))
+    """Inner product <a|b>, matching qubits by label, with each part summed
+    exactly (math.fsum): terms that cancel give exactly 0."""
+    terms = [x.conjugate() * y for x, y in zip(a.amplitudes, reorder(b, a.labels).amplitudes)]
+    return complex(math.fsum([t.real for t in terms]), math.fsum([t.imag for t in terms]))
 
 
 def qubit_fidelity(a: QubitState, b: QubitState) -> float:
@@ -191,16 +229,7 @@ def z_correction(state: QubitState, qubit: str, j: int) -> QubitState:
         raise ValueError("j must be 0 or 1")
     if j == 0:
         return state
-    return apply_matrix(state, __getattr__("PAULI_Z"), (qubit,))
-
-
-def _contract_pair(state: QubitState, pair: tuple[str, str], bra: np.ndarray) -> QubitState:
-    """Project the named pair onto <bra| and remove those qubits."""
-    i, k = state.axis_of(pair[0]), state.axis_of(pair[1])
-    tensor_form = state.amplitudes.reshape((2,) * state.n_qubits)
-    contracted = np.tensordot(bra.conj().reshape(2, 2), tensor_form, axes=([0, 1], [i, k]))
-    remaining = tuple(lab for lab in state.labels if lab not in pair)
-    return QubitState(remaining, contracted.reshape(-1))
+    return apply_matrix(state, PAULI_Z, (qubit,))
 
 
 def pbm(state: QubitState, pair: tuple[str, str]) -> GateResult:
@@ -209,9 +238,14 @@ def pbm(state: QubitState, pair: tuple[str, str]) -> GateResult:
     Accepted branches carry the unnormalized conditional state on the
     remaining qubits; the rejected Phi+- outcomes carry the rest of the norm,
     state.norm_squared() - success_probability."""
-    branches = []
+    offsets, bases = _offsets(state, pair)
+    remaining = tuple(lab for lab in state.labels if lab not in pair)
+    amps, branches = state.amplitudes, []
     for j, label in ((0, PSI_PLUS), (1, PSI_MINUS)):
-        conditional = _contract_pair(state, pair, bell_state(label).amplitudes)
+        # Project the pair onto <label| and remove those qubits.
+        bra = [(o, x.conjugate()) for o, x in zip(offsets, bell_state(label).amplitudes) if x]
+        conditional = QubitState(remaining, [sum([x * amps[base + o] for o, x in bra])
+                                             for base in bases])
         branches.append(Branch(label, j, conditional, conditional.norm_squared()))
     return GateResult(tuple(branches))
 
@@ -221,7 +255,7 @@ def parity_filter(state: QubitState, pair: tuple[str, str]) -> QubitState:
 
     Returns the unnormalized filtered state; both qubits are kept.
     """
-    return apply_matrix(state, __getattr__("PARITY_FILTER_MATRIX"), pair)
+    return apply_matrix(state, PARITY_FILTER_MATRIX, pair)
 
 
 def _teleport_one(joint: QubitState, qubit: str, a1: str, a2: str,
@@ -244,7 +278,7 @@ def _teleport_one(joint: QubitState, qubit: str, a1: str, a2: str,
 
 
 def qubit_gate(gate: Callable[..., GateResult], labels: Sequence[str], *args, **kwargs
-               ) -> Callable[[np.ndarray], GateResult]:
+               ) -> Callable[[Sequence[complex]], GateResult]:
     """gate on QubitState(labels, amps) and the further arguments, as a
     function of the amplitudes amps."""
     return lambda amps: gate(QubitState(labels, amps), *args, **kwargs)
@@ -269,10 +303,8 @@ def telegate_t(input_state: QubitState, qubit: str, aux: QubitState,
 def cz_aux_state(labels: Sequence[str] = ("A1", "A2", "A1'", "A2'")) -> QubitState:
     """Four-qubit auxiliary resource for the two-telegate controlled-Z:
     (|0101> + |0110> + |1001> - |1010>)/2 on (first pair, second pair)."""
-    amps = np.zeros(16, dtype=complex)
-    amps[0b0101] = 0.5
-    amps[0b0110] = 0.5
-    amps[0b1001] = 0.5
+    amps = [0j] * 16
+    amps[0b0101] = amps[0b0110] = amps[0b1001] = 0.5
     amps[0b1010] = -0.5
     return QubitState(tuple(labels), amps)
 
@@ -307,10 +339,10 @@ def cnot_via_cz(input_state: QubitState) -> GateResult:
     two-telegate controlled-Z, then H on the target again. Success 1/4."""
     if input_state.n_qubits != 2:
         raise ValueError("input must be a two-qubit state")
-    target, hadamard = input_state.labels[1], __getattr__("HADAMARD")
-    state = apply_matrix(input_state, hadamard, (target,))
+    target = input_state.labels[1]
+    state = apply_matrix(input_state, HADAMARD, (target,))
     cz = cz_via_two_telegates(state)
     return GateResult(tuple(
         Branch(b.outcome_label, b.j,
-               apply_matrix(b.conditional_state, hadamard, (target,)), b.probability)
+               apply_matrix(b.conditional_state, HADAMARD, (target,)), b.probability)
         for b in cz.accepted_branches))

@@ -69,7 +69,7 @@ from .fock_core import (
 from .mb_bridge import branch_probabilities, compile_branches, mb_decode
 from .optical_elements import ELEMENTS, ElementSpec
 from .optical_gates import GATE_EXPANDERS, run_pipeline
-from .qubit_teleport import QubitState, np
+from .qubit_teleport import QubitState
 from .verify import SUITES, TRUTH_TABLES, run_suite
 
 DEFAULT_SEED = 12345
@@ -411,11 +411,17 @@ def _fmt_fock(state: FockKet) -> str:
     return " + ".join(parts) or "0"
 
 
-def _fmt_qubit(amps: np.ndarray) -> str:
+def _fmt_qubit(amps: list[complex]) -> str:
     n = len(amps).bit_length() - 1
     parts = [f"({_fmt_c(amp)}) |{index:0{n}b}>"
              for index, amp in enumerate(amps) if abs(amp) > 1e-12]
     return " + ".join(parts) or "0"
+
+
+def _normalized(amps: list[complex]) -> list[complex]:
+    """amps over their norm, as a multiple of the norm's reciprocal."""
+    scale = 1.0 / math.hypot(*map(abs, amps))
+    return [a * scale for a in amps]
 
 
 def cmd_simulate(path: str) -> int:
@@ -472,20 +478,20 @@ def cmd_verify(suite: str, seed: int, trials: int, json_path: str | None = None)
 def cmd_truth_table(gate: str) -> int:
     note, texts, builders, enc = TRUTH_TABLES[gate]()
     dim = len(texts) // len(builders)
-    columns = [[k[:, i] for k in ops.values()]
+    columns = [[[row[i] for row in k] for k in ops.values()]
                for ops in (compile_branches(b, dim, enc) for b in builders) for i in range(dim)]
     print(f"truth-table: {gate}")
     print(f"# {note}")
     width = max(map(len, texts))
     for text, cols in zip(texts, columns, strict=True):
-        out = next((c / np.linalg.norm(c) for c in cols if c.any()), None)
+        out = next((_normalized(c) for c in cols if any(c)), None)
         if out is None:
             shown = "(blocked)"
         elif enc is None:
             shown = _fmt_qubit(out)
         else:
             shown = _fmt_fock(mb_decode(QubitState(enc.qubit_labels, out), enc))
-        p = sum(branch_probabilities(c) for c in cols)
+        p = sum(branch_probabilities(list(zip(*cols))))
         print(f"  {text:<{width}}  p={p:.12g}  ->  {shown}")
     return 0
 

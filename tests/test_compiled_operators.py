@@ -8,15 +8,19 @@ gate the checks compile, and pin the label pairing of optical detector
 outcomes with teleportation Bell outcomes.
 """
 
+import random
+
 import numpy as np
 import pytest
 
+import reference
 from pgw import mb_bridge
 from pgw.fock_core import FockKet, H, ModeId, Register, V, apply_mode_transform
 from pgw.mb_bridge import (
     DETECTOR_TO_BELL,
     MATRIX_IDENTITY_TOL,
     MBEncoding,
+    _paired_deviations,
     batched_fidelity,
     check_record,
     compile_branches,
@@ -24,6 +28,7 @@ from pgw.mb_bridge import (
     kraus_deviations,
     linear_map,
     mb_encode,
+    min_or_nan,
     pair_branches,
     project_encodable,
     verify_ecnot_equals_tcnot,
@@ -150,7 +155,7 @@ def test_compiled_encodings_equal_direct_encodings():
         matrix = linear_map(fn, dim)
         for v in _random_inputs(dim):
             assert np.abs(matrix @ v - fn(v)).max() <= TOL
-    isometry = linear_map(encoded, 4)
+    isometry = np.asarray(linear_map(encoded, 4))
     assert np.abs(isometry.conj().T @ isometry - np.eye(4)).max() <= 1e-15
 
 
@@ -173,7 +178,7 @@ def test_nonzero_branch_operators_of_a_tabulated_gate_agree_up_to_phase(gate):
     _, texts, builders, enc = TRUTH_TABLES[gate]()
     for builder in builders:
         ops = compile_branches(builder, len(texts) // len(builders), enc)
-        live = [k for k in ops.values() if k.any()]
+        live = [np.asarray(k) for k in ops.values() if np.any(k)]
         assert len(live) > 1
         for k in live[1:]:
             overlap = np.vdot(live[0], k)
@@ -217,9 +222,9 @@ def _patched_compile(monkeypatch, change):
 
 @pytest.mark.parametrize("verify", [verify_f_equals_tprime, verify_ecnot_equals_tcnot])
 def test_reversed_branch_order_still_passes(monkeypatch, verify):
-    baseline = verify(np.random.default_rng(11), trials=10)
+    baseline = verify(random.Random(11), trials=10)
     _patched_compile(monkeypatch, lambda ops: dict(reversed(list(ops.items()))))
-    records = verify(np.random.default_rng(11), trials=10)
+    records = verify(random.Random(11), trials=10)
     assert records == baseline
     assert all(r["status"] == "pass" for r in records)
 
@@ -228,7 +233,7 @@ def test_reversed_branch_order_still_passes(monkeypatch, verify):
 def test_unmatched_label_fails_every_pairing_check(monkeypatch, verify):
     _patched_compile(monkeypatch, lambda ops: {
         label.replace(PSI_MINUS, "Psi?"): k for label, k in ops.items()})
-    records = verify(np.random.default_rng(11), trials=10)
+    records = verify(random.Random(11), trials=10)
     assert records
     assert all(r["status"] == "fail" for r in records)
 
@@ -257,7 +262,7 @@ def test_gate_deviations_of_an_exact_claim():
 
 
 def test_gate_deviations_wrong_target_lowers_the_fidelity():
-    inputs = np.array([[1.0, HALF], [0.0, HALF]])
+    inputs = [(1.0, 0.0), (HALF, HALF)]  # two input columns
     success, weight, fid = gate_deviations(EXACT_OPS, inputs, np.array([[0, 1], [1, 0]]),
                                            0.5, 0.25)
     assert (success, weight) == pytest.approx((0.0, 0.0), abs=1e-15)
@@ -274,3 +279,115 @@ def test_gate_deviations_zero_column_fails_the_check():
     fid = gate_deviations(ops, np.eye(2), np.eye(2), 0.5, 0.25)[2]
     assert np.isnan(fid)
     assert check_record("x", "claim", fid, 1.0, 1e-10)["status"] == "fail"
+
+
+# numpy transcriptions of the branch-operator checks as they were written
+# with numpy arrays (inputs and outputs one column per trial), the oracle for
+# the plain-Python kernels.
+def _np_fidelity(states, targets):
+    overlaps = np.abs(np.sum(targets.conj() * states, axis=0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return overlaps / (np.linalg.norm(states, axis=0) * np.linalg.norm(targets, axis=0))
+
+
+def _np_gate_deviations(ops, inputs, target, success, weight):
+    outputs = [k @ inputs for k in ops]
+    probs = [np.sum(np.abs(out) ** 2, axis=0) for out in outputs]
+    wanted = target @ inputs
+    return (float(np.max(np.abs(sum(probs) - success))),
+            float(np.max([np.abs(p - weight) for p in probs])),
+            float(np.min([_np_fidelity(out, wanted) for out in outputs])))
+
+
+def _np_kraus_deviations(groups, p_success):
+    phase_devs, complete_devs = [], []
+    for group in groups:
+        for k_opt, k_tel in group:
+            overlap = np.vdot(k_tel, k_opt)
+            phase_devs.append(np.max(np.abs(k_opt - overlap / abs(overlap) * k_tel)))
+        for side in zip(*group):
+            gram = sum(k.conj().T @ k for k in side)
+            complete_devs.append(np.max(np.abs(gram - p_success * np.eye(len(gram)))))
+    return float(np.max(phase_devs)), float(np.max(complete_devs))
+
+
+@pytest.mark.parametrize("name", sorted(GATES))
+def test_compiled_operators_are_the_stacked_basis_outputs(name):
+    gate, dim, enc = GATES[name]
+    ops = compile_branches(gate, dim, enc)
+    columns = {}
+    for basis in np.eye(dim, dtype=complex):
+        for branch in gate(basis).accepted_branches:
+            state = branch.conditional_state
+            columns.setdefault(branch.outcome_label, []).append(
+                state.amplitudes if enc is None else mb_encode(state, enc).amplitudes)
+    assert list(ops) == list(columns)
+    for label, cols in columns.items():
+        assert np.abs(np.subtract(ops[label], np.column_stack(cols))).max() <= 1e-15
+
+
+@pytest.mark.parametrize("name", sorted(GATES))
+def test_deviations_agree_with_their_numpy_transcription(name):
+    gate, dim, enc = GATES[name]
+    ops = compile_branches(gate, dim, enc)
+    np_ops = [np.asarray(k) for k in ops.values()]
+    inputs = _random_inputs(dim, count=20, seed=77)
+    rng = np.random.default_rng(78)
+    target = reference.haar_unitary(rng, dim)
+    n = len(ops)
+    success, weight = rng.uniform(0.0, 1.0, size=2)
+    got = gate_deviations(ops, list(inputs), target, success, weight)
+    want = _np_gate_deviations(np_ops, inputs.T, target, success, weight)
+    assert np.abs(np.subtract(got, want)).max() <= 1e-14
+    # Per-column success and weight, as _paired_deviations passes them.
+    per_column = list(rng.uniform(0.0, 1.0, size=len(inputs)))
+    got = gate_deviations(ops, list(inputs), target, per_column, per_column)
+    want = _np_gate_deviations(np_ops, inputs.T, target, np.array(per_column),
+                               np.array(per_column))
+    assert np.abs(np.subtract(got, want)).max() <= 1e-14
+    # Each branch against a perturbed copy of itself and against the first branch.
+    others = [k + 1e-3 * reference.haar_unitary(rng, dim) for k in np_ops]
+    groups = [list(zip(np_ops, others)), [(k, np_ops[0]) for k in np_ops]]
+    for group in groups:
+        got = kraus_deviations([group], 1.0 / n)
+        want = _np_kraus_deviations([group], 1.0 / n)
+        assert np.abs(np.subtract(got, want)).max() <= 1e-14
+
+
+# A zero column or a zero branch gives NaN in every reduction that meets it,
+# wherever it sits; a check built on it then fails.
+_QUARTER_I, _QUARTER_Z = (np.eye(2) / 2.0, np.diag([0.5, -0.5]))
+_ZERO = np.zeros((2, 2))
+_ZERO_CASES = {
+    "column first": ([(0, 0), (1, 0), (HALF, HALF)], [_QUARTER_I, _QUARTER_Z]),
+    "column middle": ([(1, 0), (0, 0), (HALF, HALF)], [_QUARTER_I, _QUARTER_Z]),
+    "column last": ([(1, 0), (HALF, HALF), (0, 0)], [_QUARTER_I, _QUARTER_Z]),
+    "branch first": ([(1, 0), (HALF, HALF)], [_ZERO, _QUARTER_I, _QUARTER_Z]),
+    "branch last": ([(1, 0), (HALF, HALF)], [_QUARTER_I, _QUARTER_Z, _ZERO]),
+}
+
+
+def _fails(got, want=1.0):
+    return np.isnan(got) and check_record("x", "claim", got, want, 1e-10)["status"] == "fail"
+
+
+@pytest.mark.parametrize("where", _ZERO_CASES)
+def test_a_zero_column_or_branch_gives_nan_wherever_it_sits(where):
+    inputs, ops = _ZERO_CASES[where]
+    target = np.eye(2)
+    columns = np.array(inputs, dtype=complex).T
+    fids = [f for k in ops for f in batched_fidelity(k @ columns, target @ columns)]
+    assert _fails(min_or_nan(fids))
+    assert _fails(gate_deviations(ops, inputs, target, 0.5, 0.25)[2])
+    group = [(k, _QUARTER_I) for k in ops]
+    assert _fails(_paired_deviations([group], inputs)[1])
+    if where.startswith("branch"):  # a zero operator has no overlap with its partner
+        assert _fails(kraus_deviations([group], 0.5)[0], 0.0)
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_a_zero_operator_overlap_gives_nan_wherever_it_sits(where):
+    exact = [(_QUARTER_I, 1j * _QUARTER_I), (_QUARTER_Z, _QUARTER_Z)]
+    orthogonal = (_QUARTER_I, _QUARTER_Z)  # trace overlap 0: no phase relates them
+    group = [orthogonal] + exact if where == "first" else exact + [orthogonal]
+    assert _fails(kraus_deviations([group], 0.5)[0], 0.0)

@@ -7,6 +7,8 @@ odd Bell states. Every verify_* routine must come back all-pass because
 each one rechecks facts the unit tests here pin independently.
 """
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,42 @@ def test_encoding_declaration_is_validated():
         MBEncoding(("A",), ("A",))
     enc = MBEncoding(("IN",), ("A",))
     assert enc.qubit_labels == ("IN", "AV", "AH")
+
+
+_MALFORMED_ENCODINGS = {
+    "bare string input ports": ("IN", (), "input_ports"),  # not ports 'I' and 'N'
+    "bare string aux ports": ((), "A", "aux_ports"),
+    "None input ports": (None, (), "input_ports"),
+    "None aux ports": (("IN",), None, "aux_ports"),
+    "int port": ((1,), (), "input_ports"),
+    "None port": (("IN",), ("A", None), "aux_ports"),
+}
+
+
+@pytest.mark.parametrize("input_ports, aux_ports, argument", _MALFORMED_ENCODINGS.values(),
+                         ids=_MALFORMED_ENCODINGS)
+def test_encoding_rejects_a_malformed_argument(input_ports, aux_ports, argument):
+    with pytest.raises(ValueError, match=f"^{argument} must be"):
+        MBEncoding(input_ports, aux_ports)
+
+
+_SCALARS = st.one_of(st.integers(-2, 2), st.booleans(), st.floats(allow_nan=True),
+                     st.text(max_size=2), st.none(),
+                     st.sampled_from([np.float64(0.5), np.int64(1), np.str_("A")]))
+_MIXED = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3),
+                   st.lists(_SCALARS, max_size=3).map(tuple),
+                   st.lists(st.text(max_size=2), max_size=3).map(tuple))
+
+
+@settings(max_examples=300, deadline=None)
+@given(input_ports=_MIXED, aux_ports=_MIXED)
+def test_encoding_constructs_or_raises_value_error(input_ports, aux_ports):
+    try:
+        enc = MBEncoding(input_ports, aux_ports)
+    except ValueError:
+        return
+    assert all(isinstance(port, str) for port in enc.input_ports + enc.aux_ports)
+    assert MBEncoding(enc.input_ports, enc.aux_ports) == enc
 
 
 def test_dictionary_on_basis_states():
@@ -187,15 +225,15 @@ def _assert_all_pass(records):
 
 
 def test_verify_pbs_dictionary_action():
-    _assert_all_pass(verify_pbs_mb(np.random.default_rng(7), trials=30))
+    _assert_all_pass(verify_pbs_mb(random.Random(7), trials=30))
 
 
 def test_verify_hwp_dictionary_action():
-    _assert_all_pass(verify_hwp_mb(np.random.default_rng(7), trials=30))
+    _assert_all_pass(verify_hwp_mb(random.Random(7), trials=30))
 
 
 def test_verify_filter_matches_parity_telegate():
-    _assert_all_pass(verify_f_equals_tprime(np.random.default_rng(7), trials=30))
+    _assert_all_pass(verify_f_equals_tprime(random.Random(7), trials=30))
 
 
 def test_verify_aux_resource_equivalence():
@@ -208,7 +246,7 @@ def test_verify_aux_resource_equivalence():
 
 
 def test_verify_optical_cnot_matches_teleported_cnot():
-    _assert_all_pass(verify_ecnot_equals_tcnot(np.random.default_rng(7), trials=20))
+    _assert_all_pass(verify_ecnot_equals_tcnot(random.Random(7), trials=20))
 
 
 @st.composite

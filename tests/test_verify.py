@@ -82,23 +82,26 @@ def test_truth_tables_call_each_traced_gate_through_its_module(monkeypatch, caps
 _STARTUP = """
 import contextlib, io, json, sys
 import pgw
+from pgw.verify import TRUTH_TABLES
 from pgw.workbench_cli import main
 seen = {"import numpy": "numpy" in sys.modules,
         "modules": [m for m in json.loads(sys.argv[1]) if m in sys.modules]}
 with contextlib.redirect_stdout(io.StringIO()):
     seen["simulate"] = [main(["simulate", path]) for path in sys.argv[2:]]
     seen["simulate numpy"] = "numpy" in sys.modules
-    seen["verify"] = main(["verify", "--trials", "0"])
-seen["verify numpy"] = "numpy" in sys.modules
+    seen["verify"] = [main(["verify", "--trials", "0"]), main(["verify"])]
+    seen["verify numpy"] = "numpy" in sys.modules
+    seen["truth-table"] = [main(["truth-table", gate]) for gate in TRUTH_TABLES]
+seen["truth-table numpy"] = "numpy" in sys.modules
 print(json.dumps(seen))
 """
 
 
-def test_numpy_is_loaded_by_verify_not_by_import_or_simulate():
-    """`import pgw` and `pgw simulate` never import numpy; verify does, when it
-    first computes. `import pgw` still loads every module that the benchmark
-    tracer reads from sys.modules. This runs in a fresh interpreter, as this
-    one already holds numpy."""
+def test_numpy_is_loaded_by_none_of_import_simulate_verify_or_truth_table():
+    """`import pgw`, `pgw simulate`, `pgw verify` (at 0 and 100 trials) and
+    every `pgw truth-table` never import numpy. `import pgw` still loads
+    every module that the benchmark tracer reads from sys.modules. This runs
+    in a fresh interpreter, as this one already holds numpy."""
     src = str(Path(pgw.__file__).parent.parent)
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -110,4 +113,5 @@ def test_numpy_is_loaded_by_verify_not_by_import_or_simulate():
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
         "import numpy": False, "modules": list(_tracer._MODULES), "simulate": [0, 0],
-        "simulate numpy": False, "verify": 0, "verify numpy": True}
+        "simulate numpy": False, "verify": [0, 0], "verify numpy": False,
+        "truth-table": [0] * 8, "truth-table numpy": False}
