@@ -396,10 +396,6 @@ def single_photon(mode: ModeId, register: Register) -> FockKet:
     return FockKet(register, {occ: 1.0 + 0.0j})
 
 
-def vacuum(register: Register) -> FockKet:
-    return FockKet(register, {(0,) * register.n_modes: 1.0 + 0.0j})
-
-
 def polarization_ket(register: Register, ports: Sequence[str], amps) -> FockKet:
     """One photon in each port, vacuum elsewhere, with one amplitude per
     polarization string in lexicographic order: (H, V) for one port and

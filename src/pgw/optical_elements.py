@@ -14,7 +14,7 @@ ElementSpec(kind, args, angle_degrees) checks its arguments against that
 row, and the circuit-file parser reads `element` lines by it. Each kind's
 block builder finds its modes through the register's port index and writes
 its plain-Python block on them, with no numpy call. ElementSpec.block
-returns that block, which run_pipeline composes; ElementSpec.build and pbs,
+returns that block, which Pipeline.run composes; ElementSpec.build and pbs,
 hwp, pockels_z and mode_swap return it as a checked ModeTransform.
 """
 

@@ -16,24 +16,26 @@ parity check fed by one half of an entangled pair gives the full
 post-selected CNOT on two polarization qubits (success 1/4, four accepted
 detector combinations carrying 1/16 each).
 
-Each gate is written once, as an expander that lists its elements, its
+A gate or a whole circuit is one Pipeline value: its elements, its
 heralded outcomes (each a fock_core.DetectionPattern with its label and j)
-and the corrections of each outcome; e_cnot's expander joins those of its
-two stages into one pattern per outcome, corrections included. One runner,
-run_pipeline, applies such a list to a state as one composed mode transform,
-passes the patterns straight to measure_outcomes, and applies each
-outcome's corrections as one composed transform too. The library gates
-call it on their expansion and drop the emptied auxiliary ports; the
-circuit-file `gate` directive (workbench_cli) splices the same expansion
-into a circuit, which run_circuit hands to the same runner. filter_gate
-and ecnot_gate run the library gates as functions of their input qubits'
-amplitudes, which mb_bridge.compile_branches turns into the branch
-operators K_b that the checks and the truth tables read; a GateResult
-holds only the branches.
+and the corrections of each outcome. Building one checks that its patterns
+are pairwise exclusive. Each gate is written once, as an expander that
+returns its Pipeline; e_cnot's expander joins those of its two stages into
+one pattern per outcome, corrections included. Pipeline.run applies the
+elements to a state as one composed mode transform, passes the patterns
+straight to measure_outcomes, and applies each outcome's corrections as one
+composed transform too. The library gates run their expansion and drop the
+emptied auxiliary ports; the circuit-file `gate` directive (workbench_cli)
+splices the same expansion into a circuit's Pipeline, which run_circuit
+runs the same way. filter_gate and ecnot_gate run the library gates as
+functions of their input qubits' amplitudes, which
+mb_bridge.compile_branches turns into the branch operators K_b that the
+checks and the truth tables read; a GateResult holds only the branches.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .fock_core import (
@@ -60,52 +62,99 @@ from .optical_elements import ElementSpec
 ROTATION_DEG = 22.5
 
 
-def _expand_f_gate(inp: str, aux: str, d0: str, d1: str):
+@dataclass(frozen=True)
+class Pipeline:
+    """A gate or a circuit: elements, then detections, each outcome's corrections.
+
+    elements and detections are stored as tuples; corrections maps an
+    outcome label to its list of elements. The patterns must be pairwise
+    exclusive: two patterns can both fire unless some mode they both
+    constrain has different counts in them, and such a pair would count one
+    outcome twice.
+    """
+
+    elements: tuple[ElementSpec, ...]
+    detections: tuple[DetectionPattern, ...]
+    corrections: Mapping[str, list[ElementSpec]]
+
+    def __post_init__(self):
+        object.__setattr__(self, "elements", tuple(self.elements))
+        object.__setattr__(self, "detections", tuple(self.detections))
+        for i, det in enumerate(self.detections):
+            counts = dict(det.required)
+            for other in self.detections[i + 1:]:
+                if all(counts.get(mode, n) == n for mode, n in other.required):
+                    raise ValueError(f"detections {det.label!r} and {other.label!r} are not "
+                                     "exclusive: they agree on every mode they both constrain")
+
+    def run(self, state: FockKet) -> tuple[FockKet, tuple[Branch, ...]]:
+        """Apply the elements, then run every detection on the resulting state
+        and apply that outcome's corrections to its survivors.
+
+        The elements, and each outcome's corrections, compose to one mode
+        unitary each (_compose), applied once. Against one pass per element,
+        |20, 20> through 12 random plates, each followed by a pbs, agrees to
+        1e-11 per amplitude (about 5e-13); |30, 30> only to about 5e-10.
+
+        Returns the state after the elements and one branch per detection, in
+        order. Detected modes are traced out of each branch; every other port,
+        emptied or not, stays in its register.
+        """
+        state = apply_mode_transform(state, _compose(state.register, self.elements))
+        branches = []
+        for raw in measure_outcomes(state, self.detections):
+            out = raw.conditional_state
+            fixes = self.corrections.get(raw.outcome_label)
+            if fixes:
+                out = apply_mode_transform(out, _compose(out.register, fixes))
+            branches.append(Branch(raw.outcome_label, raw.j, out, raw.probability))
+        return state, tuple(branches)
+
+
+def _expand_f_gate(inp: str, aux: str, d0: str, d1: str) -> Pipeline:
     """Filter stage: combine, rotate, route to detectors, flip on outcome 1."""
-    elements = [
+    elements = (
         ElementSpec("pbs", (inp, aux)),
         ElementSpec("hwp", (aux,), ROTATION_DEG),
         ElementSpec("swap", (ModeId(aux, H), ModeId(d0, H))),
         ElementSpec("swap", (ModeId(aux, V), ModeId(d1, V))),
-    ]
+    )
     modes = (ModeId(d0, H), ModeId(d0, V), ModeId(d1, H), ModeId(d1, V))
-    detections = [DetectionPattern(dict(zip(modes, (1, 0, 0, 0))), label=d0, j=0),
-                  DetectionPattern(dict(zip(modes, (0, 0, 0, 1))), label=d1, j=1)]
-    corrections = {d1: [ElementSpec("pc", (inp,))]}
-    return elements, detections, corrections
+    detections = (DetectionPattern(dict(zip(modes, (1, 0, 0, 0))), label=d0, j=0),
+                  DetectionPattern(dict(zip(modes, (0, 0, 0, 1))), label=d1, j=1))
+    return Pipeline(elements, detections, {d1: [ElementSpec("pc", (inp,))]})
 
 
-def _expand_d_cnot(target: str, control: str, d0: str, d1: str):
+def _expand_d_cnot(target: str, control: str, d0: str, d1: str) -> Pipeline:
     """Plate-sandwiched filter. The closing plate sits before detection here,
     so the outcome-1 phase flip conjugates to a polarization exchange."""
-    f_elements, detections, _ = _expand_f_gate(target, control, d0, d1)
+    f = _expand_f_gate(target, control, d0, d1)
     plate = ElementSpec("hwp", (target,), ROTATION_DEG)
     control_plate = ElementSpec("hwp", (control,), ROTATION_DEG)
-    elements = [plate, control_plate] + f_elements + [plate]
-    corrections = {d1: [ElementSpec("swap", (ModeId(target, H), ModeId(target, V)))]}
-    return elements, detections, corrections
+    return Pipeline((plate, control_plate, *f.elements, plate), f.detections,
+                    {d1: [ElementSpec("swap", (ModeId(target, H), ModeId(target, V)))]})
 
 
 def _expand_e_cnot(control: str, target: str, aux: str, aux2: str,
-                   d0: str, d1: str, d0b: str, d1b: str):
+                   d0: str, d1: str, d0b: str, d1b: str) -> Pipeline:
     """Parity stage on (control, aux), then the plate-sandwiched stage on
     (target, aux2); each outcome joins one of each stage, with its corrections."""
-    s1_elements, s1_detections, s1_corrections = _expand_f_gate(control, aux, d0, d1)
-    s2_elements, s2_detections, s2_corrections = _expand_d_cnot(target, aux2, d0b, d1b)
+    s1 = _expand_f_gate(control, aux, d0, d1)
+    s2 = _expand_d_cnot(target, aux2, d0b, d1b)
     detections = []
     corrections: dict[str, list[ElementSpec]] = {}
-    for b1 in s1_detections:
-        for b2 in s2_detections:
+    for b1 in s1.detections:
+        for b2 in s2.detections:
             label = f"{b1.label},{b2.label}"
             detections.append(DetectionPattern(dict(b1.required + b2.required),
                                                label=label, j=b2.j))
-            fixes = s1_corrections.get(b1.label, []) + s2_corrections.get(b2.label, [])
+            fixes = s1.corrections.get(b1.label, []) + s2.corrections.get(b2.label, [])
             if fixes:
                 corrections[label] = fixes
-    return s1_elements + s2_elements, detections, corrections
+    return Pipeline(s1.elements + s2.elements, detections, corrections)
 
 
-# Gate name -> (expander, number of port arguments), for circuit files.
+# Gate name -> (expander returning its Pipeline, number of port arguments), for circuit files.
 GATE_EXPANDERS = {
     "f_gate": (_expand_f_gate, 4),
     "parity_check": (_expand_f_gate, 4),
@@ -137,36 +186,9 @@ def _compose(register: Register, elements: Sequence[ElementSpec]) -> ModeTransfo
                          touched)
 
 
-def run_pipeline(state: FockKet, elements: Sequence[ElementSpec],
-                 detections: Sequence[DetectionPattern],
-                 corrections: Mapping[str, Sequence[ElementSpec]]
-                 ) -> tuple[FockKet, tuple[Branch, ...]]:
-    """Apply the elements, then run every detection on the resulting state
-    and apply that outcome's corrections to its survivors.
-
-    The elements, and each outcome's corrections, compose to one mode
-    unitary each (_compose), applied once. Against one pass per element,
-    |20, 20> through 12 random plates, each followed by a pbs, agrees to
-    1e-11 per amplitude (about 5e-13); |30, 30> only to about 5e-10.
-
-    Returns the state after the elements and one branch per detection, in
-    order. Detected modes are traced out of each branch; every other port,
-    emptied or not, stays in its register.
-    """
-    state = apply_mode_transform(state, _compose(state.register, elements))
-    branches = []
-    for raw in measure_outcomes(state, detections):
-        out = raw.conditional_state
-        fixes = corrections.get(raw.outcome_label)
-        if fixes:
-            out = apply_mode_transform(out, _compose(out.register, fixes))
-        branches.append(Branch(raw.outcome_label, raw.j, out, raw.probability))
-    return state, tuple(branches)
-
-
-def _run_gate(state: FockKet, expansion, aux_ports: Sequence[str]) -> GateResult:
+def _run_gate(state: FockKet, pipeline: Pipeline, aux_ports: Sequence[str]) -> GateResult:
     """Run an expanded gate and drop its emptied auxiliary ports."""
-    _, branches = run_pipeline(state, *expansion)
+    _, branches = pipeline.run(state)
     return GateResult(tuple(
         Branch(b.outcome_label, b.j, drop_vacuum_ports(b.conditional_state, aux_ports),
                b.probability) for b in branches))

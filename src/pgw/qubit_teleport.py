@@ -203,11 +203,6 @@ def random_amplitudes(rng: random.Random, dim: int) -> tuple[complex, ...]:
     return tuple([complex(x / norm, y / norm) for x, y in zip(re, im)])
 
 
-def random_qubit_state(rng: random.Random, labels: Sequence[str]) -> QubitState:
-    """Normalized state with rotation-invariant random amplitudes."""
-    return QubitState(tuple(labels), random_amplitudes(rng, 2 ** len(labels)))
-
-
 def overlap_q(a: QubitState, b: QubitState) -> complex:
     """Inner product <a|b>, matching qubits by label, with each part summed
     exactly (math.fsum): terms that cancel give exactly 0."""

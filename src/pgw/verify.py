@@ -4,8 +4,8 @@ run_suite runs one suite of SUITES (optical, teleport, mb), or all in
 order, each with a fresh random.Random(seed), and returns a Report in
 the fixed text and JSON formats. TRUTH_TABLES builds, on each lookup, the
 amplitude-in builders of a tabulated gate and the encoding of its branch
-operators, whose columns are the table rows. Random element pipelines run through
-optical_gates.run_pipeline, as circuits and the library gates do.
+operators, whose columns are the table rows. Random element pipelines are
+optical_gates.Pipeline values and run as circuits and the library gates do.
 
 Each layer function that perfbench/tracer.py wraps is called through its
 module (optical_elements.hwp, qubit_teleport.telegate_t), also where a gate
@@ -216,8 +216,8 @@ def _suite_optical(rng: random.Random, trials: int) -> list[dict]:
     for amps, (theta1, theta2) in zip(w, thetas):
         elements = (ElementSpec("hwp", ("A",), theta1), ElementSpec("pbs", ("A", "B")),
                     ElementSpec("hwp", ("B",), theta2))
-        state, branches = optical_gates.run_pipeline(
-            polarization_ket(reg_ab, ("A", "B"), amps), elements, port_a, {})
+        state, branches = optical_gates.Pipeline(elements, port_a, {}).run(
+            polarization_ket(reg_ab, ("A", "B"), amps))
         norm_dev.append(abs(state.norm_squared() - 1.0))
         completeness_dev.append(abs(sum(b.probability for b in branches) - 1.0))
     norm_dev, completeness_dev = max_or_nan(norm_dev), max_or_nan(completeness_dev)
@@ -471,7 +471,6 @@ def run_suite(suite: str, seed: int, trials: int = 100) -> Report:
     """Run one named suite (or all of them) with a fresh generator per suite."""
     names = SUITES if suite == "all" else (suite,)
     checks: list[dict] = []
-    check = mb_bridge.recorder(checks)
     for name in names:
         checks.extend(SUITES[name](random.Random(seed), trials))
     return Report.build(suite, seed, checks)

@@ -33,14 +33,15 @@ d_cnot (ports: target control d0 d1), e_cnot (ports: control target aux
 aux' d0 d1 d0' d1'). All detections are evaluated on the state after the
 full element pipeline, so expanded corrections are conjugated through any
 elements that follow their detector in the original staged circuit.
-The gate expanders and the runner that applies elements, detections and
-corrections live in optical_gates; the library gates run through the same
-runner. Each `detect` line and each outcome of a `gate` line is one
-fock_core.DetectionPattern, and outcome labels are unique across both kinds
-of line. An element's port or mode arguments are distinct. Detection
-patterns must be pairwise exclusive: two patterns that agree on every mode
-they both constrain are an error. A `correct` step may not act on a mode
-that its branch's detection consumes.
+A parsed circuit holds one optical_gates.Pipeline of its elements,
+detections and corrections, the value that each gate expander returns and
+that the library gates run too. Each `detect` line and each outcome of a
+`gate` line is one fock_core.DetectionPattern, and outcome labels are unique
+across both kinds of line. An element's port or mode arguments are
+distinct. Detection patterns must be pairwise exclusive: two patterns that
+agree on every mode they both constrain are an error, raised when the
+parser builds the Pipeline. A `correct` step may not act on a mode that its
+branch's detection consumes.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .fock_core import (
@@ -68,7 +69,7 @@ from .fock_core import (
 )
 from .mb_bridge import branch_probabilities, compile_branches, mb_decode
 from .optical_elements import ELEMENTS, ElementSpec
-from .optical_gates import GATE_EXPANDERS, run_pipeline
+from .optical_gates import GATE_EXPANDERS, Pipeline
 from .qubit_teleport import QubitState
 from .verify import SUITES, TRUTH_TABLES, run_suite
 
@@ -92,13 +93,12 @@ class CircuitParseError(ValueError):
 @dataclass
 class CircuitFile:
     """Parsed circuit: port labels in file order, the initial ket on the
-    circuit's register (its cutoff too), pipeline, detections, corrections."""
+    circuit's register (its cutoff too), and the Pipeline of its elements,
+    detections and corrections."""
 
     labels: tuple[str, ...]
     initial: FockKet
-    elements: list[ElementSpec] = field(default_factory=list)
-    detections: list[DetectionPattern] = field(default_factory=list)
-    corrections: dict[str, list[ElementSpec]] = field(default_factory=dict)
+    pipeline: Pipeline
 
 
 def _ascii_number(parse, text: str):
@@ -239,9 +239,8 @@ class _Reader:
         degrees = self.number(float, tokens[last], "an angle in degrees", last) if angle else 0.0
         return ElementSpec(word, targets, degrees)
 
-    def gate(self, tokens: list[str], i: int) -> tuple:
-        """Kind: NAME, then its ports, to the end of the line; the gate's
-        elements, detection patterns and corrections."""
+    def gate(self, tokens: list[str], i: int) -> Pipeline:
+        """Kind: NAME, then its ports, to the end of the line; the gate's Pipeline."""
         name = tokens[i]
         if name not in GATE_EXPANDERS:
             raise self.error(f"unknown gate {name!r}", i)
@@ -275,12 +274,11 @@ class _Reader:
     def add_element(self, element: ElementSpec) -> None:
         self.elements.append(element)
 
-    def add_gate(self, expansion: tuple) -> None:
-        elements, detections, corrections = expansion
-        self.elements.extend(elements)
-        for pattern in detections:
+    def add_gate(self, pipeline: Pipeline) -> None:
+        self.elements.extend(pipeline.elements)
+        for pattern in pipeline.detections:
             self.detections[self.new_label(None, 1, pattern.label)] = pattern
-        for label, fixes in corrections.items():
+        for label, fixes in pipeline.corrections.items():
             self.corrections.setdefault(label, []).extend(fixes)
 
     def add_detection(self, label: str, j: int, counts: dict[ModeId, int]) -> None:
@@ -353,8 +351,9 @@ def parse_circuit(text: str) -> CircuitFile:
                     raise reader.error(f"correction for branch {label!r} acts on mode {mode}, "
                                        "which its detection consumes", k, where)
     # Counts and amplitudes were checked as read, photons and the norm above: none again.
+    # The Pipeline checks that the detections are exclusive.
     return CircuitFile(tuple(reader.ports), FockKet(register, initial, validate=False),
-                       reader.elements, list(reader.detections.values()), reader.corrections)
+                       Pipeline(reader.elements, reader.detections.values(), reader.corrections))
 
 
 @dataclass
@@ -367,12 +366,11 @@ class SimulationResult:
 
 def run_circuit(cf: CircuitFile) -> SimulationResult:
     initial = cf.initial.norm_squared()
-    _require_exclusive(cf.detections)
-    state, branches = run_pipeline(cf.initial, cf.elements, cf.detections, cf.corrections)
+    state, branches = cf.pipeline.run(cf.initial)
     if abs(state.norm_squared() - initial) > CONSERVATION_TOL:
         raise ValueError(f"the elements took norm^2 from {initial!r} to {state.norm_squared()!r}:"
                          " precision loss in the n-photon amplitudes (too many photons)")
-    if not cf.detections:
+    if not cf.pipeline.detections:
         return SimulationResult(initial, state, (), 0.0)
     total = sum(b.probability for b in branches)
     rejected = initial - total
@@ -380,20 +378,6 @@ def run_circuit(cf: CircuitFile) -> SimulationResult:
         raise ValueError(f"detected branches carry {total!r} of the initial norm^2 "
                          f"{initial!r}; the detection patterns overlap")
     return SimulationResult(initial, None, branches, rejected)
-
-
-def _require_exclusive(detections: list[DetectionPattern]) -> None:
-    """Two patterns can both fire unless some mode they both constrain has
-    different counts in them; such a pair would count one outcome twice."""
-    for i, det in enumerate(detections):
-        counts = dict(det.required)
-        for other in detections[i + 1:]:
-            for mode, n in other.required:
-                if counts.get(mode, n) != n:
-                    break
-            else:
-                raise ValueError(f"detections {det.label!r} and {other.label!r} are not "
-                                 "exclusive: they agree on every mode they both constrain")
 
 
 def _fmt_c(z: complex) -> str:

@@ -26,7 +26,6 @@ from pgw.fock_core import (
     single_photon,
     superpose,
     tensor,
-    vacuum,
 )
 from pgw.optical_elements import pockels_z
 
@@ -145,7 +144,6 @@ def test_single_photon_and_vacuum():
     ket = single_photon(ModeId("B", V), reg)
     assert ket.amplitude((0, 0, 0, 1)) == 1.0
     assert ket.norm_squared() == pytest.approx(1.0)
-    assert vacuum(reg).amplitude((0, 0, 0, 0)) == 1.0
 
 
 def test_fock_ket_rejects_norm_above_one():

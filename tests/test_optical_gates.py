@@ -22,16 +22,17 @@ from pgw.fock_core import (
     V,
     apply_mode_transform,
     measure_and_postselect,
+    measure_outcomes,
     single_photon,
 )
 from pgw.optical_elements import ElementSpec
 from pgw.optical_gates import (
     GATE_EXPANDERS,
+    Pipeline,
     destructive_cnot,
     e_cnot,
     f_gate,
     quantum_parity_check,
-    run_pipeline,
 )
 from pgw.qubit_teleport import CNOT_MATRIX
 
@@ -219,8 +220,11 @@ _BASIS = [occ for occ in reference.fock_basis(6, 3) if sum(occ)]
        angle=st.floats(0.0, 180.0))
 @settings(max_examples=100, deadline=None)
 def test_grouped_detection_equals_one_projection_per_pattern(picked, patterns, angle):
-    """run_pipeline's one pass per detection group gives the same branches as
-    measure_and_postselect once per pattern followed by the corrections."""
+    """measure_outcomes' one pass per detection group, on the state after the
+    elements, gives the same branches as measure_and_postselect once per
+    pattern; both then take the corrections one element at a time. The
+    unfireable patterns of two groups that share no mode agree on every mode
+    they both constrain, so Pipeline refuses every draw."""
     reg = Register(("A", "B", "C"))
     norm = sum(abs(amp) ** 2 for _, amp in picked) ** 0.5
     state = FockKet(reg, {_BASIS[k]: amp / norm for k, amp in picked})
@@ -236,22 +240,27 @@ def test_grouped_detection_equals_one_projection_per_pattern(picked, patterns, a
             corrections[label] = [ElementSpec("hwp", ("A",), angle),
                                   ElementSpec("pc", ("A",))]
 
-    after, branches = run_pipeline(state, elements, detections, corrections)
+    with pytest.raises(ValueError, match=r"^detections 'x\d+' and 'x\d+' are not exclusive: "):
+        Pipeline(elements, detections, corrections)
 
-    expected_after = state
+    def corrected(branch):
+        out = branch.conditional_state
+        for fix in corrections.get(branch.outcome_label, ()):
+            out = apply_mode_transform(out, fix.build(out.register))
+        return out
+
+    after = state
     for element in elements:
-        expected_after = apply_mode_transform(expected_after, element.build(reg))
-    assert after.terms == expected_after.terms
+        after = apply_mode_transform(after, element.build(reg))
+    branches = measure_outcomes(after, detections)
     assert len(branches) == len(detections)
     for det, got in zip(detections, branches):
-        want = measure_and_postselect(expected_after, det)
-        out = want.conditional_state
-        for fix in corrections.get(det.label, ()):
-            out = apply_mode_transform(out, fix.build(out.register))
+        want = measure_and_postselect(after, det)
         assert (got.outcome_label, got.j) == (want.outcome_label, want.j)
         assert got.probability == want.probability
-        assert got.conditional_state.register == out.register
-        assert got.conditional_state.terms == out.terms
+        got_out, want_out = corrected(got), corrected(want)
+        assert got_out.register == want_out.register
+        assert got_out.terms == want_out.terms
     assert any(b.probability == 0 for b in branches)
 
 
@@ -273,7 +282,8 @@ def test_gate_expanders_give_one_pattern_per_outcome_on_the_detector_modes(name)
     requires one photon per stage, with the gate's labels and j values."""
     expander, arity = GATE_EXPANDERS[name]
     detectors, outcomes = _GATE_OUTCOMES[name]
-    _, detections, corrections = expander(*_GATE_PORTS[arity])
+    pipeline = expander(*_GATE_PORTS[arity])
+    detections, corrections = pipeline.detections, pipeline.corrections
     modes = {ModeId(port, pol) for port in detectors for pol in (H, V)}
     assert [(d.label, d.j) for d in detections] == outcomes
     for d in detections:
@@ -281,3 +291,53 @@ def test_gate_expanders_give_one_pattern_per_outcome_on_the_detector_modes(name)
         assert {m for m, _ in d.required} == modes
         assert sum(c for _, c in d.required) == len(detectors) // 2
     assert set(corrections) <= {d.label for d in detections}
+
+
+@pytest.mark.parametrize("name", sorted(GATE_EXPANDERS))
+def test_each_gate_expander_returns_a_frozen_pipeline(name):
+    """On its canonical ports: elements and detections as tuples, each
+    outcome's corrections as a list of elements."""
+    expander, arity = GATE_EXPANDERS[name]
+    pipeline = expander(*_GATE_PORTS[arity])
+    assert type(pipeline) is Pipeline
+    assert type(pipeline.elements) is tuple
+    assert all(type(e) is ElementSpec for e in pipeline.elements)
+    assert type(pipeline.detections) is tuple
+    assert all(type(d) is DetectionPattern for d in pipeline.detections)
+    assert all(type(fixes) is list and all(type(e) is ElementSpec for e in fixes)
+               for fixes in pipeline.corrections.values())
+    with pytest.raises(AttributeError):
+        pipeline.elements = ()
+
+
+def test_e_cnot_expansion_is_the_join_of_its_two_stages():
+    """Each pair of a parity-stage outcome on (IN, A) and a destructive-CNOT
+    outcome on (IN', A') is one pattern: both labels, the second stage's j,
+    both stages' counts, and the first stage's corrections before the
+    second's."""
+    first = GATE_EXPANDERS["f_gate"][0]("IN", "A", "D0", "D1")
+    second = GATE_EXPANDERS["d_cnot"][0]("IN'", "A'", "D0'", "D1'")
+    joined = GATE_EXPANDERS["e_cnot"][0](*_GATE_PORTS[8])
+    assert joined.elements == first.elements + second.elements
+    pairs = [(a, b) for a in first.detections for b in second.detections]
+    assert [(d.label, d.j, d.required) for d in joined.detections] == [
+        (f"{a.label},{b.label}", b.j, tuple(sorted(a.required + b.required))) for a, b in pairs]
+    want = {f"{a.label},{b.label}": first.corrections.get(a.label, [])
+            + second.corrections.get(b.label, []) for a, b in pairs}
+    assert joined.corrections == {label: fixes for label, fixes in want.items() if fixes}
+
+
+def test_two_patterns_that_can_both_fire_are_refused_by_any_pipeline():
+    """The one exclusivity check, with the message circuit files have always
+    given: patterns clash unless a mode they both constrain has different
+    counts, so patterns on disjoint modes clash too."""
+    d0 = DetectionPattern({ModeId("D0", H): 1, ModeId("D0", V): 0}, label="D0")
+    for other in (DetectionPattern({ModeId("D0", H): 1}, label="X"),
+                  DetectionPattern({ModeId("D1", H): 0}, label="X")):
+        with pytest.raises(ValueError) as excinfo:
+            Pipeline((), [d0, DetectionPattern({ModeId("D0", H): 0}, label="Y"), other], {})
+        assert type(excinfo.value) is ValueError
+        assert str(excinfo.value) == ("detections 'D0' and 'X' are not exclusive: "
+                                      "they agree on every mode they both constrain")
+    kept = Pipeline([], [d0, DetectionPattern({ModeId("D0", V): 1}, label="Y")], {})
+    assert kept.elements == () and [d.label for d in kept.detections] == ["D0", "Y"]

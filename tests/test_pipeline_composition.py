@@ -1,4 +1,4 @@
-"""run_pipeline composes its elements into one mode unitary and applies
+"""Pipeline.run composes its elements into one mode unitary and applies
 phi(U) once. These tests hold it to the one-pass-per-element runner
 written below: the same labels and j, and probabilities and amplitudes
 within 1e-12 (1e-11 at twenty photons per mode), with a missing key read
@@ -25,7 +25,7 @@ from pgw.fock_core import (
     polarization_ket,
 )
 from pgw.optical_elements import ELEMENTS, ElementSpec
-from pgw.optical_gates import GATE_EXPANDERS, run_pipeline
+from pgw.optical_gates import GATE_EXPANDERS, Pipeline
 
 
 def _one_pass_per_element(state, elements, detections, corrections):
@@ -48,8 +48,13 @@ def _amplitude_gap(a, b):
                 for k in set(a.terms) | set(b.terms)), default=0.0)
 
 
+def _composed_run(state, elements, detections, corrections):
+    """The same arguments as _one_pass_per_element, through Pipeline.run."""
+    return Pipeline(elements, detections, corrections).run(state)
+
+
 def _assert_same_run(state, elements, detections, corrections, tol):
-    after, branches = run_pipeline(state, elements, detections, corrections)
+    after, branches = _composed_run(state, elements, detections, corrections)
     want_after, want = _one_pass_per_element(state, elements, detections, corrections)
     assert _amplitude_gap(after, want_after) <= tol
     assert [(b.outcome_label, b.j) for b in branches] == [(w[0], w[1]) for w in want]
@@ -117,7 +122,8 @@ def _gate_pipeline(draw):
             for _ in range(2 ** len(occupied))]
     norm = sum(abs(a) ** 2 for a in amps) ** 0.5 or 1.0
     state = polarization_ket(Register(ports), occupied, [a / norm for a in amps])
-    return (state, *expander(*ports))
+    pipeline = expander(*ports)
+    return state, pipeline.elements, pipeline.detections, pipeline.corrections
 
 
 @given(st.one_of(_random_pipeline(), _gate_pipeline()))
@@ -130,7 +136,7 @@ def test_a_swap_applied_twice_leaves_the_state_untouched():
     reg = Register(("A", "B"))
     state = FockKet(reg, {(1, 0, 0, 1): 2 ** -0.5, (0, 1, 1, 0): 2 ** -0.5})
     swap = ElementSpec("swap", (ModeId("A", H), ModeId("B", V)))
-    after, _ = run_pipeline(state, [swap, swap], [], {})
+    after, _ = Pipeline([swap, swap], [], {}).run(state)
     assert after is state  # the composed identity touches no mode, so nothing was applied
 
 
@@ -156,7 +162,7 @@ def test_every_element_block_is_checked_not_only_their_product(monkeypatch):
     state = FockKet(Register(("A",)), {(0, 1): 1.0})
     pc = ElementSpec("pc", ("A",))
     for case in ((state, [pc, pc], [], {}), _behind_a_detection(state, [pc, pc])):
-        for run in (run_pipeline, _one_pass_per_element):
+        for run in (_composed_run, _one_pass_per_element):
             scales = iter((2.0, 0.5))
             with pytest.raises(ValueError, match=r"^matrix is not unitary \(deviation 3\)$"):
                 run(*case)
@@ -183,7 +189,7 @@ def test_an_element_that_cannot_be_built_raises_the_same_error_on_both_paths(
     elements = [ElementSpec("pbs", ("A", "B")), element]
     for case in ((state, elements, [], {}), _behind_a_detection(state, elements)):
         with pytest.raises(error) as composed:
-            run_pipeline(*case)
+            _composed_run(*case)
         with pytest.raises(error) as per_element:
             _one_pass_per_element(*case)
         assert str(composed.value) == str(per_element.value) == text
@@ -200,7 +206,7 @@ def test_twenty_photons_per_mode_keep_their_precision_through_a_long_chain():
     for k in range(12):
         elements += [ElementSpec("hwp", ("AB"[k % 2],), rnd.uniform(0.0, 180.0)),
                      ElementSpec("pbs", ("A", "B"))]
-    after, _ = run_pipeline(state, elements, [], {})
+    after, _ = Pipeline(elements, [], {}).run(state)
     assert abs(after.norm_squared() - 1.0) <= 1e-11
     assert len(after.terms) > 500
     _assert_same_run(state, elements, [], {}, tol=1e-11)

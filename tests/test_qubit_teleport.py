@@ -35,7 +35,7 @@ from pgw.qubit_teleport import (
     parity_filter,
     pbm,
     qubit_fidelity,
-    random_qubit_state,
+    random_amplitudes,
     reorder,
     telegate_t,
     tensor_qubits,
@@ -105,7 +105,7 @@ def test_pbm_outcomes_complete_on_random_states():
     the norm: a lost or mis-weighted branch shows."""
     rng = random.Random(21)
     for _ in range(25):
-        state = random_qubit_state(rng, ("Q", "B1", "B2"))
+        state = QubitState(("Q", "B1", "B2"), random_amplitudes(rng, 8))
         result = pbm(state, ("B1", "B2"))
         phis = [reference.pair_weight(state.amplitudes, (1, 2), bell_state(label).amplitudes)
                 for label in (PHI_PLUS, PHI_MINUS)]
@@ -151,7 +151,7 @@ def test_telegate_minus_aux_inserts_phase_flip():
 def test_telegate_variants_agree_branch_by_branch():
     rng = random.Random(31)
     for _ in range(20):
-        phi = random_qubit_state(rng, ("Q",))
+        phi = QubitState(("Q",), random_amplitudes(rng, 2))
         for label in (PSI_PLUS, PSI_MINUS):
             aux = bell_state(label, ("A1", "A2"))
             swap = telegate_t(phi, "Q", aux, variant="swap")
@@ -220,7 +220,7 @@ def test_cz_branch_labels_pair_both_stages():
 def test_cnot_via_cz_on_random_states():
     rng = random.Random(41)
     for _ in range(20):
-        psi = random_qubit_state(rng, ("Q1", "Q2"))
+        psi = QubitState(("Q1", "Q2"), random_amplitudes(rng, 4))
         result = cnot_via_cz(psi)
         want = QubitState(("Q1", "Q2"), np.asarray(CNOT_MATRIX) @ psi.amplitudes)
         assert result.success_probability == pytest.approx(0.25, abs=1e-10)
@@ -232,7 +232,7 @@ def test_cnot_via_cz_on_random_states():
 def test_norm_preserved_by_random_unitaries():
     rng, np_rng = random.Random(51), np.random.default_rng(51)
     for _ in range(20):
-        state = random_qubit_state(rng, ("Q1", "Q2", "Q3"))
+        state = QubitState(("Q1", "Q2", "Q3"), random_amplitudes(rng, 8))
         u = reference.haar_unitary(np_rng, 4)
         out = apply_matrix(state, u, ("Q2", "Q3"))
         assert out.norm_squared() == pytest.approx(1.0, abs=1e-12)

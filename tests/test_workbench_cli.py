@@ -374,13 +374,13 @@ def test_overlapping_detections_are_rejected(tmp_path, capsys):
 
 
 def test_gate_expansion_shape():
-    cf = parse_circuit(MINIMAL)
-    assert len(cf.elements) == 4
-    assert [e.kind for e in cf.elements[:2]] == ["pbs", "hwp"]
-    assert [d.label for d in cf.detections] == ["D0", "D1"]
-    assert [d.j for d in cf.detections] == [0, 1]
-    assert set(cf.corrections) == {"D1"}
-    assert cf.corrections["D1"][0].kind == "pc"
+    pipeline = parse_circuit(MINIMAL).pipeline
+    assert len(pipeline.elements) == 4
+    assert [e.kind for e in pipeline.elements[:2]] == ["pbs", "hwp"]
+    assert [d.label for d in pipeline.detections] == ["D0", "D1"]
+    assert [d.j for d in pipeline.detections] == [0, 1]
+    assert set(pipeline.corrections) == {"D1"}
+    assert pipeline.corrections["D1"][0].kind == "pc"
 
 
 def test_run_circuit_branches_and_rejection():
@@ -681,6 +681,30 @@ def test_overlapping_detections_with_different_labels_are_rejected(tmp_path, cap
     assert captured.out == ""
 
 
+_NOT_EXCLUSIVE = re.compile(r"detections (\S+) and (\S+) are not exclusive: "
+                            "they agree on every mode they both constrain")
+
+
+def test_the_parse_finds_an_overlap_after_every_parse_error(tmp_path, capsys):
+    """parse_circuit builds the circuit's Pipeline last, so the overlap of
+    test_overlapping_detections_with_different_labels_are_rejected is a plain
+    ValueError from the parse alone, printed without a position, and a
+    CircuitParseError anywhere in the file comes first."""
+    text = (CIRCUIT_DIR / "f_gate.circuit").read_text() + "detect X 0 D0.H=1\n"
+    with pytest.raises(ValueError) as excinfo:
+        parse_circuit(text)
+    assert type(excinfo.value) is ValueError
+    message = str(excinfo.value)
+    assert _NOT_EXCLUSIVE.fullmatch(message).groups() == ("'D0'", "'X'")
+    path = tmp_path / "overlap.circuit"
+    path.write_text(text)
+    assert main(["simulate", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"{path}: error: {message}\n")
+    err = _parse_error(text + "correct Z pc IN\n")
+    assert err.reason == "correction for unknown branch 'Z'"
+    assert err.line == len(text.splitlines()) + 1
+
+
 def test_patterns_that_differ_on_a_shared_mode_are_exclusive():
     text = ("pgw-circuit v1\nregister IN D\nterm 1,0 IN.H=1 D.V=1\n"
             "detect a 0 D.H=1\ndetect b 0 D.H=0 D.V=1\n")
@@ -784,7 +808,9 @@ def test_fuzzed_circuits_parse_or_fail_at_a_position(tmp_path_factory, header, r
                                                      lines):
     """Any token lines either parse or raise CircuitParseError at column 1 or
     at the start of a token of the line it names, and simulate exits 0 or 2,
-    never with a traceback."""
+    never with a traceback. Two `detect` or `gate` outcomes that can both fire
+    instead fail the Pipeline's exclusivity check, a ValueError without a
+    position."""
     text = "\n".join(([HEADER] if header else []) + [register] + lines) + "\n"
     try:
         parse_circuit(text)
@@ -793,6 +819,8 @@ def test_fuzzed_circuits_parse_or_fail_at_a_position(tmp_path_factory, header, r
         assert 1 <= e.line <= len(file_lines) + 1
         code = file_lines[e.line - 1].partition("#")[0] if e.line <= len(file_lines) else ""
         assert e.column in {1} | {m.start() + 1 for m in re.finditer(r"\S+", code)}
+    except ValueError as e:
+        assert type(e) is ValueError and _NOT_EXCLUSIVE.fullmatch(str(e)), e
     path = tmp_path_factory.getbasetemp() / "fuzzed.circuit"
     path.write_text(text)
     assert main(["simulate", str(path)]) in (0, 2)
@@ -994,7 +1022,7 @@ def test_element_table_drives_parser_spec_and_build(kind):
     line, fields, construct = _ELEMENT_LINES[kind]
     spec = ElementSpec(kind, *fields)
     head = "pgw-circuit v1\nregister A B\n"
-    assert parse_circuit(head + f"element {line}\n").elements == [spec]
+    assert parse_circuit(head + f"element {line}\n").pipeline.elements == (spec,)
     reg = Register(("A", "B"))
     built, direct = spec.build(reg), construct(reg)
     assert built.touched == direct.touched
