@@ -18,10 +18,8 @@ from .fock_core import (
     ModeTransform,
     Register,
     apply_mode_transform,
-    fidelity_up_to_global_phase,
     measure_and_postselect,
     single_photon,
-    superpose,
     tensor,
 )
 from .optical_elements import ElementSpec, hwp, mode_swap, pbs, pockels_z

@@ -7,23 +7,22 @@ States (FockKet) are sparse maps from occupations, plain tuples of photon
 counts one per mode, to complex amplitudes. Passive elements act through
 ModeTransform, which stores only the modes a unitary touches and the small
 block U on them, as plain-Python rows of complex built and checked
-(require_unitary) without numpy; its block and matrix are numpy views built
-on access. apply_mode_transform maps the photons of each term on those
-modes through phi(U), the block's n-photon representation (Aaronson &
+(require_unitary); its matrix, the full register matrix, is plain rows too,
+built on access. apply_mode_transform maps the photons of each term on
+those modes through phi(U), the block's n-photon representation (Aaronson &
 Arkhipov, arXiv:1011.3245; entries are permanents over square roots of
 factorials, Scheel, quant-ph/0406127), building each row, image counts on
-the block and their coefficients, once per call. phi(U2 U1) =
-phi(U2) phi(U1), so optical_gates applies each element list, a pipeline
-or an outcome's corrections, as one block. A DetectionPattern is one
-heralded outcome (required counts, label, feed-forward index j); it
-consumes exactly the modes it counts. Number-resolving detection with
-post-selection turns it into a Branch with the same label and j, whose
-squared norm is the branch probability. Branch states stay unnormalized so
-probabilities can be read off directly, matching the 1/sqrt(2) prefactor
-style of the gate algebra. measure_outcomes runs many detection patterns
-with one pass over the state per set of measured modes. Every trace over
-modes goes through it: drop_vacuum_ports is a vacuum detection that must
-keep every term.
+the block and their coefficients, once per call. phi(U2 U1) = phi(U2)
+phi(U1), so optical_gates applies each element list, a pipeline or an
+outcome's corrections, as one block. A DetectionPattern is one heralded
+outcome (required counts, label, feed-forward index j); it consumes exactly
+the modes it counts. Number-resolving detection with post-selection turns
+it into a Branch with the same label and j, whose squared norm is the
+branch probability. Branch states stay unnormalized so probabilities can be
+read off directly, matching the 1/sqrt(2) prefactor style of the gate
+algebra. measure_outcomes runs many detection patterns with one pass over
+the state per set of measured modes. Every trace over modes goes through
+it: drop_vacuum_ports is a vacuum detection that must keep every term.
 
 Conventions pinned here and relied on everywhere else:
   * mode order is lexicographic by (spatial label, H before V);
@@ -273,8 +272,8 @@ class ModeTransform:
 
     With modes (flat indices, strictly ascending) the matrix is the block
     on those modes; without, it is the full register matrix. Either is
-    trimmed to its touched block, with no numpy call. block and matrix
-    rebuild the block and the full register matrix as read-only arrays.
+    trimmed to its touched block. matrix rebuilds the full register matrix,
+    as rows of complex too.
     """
 
     register: Register
@@ -312,23 +311,14 @@ class ModeTransform:
         object.__setattr__(self, "rows", rows)
 
     @property
-    def block(self):
-        """The k x k block on touched, as a read-only numpy array."""
-        import numpy as np
-        k = len(self.rows)
-        b = np.array(self.rows, dtype=complex).reshape(k, k)
-        b.setflags(write=False)
-        return b
-
-    @property
-    def matrix(self):
-        """The full register matrix: the identity with block on touched."""
-        import numpy as np
-        m = np.eye(self.register.n_modes, dtype=complex)
-        for i, row in zip(self.touched, self.rows):
-            m[i, self.touched] = row
-        m.setflags(write=False)
-        return m
+    def matrix(self) -> tuple[tuple[complex, ...], ...]:
+        """The full register matrix as a tuple of rows of complex: the stored
+        entries on touched, the identity elsewhere."""
+        block = {(i, j): x for i, row in zip(self.touched, self.rows)
+                 for j, x in zip(self.touched, row)}
+        n = self.register.n_modes
+        return tuple(tuple(block.get((i, j), complex(i == j)) for j in range(n))
+                     for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -407,20 +397,6 @@ def polarization_ket(register: Register, ports: Sequence[str], amps) -> FockKet:
             occ[register.index_of(ModeId(port, pol))] = 1
         terms[tuple(occ)] = complex(amp)
     return FockKet(register, terms)
-
-
-def superpose(terms: Sequence[tuple[complex, FockKet]]) -> FockKet:
-    """Linear combination sum_i c_i |ket_i>. Pruned, not auto-normalized."""
-    if not terms:
-        raise ValueError("superpose needs at least one term")
-    register = terms[0][1].register
-    out: dict[tuple[int, ...], complex] = {}
-    for coeff, ket in terms:
-        if ket.register != register:
-            raise RegisterError("superpose requires kets on the same register")
-        for occ, amp in ket.terms.items():
-            out[occ] = out.get(occ, 0.0 + 0.0j) + complex(coeff) * amp
-    return FockKet(register, out)
 
 
 def tensor(a: FockKet, b: FockKet) -> FockKet:
@@ -553,22 +529,6 @@ def measure_outcomes(state: FockKet, patterns: Sequence[DetectionPattern]
         conditional = FockKet(sub_register, terms, validate=False)
         branches.append(Branch(pattern.label, pattern.j, conditional, conditional.norm_squared()))
     return tuple(branches)
-
-
-def overlap(a: FockKet, b: FockKet) -> complex:
-    """Inner product <a|b> over the shared register."""
-    if a.register != b.register:
-        raise RegisterError("overlap requires the same register")
-    return sum((amp.conjugate() * b.terms.get(occ, 0.0) for occ, amp in a.terms.items()),
-               0.0 + 0.0j)
-
-
-def fidelity_up_to_global_phase(a: FockKet, b: FockKet) -> float:
-    """|<a|b>| / (|a| |b|), insensitive to global phase. Errors on zero kets."""
-    na, nb = a.norm(), b.norm()
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("fidelity is undefined for the zero ket")
-    return abs(overlap(a, b)) / (na * nb)
 
 
 def drop_vacuum_ports(state: FockKet, labels: Iterable[str]) -> FockKet:

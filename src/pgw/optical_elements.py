@@ -13,9 +13,10 @@ An element is its ELEMENTS row, keyed by its circuit-file word.
 ElementSpec(kind, args, angle_degrees) checks its arguments against that
 row, and the circuit-file parser reads `element` lines by it. Each kind's
 block builder finds its modes through the register's port index and writes
-its plain-Python block on them, with no numpy call. ElementSpec.block
-returns that block, which Pipeline.run composes; ElementSpec.build and pbs,
-hwp, pockels_z and mode_swap return it as a checked ModeTransform.
+its plain-Python block on them. ElementSpec.block returns that block,
+which Pipeline.run composes; ElementSpec.build and pbs, hwp, pockels_z and
+mode_swap return it as a checked ModeTransform, whose matrix gives the full
+register matrix as plain rows.
 """
 
 from __future__ import annotations

@@ -5,7 +5,10 @@ polarizing beam splitter couples the input port to an auxiliary port, a
 half-wave plate at 22.5 degrees rotates the auxiliary photon, and the
 auxiliary port is split onto two number-resolving detectors. Exactly one
 detected photon is accepted; the detector that fired fixes the correction
-index j, and j = 1 triggers a phase flip on the input port.
+index j, and j = 1 triggers a phase flip on the input port. On ports
+(input, aux, d0, d1), the split exchanges aux.H with d0.H and aux.V with
+d1.V; outcome d0 (j = 0) is one photon in d0.H and outcome d1 (j = 1) one
+in d1.V, each with the other three detector modes empty.
 
 With the auxiliary photon in (|H> + |V>)/sqrt(2) the filter passes any
 input with success probability 1/2 (the two accepted branches carry 1/4
@@ -16,27 +19,29 @@ parity check fed by one half of an entangled pair gives the full
 post-selected CNOT on two polarization qubits (success 1/4, four accepted
 detector combinations carrying 1/16 each).
 
-A gate or a whole circuit is one Pipeline value: its elements, its
-heralded outcomes (each a fock_core.DetectionPattern with its label and j)
-and the corrections of each outcome. Building one checks that its patterns
-are pairwise exclusive. Each gate is written once, as an expander that
-returns its Pipeline; e_cnot's expander joins those of its two stages into
-one pattern per outcome, corrections included. Pipeline.run applies the
-elements to a state as one composed mode transform, passes the patterns
-straight to measure_outcomes, and applies each outcome's corrections as one
-composed transform too. The library gates run their expansion and drop the
-emptied auxiliary ports; the circuit-file `gate` directive (workbench_cli)
-splices the same expansion into a circuit's Pipeline, which run_circuit
-runs the same way. filter_gate and ecnot_gate run the library gates as
-functions of their input qubits' amplitudes, which
-mb_bridge.compile_branches turns into the branch operators K_b that the
-checks and the truth tables read; a GateResult holds only the branches.
+A gate or a whole circuit is one Pipeline value: its elements and its
+heralded outcomes, each a (fock_core.DetectionPattern, corrections) pair,
+the pattern carrying its label and j and the corrections a tuple of
+elements. It is immutable all the way down, so it hashes. Building one
+checks that its patterns are pairwise exclusive. Each gate is written once,
+as an expander that returns its Pipeline; e_cnot's expander joins those of
+its two stages into one outcome per pair, the first stage's corrections
+before the second's. Pipeline.run applies the elements to a state as one
+composed mode transform, passes the patterns straight to measure_outcomes,
+and applies each outcome's corrections as one composed transform too. The
+library gates run their expansion and drop the emptied auxiliary ports; the
+circuit-file `gate` directive (workbench_cli) splices the same expansion
+into a circuit's Pipeline, which run_circuit runs the same way. filter_gate
+and ecnot_gate run the library gates as functions of their input qubits'
+amplitudes, which mb_bridge.compile_branches turns into the branch
+operators K_b that the checks and the truth tables read; a GateResult holds
+only the branches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .fock_core import (
     HALF,
@@ -64,25 +69,25 @@ ROTATION_DEG = 22.5
 
 @dataclass(frozen=True)
 class Pipeline:
-    """A gate or a circuit: elements, then detections, each outcome's corrections.
+    """A gate or a circuit: elements, then outcomes, each a (DetectionPattern,
+    corrections) pair. All are stored as tuples, so equal pipelines hash equal.
 
-    elements and detections are stored as tuples; corrections maps an
-    outcome label to its list of elements. The patterns must be pairwise
-    exclusive: two patterns can both fire unless some mode they both
-    constrain has different counts in them, and such a pair would count one
-    outcome twice.
+    The patterns must be pairwise exclusive: two patterns can both fire unless
+    some mode they both constrain has different counts in them, and such a
+    pair would count one outcome twice.
     """
 
     elements: tuple[ElementSpec, ...]
-    detections: tuple[DetectionPattern, ...]
-    corrections: Mapping[str, list[ElementSpec]]
+    outcomes: tuple[tuple[DetectionPattern, tuple[ElementSpec, ...]], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
-        object.__setattr__(self, "detections", tuple(self.detections))
-        for i, det in enumerate(self.detections):
+        object.__setattr__(self, "outcomes",
+                           tuple((pattern, tuple(fixes)) for pattern, fixes in self.outcomes))
+        patterns = [pattern for pattern, _ in self.outcomes]
+        for i, det in enumerate(patterns):
             counts = dict(det.required)
-            for other in self.detections[i + 1:]:
+            for other in patterns[i + 1:]:
                 if all(counts.get(mode, n) == n for mode, n in other.required):
                     raise ValueError(f"detections {det.label!r} and {other.label!r} are not "
                                      "exclusive: they agree on every mode they both constrain")
@@ -96,15 +101,15 @@ class Pipeline:
         |20, 20> through 12 random plates, each followed by a pbs, agrees to
         1e-11 per amplitude (about 5e-13); |30, 30> only to about 5e-10.
 
-        Returns the state after the elements and one branch per detection, in
+        Returns the state after the elements and one branch per outcome, in
         order. Detected modes are traced out of each branch; every other port,
         emptied or not, stays in its register.
         """
         state = apply_mode_transform(state, _compose(state.register, self.elements))
         branches = []
-        for raw in measure_outcomes(state, self.detections):
+        raws = measure_outcomes(state, [pattern for pattern, _ in self.outcomes])
+        for raw, (_, fixes) in zip(raws, self.outcomes):
             out = raw.conditional_state
-            fixes = self.corrections.get(raw.outcome_label)
             if fixes:
                 out = apply_mode_transform(out, _compose(out.register, fixes))
             branches.append(Branch(raw.outcome_label, raw.j, out, raw.probability))
@@ -120,9 +125,10 @@ def _expand_f_gate(inp: str, aux: str, d0: str, d1: str) -> Pipeline:
         ElementSpec("swap", (ModeId(aux, V), ModeId(d1, V))),
     )
     modes = (ModeId(d0, H), ModeId(d0, V), ModeId(d1, H), ModeId(d1, V))
-    detections = (DetectionPattern(dict(zip(modes, (1, 0, 0, 0))), label=d0, j=0),
-                  DetectionPattern(dict(zip(modes, (0, 0, 0, 1))), label=d1, j=1))
-    return Pipeline(elements, detections, {d1: [ElementSpec("pc", (inp,))]})
+    return Pipeline(elements, (
+        (DetectionPattern(dict(zip(modes, (1, 0, 0, 0))), label=d0, j=0), ()),
+        (DetectionPattern(dict(zip(modes, (0, 0, 0, 1))), label=d1, j=1),
+         (ElementSpec("pc", (inp,)),))))
 
 
 def _expand_d_cnot(target: str, control: str, d0: str, d1: str) -> Pipeline:
@@ -131,8 +137,10 @@ def _expand_d_cnot(target: str, control: str, d0: str, d1: str) -> Pipeline:
     f = _expand_f_gate(target, control, d0, d1)
     plate = ElementSpec("hwp", (target,), ROTATION_DEG)
     control_plate = ElementSpec("hwp", (control,), ROTATION_DEG)
-    return Pipeline((plate, control_plate, *f.elements, plate), f.detections,
-                    {d1: [ElementSpec("swap", (ModeId(target, H), ModeId(target, V)))]})
+    (d0_pattern, _), (d1_pattern, _) = f.outcomes
+    swap = ElementSpec("swap", (ModeId(target, H), ModeId(target, V)))
+    return Pipeline((plate, control_plate, *f.elements, plate),
+                    ((d0_pattern, ()), (d1_pattern, (swap,))))
 
 
 def _expand_e_cnot(control: str, target: str, aux: str, aux2: str,
@@ -141,17 +149,10 @@ def _expand_e_cnot(control: str, target: str, aux: str, aux2: str,
     (target, aux2); each outcome joins one of each stage, with its corrections."""
     s1 = _expand_f_gate(control, aux, d0, d1)
     s2 = _expand_d_cnot(target, aux2, d0b, d1b)
-    detections = []
-    corrections: dict[str, list[ElementSpec]] = {}
-    for b1 in s1.detections:
-        for b2 in s2.detections:
-            label = f"{b1.label},{b2.label}"
-            detections.append(DetectionPattern(dict(b1.required + b2.required),
-                                               label=label, j=b2.j))
-            fixes = s1.corrections.get(b1.label, []) + s2.corrections.get(b2.label, [])
-            if fixes:
-                corrections[label] = fixes
-    return Pipeline(s1.elements + s2.elements, detections, corrections)
+    return Pipeline(s1.elements + s2.elements, [
+        (DetectionPattern(dict(p1.required + p2.required), label=f"{p1.label},{p2.label}",
+                          j=p2.j), f1 + f2)
+        for p1, f1 in s1.outcomes for p2, f2 in s2.outcomes])
 
 
 # Gate name -> (expander returning its Pipeline, number of port arguments), for circuit files.

@@ -122,12 +122,6 @@ class QubitState:
     def norm(self) -> float:
         return math.sqrt(self.norm_squared())
 
-    def normalized(self) -> "QubitState":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero state")
-        return QubitState(self.labels, [a * (1.0 / n) for a in self.amplitudes])
-
     def axis_of(self, label: str) -> int:
         try:
             return self.labels.index(label)

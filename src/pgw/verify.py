@@ -78,13 +78,6 @@ def _scaled(c: complex, m) -> list[list[complex]]:
     return [[c * x for x in row] for row in m]
 
 
-def _dense(t: fock_core.ModeTransform) -> list[list[complex]]:
-    """The register matrix of t: its rows on touched, the identity elsewhere."""
-    block = {(i, j): x for i, row in zip(t.touched, t.rows) for j, x in zip(t.touched, row)}
-    n = t.register.n_modes
-    return [[block.get((i, j), complex(i == j)) for j in range(n)] for i in range(n)]
-
-
 def _kron(a, b) -> list[list[complex]]:
     return [[x * y for x in row_a for y in row_b] for row_a in a for row_b in b]
 
@@ -102,7 +95,7 @@ def _suite_optical(rng: random.Random, trials: int) -> list[dict]:
     pauli_x, pauli_z = qubit_teleport.PAULI_X, qubit_teleport.PAULI_Z
     reg_a = Register(("A",))
 
-    u = _dense(optical_elements.hwp(reg_a, "A", ROTATION_DEG))
+    u = optical_elements.hwp(reg_a, "A", ROTATION_DEG).matrix
     want = _scaled(-1j * HALF, [[1.0, 1.0], [1.0, -1.0]])
     check("hwp-rotation-matrix",
           "plate at 22.5 degrees equals -i times the balanced rotation block",
@@ -110,23 +103,23 @@ def _suite_optical(rng: random.Random, trials: int) -> list[dict]:
 
     minus_identity = _scaled(-1.0, eye(2))
     worst = max_or_nan(_deviation(matmul(m, m), minus_identity) for m in (
-        _dense(optical_elements.hwp(reg_a, "A", theta))
+        optical_elements.hwp(reg_a, "A", theta).matrix
         for theta in (0.0, 10.0, ROTATION_DEG, 45.0, 67.5, 90.0)))
     check("hwp-double-pass", "two passes through one plate give the identity up to a global sign",
           worst, 0.0, 1e-13)
 
     reg_abc = Register(("A", "B", "C"))
-    constructed = (optical_elements.pbs(reg_abc, "A", "B"),
-                   optical_elements.hwp(reg_abc, "B", 33.0),
-                   optical_elements.pockels_z(reg_abc, "C"),
-                   optical_elements.mode_swap(reg_abc, ModeId("A", H), ModeId("B", H)))
+    constructed = (optical_elements.pbs(reg_abc, "A", "B").matrix,
+                   optical_elements.hwp(reg_abc, "B", 33.0).matrix,
+                   optical_elements.pockels_z(reg_abc, "C").matrix,
+                   optical_elements.mode_swap(reg_abc, ModeId("A", H), ModeId("B", H)).matrix)
     worst = max_or_nan(_deviation(matmul(mb_bridge.dagger(m), m), eye(6))
-                       for m in map(_dense, constructed))
+                       for m in constructed)
     check("elements-unitary", "every element constructor returns a unitary mode map",
           worst, 0.0, 1e-13)
 
-    p = _dense(optical_elements.pbs(reg_abc, "A", "B"))
-    q = _dense(optical_elements.hwp(reg_abc, "C", 17.0))
+    p = optical_elements.pbs(reg_abc, "A", "B").matrix
+    q = optical_elements.hwp(reg_abc, "C", 17.0).matrix
     check("disjoint-elements-commute", "elements acting on disjoint ports commute",
           _deviation(matmul(p, q), matmul(q, p)), 0.0, 1e-13)
 
@@ -210,13 +203,13 @@ def _suite_optical(rng: random.Random, trials: int) -> list[dict]:
     ec_success, ec_branch, ec_fid = gate_deviations(ec_ops, v, cnot, 0.25, 1.0 / 16.0)
 
     # Random plate angles change the map on every trial, so these run one by one.
-    port_a = [fock_core.DetectionPattern({ModeId("A", H): h, ModeId("A", V): v})
+    port_a = [(fock_core.DetectionPattern({ModeId("A", H): h, ModeId("A", V): v}), ())
               for h, v in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2))]
     norm_dev, completeness_dev = [], []
     for amps, (theta1, theta2) in zip(w, thetas):
         elements = (ElementSpec("hwp", ("A",), theta1), ElementSpec("pbs", ("A", "B")),
                     ElementSpec("hwp", ("B",), theta2))
-        state, branches = optical_gates.Pipeline(elements, port_a, {}).run(
+        state, branches = optical_gates.Pipeline(elements, port_a).run(
             polarization_ket(reg_ab, ("A", "B"), amps))
         norm_dev.append(abs(state.norm_squared() - 1.0))
         completeness_dev.append(abs(sum(b.probability for b in branches) - 1.0))

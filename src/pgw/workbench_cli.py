@@ -33,15 +33,16 @@ d_cnot (ports: target control d0 d1), e_cnot (ports: control target aux
 aux' d0 d1 d0' d1'). All detections are evaluated on the state after the
 full element pipeline, so expanded corrections are conjugated through any
 elements that follow their detector in the original staged circuit.
-A parsed circuit holds one optical_gates.Pipeline of its elements,
-detections and corrections, the value that each gate expander returns and
-that the library gates run too. Each `detect` line and each outcome of a
-`gate` line is one fock_core.DetectionPattern, and outcome labels are unique
-across both kinds of line. An element's port or mode arguments are
-distinct. Detection patterns must be pairwise exclusive: two patterns that
-agree on every mode they both constrain are an error, raised when the
-parser builds the Pipeline. A `correct` step may not act on a mode that its
-branch's detection consumes.
+A parsed circuit holds one optical_gates.Pipeline of its elements and its
+outcomes, the value that each gate expander returns and that the library
+gates run too. Each `detect` line and each outcome of a `gate` line is one
+outcome: a fock_core.DetectionPattern, with a label unique across both kinds
+of line, and its corrections in file order (a gate outcome's own at its
+`gate` line, each `correct` line at its own). An element's port or mode
+arguments are distinct. Detection patterns must be pairwise exclusive: two
+patterns that agree on every mode they both constrain are an error, raised
+when the parser builds the Pipeline. A `correct` step may not act on a mode
+that its branch's detection consumes.
 """
 
 from __future__ import annotations
@@ -93,8 +94,8 @@ class CircuitParseError(ValueError):
 @dataclass
 class CircuitFile:
     """Parsed circuit: port labels in file order, the initial ket on the
-    circuit's register (its cutoff too), and the Pipeline of its elements,
-    detections and corrections."""
+    circuit's register (its cutoff too), and the Pipeline of its elements
+    and outcomes."""
 
     labels: tuple[str, ...]
     initial: FockKet
@@ -276,10 +277,9 @@ class _Reader:
 
     def add_gate(self, pipeline: Pipeline) -> None:
         self.elements.extend(pipeline.elements)
-        for pattern in pipeline.detections:
+        for pattern, fixes in pipeline.outcomes:
             self.detections[self.new_label(None, 1, pattern.label)] = pattern
-        for label, fixes in pipeline.corrections.items():
-            self.corrections.setdefault(label, []).extend(fixes)
+            self.corrections.setdefault(pattern.label, []).extend(fixes)
 
     def add_detection(self, label: str, j: int, counts: dict[ModeId, int]) -> None:
         self.detections[label] = DetectionPattern(counts, label=label, j=j)
@@ -350,10 +350,12 @@ def parse_circuit(text: str) -> CircuitFile:
                 if mode in reader.detections[label].measured:
                     raise reader.error(f"correction for branch {label!r} acts on mode {mode}, "
                                        "which its detection consumes", k, where)
+    outcomes = [(pattern, reader.corrections.get(label, ()))
+                for label, pattern in reader.detections.items()]
     # Counts and amplitudes were checked as read, photons and the norm above: none again.
     # The Pipeline checks that the detections are exclusive.
     return CircuitFile(tuple(reader.ports), FockKet(register, initial, validate=False),
-                       Pipeline(reader.elements, reader.detections.values(), reader.corrections))
+                       Pipeline(reader.elements, outcomes))
 
 
 @dataclass
@@ -370,7 +372,7 @@ def run_circuit(cf: CircuitFile) -> SimulationResult:
     if abs(state.norm_squared() - initial) > CONSERVATION_TOL:
         raise ValueError(f"the elements took norm^2 from {initial!r} to {state.norm_squared()!r}:"
                          " precision loss in the n-photon amplitudes (too many photons)")
-    if not cf.pipeline.detections:
+    if not cf.pipeline.outcomes:
         return SimulationResult(initial, state, (), 0.0)
     total = sum(b.probability for b in branches)
     rejected = initial - total

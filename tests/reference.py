@@ -200,3 +200,50 @@ def run_circuit_dense(ports, terms, elements, detections, corrections):
             survivors = apply_dense(element_matrix(kept_modes, kind, args, angle), survivors)
         branches.append((label, j, probability, kept_modes, survivors))
     return branches, initial - sum(b[2] for b in branches)
+
+
+def superpose(terms):
+    """sum_i c_i state_i over states given as {basis key: amplitude}."""
+    out = {}
+    for coeff, state in terms:
+        for key, amp in state.items():
+            out[key] = out.get(key, 0j) + coeff * amp
+    return out
+
+
+def fidelity(a, b):
+    """|<a|b>| / (|a| |b|) of two states given as {basis key: amplitude}."""
+    keys = sorted(set(a) | set(b))
+    va = np.array([a.get(k, 0) for k in keys], dtype=complex)
+    vb = np.array([b.get(k, 0) for k in keys], dtype=complex)
+    return abs(np.vdot(va, vb)) / (np.linalg.norm(va) * np.linalg.norm(vb))
+
+
+def filter_gate_expansion(name, ports):
+    """The circuit line `gate NAME PORTS` for f_gate, parity_check or d_cnot,
+    written from the optical_gates docstrings rather than from pgw's
+    expanders, as (elements, outcomes) in the form run_circuit_dense reads;
+    outcomes list (label, j, {mode: count}, corrections).
+
+    The filter on (inp, aux, d0, d1): a pbs on (inp, aux), a plate at 22.5
+    degrees on aux, then aux.H exchanged with d0.H and aux.V with d1.V.
+    Outcome d0 (j = 0) is one photon in d0.H, outcome d1 (j = 1) one in d1.V,
+    the other detector modes empty in each; d1 flips the phase of inp. d_cnot
+    on (target, control, d0, d1) puts plates on the target and the control
+    before the filter on (target, control), and one more on the target after
+    it, before detection, so that d1's flip becomes an exchange of the
+    target's H and V.
+    """
+    inp, aux, d0, d1 = ports
+    if name in ("f_gate", "parity_check"):
+        before, after, fix = [], [], ("pc", (inp,), 0.0)
+    else:
+        before = [("hwp", (inp,), 22.5), ("hwp", (aux,), 22.5)]
+        after, fix = [("hwp", (inp,), 22.5)], ("swap", ((inp, "H"), (inp, "V")), 0.0)
+    elements = before + [("pbs", (inp, aux), 0.0), ("hwp", (aux,), 22.5),
+                         ("swap", ((aux, "H"), (d0, "H")), 0.0),
+                         ("swap", ((aux, "V"), (d1, "V")), 0.0)] + after
+    detector_modes = [(d0, "H"), (d0, "V"), (d1, "H"), (d1, "V")]
+    outcomes = [(d0, 0, dict(zip(detector_modes, (1, 0, 0, 0))), []),
+                (d1, 1, dict(zip(detector_modes, (0, 0, 0, 1))), [fix])]
+    return elements, outcomes

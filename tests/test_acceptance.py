@@ -19,7 +19,6 @@ from pgw.fock_core import (
     V,
     DetectionPattern,
     apply_mode_transform,
-    fidelity_up_to_global_phase,
     measure_and_postselect,
 )
 from pgw.mb_bridge import (
@@ -106,8 +105,7 @@ def test_criterion_01_cnot_truth_table():
         worst_success = max(worst_success,
                             abs(result.success_probability - 0.25))
         for branch in result.accepted_branches:
-            fid = fidelity_up_to_global_phase(
-                branch.conditional_state.normalized(), want)
+            fid = reference.fidelity(branch.conditional_state.terms, want.terms)
             worst_fidelity = min(worst_fidelity, fid)
     _verdict(1, "post-selected CNOT reproduces all four truth-table rows "
                 "with success probability 1/4",
@@ -180,7 +178,7 @@ def test_criterion_03_destructive_cnot_lines():
 
 def test_criterion_04_half_wave_plate_matrix():
     register = Register(("P",), 2)
-    matrix = hwp(register, "P", 22.5).matrix
+    matrix = np.asarray(hwp(register, "P", 22.5).matrix)
     ih = register.index_of(ModeId("P", H))
     iv = register.index_of(ModeId("P", V))
     block = matrix[np.ix_((ih, iv), (ih, iv))]
@@ -237,7 +235,8 @@ def test_criterion_06_controlled_phase_decomposition():
         want = np.asarray(CZ_MATRIX) @ psi.amplitudes
         want /= np.linalg.norm(want)
         for branch in result.accepted_branches:
-            got = branch.conditional_state.normalized().amplitudes
+            got = np.asarray(branch.conditional_state.amplitudes)
+            got = got / np.linalg.norm(got)
             fid = abs(np.vdot(want, got)) ** 2
             worst_fid = min(worst_fid, fid)
     _verdict(6, "the controlled phase splits into the documented sum exactly "
@@ -343,7 +342,7 @@ def test_criterion_10_conservation_invariants():
 
     unitarity_dev = 0.0
     for _ in range(250):
-        matrix = hwp(register, "A", rng.uniform(0.0, 360.0)).matrix
+        matrix = np.asarray(hwp(register, "A", rng.uniform(0.0, 360.0)).matrix)
         unitarity_dev = max(unitarity_dev, np.abs(
             matrix.conj().T @ matrix - np.eye(register.n_modes)).max())
 

@@ -20,11 +20,8 @@ from pgw.fock_core import (
     V,
     apply_mode_transform,
     drop_vacuum_ports,
-    fidelity_up_to_global_phase,
     measure_and_postselect,
-    overlap,
     single_photon,
-    superpose,
     tensor,
 )
 from pgw.optical_elements import pockels_z
@@ -185,13 +182,6 @@ def test_fock_ket_amplitude_takes_any_sequence():
     ket = FockKet(Register(("A",)), {(1, 0): 0.6, (0, 1): 0.8})
     assert ket.amplitude([1, 0]) == ket.amplitude((1, 0)) == 0.6
     assert ket.amplitude(range(2)) == 0.8
-
-
-def test_superpose_requires_matching_registers():
-    a = single_photon(ModeId("A", H), Register(("A",)))
-    b = single_photon(ModeId("B", H), Register(("B",)))
-    with pytest.raises(RegisterError):
-        superpose([(HALF, a), (HALF, b)])
 
 
 def test_tensor_merges_and_maps_occupations():
@@ -378,9 +368,11 @@ def test_block_and_full_matrix_forms_store_the_same_transform():
     from_full = ModeTransform(reg, full)
     for t in (from_block, from_full):
         assert t.touched == (1, 3)
-        assert np.array_equal(t.block, u)
+        assert np.array_equal(t.rows, u)
         assert np.array_equal(t.matrix, full)
-        assert not t.block.flags.writeable and not t.matrix.flags.writeable
+        assert type(t.matrix) is tuple
+        assert all(type(row) is tuple and all(type(x) is complex for x in row)
+                   for row in t.matrix)
 
 
 def test_mode_transform_trims_identity_modes_from_its_block():
@@ -388,9 +380,9 @@ def test_mode_transform_trims_identity_modes_from_its_block():
     u = np.diag([1.0, -1.0, 1.0])
     t = ModeTransform(reg, u, (0, 1, 3))
     assert t.touched == (1,)
-    assert np.array_equal(t.block, [[-1.0]])
+    assert t.rows == ((-1.0,),)
     identity = ModeTransform(reg, np.eye(4))
-    assert identity.touched == () and identity.block.shape == (0, 0)
+    assert identity.touched == () and identity.rows == ()
     assert np.array_equal(identity.matrix, np.eye(4))
     ket = FockKet(reg, {(1, 0, 1, 0): 1.0})
     assert apply_mode_transform(ket, identity) is ket
@@ -432,7 +424,7 @@ def test_block_check_agrees_with_the_numpy_reference(seed, modes, case, data):
             continue
         t = ModeTransform(reg, matrix, on)
         assert t.touched == tuple(on[i] for i in kept)
-        assert np.array_equal(t.block, block)
+        assert np.array_equal(np.reshape(t.rows, block.shape), block)
         assert all(type(x) is complex for row in t.rows for x in row)
 
 
@@ -483,20 +475,6 @@ def test_measurement_outcomes_sum_to_norm():
     assert total == pytest.approx(state.norm_squared(), abs=1e-13)
 
 
-def test_fidelity_ignores_global_phase():
-    reg = Register(("A",))
-    ket = FockKet(reg, {(1, 0): 0.6, (0, 1): 0.8})
-    rotated = FockKet(reg, {(1, 0): 0.6 * np.exp(0.7j), (0, 1): 0.8 * np.exp(0.7j)})
-    assert fidelity_up_to_global_phase(ket, rotated) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_fidelity_rejects_zero_states():
-    reg = Register(("A",))
-    ket = single_photon(ModeId("A", H), reg)
-    with pytest.raises(ValueError):
-        fidelity_up_to_global_phase(ket, FockKet(reg, {}))
-
-
 def test_drop_vacuum_ports():
     reg = Register(("A", "IN"))
     state = FockKet(reg, {(0, 0, 1, 0): 1.0})
@@ -534,11 +512,12 @@ def test_transform_is_linear(ar, ai, br, bi):
     b = complex(br, bi)
     x = FockKet(_FIXED_REG, {(1, 0): 1.0})
     y = FockKet(_FIXED_REG, {(0, 1): 1.0})
-    combined = apply_mode_transform(superpose([(a, x), (b, y)]), _FIXED_U)
-    split = superpose([(a, apply_mode_transform(x, _FIXED_U)),
-                       (b, apply_mode_transform(y, _FIXED_U))])
-    keys = set(combined.terms) | set(split.terms)
-    assert all(abs(combined.amplitude(k) - split.amplitude(k)) < 1e-12 for k in keys)
+    combined = apply_mode_transform(
+        FockKet(_FIXED_REG, reference.superpose([(a, x.terms), (b, y.terms)])), _FIXED_U)
+    split = reference.superpose([(a, apply_mode_transform(x, _FIXED_U).terms),
+                                 (b, apply_mode_transform(y, _FIXED_U).terms)])
+    keys = set(combined.terms) | set(split)
+    assert all(abs(combined.amplitude(k) - split.get(k, 0j)) < 1e-12 for k in keys)
 
 
 @given(st.lists(_coeff, min_size=8, max_size=8))
@@ -550,13 +529,3 @@ def test_transform_preserves_norm(raw):
     ket = FockKet(_FIXED_REG, {occ: amp / scale for occ, amp in zip(occs, amps)})
     out = apply_mode_transform(ket, _FIXED_U)
     assert out.norm_squared() == pytest.approx(ket.norm_squared(), abs=1e-12)
-
-
-@given(_coeff, _coeff)
-@settings(max_examples=40, deadline=None)
-def test_overlap_is_sesquilinear_in_scale(ar, ai):
-    a = complex(ar, ai)
-    x = FockKet(_FIXED_REG, {(1, 0): 0.5, (0, 1): 0.5})
-    y = FockKet(_FIXED_REG, {(1, 0): 0.5, (2, 0): 0.5})
-    scaled = superpose([(a, x)])
-    assert overlap(scaled, y) == pytest.approx(np.conj(a) * overlap(x, y), abs=1e-12)

@@ -241,7 +241,7 @@ def test_grouped_detection_equals_one_projection_per_pattern(picked, patterns, a
                                   ElementSpec("pc", ("A",))]
 
     with pytest.raises(ValueError, match=r"^detections 'x\d+' and 'x\d+' are not exclusive: "):
-        Pipeline(elements, detections, corrections)
+        Pipeline(elements, [(d, corrections.get(d.label, ())) for d in detections])
 
     def corrected(branch):
         out = branch.conditional_state
@@ -283,31 +283,52 @@ def test_gate_expanders_give_one_pattern_per_outcome_on_the_detector_modes(name)
     expander, arity = GATE_EXPANDERS[name]
     detectors, outcomes = _GATE_OUTCOMES[name]
     pipeline = expander(*_GATE_PORTS[arity])
-    detections, corrections = pipeline.detections, pipeline.corrections
     modes = {ModeId(port, pol) for port in detectors for pol in (H, V)}
-    assert [(d.label, d.j) for d in detections] == outcomes
-    for d in detections:
+    assert [(d.label, d.j) for d, _ in pipeline.outcomes] == outcomes
+    for d, fixes in pipeline.outcomes:
         assert d.measured == modes and len(d.measured) == (8 if name == "e_cnot" else 4)
         assert {m for m, _ in d.required} == modes
         assert sum(c for _, c in d.required) == len(detectors) // 2
-    assert set(corrections) <= {d.label for d in detections}
+        assert type(fixes) is tuple
 
 
 @pytest.mark.parametrize("name", sorted(GATE_EXPANDERS))
 def test_each_gate_expander_returns_a_frozen_pipeline(name):
-    """On its canonical ports: elements and detections as tuples, each
-    outcome's corrections as a list of elements."""
+    """On its canonical ports: elements as a tuple, and outcomes as a tuple
+    of (DetectionPattern, corrections) pairs, the corrections a tuple of
+    elements."""
     expander, arity = GATE_EXPANDERS[name]
     pipeline = expander(*_GATE_PORTS[arity])
     assert type(pipeline) is Pipeline
     assert type(pipeline.elements) is tuple
     assert all(type(e) is ElementSpec for e in pipeline.elements)
-    assert type(pipeline.detections) is tuple
-    assert all(type(d) is DetectionPattern for d in pipeline.detections)
-    assert all(type(fixes) is list and all(type(e) is ElementSpec for e in fixes)
-               for fixes in pipeline.corrections.values())
+    assert type(pipeline.outcomes) is tuple
+    assert all(type(outcome) is tuple and len(outcome) == 2 for outcome in pipeline.outcomes)
+    assert all(type(d) is DetectionPattern for d, _ in pipeline.outcomes)
+    assert all(type(fixes) is tuple and all(type(e) is ElementSpec for e in fixes)
+               for _, fixes in pipeline.outcomes)
     with pytest.raises(AttributeError):
         pipeline.elements = ()
+
+
+@pytest.mark.parametrize("name", sorted(GATE_EXPANDERS))
+def test_a_pipeline_is_a_hashable_deeply_immutable_value(name):
+    """Two expansions of a gate are equal and hash equal, and a list given as
+    an outcome's corrections is copied: changing it later leaves the
+    Pipeline as it was."""
+    expander, arity = GATE_EXPANDERS[name]
+    first, second = expander(*_GATE_PORTS[arity]), expander(*_GATE_PORTS[arity])
+    assert first == second and hash(first) == hash(second)
+    assert len({first, second}) == 1
+    fixes = [ElementSpec("pc", ("IN",))]
+    outcomes = [(pattern, fixes if k == 0 else list(given))
+                for k, (pattern, given) in enumerate(first.outcomes)]
+    built = Pipeline(list(first.elements), outcomes)
+    before = hash(built)
+    fixes.append(ElementSpec("pc", ("A",)))
+    outcomes.clear()
+    assert built.outcomes[0][1] == (ElementSpec("pc", ("IN",)),)
+    assert len(built.outcomes) == len(first.outcomes) and hash(built) == before
 
 
 def test_e_cnot_expansion_is_the_join_of_its_two_stages():
@@ -319,12 +340,12 @@ def test_e_cnot_expansion_is_the_join_of_its_two_stages():
     second = GATE_EXPANDERS["d_cnot"][0]("IN'", "A'", "D0'", "D1'")
     joined = GATE_EXPANDERS["e_cnot"][0](*_GATE_PORTS[8])
     assert joined.elements == first.elements + second.elements
-    pairs = [(a, b) for a in first.detections for b in second.detections]
-    assert [(d.label, d.j, d.required) for d in joined.detections] == [
-        (f"{a.label},{b.label}", b.j, tuple(sorted(a.required + b.required))) for a, b in pairs]
-    want = {f"{a.label},{b.label}": first.corrections.get(a.label, [])
-            + second.corrections.get(b.label, []) for a, b in pairs}
-    assert joined.corrections == {label: fixes for label, fixes in want.items() if fixes}
+    pairs = [(a, b) for a in first.outcomes for b in second.outcomes]
+    assert [(d.label, d.j, d.required) for d, _ in joined.outcomes] == [
+        (f"{a.label},{b.label}", b.j, tuple(sorted(a.required + b.required)))
+        for (a, _), (b, _) in pairs]
+    assert [fixes for _, fixes in joined.outcomes] == [f1 + f2 for (_, f1), (_, f2) in pairs]
+    assert [len(fixes) for _, fixes in joined.outcomes] == [0, 1, 1, 2]
 
 
 def test_two_patterns_that_can_both_fire_are_refused_by_any_pipeline():
@@ -335,9 +356,11 @@ def test_two_patterns_that_can_both_fire_are_refused_by_any_pipeline():
     for other in (DetectionPattern({ModeId("D0", H): 1}, label="X"),
                   DetectionPattern({ModeId("D1", H): 0}, label="X")):
         with pytest.raises(ValueError) as excinfo:
-            Pipeline((), [d0, DetectionPattern({ModeId("D0", H): 0}, label="Y"), other], {})
+            Pipeline((), [(d0, ()), (DetectionPattern({ModeId("D0", H): 0}, label="Y"), ()),
+                          (other, ())])
         assert type(excinfo.value) is ValueError
         assert str(excinfo.value) == ("detections 'D0' and 'X' are not exclusive: "
                                       "they agree on every mode they both constrain")
-    kept = Pipeline([], [d0, DetectionPattern({ModeId("D0", V): 1}, label="Y")], {})
-    assert kept.elements == () and [d.label for d in kept.detections] == ["D0", "Y"]
+    kept = Pipeline([], [(d0, ()), (DetectionPattern({ModeId("D0", V): 1}, label="Y"), [])])
+    assert kept.elements == () and [d.label for d, _ in kept.outcomes] == ["D0", "Y"]
+    assert kept.outcomes[1][1] == ()

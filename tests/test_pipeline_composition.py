@@ -49,8 +49,9 @@ def _amplitude_gap(a, b):
 
 
 def _composed_run(state, elements, detections, corrections):
-    """The same arguments as _one_pass_per_element, through Pipeline.run."""
-    return Pipeline(elements, detections, corrections).run(state)
+    """The same arguments as _one_pass_per_element, through Pipeline.run:
+    each detection paired with its label's corrections."""
+    return Pipeline(elements, [(d, corrections.get(d.label, ())) for d in detections]).run(state)
 
 
 def _assert_same_run(state, elements, detections, corrections, tol):
@@ -123,7 +124,8 @@ def _gate_pipeline(draw):
     norm = sum(abs(a) ** 2 for a in amps) ** 0.5 or 1.0
     state = polarization_ket(Register(ports), occupied, [a / norm for a in amps])
     pipeline = expander(*ports)
-    return state, pipeline.elements, pipeline.detections, pipeline.corrections
+    return (state, pipeline.elements, [p for p, _ in pipeline.outcomes],
+            {p.label: fixes for p, fixes in pipeline.outcomes})
 
 
 @given(st.one_of(_random_pipeline(), _gate_pipeline()))
@@ -136,7 +138,7 @@ def test_a_swap_applied_twice_leaves_the_state_untouched():
     reg = Register(("A", "B"))
     state = FockKet(reg, {(1, 0, 0, 1): 2 ** -0.5, (0, 1, 1, 0): 2 ** -0.5})
     swap = ElementSpec("swap", (ModeId("A", H), ModeId("B", V)))
-    after, _ = Pipeline([swap, swap], [], {}).run(state)
+    after, _ = Pipeline([swap, swap], []).run(state)
     assert after is state  # the composed identity touches no mode, so nothing was applied
 
 
@@ -206,7 +208,7 @@ def test_twenty_photons_per_mode_keep_their_precision_through_a_long_chain():
     for k in range(12):
         elements += [ElementSpec("hwp", ("AB"[k % 2],), rnd.uniform(0.0, 180.0)),
                      ElementSpec("pbs", ("A", "B"))]
-    after, _ = Pipeline(elements, [], {}).run(state)
+    after, _ = Pipeline(elements, []).run(state)
     assert abs(after.norm_squared() - 1.0) <= 1e-11
     assert len(after.terms) > 500
     _assert_same_run(state, elements, [], {}, tol=1e-11)

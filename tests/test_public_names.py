@@ -15,10 +15,10 @@ _NAMES = [
     "Branch", "CircuitFile", "DetectionPattern", "ElementSpec", "FockKet", "GateResult",
     "MBEncoding", "ModeId", "ModeTransform", "QubitState", "Register", "Report",
     "apply_mode_transform", "bell_state", "cnot_via_cz", "cz_via_two_telegates",
-    "destructive_cnot", "e_cnot", "f_gate", "fidelity_up_to_global_phase", "hwp", "main",
+    "destructive_cnot", "e_cnot", "f_gate", "hwp", "main",
     "mb_decode", "mb_encode", "measure_and_postselect", "mode_swap", "parity_filter",
     "parse_circuit", "pbm", "pbs", "pockels_z", "quantum_parity_check", "run_circuit",
-    "single_photon", "superpose", "telegate_t", "tensor", "verify_aux_state_equivalence",
+    "single_photon", "telegate_t", "tensor", "verify_aux_state_equivalence",
     "verify_ecnot_equals_tcnot", "verify_f_equals_tprime", "verify_hwp_mb", "verify_pbs_mb",
     "z_correction",
 ]

@@ -115,3 +115,34 @@ def test_numpy_is_loaded_by_none_of_import_simulate_verify_or_truth_table():
         "import numpy": False, "modules": list(_tracer._MODULES), "simulate": [0, 0],
         "simulate numpy": False, "verify": [0, 0], "verify numpy": False,
         "truth-table": [0] * 8, "truth-table numpy": False}
+
+
+_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # from here on, `import numpy` raises ImportError
+import pgw
+from pgw.verify import TRUTH_TABLES
+from pgw.workbench_cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    seen = {"simulate": [main(["simulate", path]) for path in sys.argv[1:]],
+            "verify": [main(["verify", "--trials", "0"]), main(["verify"])],
+            "truth-table": [main(["truth-table", gate]) for gate in TRUTH_TABLES]}
+seen["matrix"] = repr(pgw.hwp(pgw.Register(("A",)), "A", 22.5).matrix)
+print(json.dumps(seen))
+"""
+
+
+def test_pgw_runs_with_numpy_unimportable():
+    """numpy is not a runtime dependency: with every import of it failing,
+    `import pgw`, `pgw simulate` on both fixtures, `pgw verify` at 0 and 100
+    trials, every `pgw truth-table` and a ModeTransform's matrix all work."""
+    src = str(Path(pgw.__file__).parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    fixtures = sorted(str(p) for p in (Path(pgw.__file__).parent / "circuits").glob("*.circuit"))
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, *fixtures],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "simulate": [0, 0], "verify": [0, 0], "truth-table": [0] * 8,
+        "matrix": repr(pgw.hwp(pgw.Register(("A",)), "A", 22.5).matrix)}

@@ -18,13 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pgw
+import reference
 from pgw.fock_core import (
     H,
     V,
     FockKet,
     ModeId,
     Register,
-    fidelity_up_to_global_phase,
     polarization_ket,
 )
 from pgw.mb_bridge import check_record
@@ -377,10 +377,9 @@ def test_gate_expansion_shape():
     pipeline = parse_circuit(MINIMAL).pipeline
     assert len(pipeline.elements) == 4
     assert [e.kind for e in pipeline.elements[:2]] == ["pbs", "hwp"]
-    assert [d.label for d in pipeline.detections] == ["D0", "D1"]
-    assert [d.j for d in pipeline.detections] == [0, 1]
-    assert set(pipeline.corrections) == {"D1"}
-    assert pipeline.corrections["D1"][0].kind == "pc"
+    assert [p.label for p, _ in pipeline.outcomes] == ["D0", "D1"]
+    assert [p.j for p, _ in pipeline.outcomes] == [0, 1]
+    assert [[e.kind for e in fixes] for _, fixes in pipeline.outcomes] == [[], ["pc"]]
 
 
 def test_run_circuit_branches_and_rejection():
@@ -430,7 +429,7 @@ def test_packaged_cnot_fixture_matches_library(capsys):
             if count:
                 lib_occ[got.register.index_of(mode)] = count
         want = FockKet(got.register, {tuple(lib_occ): 1.0})
-        assert fidelity_up_to_global_phase(got, want) == pytest.approx(
+        assert reference.fidelity(got.terms, want.terms) == pytest.approx(
             1.0, abs=1e-12)
 
 
@@ -1026,7 +1025,7 @@ def test_element_table_drives_parser_spec_and_build(kind):
     reg = Register(("A", "B"))
     built, direct = spec.build(reg), construct(reg)
     assert built.touched == direct.touched
-    assert np.array_equal(built.block, direct.block)
+    assert built.rows == direct.rows
     tokens = line.split()
     for wrong in (tokens[:-1], tokens + ["A"]):
         err = _parse_error(head + "  element " + " ".join(wrong) + "\n")
