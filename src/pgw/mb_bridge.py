@@ -22,15 +22,15 @@ auxiliary resource, and the end-to-end match of the optical CNOT with the
 teleportation CNOT.
 
 A post-selected gate with feed-forward is one linear map K_b per accepted
-outcome b. compile_branches builds those maps once by running an
-amplitude-in gate builder (optical_gates.filter_gate and ecnot_gate,
-qubit_teleport.qubit_gate) on each basis input, the one per-basis run of
-a gate: the truth tables read their rows off the columns of K_b, the
-randomized checks apply K_b to every seeded trial input in one matrix
-product, and the optical-versus-teleported claim is also checked exactly
-as an operator equality, K_b(optical) = e^{i phi_b} K_b(teleported), with
-the outcomes paired by label. gate_deviations reads every claim of the
-form "each branch is M v with weight q, and the weights sum to p" off the K_b.
+outcome b. GATES holds each gate configuration that the checks and truth
+tables read; compile_branches turns one into its K_b by running it on each
+basis input, and a BranchOperators does so once per run and configuration.
+The truth tables read their rows off the columns of K_b, the randomized
+checks apply K_b to every seeded trial input in one matrix product, and the
+optical-versus-teleported claim is also checked exactly as an operator
+equality, K_b(optical) = e^{i phi_b} K_b(teleported), with the outcomes
+paired by label. gate_deviations reads every claim of the form "each branch
+is M v with weight q, and the weights sum to p" off the K_b.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from . import fock_core
+from . import fock_core, optical_gates, qubit_teleport
 from .fock_core import (
     DEFAULT_CUTOFF,
     HALF,
@@ -56,7 +56,7 @@ from .fock_core import (
     polarization_ket,
 )
 from .optical_elements import hwp, pbs
-from .optical_gates import ROTATION_DEG, ecnot_gate, f_gate, filter_gate
+from .optical_gates import ROTATION_DEG
 from .qubit_teleport import (
     PSI_MINUS,
     PSI_PLUS,
@@ -64,13 +64,10 @@ from .qubit_teleport import (
     QubitState,
     _names,
     bell_state,
-    cnot_via_cz,
     cz_aux_state,
     overlap_q,
     qubit_fidelity,
-    qubit_gate,
     random_amplitudes,
-    telegate_t,
 )
 
 MATRIX_IDENTITY_TOL = 1e-14
@@ -262,11 +259,16 @@ def compile_branches(gate: Callable[[Sequence[complex]], GateResult], dim: int,
     of K_b is branch b's conditional state for the i-th basis input,
     encoded with enc (optical gates) or read as qubit amplitudes (enc None).
     By linearity K_b @ v is branch b for any input v, unnormalized, so its
-    squared column norms are the branch probabilities.
+    squared column norms are the branch probabilities. Each label must occur
+    exactly once for each basis input, else ValueError.
     """
     columns: dict[str, list[tuple[complex, ...]]] = {}
     for basis in eye(dim):
-        for branch in gate(basis).accepted_branches:
+        branches = gate(basis).accepted_branches
+        labels = [branch.outcome_label for branch in branches]
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"outcome labels {labels} repeat for one basis input")
+        for branch in branches:
             state = branch.conditional_state
             columns.setdefault(branch.outcome_label, []).append(
                 state.amplitudes if enc is None else mb_encode(state, enc).amplitudes)
@@ -275,6 +277,56 @@ def compile_branches(gate: Callable[[Sequence[complex]], GateResult], dim: int,
             raise ValueError(f"outcome {label!r} occurs {len(cols)} times over "
                              f"{dim} basis inputs")
     return {label: tuple(zip(*cols)) for label, cols in columns.items()}
+
+
+# Branch-operator encodings: the filters' output port IN, e_cnot's IN and IN'.
+IN_ENC = MBEncoding(("IN",), ())
+PAIR_ENC = MBEncoding(("IN", "IN'"), ())
+
+
+def _filter(gate: str, aux: Sequence[complex]) -> Callable[[Sequence[complex]], GateResult]:
+    """optical_gates.<gate> (f_gate or destructive_cnot) on ports IN, A, D0, D1, as a
+    function of IN's (H, V) amplitudes, with the A photon in the polarization aux."""
+    return lambda amps: getattr(optical_gates, gate)(polarization_ket(
+        Register(("IN", "A", "D0", "D1")), ("IN", "A"), [a * b for a in amps for b in aux]),
+        "IN", "A", "D0", "D1")
+
+
+def _telegate(label: str, variant: str) -> Callable[[Sequence[complex]], GateResult]:
+    """telegate_t on qubit Q, as a function of its amplitudes, through the
+    auxiliary pair (A1, A2) in the Bell state label."""
+    return lambda amps: qubit_teleport.telegate_t(
+        QubitState(("Q",), amps), "Q", bell_state(label, ("A1", "A2")), variant=variant)
+
+
+# Gate configuration -> the arguments of compile_branches: the gate as a function
+# of its input amplitudes, their number, and its encoding (None: a qubit gate).
+# Each gate is looked up on its module as it runs, so a patch there is seen.
+GATES = {
+    "f_gate": (_filter("f_gate", (HALF, HALF)), 2, IN_ENC),
+    "f_gate minus": (_filter("f_gate", (HALF, -HALF)), 2, IN_ENC),
+    "parity_check": (_filter("f_gate", (1.0, 0.0)), 2, IN_ENC),
+    "d_cnot H": (_filter("destructive_cnot", (1.0, 0.0)), 2, IN_ENC),
+    "d_cnot V": (_filter("destructive_cnot", (0.0, 1.0)), 2, IN_ENC),
+    "e_cnot": (lambda amps: optical_gates.e_cnot(
+        polarization_ket(Register(("IN", "IN'")), ("IN", "IN'"), amps)), 4, PAIR_ENC),
+    "telegate_t": (_telegate(PSI_PLUS, "swap"), 2, None),
+    "telegate_t minus": (_telegate(PSI_MINUS, "swap"), 2, None),
+    "telegate_tp": (_telegate(PSI_PLUS, "parity_filter"), 2, None),
+    "telegate_tp minus": (_telegate(PSI_MINUS, "parity_filter"), 2, None),
+    "cz2t": (lambda amps: qubit_teleport.cz_via_two_telegates(QubitState(("Q1", "Q2"), amps)),
+             4, None),
+    "cnot_cz": (lambda amps: qubit_teleport.cnot_via_cz(QubitState(("Q1", "Q2"), amps)), 4, None),
+}
+
+
+class BranchOperators(dict):
+    """GATES name -> its branch operators, compiled the first time they are
+    read. One serves one run, so a gate patched between runs is seen."""
+
+    def __missing__(self, name: str) -> dict[str, Matrix]:
+        self[name] = ops = compile_branches(*GATES[name])
+        return ops
 
 
 def pair_branches(left: Mapping[str, Matrix], right: Mapping[str, Matrix],
@@ -451,19 +503,15 @@ def verify_hwp_mb(rng: random.Random, trials: int = 100) -> list[dict]:
     return checks
 
 
-def verify_f_equals_tprime(rng: random.Random, trials: int = 200) -> list[dict]:
+def verify_f_equals_tprime(ops: BranchOperators, rng: random.Random,
+                           trials: int = 200) -> list[dict]:
     """Branch-by-branch equality of the optical parity-check filter with the
     parity-filter telegate on the encodable auxiliary domain, with outcomes
     paired by DETECTOR_TO_BELL: exactly as branch operators, and on one
     fixed and trials - 1 random inputs."""
-    enc = MBEncoding(("IN",), ())
-    groups = []
-    for aux_sign, label in ((1, PSI_PLUS), (-1, PSI_MINUS)):
-        optical = compile_branches(filter_gate(f_gate, (HALF, aux_sign * HALF)), 2, enc)
-        teleported = compile_branches(qubit_gate(
-            telegate_t, ("IN",), "IN", bell_state(label, ("AV", "AH")), variant="parity_filter"),
-            2)
-        groups.append(pair_branches(optical, teleported, DETECTOR_TO_BELL))
+    groups = [pair_branches(ops[optical], ops[teleported], DETECTOR_TO_BELL)
+              for optical, teleported in (("f_gate", "telegate_tp"),
+                                          ("f_gate minus", "telegate_tp minus"))]
     inputs = [(0.6 + 0.0j, 0.8j)] + [random_amplitudes(rng, 2) for _ in range(trials - 1)]
     worst_prob, worst_fid = _paired_deviations(groups, inputs)
     phase_dev, complete_dev = kraus_deviations(groups, 0.5)
@@ -508,14 +556,13 @@ def verify_aux_state_equivalence() -> list[dict]:
     ]
 
 
-def verify_ecnot_equals_tcnot(rng: random.Random, trials: int = 100) -> list[dict]:
+def verify_ecnot_equals_tcnot(ops: BranchOperators, rng: random.Random,
+                              trials: int = 100) -> list[dict]:
     """End to end: encoded branches of the optical CNOT equal the branches
     of the teleportation CNOT, pairing detector outcomes with Bell outcomes
     stage by stage through DETECTOR_TO_BELL: exactly as branch operators,
     and on one fixed and trials - 1 random inputs."""
-    optical = compile_branches(ecnot_gate, 4, MBEncoding(("IN", "IN'"), ()))
-    teleported = compile_branches(qubit_gate(cnot_via_cz, ("IN", "IN'")), 4)
-    groups = [pair_branches(optical, teleported, DETECTOR_TO_BELL)]
+    groups = [pair_branches(ops["e_cnot"], ops["cnot_cz"], DETECTOR_TO_BELL)]
     inputs = ([(0.5, 0.5j, -0.5, 0.5)]
               + [random_amplitudes(rng, 4) for _ in range(trials - 1)])
     worst_prob, worst_fid = _paired_deviations(groups, inputs, 1.0 / 16.0)

@@ -31,17 +31,17 @@ composed mode transform, passes the patterns straight to measure_outcomes,
 and applies each outcome's corrections as one composed transform too. The
 library gates run their expansion and drop the emptied auxiliary ports; the
 circuit-file `gate` directive (workbench_cli) splices the same expansion
-into a circuit's Pipeline, which run_circuit runs the same way. filter_gate
-and ecnot_gate run the library gates as functions of their input qubits'
-amplitudes, which mb_bridge.compile_branches turns into the branch
-operators K_b that the checks and the truth tables read; a GateResult holds
-only the branches.
+into a circuit's Pipeline, which run_circuit runs the same way. A
+GateResult holds only the branches; mb_bridge.GATES runs the library gates
+as functions of their input qubits' amplitudes, which compile_branches
+turns into the branch operators K_b that the checks and the truth tables
+read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .fock_core import (
     HALF,
@@ -284,18 +284,3 @@ def e_cnot(two_qubit_input: FockKet, control_port: str = "IN",
                      _expand_e_cnot(control_port, target_port, *aux_ports, *detectors),
                      aux_ports)
 
-
-def filter_gate(gate: Callable[..., GateResult], aux: Sequence[complex]
-                ) -> Callable[[Sequence[complex]], GateResult]:
-    """gate (f_gate or destructive_cnot) on ports IN, A, D0, D1, as a function
-    of IN's (H, V) amplitudes, with the A photon in the polarization aux."""
-    register = Register(("IN", "A", "D0", "D1"))
-    return lambda amps: gate(polarization_ket(register, ("IN", "A"),
-                                              [a * b for a in amps for b in aux]),
-                             "IN", "A", "D0", "D1")
-
-
-def ecnot_gate(amps) -> GateResult:
-    """e_cnot with control IN and target IN', as a function of their
-    (HH, HV, VH, VV) amplitudes."""
-    return e_cnot(polarization_ket(Register(("IN", "IN'")), ("IN", "IN'"), amps))

@@ -28,7 +28,6 @@ import operator
 import random
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Callable
 
 from .fock_core import NORM_SLACK, Branch, GateResult
 
@@ -264,13 +263,6 @@ def _teleport_one(joint: QubitState, qubit: str, a1: str, a2: str,
         Branch(b.outcome_label, b.j,
                z_correction(reorder(b.conditional_state, out_order), qubit, b.j), b.probability)
         for b in pbm(staged, (a1, a2)).accepted_branches)
-
-
-def qubit_gate(gate: Callable[..., GateResult], labels: Sequence[str], *args, **kwargs
-               ) -> Callable[[Sequence[complex]], GateResult]:
-    """gate on QubitState(labels, amps) and the further arguments, as a
-    function of the amplitudes amps."""
-    return lambda amps: gate(QubitState(labels, amps), *args, **kwargs)
 
 
 def telegate_t(input_state: QubitState, qubit: str, aux: QubitState,

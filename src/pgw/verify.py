@@ -2,15 +2,16 @@
 
 run_suite runs one suite of SUITES (optical, teleport, mb), or all in
 order, each with a fresh random.Random(seed), and returns a Report in
-the fixed text and JSON formats. TRUTH_TABLES builds, on each lookup, the
-amplitude-in builders of a tabulated gate and the encoding of its branch
-operators, whose columns are the table rows. Random element pipelines are
-optical_gates.Pipeline values and run as circuits and the library gates do.
+the fixed text and JSON formats; its suites share one BranchOperators,
+which compiles each configuration of mb_bridge.GATES once. TRUTH_TABLES
+names the configurations whose branch operators' columns are a gate's table
+rows. Random element pipelines are optical_gates.Pipeline values and run as
+circuits and the library gates do.
 
 Each layer function that perfbench/tracer.py wraps is called through its
-module (optical_elements.hwp, qubit_teleport.telegate_t), also where a gate
-is handed to filter_gate or qubit_gate: the tracer swaps names only in the
-pgw modules it lists, so a by-name import here would hide those calls.
+module (optical_elements.hwp, qubit_teleport.telegate_t), as GATES calls its
+gates: the tracer swaps names only in the pgw modules it lists, so a by-name
+import here would hide those calls.
 """
 from __future__ import annotations
 
@@ -32,8 +33,8 @@ from .fock_core import (
 )
 from .mb_bridge import (
     MATRIX_IDENTITY_TOL,
+    BranchOperators,
     MBEncoding,
-    compile_branches,
     eye,
     gate_deviations,
     kraus_deviations,
@@ -45,7 +46,7 @@ from .mb_bridge import (
     pair_branches,
 )
 from .optical_elements import ElementSpec
-from .optical_gates import ROTATION_DEG, ecnot_gate, filter_gate
+from .optical_gates import ROTATION_DEG
 from .qubit_teleport import (
     PHI_MINUS,
     PHI_PLUS,
@@ -56,14 +57,9 @@ from .qubit_teleport import (
     cz_aux_state,
     overlap_q,
     parity_filter,
-    qubit_gate,
     random_amplitudes,
     tensor_qubits,
 )
-
-# Branch-operator encodings: the filters' output port IN, e_cnot's IN and IN'.
-IN_ENC = MBEncoding(("IN",), ())
-PAIR_ENC = MBEncoding(("IN", "IN'"), ())
 
 
 def _kraus_claim(ops_targets, p: float) -> tuple[float, float]:
@@ -88,7 +84,7 @@ def _deviation(a, b) -> float:
                       for x, y in zip(row_a, row_b, strict=True))
 
 
-def _suite_optical(rng: random.Random, trials: int) -> list[dict]:
+def _suite_optical(ops: BranchOperators, rng: random.Random, trials: int) -> list[dict]:
     checks: list[dict] = []
     check = mb_bridge.recorder(checks)
     cnot, identity = qubit_teleport.CNOT_MATRIX, qubit_teleport.IDENTITY_2
@@ -154,23 +150,17 @@ def _suite_optical(rng: random.Random, trials: int) -> list[dict]:
     check("parity-check-blocks-mismatch", "mismatched auxiliary removes the input",
           block.success_probability, 0.0, 1e-12)
 
-    # Each gate is compiled once to its branch operators; the table checks
-    # apply them to the basis inputs, the randomized checks to the trials.
-    ec_ops = compile_branches(ecnot_gate, 4, PAIR_ENC)
-    table_success, _, table_fid = gate_deviations(ec_ops, eye(4), cnot, 0.25, 1.0 / 16.0)
+    # The table checks read the branch operators on the basis inputs, the randomized ones on trials.
+    table_success, _, table_fid = gate_deviations(ops["e_cnot"], eye(4), cnot, 0.25, 1.0 / 16.0)
     check("ecnot-truth-table-outputs", "control V flips the target and control H leaves it alone",
           table_fid, 1.0, 1e-10)
     check("ecnot-truth-table-success", "every basis input succeeds with probability 1/4",
           table_success, 0.0, 1e-10)
 
-    def filter_ops(gate, aux) -> dict[str, tuple]:
-        return compile_branches(filter_gate(gate, aux), 2, IN_ENC)
-
     # The destructive CNOT's branch operators are 1/2 times I (control H) or
     # X (control V), up to a phase, so it is checked exactly on the whole
     # input space.
-    dc_ops = [(filter_ops(optical_gates.destructive_cnot, control), line)
-              for control, line in (((1.0, 0.0), identity), ((0.0, 1.0), pauli_x))]
+    dc_ops = [(ops["d_cnot H"], identity), (ops["d_cnot V"], pauli_x)]
     phase_dev, complete_dev = _kraus_claim(dc_ops, 0.5)
     check("dcnot-kraus-phase", "each destructive CNOT branch operator is a phase times "
           "I/2 for control H and X/2 for control V", phase_dev, 0.0, MATRIX_IDENTITY_TOL)
@@ -178,7 +168,7 @@ def _suite_optical(rng: random.Random, trials: int) -> list[dict]:
           "satisfy sum K^dagger K = I/2", complete_dev, 0.0, MATRIX_IDENTITY_TOL)
     check("ecnot-kraus-cnot", "each full CNOT branch operator is a phase times CNOT/4, and "
           "sum K^dagger K = I/4",
-          max_or_nan(_kraus_claim([(ec_ops, cnot)], 0.25)), 0.0, MATRIX_IDENTITY_TOL)
+          max_or_nan(_kraus_claim([(ops["e_cnot"], cnot)], 0.25)), 0.0, MATRIX_IDENTITY_TOL)
 
     if trials <= 0:
         return checks
@@ -190,17 +180,15 @@ def _suite_optical(rng: random.Random, trials: int) -> list[dict]:
              for _ in range(trials)]
     ab, gd, v, w, thetas = (list(column) for column in zip(*draws))
 
-    neutral_ops = filter_ops(optical_gates.f_gate, (HALF, HALF))
-    minus_ops = filter_ops(optical_gates.f_gate, (HALF, -HALF))
     neutral_success, neutral_branch, neutral_fid = gate_deviations(
-        neutral_ops, ab, identity, 0.5, 0.25)
-    _, minus_branch, minus_fid = gate_deviations(minus_ops, ab, pauli_z, 0.5, 0.25)
+        ops["f_gate"], ab, identity, 0.5, 0.25)
+    _, minus_branch, minus_fid = gate_deviations(ops["f_gate minus"], ab, pauli_z, 0.5, 0.25)
     # Every branch against the first one as the target map.
-    branches_agree = all(gate_deviations(ops, ab, next(iter(ops.values())), 0.5, 0.25)[2]
-                         >= 1.0 - 1e-10 for ops in (neutral_ops, minus_ops))
-    dc = [gate_deviations(ops, gd, line, 0.5, 0.25) for ops, line in dc_ops]
+    branches_agree = all(gate_deviations(k, ab, next(iter(k.values())), 0.5, 0.25)[2]
+                         >= 1.0 - 1e-10 for k in (ops["f_gate"], ops["f_gate minus"]))
+    dc = [gate_deviations(k, gd, line, 0.5, 0.25) for k, line in dc_ops]
     dc_success, dc_fid = max_or_nan(d[0] for d in dc), min_or_nan(d[2] for d in dc)
-    ec_success, ec_branch, ec_fid = gate_deviations(ec_ops, v, cnot, 0.25, 1.0 / 16.0)
+    ec_success, ec_branch, ec_fid = gate_deviations(ops["e_cnot"], v, cnot, 0.25, 1.0 / 16.0)
 
     # Random plate angles change the map on every trial, so these run one by one.
     port_a = [(fock_core.DetectionPattern({ModeId("A", H): h, ModeId("A", V): v}), ())
@@ -244,7 +232,7 @@ def _suite_optical(rng: random.Random, trials: int) -> list[dict]:
     return checks
 
 
-def _suite_teleport(rng: random.Random, trials: int) -> list[dict]:
+def _suite_teleport(ops: BranchOperators, rng: random.Random, trials: int) -> list[dict]:
     checks: list[dict] = []
     check = mb_bridge.recorder(checks)
     cnot, cz = qubit_teleport.CNOT_MATRIX, qubit_teleport.CZ_MATRIX
@@ -300,9 +288,8 @@ def _suite_teleport(rng: random.Random, trials: int) -> list[dict]:
           "the parity-filter telegate accepts nothing from an even-parity auxiliary",
           rejected.success_probability, 0.0, 1e-12)
 
-    cn_ops = compile_branches(qubit_gate(qubit_teleport.cnot_via_cz, ("Q1", "Q2")), 4)
     table_success, table_branch, table_fid = gate_deviations(
-        cn_ops, eye(4), cnot, 0.25, 1.0 / 16.0)
+        ops["cnot_cz"], eye(4), cnot, 0.25, 1.0 / 16.0)
     check("cnot-via-cz-table-outputs",
           "the teleportation CNOT maps every basis input to its flipped image",
           table_fid, 1.0, 1e-10)
@@ -310,13 +297,12 @@ def _suite_teleport(rng: random.Random, trials: int) -> list[dict]:
           table_branch, 0.0, 1e-10)
     check("cnot-via-cz-success", "the teleportation CNOT succeeds with probability 1/4",
           table_success, 0.0, 1e-10)
-    cz_ops = compile_branches(qubit_gate(qubit_teleport.cz_via_two_telegates, ("Q1", "Q2")), 4)
     check("cnot-via-cz-kraus-cnot", "each teleportation CNOT branch operator is a phase times "
           "CNOT/4, and sum K^dagger K = I/4",
-          max_or_nan(_kraus_claim([(cn_ops, cnot)], 0.25)), 0.0, MATRIX_IDENTITY_TOL)
+          max_or_nan(_kraus_claim([(ops["cnot_cz"], cnot)], 0.25)), 0.0, MATRIX_IDENTITY_TOL)
     check("cz-via-telegates-kraus-cz", "each two-telegate branch operator is a phase times CZ/4, "
           "and sum K^dagger K = I/4",
-          max_or_nan(_kraus_claim([(cz_ops, cz)], 0.25)), 0.0, MATRIX_IDENTITY_TOL)
+          max_or_nan(_kraus_claim([(ops["cz2t"], cz)], 0.25)), 0.0, MATRIX_IDENTITY_TOL)
 
     if trials <= 0:
         return checks
@@ -326,12 +312,10 @@ def _suite_teleport(rng: random.Random, trials: int) -> list[dict]:
     phi_rows = list(zip(*phis))
 
     plus, minus, t_variants = [], [], []
-    for label, frame, devs in ((PSI_PLUS, identity, plus), (PSI_MINUS, pauli_z, minus)):
-        ops = {variant: compile_branches(qubit_gate(
-            qubit_teleport.telegate_t, ("Q",), "Q", bell_state(label, ("A1", "A2")),
-            variant=variant), 2) for variant in ("swap", "parity_filter")}
-        devs.extend(gate_deviations(k, phis, frame, 0.5, 0.25) for k in ops.values())
-        pairs = pair_branches(ops["swap"], ops["parity_filter"])
+    for suffix, frame, devs in (("", identity, plus), (" minus", pauli_z, minus)):
+        swap, filtered = ops["telegate_t" + suffix], ops["telegate_tp" + suffix]
+        devs.extend(gate_deviations(k, phis, frame, 0.5, 0.25) for k in (swap, filtered))
+        pairs = pair_branches(swap, filtered)
         t_variants.append(math.nan if pairs is None
                           else max_or_nan(_deviation(matmul(a, phi_rows), matmul(b, phi_rows))
                                           for a, b in pairs))
@@ -344,14 +328,16 @@ def _suite_teleport(rng: random.Random, trials: int) -> list[dict]:
         for frame2, label2 in ((identity, PSI_PLUS), (pauli_z, PSI_MINUS)):
             aux = tensor_qubits(bell_state(label1, ("A1", "A2")),
                                 bell_state(label2, ("A1'", "A2'")))
-            ops = compile_branches(
-                qubit_gate(qubit_teleport.cz_via_two_telegates, ("Q1", "Q2"), aux), 4)
-            pauli_fid.append(gate_deviations(ops, psis, _kron(frame1, frame2), 0.25,
+            # One reader each, so these stay off mb_bridge.GATES.
+            product_ops = mb_bridge.compile_branches(
+                lambda amps: qubit_teleport.cz_via_two_telegates(QubitState(("Q1", "Q2"), amps),
+                                                                 aux), 4)
+            pauli_fid.append(gate_deviations(product_ops, psis, _kron(frame1, frame2), 0.25,
                                              1.0 / 16.0)[2])
     pauli_fid = min_or_nan(pauli_fid)
 
-    cz_success, cz_branch, cz_fid = gate_deviations(cz_ops, psis, cz, 0.25, 1.0 / 16.0)
-    cn_fid = gate_deviations(cn_ops, psis, cnot, 0.25, 1.0 / 16.0)[2]
+    cz_success, cz_branch, cz_fid = gate_deviations(ops["cz2t"], psis, cz, 0.25, 1.0 / 16.0)
+    cn_fid = gate_deviations(ops["cnot_cz"], psis, cnot, 0.25, 1.0 / 16.0)[2]
 
     check("telegate-success", "the telegate succeeds with probability 1/2 regardless "
           "of the input", t_success, 0.0, 1e-11)
@@ -376,7 +362,7 @@ def _suite_teleport(rng: random.Random, trials: int) -> list[dict]:
     return checks
 
 
-def _suite_mb(rng: random.Random, trials: int) -> list[dict]:
+def _suite_mb(ops: BranchOperators, rng: random.Random, trials: int) -> list[dict]:
     checks: list[dict] = []
     check = mb_bridge.recorder(checks)
     reg = Register(("IN", "A"))
@@ -409,9 +395,9 @@ def _suite_mb(rng: random.Random, trials: int) -> list[dict]:
 
     checks.extend(mb_bridge.verify_pbs_mb(rng, trials))
     checks.extend(mb_bridge.verify_hwp_mb(rng, trials))
-    checks.extend(mb_bridge.verify_f_equals_tprime(rng, trials))
+    checks.extend(mb_bridge.verify_f_equals_tprime(ops, rng, trials))
     checks.extend(mb_bridge.verify_aux_state_equivalence())
-    checks.extend(mb_bridge.verify_ecnot_equals_tcnot(rng, trials))
+    checks.extend(mb_bridge.verify_ecnot_equals_tcnot(ops, rng, trials))
 
     if trials > 0:
         draws = [(random_amplitudes(rng, 4), random_amplitudes(rng, 4)) for _ in range(trials)]
@@ -461,11 +447,12 @@ class Report:
 
 
 def run_suite(suite: str, seed: int, trials: int = 100) -> Report:
-    """Run one named suite (or all of them) with a fresh generator per suite."""
+    """Run one named suite (or all), each with a fresh generator, all with one BranchOperators."""
     names = SUITES if suite == "all" else (suite,)
+    ops = BranchOperators()
     checks: list[dict] = []
     for name in names:
-        checks.extend(SUITES[name](random.Random(seed), trials))
+        checks.extend(SUITES[name](ops, random.Random(seed), trials))
     return Report.build(suite, seed, checks)
 
 
@@ -479,31 +466,18 @@ def _qubit_inputs(n: int) -> list[str]:
     return [f"|{index:0{n}b}>" for index in range(2 ** n)]
 
 
-def _plus_telegate(variant: str):
-    """telegate_t on qubit Q through an auxiliary pair in the plus Bell state."""
-    return qubit_gate(qubit_teleport.telegate_t, ("Q",), "Q", bell_state(PSI_PLUS, ("A1", "A2")),
-                      variant=variant)
-
-
-# Gate name -> a function that builds, on each lookup, (note, row texts, amplitude-in
-# builders, output encoding or None for a qubit gate). Each builder runs on the
-# basis of its own block of rows.
+# Gate name -> (note, row texts, the mb_bridge.GATES configurations whose
+# branch operators give the rows, each on the basis of its own block of rows).
 TRUTH_TABLES = {
-    "f_gate": lambda: ("balanced auxiliary photon on A", _port_inputs("IN"),
-                       [filter_gate(optical_gates.f_gate, (HALF, HALF))], IN_ENC),
-    "parity_check": lambda: ("auxiliary photon fixed to H", _port_inputs("IN"),
-                             [filter_gate(optical_gates.f_gate, (1.0, 0.0))], IN_ENC),
-    "d_cnot": lambda: ("control photon on A (consumed), target on IN", _port_inputs("A", "IN"),
-                       [filter_gate(optical_gates.destructive_cnot, control)
-                        for control in ((1.0, 0.0), (0.0, 1.0))], IN_ENC),
-    "e_cnot": lambda: ("control on IN, target on IN'", _port_inputs("IN", "IN'"), [ecnot_gate],
-                       PAIR_ENC),
-    "telegate_t": lambda: ("variant swap, auxiliary pair in the plus Bell state",
-                           _qubit_inputs(1), [_plus_telegate("swap")], None),
-    "telegate_tp": lambda: ("variant parity_filter, auxiliary pair in the plus Bell state",
-                            _qubit_inputs(1), [_plus_telegate("parity_filter")], None),
-    "cz2t": lambda: ("controlled phase from two telegates", _qubit_inputs(2),
-                     [qubit_gate(qubit_teleport.cz_via_two_telegates, ("Q1", "Q2"))], None),
-    "cnot_cz": lambda: ("CNOT from the telegate controlled phase", _qubit_inputs(2),
-                        [qubit_gate(qubit_teleport.cnot_via_cz, ("Q1", "Q2"))], None),
+    "f_gate": ("balanced auxiliary photon on A", _port_inputs("IN"), ("f_gate",)),
+    "parity_check": ("auxiliary photon fixed to H", _port_inputs("IN"), ("parity_check",)),
+    "d_cnot": ("control photon on A (consumed), target on IN", _port_inputs("A", "IN"),
+               ("d_cnot H", "d_cnot V")),
+    "e_cnot": ("control on IN, target on IN'", _port_inputs("IN", "IN'"), ("e_cnot",)),
+    "telegate_t": ("variant swap, auxiliary pair in the plus Bell state", _qubit_inputs(1),
+                   ("telegate_t",)),
+    "telegate_tp": ("variant parity_filter, auxiliary pair in the plus Bell state",
+                    _qubit_inputs(1), ("telegate_tp",)),
+    "cz2t": ("controlled phase from two telegates", _qubit_inputs(2), ("cz2t",)),
+    "cnot_cz": ("CNOT from the telegate controlled phase", _qubit_inputs(2), ("cnot_cz",)),
 }

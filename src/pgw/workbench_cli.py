@@ -68,7 +68,7 @@ from .fock_core import (
     RegisterError,
     V,
 )
-from .mb_bridge import branch_probabilities, compile_branches, mb_decode
+from .mb_bridge import GATES, BranchOperators, branch_probabilities, mb_decode
 from .optical_elements import ELEMENTS, ElementSpec
 from .optical_gates import GATE_EXPANDERS, Pipeline
 from .qubit_teleport import QubitState
@@ -124,8 +124,8 @@ class _Reader:
         self.terms: list[tuple[complex, dict[ModeId, int], tuple[int, str]]] = []
         self.elements: list[ElementSpec] = []
         self.detections: dict[str, DetectionPattern] = {}  # by label, from `detect` and `gate`
-        self.corrections: dict[str, list[ElementSpec]] = {}
-        self.correct_steps: list[tuple[str, ElementSpec, tuple[int, str]]] = []
+        # (label, element, where) per correction in file order, from `gate` and `correct`.
+        self.corrections: list[tuple[str, ElementSpec, tuple[int, str]]] = []
 
     def error(self, reason: str, index: int, where=None) -> CircuitParseError:
         """The error at token `index` of where (default: this line); column 1 past its end."""
@@ -279,14 +279,13 @@ class _Reader:
         self.elements.extend(pipeline.elements)
         for pattern, fixes in pipeline.outcomes:
             self.detections[self.new_label(None, 1, pattern.label)] = pattern
-            self.corrections.setdefault(pattern.label, []).extend(fixes)
+            self.corrections += [(pattern.label, fix, self.where) for fix in fixes]
 
     def add_detection(self, label: str, j: int, counts: dict[ModeId, int]) -> None:
         self.detections[label] = DetectionPattern(counts, label=label, j=j)
 
     def add_correction(self, label: str, element: ElementSpec) -> None:
-        self.corrections.setdefault(label, []).append(element)
-        self.correct_steps.append((label, element, self.where))  # checked at the end
+        self.corrections.append((label, element, self.where))  # checked at the end
 
 
 # The one table of directives. Name -> (argument kinds, fewest and most
@@ -340,8 +339,9 @@ def parse_circuit(text: str) -> CircuitFile:
     if sq > 1.0 + NORM_SLACK:  # FockKet's bound, reported at the last term's amplitude
         raise reader.error(f"initial state has squared norm {sq!r}, more than 1",
                            1, reader.terms[-1][2])
-    for label, element, where in reader.correct_steps:
-        if label not in reader.detections:
+    fixes: dict[str, list[ElementSpec]] = {label: [] for label in reader.detections}
+    for label, element, where in reader.corrections:
+        if label not in fixes:
             raise reader.error(f"correction for unknown branch {label!r}", 1, where)
         # The arguments follow `correct LABEL KIND`; a port argument acts on both its modes.
         modes = ELEMENTS[element.kind][2]
@@ -350,12 +350,12 @@ def parse_circuit(text: str) -> CircuitFile:
                 if mode in reader.detections[label].measured:
                     raise reader.error(f"correction for branch {label!r} acts on mode {mode}, "
                                        "which its detection consumes", k, where)
-    outcomes = [(pattern, reader.corrections.get(label, ()))
-                for label, pattern in reader.detections.items()]
+        fixes[label].append(element)
     # Counts and amplitudes were checked as read, photons and the norm above: none again.
     # The Pipeline checks that the detections are exclusive.
     return CircuitFile(tuple(reader.ports), FockKet(register, initial, validate=False),
-                       Pipeline(reader.elements, outcomes))
+                       Pipeline(reader.elements, [(pattern, fixes[label])
+                                                  for label, pattern in reader.detections.items()]))
 
 
 @dataclass
@@ -462,10 +462,10 @@ def cmd_verify(suite: str, seed: int, trials: int, json_path: str | None = None)
 
 
 def cmd_truth_table(gate: str) -> int:
-    note, texts, builders, enc = TRUTH_TABLES[gate]()
-    dim = len(texts) // len(builders)
-    columns = [[[row[i] for row in k] for k in ops.values()]
-               for ops in (compile_branches(b, dim, enc) for b in builders) for i in range(dim)]
+    note, texts, names = TRUTH_TABLES[gate]
+    ops, enc = BranchOperators(), GATES[names[0]][2]
+    columns = [[[row[i] for row in k] for k in ops[name].values()]
+               for name in names for i in range(GATES[name][1])]
     print(f"truth-table: {gate}")
     print(f"# {note}")
     width = max(map(len, texts))

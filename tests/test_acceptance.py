@@ -22,6 +22,7 @@ from pgw.fock_core import (
     measure_and_postselect,
 )
 from pgw.mb_bridge import (
+    BranchOperators,
     MBEncoding,
     mb_encode,
     verify_aux_state_equivalence,
@@ -286,10 +287,10 @@ def test_criterion_07_mixed_basis_dictionary():
 
 
 def test_criterion_08_optical_teleportation_equivalence():
-    rng = random.Random(8)
-    filter_records = verify_f_equals_tprime(rng, trials=100)
+    rng, ops = random.Random(8), BranchOperators()
+    filter_records = verify_f_equals_tprime(ops, rng, trials=100)
     aux_records = verify_aux_state_equivalence()
-    cnot_records = verify_ecnot_equals_tcnot(rng, trials=100)
+    cnot_records = verify_ecnot_equals_tcnot(ops, rng, trials=100)
     all_records = filter_records + aux_records + cnot_records
     ok = bool(all_records) and all(r["status"] == "pass" for r in all_records)
     _verdict(8, "encoded optical gates match their teleportation twins branch "

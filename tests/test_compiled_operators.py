@@ -5,7 +5,9 @@ accepted branch as a column of K_b. The randomized verify checks rely on
 K_b @ v being exactly what a direct call of the gate on v gives, branch by
 branch and label by label; these tests pin that on a fixed seed for every
 gate the checks compile, and pin the label pairing of optical detector
-outcomes with teleportation Bell outcomes.
+outcomes with teleportation Bell outcomes. The gates are built here
+independently of mb_bridge.GATES, and each table entry is checked against
+its independent twin.
 """
 
 import random
@@ -15,10 +17,11 @@ import pytest
 
 import reference
 from pgw import mb_bridge
-from pgw.fock_core import FockKet, H, ModeId, Register, V, apply_mode_transform
+from pgw.fock_core import Branch, FockKet, GateResult, H, ModeId, Register, V, apply_mode_transform
 from pgw.mb_bridge import (
     DETECTOR_TO_BELL,
     MATRIX_IDENTITY_TOL,
+    BranchOperators,
     MBEncoding,
     _paired_deviations,
     batched_fidelity,
@@ -97,6 +100,7 @@ ENC_CNOT = MBEncoding(("IN", "IN'"), ())
 GATES = {
     "f_gate plus aux": (_filter_gate(f_gate, (HALF, HALF)), 2, ENC_IN),
     "f_gate minus aux": (_filter_gate(f_gate, (HALF, -HALF)), 2, ENC_IN),
+    "f_gate H aux": (_filter_gate(f_gate, (1.0, 0.0)), 2, ENC_IN),
     "destructive_cnot H control": (_filter_gate(destructive_cnot, (1.0, 0.0)), 2, ENC_IN),
     "destructive_cnot V control": (_filter_gate(destructive_cnot, (0.0, 1.0)), 2, ENC_IN),
     "e_cnot": (lambda amps: e_cnot(_ports_state(CNOT_REGISTER, ("IN", "IN'"), amps)),
@@ -112,6 +116,34 @@ for _l1 in (PSI_PLUS, PSI_MINUS):
     for _l2 in (PSI_PLUS, PSI_MINUS):
         GATES[f"cz aux {_l1} {_l2}"] = (
             _qubit_gate(cz_via_two_telegates, ("Q1", "Q2"), _cz_aux(_l1, _l2)), 4, None)
+
+
+# mb_bridge.GATES name -> the configuration above that builds the same gate.
+REFERENCE_OF = {
+    "f_gate": "f_gate plus aux", "f_gate minus": "f_gate minus aux",
+    "parity_check": "f_gate H aux", "d_cnot H": "destructive_cnot H control",
+    "d_cnot V": "destructive_cnot V control", "e_cnot": "e_cnot",
+    "telegate_t": "telegate swap plus", "telegate_t minus": "telegate swap minus",
+    "telegate_tp": "telegate filter plus", "telegate_tp minus": "telegate filter minus",
+    "cz2t": "cz default aux", "cnot_cz": "cnot_via_cz",
+}
+
+
+@pytest.mark.parametrize("name", sorted(mb_bridge.GATES))
+def test_each_table_configuration_equals_its_reference(name):
+    """Each mb_bridge.GATES configuration compiles, label by label, to the
+    branch operators of the independently built configuration above."""
+    gate, dim, enc = GATES[REFERENCE_OF[name]]
+    assert mb_bridge.GATES[name][1:] == (dim, enc)
+    got, want = BranchOperators()[name], compile_branches(gate, dim, enc)
+    assert list(got) == list(want)
+    for label, k in want.items():
+        assert np.abs(np.subtract(got[label], k)).max() <= 1e-14
+
+
+def test_the_table_names_every_reference_configuration_once():
+    assert sorted(REFERENCE_OF) == sorted(mb_bridge.GATES)
+    assert len(set(REFERENCE_OF.values())) == len(REFERENCE_OF)
 
 
 @pytest.mark.parametrize("name", sorted(GATES))
@@ -170,15 +202,26 @@ def test_compile_rejects_an_outcome_missing_for_some_inputs():
         compile_branches(flaky, 4)
 
 
+def test_compile_rejects_an_outcome_repeated_for_one_input():
+    """Label X twice for the first basis input and never for the second
+    occurs dim times in all, but is no one linear map K_X."""
+    def doubled(amps):
+        branch = Branch("X", 0, QubitState(("Q",), amps), 1.0)
+        return GateResult((branch, branch) if amps[0] else ())
+
+    with pytest.raises(ValueError, match="repeat"):
+        compile_branches(doubled, 2)
+
+
 @pytest.mark.parametrize("gate", sorted(TRUTH_TABLES))
 def test_nonzero_branch_operators_of_a_tabulated_gate_agree_up_to_phase(gate):
     """A truth-table row prints the first nonzero branch; every other nonzero
     K_b of the gate equals a phase times the first, to the matrix-identity
     tolerance, so the choice loses nothing."""
-    _, texts, builders, enc = TRUTH_TABLES[gate]()
-    for builder in builders:
-        ops = compile_branches(builder, len(texts) // len(builders), enc)
-        live = [np.asarray(k) for k in ops.values() if np.any(k)]
+    _, _, names = TRUTH_TABLES[gate]
+    ops = BranchOperators()
+    for name in names:
+        live = [np.asarray(k) for k in ops[name].values() if np.any(k)]
         assert len(live) > 1
         for k in live[1:]:
             overlap = np.vdot(live[0], k)
@@ -222,9 +265,9 @@ def _patched_compile(monkeypatch, change):
 
 @pytest.mark.parametrize("verify", [verify_f_equals_tprime, verify_ecnot_equals_tcnot])
 def test_reversed_branch_order_still_passes(monkeypatch, verify):
-    baseline = verify(random.Random(11), trials=10)
+    baseline = verify(BranchOperators(), random.Random(11), trials=10)
     _patched_compile(monkeypatch, lambda ops: dict(reversed(list(ops.items()))))
-    records = verify(random.Random(11), trials=10)
+    records = verify(BranchOperators(), random.Random(11), trials=10)
     assert records == baseline
     assert all(r["status"] == "pass" for r in records)
 
@@ -233,7 +276,7 @@ def test_reversed_branch_order_still_passes(monkeypatch, verify):
 def test_unmatched_label_fails_every_pairing_check(monkeypatch, verify):
     _patched_compile(monkeypatch, lambda ops: {
         label.replace(PSI_MINUS, "Psi?"): k for label, k in ops.items()})
-    records = verify(random.Random(11), trials=10)
+    records = verify(BranchOperators(), random.Random(11), trials=10)
     assert records
     assert all(r["status"] == "fail" for r in records)
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import reference
 from pgw.fock_core import FockKet, H, ModeId, Register, V
 from pgw.mb_bridge import (
+    BranchOperators,
     DecodingDomainError,
     EncodingDomainError,
     MBEncoding,
@@ -233,7 +234,7 @@ def test_verify_hwp_dictionary_action():
 
 
 def test_verify_filter_matches_parity_telegate():
-    _assert_all_pass(verify_f_equals_tprime(random.Random(7), trials=30))
+    _assert_all_pass(verify_f_equals_tprime(BranchOperators(), random.Random(7), trials=30))
 
 
 def test_verify_aux_resource_equivalence():
@@ -246,7 +247,7 @@ def test_verify_aux_resource_equivalence():
 
 
 def test_verify_optical_cnot_matches_teleported_cnot():
-    _assert_all_pass(verify_ecnot_equals_tcnot(random.Random(7), trials=20))
+    _assert_all_pass(verify_ecnot_equals_tcnot(BranchOperators(), random.Random(7), trials=20))
 
 
 @st.composite

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import pgw
+from pgw import mb_bridge, optical_gates
 from pgw.verify import run_suite
 from pgw.workbench_cli import cmd_truth_table
 
@@ -49,8 +50,8 @@ def test_suites_call_each_traced_function_through_its_module(monkeypatch, module
     assert calls
 
 
-# A truth table for each traced gate function that its builders hand to
-# filter_gate or qubit_gate.
+# A truth table for each traced gate function that its mb_bridge.GATES
+# configurations run.
 TABLE_OF = {("pgw.optical_gates", "f_gate"): "f_gate",
             ("pgw.optical_gates", "destructive_cnot"): "d_cnot",
             ("pgw.qubit_teleport", "telegate_t"): "telegate_t",
@@ -61,9 +62,9 @@ TABLE_OF = {("pgw.optical_gates", "f_gate"): "f_gate",
 @pytest.mark.parametrize("module, attr", sorted(TABLE_OF),
                          ids=[f"{m}.{a}" for m, a in sorted(TABLE_OF)])
 def test_truth_tables_call_each_traced_gate_through_its_module(monkeypatch, capsys, module, attr):
-    """filter_gate and qubit_gate keep the gate function they are given. So a
-    table must hand them the function as its module holds it when the table is
-    printed, not as it was at import, or a traced run would miss its calls."""
+    """A GATES configuration must run the gate function as its module holds
+    it when the table is printed, not as it was at import, or a traced run
+    would miss its calls."""
     assert (module, attr) in TRACED_FUNCTIONS
     owner = importlib.import_module(module)
     original = getattr(owner, attr)
@@ -77,6 +78,65 @@ def test_truth_tables_call_each_traced_gate_through_its_module(monkeypatch, caps
     assert cmd_truth_table(TABLE_OF[module, attr]) == 0
     assert capsys.readouterr().out.startswith(f"truth-table: {TABLE_OF[module, attr]}\n")
     assert calls
+
+
+def _counted_compiles(monkeypatch) -> list[int]:
+    """Count every mb_bridge.compile_branches call from here on."""
+    calls, original = [], mb_bridge.compile_branches
+
+    def counting(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(mb_bridge, "compile_branches", counting)
+    return calls
+
+
+@pytest.mark.parametrize("trials, compiles", [(100, 15), (0, 9)])
+def test_one_run_compiles_each_configuration_once(monkeypatch, trials, compiles):
+    """`--suite all` compiles each GATES configuration it reads once, shared by
+    the suites and the bridge checks, plus the teleport suite's four
+    product-auxiliary operators at 100 trials; a second run compiles again."""
+    calls = _counted_compiles(monkeypatch)
+    first = run_suite("all", 12345, trials)
+    assert first.passed and len(calls) == compiles
+    assert run_suite("all", 12345, trials).to_text() == first.to_text()
+    assert len(calls) == 2 * compiles
+
+
+def test_a_gate_patched_between_runs_is_seen(monkeypatch):
+    run_suite("all", 1, 0)
+    calls, original = [], optical_gates.e_cnot
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(optical_gates, "e_cnot", counting)
+    assert run_suite("all", 1, 0).passed
+    assert len(calls) == 4  # one compile of e_cnot, on its four basis inputs
+
+
+_IMPORT_COMPILES = """
+import sys
+calls = []
+sys.setprofile(lambda frame, event, arg: calls.append(frame.f_code.co_name)
+               if event == "call" and frame.f_code.co_name == "compile_branches" else None)
+import pgw
+sys.setprofile(None)
+print(len(calls), len(pgw.mb_bridge.GATES))
+"""
+
+
+def test_import_compiles_no_gate():
+    """GATES holds functions, so `import pgw` runs no compile_branches."""
+    src = str(Path(pgw.__file__).parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_COMPILES],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "12"]
 
 
 _STARTUP = """

@@ -349,6 +349,19 @@ def test_correction_for_an_unknown_branch_points_at_its_label():
     assert err.reason == "correction for unknown branch 'D9'"
 
 
+@pytest.mark.parametrize("before", [True, False], ids=["before the gate", "after the gate"])
+def test_corrections_keep_file_order_around_their_gate_line(before):
+    """A `correct` line that names a gate outcome applies where it stands in
+    the file: ahead of the gate's own correction when it comes before the
+    `gate` line, after it when it comes after."""
+    lines = ["gate f_gate IN A D0 D1", "correct D1 hwp IN 10"]
+    text = ("pgw-circuit v1\nregister IN A D0 D1\nterm 1,0 IN.H=1 A.H=1\n"
+            + "\n".join(reversed(lines) if before else lines) + "\n")
+    outcomes = {pattern.label: fixes for pattern, fixes in parse_circuit(text).pipeline.outcomes}
+    plate, flip = ElementSpec("hwp", ("IN",), 10.0), ElementSpec("pc", ("IN",))
+    assert outcomes == {"D0": (), "D1": (plate, flip) if before else (flip, plate)}
+
+
 @pytest.mark.parametrize("line", ["element pbs IN IN", "element swap IN.H  IN.H",
                                   "correct x pbs D  D", "correct x swap IN.V IN.V"])
 def test_repeated_element_argument_is_a_parse_error(line):
@@ -526,7 +539,7 @@ def test_verify_all_suites_pass(capsys):
 def test_verify_exit_code_on_failure(monkeypatch, capsys):
     monkeypatch.setitem(
         verify.SUITES, "optical",
-        lambda rng, trials: [
+        lambda ops, rng, trials: [
             check_record("forced", "deliberately failing check", 1.0, 0.0, 0.1)])
     assert main(["verify", "--suite", "optical"]) == 1
     out = capsys.readouterr().out
