@@ -85,6 +85,46 @@ def _count(n: Any, least: int) -> int | None:
     return n if n >= least else None
 
 
+def _names(value: Any, what: str) -> tuple[str, ...]:
+    """value as a tuple of strings, else ValueError naming the argument what.
+    A bare string is refused, not read as one name per character."""
+    names = None if isinstance(value, str) or not isinstance(value, Iterable) else tuple(value)
+    if names is None or not all(map(isinstance, names, itertools.repeat(str))):
+        raise ValueError(f"{what} must be a sequence of strings, got {value!r}")
+    return names
+
+
+def _amplitudes(value: Any) -> tuple[complex, ...]:
+    """value, a flat sequence of numbers (a numpy array too), as a tuple of
+    complex, else ValueError. complex() also parses strings; they are refused."""
+    if hasattr(value, "tolist"):  # a numpy array: its entries as Python numbers
+        value = value.tolist()
+    flat = isinstance(value, Sequence) and not isinstance(value, (str, bytes, bytearray))
+    kinds = set(map(type, value)) if flat else {str}
+    if kinds == {complex}:
+        return tuple(value)
+    if not any(issubclass(kind, str) for kind in kinds):
+        try:
+            return tuple(map(complex, value))
+        except (TypeError, ValueError, OverflowError):  # OverflowError: an int past any float
+            pass
+    raise ValueError(f"amplitudes must be a flat sequence of numbers, got {value!r}")
+
+
+def _mode(m: Any, what: str) -> ModeId:
+    """m, a ModeId or its plain (label, polarization) tuple, as a ModeId, else
+    RegisterError naming the argument what. Read before any sorting, which
+    would raise TypeError on a label that is not a string."""
+    if not (isinstance(m, tuple) and len(m) == 2):
+        raise RegisterError(f"{what} must hold (spatial label, polarization) pairs, got {m!r}")
+    m = ModeId(*m)
+    if not isinstance(m.spatial_label, str):
+        raise RegisterError(f"spatial port label {m.spatial_label!r} is not a string")
+    if m.polarization not in (H, V):
+        raise RegisterError(f"mode {m} is neither H nor V polarized")
+    return m
+
+
 class Register:
     """Ordered mode register shared by states and transforms.
 
@@ -100,18 +140,13 @@ class Register:
     def __init__(self, spatial_labels: Sequence[str] = (), cutoff: int = DEFAULT_CUTOFF,
                  modes: Iterable[ModeId] | None = None):
         if modes is None:
-            labels = tuple(spatial_labels)
+            labels = _names(spatial_labels, "spatial_labels")
             modes = tuple(ModeId(lab, pol) for lab in labels for pol in (H, V))
             duplicate = f"duplicate spatial labels in {labels}"
-        else:
-            modes = tuple(modes)
+        else:  # anything but an iterable is refused as one bad mode
+            modes = tuple(_mode(m, "modes") for m in
+                          (modes if isinstance(modes, Iterable) else (modes,)))
             duplicate = "duplicate modes in register"
-        # Checked before sorting, which would raise TypeError on a mixed label.
-        for m in modes:
-            if not isinstance(m.spatial_label, str):
-                raise RegisterError(f"spatial port label {m.spatial_label!r} is not a string")
-            if m.polarization not in (H, V):
-                raise RegisterError(f"mode {m} is neither H nor V polarized")
         if len(set(modes)) != len(modes):
             raise RegisterError(duplicate)
         if (count := _count(cutoff, 1)) is None:
@@ -175,9 +210,6 @@ class Register:
     def __hash__(self):
         return hash((self.modes, self.cutoff))
 
-    def __repr__(self):
-        return f"Register({[str(m) for m in self.modes]}, cutoff={self.cutoff})"
-
 
 class FockKet:
     """Sparse state: occupation (a tuple of photon counts) -> complex amplitude.
@@ -196,15 +228,21 @@ class FockKet:
 
     def __init__(self, register: Register, terms: Mapping[Any, complex], *,
                  validate: bool = True):
+        if validate:
+            if not isinstance(register, Register):
+                raise ValueError(f"register must be a Register, got {register!r}")
+            if not isinstance(terms, Mapping):
+                raise ValueError(f"terms must map occupations to amplitudes, got {terms!r}")
+            terms = dict(zip(terms, _amplitudes(list(terms.values()))))
         pruned: dict[tuple[int, ...], complex] = {}
         for occ, amp in terms.items():
             c = complex(amp)
             if abs(c) < PRUNE_THRESHOLD:
                 continue
             if validate:
-                counts = tuple(_count(n, 0) for n in occ)
+                counts = tuple(_count(n, 0) for n in occ) if isinstance(occ, Sequence) else (None,)
                 if None in counts:
-                    raise ValueError(f"occupation counts must be ints >= 0, got {tuple(occ)}")
+                    raise ValueError(f"occupation counts must be ints >= 0, got {occ!r}")
                 occ = counts
                 if len(occ) != register.n_modes:
                     raise ValueError(
@@ -236,13 +274,6 @@ class FockKet:
 
     def amplitude(self, occ: Sequence[int]) -> complex:
         return self.terms.get(tuple(occ), 0.0 + 0.0j)
-
-    def __repr__(self):
-        parts = []
-        for occ in sorted(self.terms):
-            labels = " ".join(f"{m}={c}" for m, c in zip(self.register.modes, occ) if c)
-            parts.append(f"({self.terms[occ]:.6g})|{labels or 'vac'}>")
-        return " + ".join(parts) if parts else "0"
 
 
 def require_unitary(rows: Sequence[Sequence[complex]]) -> None:
@@ -281,21 +312,25 @@ class ModeTransform:
     rows: tuple[tuple[complex, ...], ...]
 
     def __init__(self, register: Register, matrix, modes: Iterable[int] | None = None):
+        if not isinstance(register, Register):
+            raise ValueError(f"register must be a Register, got {register!r}")
         n = register.n_modes
-        modes = tuple(range(n)) if modes is None else tuple(map(operator.index, modes))
+        given = range(n) if modes is None else modes
+        modes = (tuple(map(_count, given, itertools.repeat(0))) if isinstance(given, Iterable)
+                 else (None,))
+        if None in modes or any(i >= n for i in modes):
+            raise ValueError(f"modes {given!r} out of range for a {n}-mode register")
+        if any(map(operator.ge, modes, modes[1:])):
+            raise ValueError(f"modes {modes} are not strictly ascending")
         k = len(modes)
         if hasattr(matrix, "tolist"):  # a numpy array: read its entries as Python numbers
             matrix = matrix.tolist()
         try:
             rows = tuple(tuple(map(complex, row)) for row in matrix)
-        except TypeError:  # an entry where a row should be, or a row where an entry should be
+        except (TypeError, ValueError, OverflowError):  # not rows of numbers
             rows = ()
         if len(rows) != k or any(len(row) != k for row in rows):
             raise ValueError(f"matrix is not {k} x {k}, one row and column per mode")
-        if any(not 0 <= i < n for i in modes):
-            raise ValueError(f"modes {modes} out of range for a {n}-mode register")
-        if any(map(operator.ge, modes, modes[1:])):
-            raise ValueError(f"modes {modes} are not strictly ascending")
         # A mode is trimmed when its diagonal entry is 1 and the rest of its row
         # and column 0, each to within 1e-15; no NaN is within anything.
         moved = [p for p in range(k) if not abs(rows[p][p] - 1) <= 1e-15
@@ -338,15 +373,23 @@ class DetectionPattern:
     j: int
 
     def __init__(self, required: Mapping[ModeId, int], label: str = "", j: int = 0):
+        if not isinstance(required, Mapping):
+            raise ValueError(f"required must map modes to photon counts, got {required!r}")
+        if not isinstance(label, str):
+            raise ValueError(f"label must be a string, got {label!r}")
+        if (index := _count(j, 0)) is None or index > 1:
+            raise ValueError(f"j must be 0 or 1, got {j!r}")
         req = []
-        for mode, count in sorted(required.items()):
+        for mode, count in required.items():
+            mode = _mode(mode, "required")
             if (n := _count(count, 0)) is None:
                 raise ValueError(f"required photon counts must be ints >= 0, got {mode}={count!r}")
             req.append((mode, n))
+        req.sort()
         object.__setattr__(self, "required", tuple(req))
-        object.__setattr__(self, "measured", frozenset(required))
+        object.__setattr__(self, "measured", frozenset(m for m, _ in req))
         object.__setattr__(self, "label", label or ",".join(f"{m}={c}" for m, c in req))
-        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "j", index)
 
 
 @dataclass(frozen=True)

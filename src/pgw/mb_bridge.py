@@ -52,6 +52,7 @@ from .fock_core import (
     ModeId,
     Register,
     V,
+    _names,
     apply_mode_transform,
     polarization_ket,
 )
@@ -62,7 +63,6 @@ from .qubit_teleport import (
     PSI_PLUS,
     Matrix,
     QubitState,
-    _names,
     bell_state,
     cz_aux_state,
     overlap_q,

@@ -40,16 +40,20 @@ class ElementSpec:
     angle_degrees: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ELEMENTS:
+        if not isinstance(self.kind, str) or self.kind not in ELEMENTS:
             raise ValueError(f"unknown element kind {self.kind!r}")
         if not isinstance(self.args, tuple):
             raise ValueError(f"{self.kind} arguments must be a tuple, got {self.args!r}")
         _, arity, modes, angle = ELEMENTS[self.kind]
         noun = "mode" if modes else "spatial port"
-        if len(self.args) != arity or any(isinstance(a, ModeId) is not modes for a in self.args):
+        if len(self.args) != arity or not all(isinstance(a, ModeId if modes else str)
+                                              for a in self.args):
             raise ValueError(f"{self.kind} takes exactly {arity} {noun}(s), got {self.args!r}")
-        if not angle and self.angle_degrees != 0.0:
-            raise ValueError(f"{self.kind} takes no angle, got {self.angle_degrees!r}")
+        degrees = self.angle_degrees  # a bool is not an angle; a numpy float is a float
+        if isinstance(degrees, bool) or not isinstance(degrees, (int, float)):
+            raise ValueError(f"{self.kind} angle must be a number of degrees, got {degrees!r}")
+        if not angle and degrees != 0.0:
+            raise ValueError(f"{self.kind} takes no angle, got {degrees!r}")
 
     def block(self, register: Register) -> Block:
         """The element's flat modes on register, ascending, and its block on them."""

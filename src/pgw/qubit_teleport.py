@@ -22,14 +22,13 @@ that same analysis on the auxiliary pair.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import random
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .fock_core import NORM_SLACK, Branch, GateResult
+from .fock_core import NORM_SLACK, Branch, GateResult, _amplitudes, _names
 
 MAX_QUBITS = 6
 
@@ -56,32 +55,6 @@ HADAMARD = _matrix([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]])
 CZ_MATRIX = _diag(1, 1, 1, -1)
 CNOT_MATRIX = _matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
 PARITY_FILTER_MATRIX = _diag(1, 0, 0, 1)
-
-
-def _names(value, what: str) -> tuple[str, ...]:
-    """value as a tuple of strings, else ValueError naming the argument what.
-    A bare string is refused, not read as one name per character."""
-    names = None if isinstance(value, str) or not isinstance(value, Iterable) else tuple(value)
-    if names is None or not all(map(isinstance, names, itertools.repeat(str))):
-        raise ValueError(f"{what} must be a sequence of strings, got {value!r}")
-    return names
-
-
-def _amplitudes(value) -> tuple[complex, ...]:
-    """value, a flat sequence of numbers (a numpy array too), as a tuple of
-    complex, else ValueError. complex() also parses strings; they are refused."""
-    if hasattr(value, "tolist"):  # a numpy array: its entries as Python numbers
-        value = value.tolist()
-    flat = isinstance(value, Sequence) and not isinstance(value, (str, bytes, bytearray))
-    kinds = set(map(type, value)) if flat else {str}
-    if kinds == {complex}:
-        return tuple(value)
-    if not any(issubclass(kind, str) for kind in kinds):
-        try:
-            return tuple(map(complex, value))
-        except (TypeError, ValueError):
-            pass
-    raise ValueError(f"amplitudes must be a flat sequence of numbers, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -374,12 +374,9 @@ def run_circuit(cf: CircuitFile) -> SimulationResult:
                          " precision loss in the n-photon amplitudes (too many photons)")
     if not cf.pipeline.outcomes:
         return SimulationResult(initial, state, (), 0.0)
-    total = sum(b.probability for b in branches)
-    rejected = initial - total
-    if rejected < -CONSERVATION_TOL:
-        raise ValueError(f"detected branches carry {total!r} of the initial norm^2 "
-                         f"{initial!r}; the detection patterns overlap")
-    return SimulationResult(initial, None, branches, rejected)
+    # The Pipeline's patterns are exclusive, so the branches never carry more than initial.
+    return SimulationResult(initial, None, branches,
+                            initial - sum(b.probability for b in branches))
 
 
 def _fmt_c(z: complex) -> str:

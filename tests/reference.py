@@ -155,10 +155,21 @@ def element_matrix(modes, kind, args, angle=0.0):
 
 def apply_dense(u, state):
     """phi(u) on state, {occupation: amplitude}: each input occupation's
-    column of the dense Fock matrix over its photon-number sector."""
+    column of the dense Fock matrix over its photon-number sector. Only the
+    rows that put each input photon in a mode its column of u reaches are
+    summed: in every other row each term of the permanent holds a zero
+    entry of u, so the row is exactly 0."""
+    u = np.asarray(u)
     out = {}
     for occ_in, amp in state.items():
-        for occ_out in occupations(len(occ_in), sum(occ_in)):
+        photons = [j for j, c in enumerate(occ_in) for _ in range(c)]
+        images = set()
+        for picks in itertools.product(*[np.flatnonzero(u[:, j]) for j in photons]):
+            occ_out = [0] * len(occ_in)
+            for i in picks:
+                occ_out[i] += 1
+            images.add(tuple(occ_out))
+        for occ_out in sorted(images):
             out[occ_out] = out.get(occ_out, 0j) + fock_matrix_element(u, occ_out, occ_in) * amp
     return out
 
@@ -247,3 +258,19 @@ def filter_gate_expansion(name, ports):
     outcomes = [(d0, 0, dict(zip(detector_modes, (1, 0, 0, 0))), []),
                 (d1, 1, dict(zip(detector_modes, (0, 0, 0, 1))), [fix])]
     return elements, outcomes
+
+
+def e_cnot_expansion(ports):
+    """The circuit line `gate e_cnot PORTS`, ports (control, target, aux,
+    aux', d0, d1, d0', d1'), in filter_gate_expansion's form, written from
+    the optical_gates docstrings: a parity check (the filter) on (control,
+    aux, d0, d1), then a destructive CNOT on (target, aux', d0', d1'). Each
+    outcome joins one outcome of each stage, labelled FIRST,SECOND, with the
+    second's j, both stages' counts, and the first's corrections before the
+    second's."""
+    control, target, aux, aux2, d0, d1, d0b, d1b = ports
+    first, first_outcomes = filter_gate_expansion("f_gate", (control, aux, d0, d1))
+    second, second_outcomes = filter_gate_expansion("d_cnot", (target, aux2, d0b, d1b))
+    outcomes = [(f"{l1},{l2}", j2, {**c1, **c2}, f1 + f2)
+                for l1, _, c1, f1 in first_outcomes for l2, j2, c2, f2 in second_outcomes]
+    return first + second, outcomes

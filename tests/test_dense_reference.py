@@ -6,8 +6,8 @@ circuit by dense linear algebra, with element matrices written from the
 optical_elements conventions rather than from pgw's builders. Labels, j,
 probabilities, branch amplitudes and the rejected probability must agree
 within 1e-12, a missing amplitude reading as 0. Circuits with a `gate` line
-(f_gate, parity_check or d_cnot) run against the reference's own expansion
-of that gate; e_cnot, on 8 ports, is beyond these draws.
+(f_gate, parity_check and d_cnot on 4 ports, e_cnot on 8) run against the
+reference's own expansion of that gate.
 """
 
 import itertools
@@ -58,16 +58,19 @@ def _circuit(draw, gate=None):
     port P, and those with P.H = 0 on P.H and one to three modes of P.V and
     a second port Q, so that the two groups may measure equally many modes.
     With a gate (f_gate, parity_check or d_cnot, expanded by
-    reference.filter_gate_expansion), one `gate` line is placed among the
-    elements instead, on 4 ports, with one photon in each of its input and
-    auxiliary ports to start with; its two outcomes are then the only
-    detections."""
-    ports = draw(st.permutations("ABCD"))[:4 if gate else draw(st.integers(2, 4))]
+    reference.filter_gate_expansion, or e_cnot, by reference.e_cnot_expansion),
+    one `gate` line is placed among the elements instead, on 4 ports (8 for
+    e_cnot), with one photon in each of its input and auxiliary ports to
+    start with (control, target, aux and aux' for e_cnot); its outcomes are
+    then the only detections."""
+    names = "ABCDEFGH" if gate == "e_cnot" else "ABCD"
+    ports = draw(st.permutations(names))[:len(names) if gate else draw(st.integers(2, 4))]
     modes = [(port, pol) for port in ports for pol in "HV"]
     if gate:  # one photon in each of its input and auxiliary ports, in every polarization
         gate_ports = draw(st.permutations(ports))
-        keys = [frozenset({((gate_ports[0], a), 1), ((gate_ports[1], b), 1)})
-                for a in "HV" for b in "HV"]
+        sources = gate_ports[:4 if gate == "e_cnot" else 2]
+        keys = [frozenset((mode, 1) for mode in zip(sources, pols))
+                for pols in itertools.product("HV", repeat=len(sources))]
     else:
         n = draw(st.integers(1, 3))
         keys = []
@@ -84,12 +87,13 @@ def _circuit(draw, gate=None):
     element_lines = ["element " + _words(*element) for element in elements]
     if gate:
         at = draw(st.integers(0, len(elements)))
-        expansion, outcomes = reference.filter_gate_expansion(gate, gate_ports)
+        expansion, outcomes = (reference.e_cnot_expansion(gate_ports) if gate == "e_cnot"
+                               else reference.filter_gate_expansion(gate, gate_ports))
         elements[at:at] = expansion
         element_lines.insert(at, f"gate {gate} " + " ".join(gate_ports))
         detections = [(label, j, required) for label, j, required, _ in outcomes]
         corrections = {label: fixes for label, _, _, fixes in outcomes}
-        kept = list(gate_ports[:2])
+        kept = list(sources)
     else:
         p, q = draw(st.permutations(ports))[:2]
         shape = draw(st.sampled_from(["one port", "two ports", "two groups"]))
@@ -144,7 +148,7 @@ def test_circuit_files_agree_with_the_dense_reference(case):
     _assert_agrees(*case)
 
 
-@pytest.mark.parametrize("gate", ["f_gate", "parity_check", "d_cnot"])
+@pytest.mark.parametrize("gate", ["f_gate", "parity_check", "d_cnot", "e_cnot"])
 @given(data=st.data())
 @settings(max_examples=20, deadline=None)
 def test_gate_lines_agree_with_the_dense_reference(gate, data):

@@ -125,8 +125,11 @@ def test_polarization_other_than_h_or_v_is_a_register_error():
         Register(("A",)).index_of(ModeId("A", "X"))
     with pytest.raises(RegisterError, match=r"mode A\.1 is neither H nor V"):
         Register(modes=[ModeId("A", 1), ModeId("A", H)])
-    with pytest.raises(RegisterError, match="spatial port label 3 is not a string"):
+    with pytest.raises(ValueError, match=r"^spatial_labels must be a sequence of strings, "
+                                         r"got \('A', 3\)$"):
         Register(("A", 3))
+    with pytest.raises(RegisterError, match="spatial port label 3 is not a string"):
+        Register(modes=[(3, H)])
 
 
 def test_mode_id_is_a_tuple_that_sorts_by_label_then_h_before_v():
@@ -150,9 +153,12 @@ def test_fock_ket_rejects_norm_above_one():
 
 
 def test_fock_ket_prunes_tiny_amplitudes():
+    """Amplitudes of magnitude below 1e-14 are pruned; 1e-14 itself stays."""
     reg = Register(("A",))
     ket = FockKet(reg, {(1, 0): 1.0, (0, 1): 1e-15})
     assert (0, 1) not in ket.terms
+    ket = FockKet(reg, {(1, 0): 1.0, (0, 1): 1e-14, (2, 0): 0.99e-14})
+    assert set(ket.terms) == {(1, 0), (0, 1)}
 
 
 def test_fock_ket_rejects_counts_over_cutoff():
@@ -529,3 +535,36 @@ def test_transform_preserves_norm(raw):
     ket = FockKet(_FIXED_REG, {occ: amp / scale for occ, amp in zip(occs, amps)})
     out = apply_mode_transform(ket, _FIXED_U)
     assert out.norm_squared() == pytest.approx(ket.norm_squared(), abs=1e-12)
+
+
+def test_equal_registers_and_equal_transforms_on_them_hash_equal():
+    """A ModeTransform is a frozen value whose hash hashes its register."""
+    by_labels = Register(("B", "A"))
+    by_modes = Register(modes=[("A", V), ModeId("B", H), ModeId("B", V), ("A", H)])
+    assert by_labels == by_modes and by_labels is not by_modes
+    assert hash(by_labels) == hash(by_modes)
+    assert Register(("A", "B"), cutoff=5) != by_labels
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    one, other = (ModeTransform(reg, swap, (1, 3)) for reg in (by_labels, by_modes))
+    assert one == other and hash(one) == hash(other)
+    assert len({one, other, ModeTransform(by_labels, swap, (0, 2))}) == 2
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: tensor(single_photon(ModeId("A", H), Register(("A",), cutoff=3)),
+                    single_photon(ModeId("B", H), Register(("B",)))),
+     RegisterError, "cannot merge registers with different cutoffs"),
+    (lambda: FockKet(Register(("A",)), {(1, 0): float("nan")}), ValueError,
+     "non-finite amplitude"),
+    (lambda: FockKet(Register(("A",)), {(0, 1): complex(0.5, float("inf"))}), ValueError,
+     "non-finite amplitude"),
+    (lambda: FockKet(Register(("A",)), {}).normalized(), ValueError,
+     "cannot normalize the zero ket"),
+    (lambda: apply_mode_transform(single_photon(ModeId("A", H), Register(("A",))),
+                                  pockels_z(Register(("A", "B")), "A")),
+     RegisterError, "transform register differs from state register"),
+], ids=["merge-different-cutoffs", "nan-amplitude", "infinite-amplitude",
+        "normalize-zero", "transform-on-another-register"])
+def test_a_malformed_state_operation_names_what_is_wrong(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()

@@ -311,3 +311,17 @@ def test_decode_then_encode_above_the_default_cutoff(inputs, aux, index):
     decoded = mb_decode(QubitState(enc.qubit_labels, amps), enc)
     assert decoded.register.cutoff >= len(inputs + aux)
     assert np.array_equal(mb_encode(decoded, enc).amplitudes, amps)
+
+
+def test_aux_ports_encode_in_declaration_order():
+    """Each aux port reads as its (V, H) qubit pair, the first declared port
+    the most significant: A.H with B.V is |01>|10> on aux ports (A, B), and
+    |10>|01> on (B, A)."""
+    register = Register(("A", "B"))
+    occ = [0] * register.n_modes
+    occ[register.index_of(ModeId("A", H))] = occ[register.index_of(ModeId("B", V))] = 1
+    state = FockKet(register, {tuple(occ): 1.0})
+    for aux_ports, index in ((("A", "B"), 0b0110), (("B", "A"), 0b1001)):
+        amplitudes = mb_encode(state, MBEncoding((), aux_ports)).amplitudes
+        assert [i for i, amp in enumerate(amplitudes) if amp] == [index]
+        assert amplitudes[index] == 1.0

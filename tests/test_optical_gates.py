@@ -364,3 +364,25 @@ def test_two_patterns_that_can_both_fire_are_refused_by_any_pipeline():
     kept = Pipeline([], [(d0, ()), (DetectionPattern({ModeId("D0", V): 1}, label="Y"), [])])
     assert kept.elements == () and [d.label for d, _ in kept.outcomes] == ["D0", "Y"]
     assert kept.outcomes[1][1] == ()
+
+
+def test_parity_check_input_must_be_one_port_not_named_like_its_auxiliaries():
+    for labels, message in ((("IN", "X"), "input_state must live on a single spatial port"),
+                            (("A",), "input port may not be named A, D0 or D1")):
+        state = single_photon(ModeId(labels[0], H), Register(labels))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            quantum_parity_check(state, H)
+
+
+@pytest.mark.parametrize("labels, cutoff, message", [
+    (("IN", "IN'", "X"), 4, "input register must hold exactly the control and target ports"),
+    (("IN", "IN'"), 3, "e_cnot needs a register cutoff of at least 4 photons"),
+], ids=["a-third-port", "cutoff-3"])
+def test_e_cnot_checks_its_register_after_its_photons(labels, cutoff, message):
+    """One photon in each of IN and IN' passes the photon check, then the
+    register check names what is wrong."""
+    reg = Register(labels, cutoff=cutoff)
+    occ = [0] * reg.n_modes
+    occ[reg.index_of(ModeId("IN", H))] = occ[reg.index_of(ModeId("IN'", V))] = 1
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        e_cnot(FockKet(reg, {tuple(occ): 1.0}))

@@ -342,3 +342,31 @@ def test_pbm_agrees_with_the_numpy_contraction():
                 assert got.labels == tuple(lab for j, lab in enumerate(state.labels)
                                            if j not in (i, k))
                 assert np.abs(np.subtract(got.amplitudes, want)).max() <= 1e-15
+
+
+def _plus(*labels):
+    """The uniform superposition on the named qubits."""
+    return QubitState(labels, [2 ** (-len(labels) / 2)] * 2 ** len(labels))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _plus("Q1").axis_of("Q2"), "qubit 'Q2' not in ('Q1',)"),
+    (lambda: tensor_qubits(_plus("Q1"), _plus("Q1")), "qubit registers overlap"),
+    (lambda: apply_matrix(_plus("Q1", "Q2"), CZ_MATRIX, ("Q1", "Q1")),
+     "targets ('Q1', 'Q1') name a qubit twice"),
+    (lambda: apply_matrix(_plus("Q1", "Q2"), PAULI_Z, ("Q1", "Q2")),
+     "matrix is not 4 x 4, one per target pattern"),
+    (lambda: reorder(_plus("Q1", "Q2"), ("Q1", "Q3")),
+     "cannot reorder ('Q1', 'Q2') as ('Q1', 'Q3')"),
+    (lambda: qubit_fidelity(_plus("Q1"), QubitState(("Q1",), [0, 0])),
+     "fidelity is undefined for the zero state"),
+    (lambda: cz_via_two_telegates(_plus("Q1")), "input must be a two-qubit state"),
+    (lambda: cz_via_two_telegates(_plus("Q1", "Q2"), _plus("A1", "A2")),
+     "auxiliary must be a four-qubit state"),
+    (lambda: cnot_via_cz(_plus("Q1", "Q2", "Q3")), "input must be a two-qubit state"),
+], ids=["axis-of-a-missing-qubit", "tensor-overlapping-labels", "target-named-twice",
+        "matrix-of-the-wrong-size", "reorder-to-other-labels", "fidelity-of-zero",
+        "cz-one-qubit-input", "cz-two-qubit-auxiliary", "cnot-three-qubit-input"])
+def test_a_malformed_qubit_operation_names_what_is_wrong(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -511,6 +511,25 @@ def test_simulate_missing_file_exits_2(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_simulate_prints_a_zero_probability_branch_without_a_state(tmp_path, capsys):
+    path = tmp_path / "never.circuit"
+    path.write_text("pgw-circuit v1\nregister IN D0\nterm 1,0 IN.H=1\n"
+                    "detect hit 0 D0.H=1\ndetect miss 1 D0.H=0\n")
+    assert main(["simulate", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3:] == ["branches:", lines[4], "  (zero probability)",
+                         "outcome miss  j=1  p=1.0", "  (1+0j) |IN.H=1>", "rejected: p=0.0"]
+    assert lines[4].startswith("outcome hit  j=0  p=0")
+
+
+def test_verify_json_path_that_cannot_be_written_exits_2(tmp_path, capsys):
+    """The report is printed, then the write to a directory fails: exit 2."""
+    assert main(["verify", "--trials", "0", "--json", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("suite: all\n") and "result: PASS" in captured.out
+    assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
+
+
 def test_simulate_parse_error_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.circuit"
     path.write_text("pgw-circuit v1\nnonsense\n")
