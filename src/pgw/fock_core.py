@@ -260,7 +260,7 @@ class FockKet:
         self.terms = pruned
 
     def norm_squared(self) -> float:
-        return sum(abs(c) ** 2 for c in self.terms.values())
+        return sum((abs(c) ** 2 for c in self.terms.values()), 0.0)
 
     def norm(self) -> float:
         return math.sqrt(self.norm_squared())

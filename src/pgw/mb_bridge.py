@@ -22,15 +22,14 @@ auxiliary resource, and the end-to-end match of the optical CNOT with the
 teleportation CNOT.
 
 A post-selected gate with feed-forward is one linear map K_b per accepted
-outcome b. GATES holds each gate configuration that the checks and truth
-tables read; compile_branches turns one into its K_b by running it on each
-basis input, and a BranchOperators does so once per run and configuration.
-The truth tables read their rows off the columns of K_b, the randomized
-checks apply K_b to every seeded trial input in one matrix product, and the
-optical-versus-teleported claim is also checked exactly as an operator
-equality, K_b(optical) = e^{i phi_b} K_b(teleported), with the outcomes
-paired by label. gate_deviations reads every claim of the form "each branch
-is M v with weight q, and the weights sum to p" off the K_b.
+outcome b. GATES holds each configuration that the checks and truth tables
+read, an optical one as its `gate` line; a BranchOperators compiles each
+once per run (compile_branches, on each basis input), binding an optical
+line's Pipeline once. The truth tables read their rows off the columns of
+K_b, the randomized checks apply K_b to every seeded trial input in one
+matrix product, and the optical-versus-teleported claim is also checked as
+K_b(optical) = e^{i phi_b} K_b(teleported), outcomes paired by label;
+gate_deviations reads "each branch is M v with weight q, sum p" off K_b.
 """
 
 from __future__ import annotations
@@ -284,14 +283,6 @@ IN_ENC = MBEncoding(("IN",), ())
 PAIR_ENC = MBEncoding(("IN", "IN'"), ())
 
 
-def _filter(gate: str, aux: Sequence[complex]) -> Callable[[Sequence[complex]], GateResult]:
-    """optical_gates.<gate> (f_gate or destructive_cnot) on ports IN, A, D0, D1, as a
-    function of IN's (H, V) amplitudes, with the A photon in the polarization aux."""
-    return lambda amps: getattr(optical_gates, gate)(polarization_ket(
-        Register(("IN", "A", "D0", "D1")), ("IN", "A"), [a * b for a in amps for b in aux]),
-        "IN", "A", "D0", "D1")
-
-
 def _telegate(label: str, variant: str) -> Callable[[Sequence[complex]], GateResult]:
     """telegate_t on qubit Q, as a function of its amplitudes, through the
     auxiliary pair (A1, A2) in the Bell state label."""
@@ -299,17 +290,17 @@ def _telegate(label: str, variant: str) -> Callable[[Sequence[complex]], GateRes
         QubitState(("Q",), amps), "Q", bell_state(label, ("A1", "A2")), variant=variant)
 
 
-# Gate configuration -> the arguments of compile_branches: the gate as a function
-# of its input amplitudes, their number, and its encoding (None: a qubit gate).
-# Each gate is looked up on its module as it runs, so a patch there is seen.
+# Gate configuration -> (its `gate` line: a GATE_EXPANDERS name and its ports, inputs
+# then auxiliaries first; the auxiliary photons' amplitudes; its encoding) or (a qubit
+# gate of its input amplitudes; their number; None), each looked up on its module as run.
 GATES = {
-    "f_gate": (_filter("f_gate", (HALF, HALF)), 2, IN_ENC),
-    "f_gate minus": (_filter("f_gate", (HALF, -HALF)), 2, IN_ENC),
-    "parity_check": (_filter("f_gate", (1.0, 0.0)), 2, IN_ENC),
-    "d_cnot H": (_filter("destructive_cnot", (1.0, 0.0)), 2, IN_ENC),
-    "d_cnot V": (_filter("destructive_cnot", (0.0, 1.0)), 2, IN_ENC),
-    "e_cnot": (lambda amps: optical_gates.e_cnot(
-        polarization_ket(Register(("IN", "IN'")), ("IN", "IN'"), amps)), 4, PAIR_ENC),
+    "f_gate": (("f_gate", "IN", "A", "D0", "D1"), (HALF, HALF), IN_ENC),
+    "f_gate minus": (("f_gate", "IN", "A", "D0", "D1"), (HALF, -HALF), IN_ENC),
+    "parity_check": (("parity_check", "IN", "A", "D0", "D1"), (1.0, 0.0), IN_ENC),
+    "d_cnot H": (("d_cnot", "IN", "A", "D0", "D1"), (1.0, 0.0), IN_ENC),
+    "d_cnot V": (("d_cnot", "IN", "A", "D0", "D1"), (0.0, 1.0), IN_ENC),
+    "e_cnot": (("e_cnot", "IN", "IN'", "A", "A'", "D0", "D1", "D0'", "D1'"),
+               (HALF, 0.0, 0.0, HALF), PAIR_ENC),
     "telegate_t": (_telegate(PSI_PLUS, "swap"), 2, None),
     "telegate_t minus": (_telegate(PSI_MINUS, "swap"), 2, None),
     "telegate_tp": (_telegate(PSI_PLUS, "parity_filter"), 2, None),
@@ -325,7 +316,17 @@ class BranchOperators(dict):
     read. One serves one run, so a gate patched between runs is seen."""
 
     def __missing__(self, name: str) -> dict[str, Matrix]:
-        self[name] = ops = compile_branches(*GATES[name])
+        gate, arg, enc = GATES[name]
+        if enc is not None:  # a `gate` line: its Pipeline, bound once, runs on each input
+            (expander, *ports), aux, arg = gate, arg, 2 ** len(enc.input_ports)
+            register = Register(ports)
+            run = optical_gates.GATE_EXPANDERS[expander][0](*ports).bind(register)
+            photons = ports[:len(enc.input_ports) + len(aux).bit_length() - 1]
+
+            def gate(amps: Sequence[complex]) -> GateResult:
+                ket = polarization_ket(register, photons, [a * b for a in amps for b in aux])
+                return GateResult(run(ket)[1])
+        self[name] = ops = compile_branches(gate, arg, enc)
         return ops
 
 

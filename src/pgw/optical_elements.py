@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fock_core import ModeId, ModeTransform, Register
+from .fock_core import ModeId, ModeTransform, Register, RegisterError, _mode
 
 # (modes, rows): an element's flat modes, ascending, and its block on them.
 Block = tuple[tuple[int, ...], tuple[tuple[complex, ...], ...]]
@@ -49,6 +49,11 @@ class ElementSpec:
         if len(self.args) != arity or not all(isinstance(a, ModeId if modes else str)
                                               for a in self.args):
             raise ValueError(f"{self.kind} takes exactly {arity} {noun}(s), got {self.args!r}")
+        try:  # a mode's label is a string and its polarization H or V, as in a Register
+            for a in self.args if modes else ():
+                _mode(a, "args")
+        except RegisterError as e:
+            raise ValueError(f"{self.kind} args {self.args!r}: {e}") from None
         degrees = self.angle_degrees  # a bool is not an angle; a numpy float is a float
         if isinstance(degrees, bool) or not isinstance(degrees, (int, float)):
             raise ValueError(f"{self.kind} angle must be a number of degrees, got {degrees!r}")

@@ -20,28 +20,21 @@ post-selected CNOT on two polarization qubits (success 1/4, four accepted
 detector combinations carrying 1/16 each).
 
 A gate or a whole circuit is one Pipeline value: its elements and its
-heralded outcomes, each a (fock_core.DetectionPattern, corrections) pair,
-the pattern carrying its label and j and the corrections a tuple of
-elements. It is immutable all the way down, so it hashes. Building one
-checks that its patterns are pairwise exclusive. Each gate is written once,
-as an expander that returns its Pipeline; e_cnot's expander joins those of
-its two stages into one outcome per pair, the first stage's corrections
-before the second's. Pipeline.run applies the elements to a state as one
-composed mode transform, passes the patterns straight to measure_outcomes,
-and applies each outcome's corrections as one composed transform too. The
-library gates run their expansion and drop the emptied auxiliary ports; the
-circuit-file `gate` directive (workbench_cli) splices the same expansion
-into a circuit's Pipeline, which run_circuit runs the same way. A
-GateResult holds only the branches; mb_bridge.GATES runs the library gates
-as functions of their input qubits' amplitudes, which compile_branches
-turns into the branch operators K_b that the checks and the truth tables
-read.
+heralded outcomes, each a (fock_core.DetectionPattern, corrections) pair.
+It is immutable all the way down, so it hashes, and building one checks
+that its patterns are pairwise exclusive. Each gate is written once, as an
+expander of GATE_EXPANDERS that returns its Pipeline; e_cnot's pairs the
+outcomes of its two stages, the first stage's corrections first. A circuit
+file's `gate` line (workbench_cli) splices an expansion into the circuit's
+Pipeline, and each optical mb_bridge.GATES entry is such a line, compiled
+to its branch operators K_b. The library gates check their input, run their
+expansion and drop the emptied auxiliary ports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .fock_core import (
     HALF,
@@ -93,27 +86,33 @@ class Pipeline:
                                      "exclusive: they agree on every mode they both constrain")
 
     def run(self, state: FockKet) -> tuple[FockKet, tuple[Branch, ...]]:
-        """Apply the elements, then run every detection on the resulting state
-        and apply that outcome's corrections to its survivors.
+        """One run on state: bind(state.register)(state)."""
+        return self.bind(state.register)(state)
 
-        The elements, and each outcome's corrections, compose to one mode
-        unitary each (_compose), applied once. Against one pass per element,
-        |20, 20> through 12 random plates, each followed by a pbs, agrees to
-        1e-11 per amplitude (about 5e-13); |30, 30> only to about 5e-10.
+    def bind(self, register: Register) -> Callable[[FockKet], tuple[FockKet, tuple[Branch, ...]]]:
+        """The pipeline as a function of a state on register, returning the
+        state after the elements and one branch per outcome, in order, its
+        detected modes traced out and its corrections applied. The elements
+        compose to one mode unitary here (_compose), each outcome's corrections
+        the first time it is read. Against one pass per element, |20, 20>
+        through 12 random plates, each followed by a pbs, agrees to 1e-11 per
+        amplitude (about 5e-13); |30, 30> only to about 5e-10."""
+        transform = _compose(register, self.elements)
+        patterns = [pattern for pattern, _ in self.outcomes]
+        composed: list[ModeTransform | None] = [None] * len(self.outcomes)
 
-        Returns the state after the elements and one branch per outcome, in
-        order. Detected modes are traced out of each branch; every other port,
-        emptied or not, stays in its register.
-        """
-        state = apply_mode_transform(state, _compose(state.register, self.elements))
-        branches = []
-        raws = measure_outcomes(state, [pattern for pattern, _ in self.outcomes])
-        for raw, (_, fixes) in zip(raws, self.outcomes):
-            out = raw.conditional_state
-            if fixes:
-                out = apply_mode_transform(out, _compose(out.register, fixes))
-            branches.append(Branch(raw.outcome_label, raw.j, out, raw.probability))
-        return state, tuple(branches)
+        def run(state: FockKet) -> tuple[FockKet, tuple[Branch, ...]]:
+            state = apply_mode_transform(state, transform)
+            branches = []
+            for i, raw in enumerate(measure_outcomes(state, patterns)):
+                out, fixes = raw.conditional_state, self.outcomes[i][1]
+                if fixes:
+                    composed[i] = composed[i] or _compose(out.register, fixes)
+                    out = apply_mode_transform(out, composed[i])
+                branches.append(Branch(raw.outcome_label, raw.j, out, raw.probability))
+            return state, tuple(branches)
+
+        return run
 
 
 def _expand_f_gate(inp: str, aux: str, d0: str, d1: str) -> Pipeline:

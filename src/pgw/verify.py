@@ -6,12 +6,12 @@ the fixed text and JSON formats; its suites share one BranchOperators,
 which compiles each configuration of mb_bridge.GATES once. TRUTH_TABLES
 names the configurations whose branch operators' columns are a gate's table
 rows. Random element pipelines are optical_gates.Pipeline values and run as
-circuits and the library gates do.
+circuits do.
 
 Each layer function that perfbench/tracer.py wraps is called through its
-module (optical_elements.hwp, qubit_teleport.telegate_t), as GATES calls its
-gates: the tracer swaps names only in the pgw modules it lists, so a by-name
-import here would hide those calls.
+module (optical_elements.hwp, qubit_teleport.telegate_t), as GATES looks up
+its qubit gates and expanders: the tracer swaps names only in the pgw
+modules it lists, so a by-name import here would hide those calls.
 """
 from __future__ import annotations
 
@@ -250,7 +250,9 @@ def _suite_teleport(ops: BranchOperators, rng: random.Random, trials: int) -> li
         result = qubit_teleport.pbm(state, ("B1", "B2"))
         got = (*(b.probability for b in result.accepted_branches),
                state.norm_squared() - result.success_probability)
-        devs.append(max_or_nan(abs(g - w) for g, w in zip(got, want, strict=True)))
+        # A missing or extra branch pairs with NaN, so the check fails.
+        devs.append(max_or_nan(abs(g - w) for g, w in
+                               itertools.zip_longest(got, want, fillvalue=math.nan)))
     check("pbm-resolves-odd-bells",
           "each odd-parity Bell state fires its own outcome deterministically",
           max_or_nan(devs[:2]), 0.0, 1e-12)

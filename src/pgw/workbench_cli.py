@@ -461,8 +461,8 @@ def cmd_verify(suite: str, seed: int, trials: int, json_path: str | None = None)
 def cmd_truth_table(gate: str) -> int:
     note, texts, names = TRUTH_TABLES[gate]
     ops, enc = BranchOperators(), GATES[names[0]][2]
-    columns = [[[row[i] for row in k] for k in ops[name].values()]
-               for name in names for i in range(GATES[name][1])]
+    # Row i of a block is column i of each of its configuration's K_b.
+    columns = [cols for name in names for cols in zip(*(zip(*k) for k in ops[name].values()))]
     print(f"truth-table: {gate}")
     print(f"# {note}")
     width = max(map(len, texts))

@@ -6,8 +6,10 @@ For each mutant, src/ is copied into a temporary directory and the one
 occurrence of the mutant's snippet in its file is replaced. Its command then
 runs as `python -m COMMAND` from the repository root, with the mutated copy
 as PYTHONPATH. The mutant is caught when the command exits 1 and prints a
-`[FAIL] ID ` line for each check id the mutant lists. The script exits 1 if
-a snippet does not occur exactly once or any mutant survives.
+`[FAIL] ID ` line for each check id the mutant lists; a `pgw` command must
+also print no `Traceback` on stderr, since a crash is not a detection. The
+script exits 1 if a snippet does not occur exactly once or any mutant
+survives.
 
     python tests/mutation/run.py
 """
@@ -43,6 +45,8 @@ def survives(mutant: dict, workdir: Path) -> list[str]:
     problems = [] if proc.returncode == 1 else [f"exit status {proc.returncode}, want 1"]
     problems += [f"no [FAIL] {check} line" for check in mutant["fails"]
                  if f"[FAIL] {check} " not in proc.stdout]
+    if mutant["command"][0] == "pgw" and "Traceback" in proc.stderr:
+        problems.append("a traceback on stderr: the command crashed")
     return problems + [proc.stdout + proc.stderr] if problems else []
 
 

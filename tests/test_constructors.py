@@ -115,6 +115,12 @@ _REFUSED = {
                   r"^unknown element kind \['pbs'\]$"),
     "int-port": (lambda: ElementSpec("pbs", ("A", 1)),
                  r"^pbs takes exactly 2 spatial port\(s\), got \('A', 1\)$"),
+    "mode-of-wrong-shape": (lambda: ElementSpec("swap", (ModeId(1, "X"), ModeId("A", H))),
+                            r"^swap args \(ModeId\(spatial_label=1, polarization='X'\), "
+                            r"ModeId\(spatial_label='A', polarization='H'\)\): spatial port "
+                            "label 1 is not a string$"),
+    "mode-neither-h-nor-v": (lambda: ElementSpec("swap", (ModeId("A", H), ModeId("B", "X"))),
+                             r"^swap args .*: mode B\.X is neither H nor V polarized$"),
     "string-transform-modes": (lambda: ModeTransform(Register(("A",)), [[0, 1], [1, 0]],
                                                      ["a", "b"]),
                                r"^modes \['a', 'b'\] out of range for a 2-mode register$"),

@@ -29,7 +29,7 @@ from pgw.fock_core import (
 )
 from pgw.mb_bridge import check_record
 from pgw.optical_elements import ELEMENTS, ElementSpec, hwp, mode_swap, pbs, pockels_z
-from pgw.optical_gates import destructive_cnot, e_cnot, f_gate
+from pgw.optical_gates import e_cnot
 from pgw.workbench_cli import (
     DEFAULT_SEED,
     DIRECTIVES,
@@ -517,9 +517,8 @@ def test_simulate_prints_a_zero_probability_branch_without_a_state(tmp_path, cap
                     "detect hit 0 D0.H=1\ndetect miss 1 D0.H=0\n")
     assert main(["simulate", str(path)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[3:] == ["branches:", lines[4], "  (zero probability)",
+    assert lines[3:] == ["branches:", "outcome hit  j=0  p=0.0", "  (zero probability)",
                          "outcome miss  j=1  p=1.0", "  (1+0j) |IN.H=1>", "rejected: p=0.0"]
-    assert lines[4].startswith("outcome hit  j=0  p=0")
 
 
 def test_verify_json_path_that_cannot_be_written_exits_2(tmp_path, capsys):
@@ -886,8 +885,9 @@ def test_destructive_cnot_exact_checks_run_without_trials(capsys):
 
 
 def test_destructive_cnot_exact_checks_catch_a_wrong_gate(monkeypatch):
-    assert optical_gates.destructive_cnot is destructive_cnot
-    monkeypatch.setattr(optical_gates, "destructive_cnot", f_gate)
+    """The d_cnot configurations compiled from the filter's expansion instead."""
+    monkeypatch.setitem(optical_gates.GATE_EXPANDERS, "d_cnot",
+                        optical_gates.GATE_EXPANDERS["f_gate"])
     records = {c["id"]: c for c in run_suite("optical", seed=1, trials=0).checks}
     assert records["dcnot-kraus-phase"]["status"] == "fail"
     assert records["dcnot-kraus-complete"]["status"] == "fail"
