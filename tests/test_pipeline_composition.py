@@ -121,6 +121,10 @@ def _gate_pipeline(draw):
     occupied = ports[:arity // 2]
     amps = [complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
             for _ in range(2 ** len(occupied))]
+    # Divide by the largest magnitude first: the square of an amplitude near
+    # 1e-160 is subnormal, and a norm taken from it is off by up to 1e-5.
+    peak = max(abs(a) for a in amps) or 1.0
+    amps = [a / peak for a in amps]
     norm = sum(abs(a) ** 2 for a in amps) ** 0.5 or 1.0
     state = polarization_ket(Register(ports), occupied, [a / norm for a in amps])
     pipeline = expander(*ports)
